@@ -126,10 +126,6 @@ def _emit(cfg: Config, payload: dict, rows=None, text=None) -> None:
             print(line)
 
 
-def _module_text(module) -> str:
-    return str(module)
-
-
 # -- sigma --------------------------------------------------------------
 
 
@@ -151,7 +147,12 @@ def cmd_sigma(cfg: Config, args) -> int:
     q_star = reduced_representative(order, q)
     submodule, sigma = csm_bruteforce(gamma_of(order), q)
     if order.maximal:
-        assert sigma == sigma_index(order, q)
+        by_formula = sigma_index(order, q)
+        if by_formula != sigma:
+            print(f"error: rotation {args.rotation!r}, reduced generator "
+                  f"{format_quat(q_star)}: index {sigma} by intersection "
+                  f"but {by_formula} by the formula", file=sys.stderr)
+            return 1
     if q.is_scalar():
         axis, cos = None, "1"
     else:
@@ -173,7 +174,7 @@ def cmd_sigma(cfg: Config, args) -> int:
         f"coincidence index:  {sigma}",
         f"axis:               {'(identity rotation)' if axis is None else '(' + ', '.join(axis) + ')'}",
         f"cos(angle):         {cos}",
-        f"csm basis:          {_module_text(submodule)}",
+        f"csm basis:          {submodule}",
     ]
     _emit(cfg, payload, text=text)
     return 0
@@ -385,7 +386,7 @@ def cmd_intersect(cfg: Config, args) -> int:
     }
     text = [
         f"intersection of {args.first} and {args.second}:",
-        f"  basis:  {_module_text(common)}",
+        f"  basis:  {common}",
         f"  index in {args.first}: {in_first} (absolute {in_first.absolute})",
         f"  index in {args.second}: {in_second} "
         f"(absolute {in_second.absolute})",

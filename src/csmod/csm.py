@@ -31,10 +31,7 @@ def _scaled_into(order: QuatOrder, q: Quat) -> Quat:
         raise DomainError("the zero quaternion defines no rotation")
     if order.contains(q):
         return q
-    scale = 1
-    for c in q.coords():
-        scale = math.lcm(scale, c.denominator_lcm())
-    q = q * scale
+    q = q * math.lcm(*(c.den for c in q.coords()))
     if not order.contains(q):
         raise DomainError("quaternion cannot be rescaled into the order")
     return q

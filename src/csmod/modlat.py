@@ -9,22 +9,24 @@ representations, which makes modules directly comparable and hashable.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
-i, j, k).  Entries are exact field elements; a module is scaled to ring
-entries internally by the minimal positive integer that clears all
-denominators, which is a module invariant.
+i, j, k).  Entries are field elements, each a ring numerator over a
+positive integer denominator in lowest terms; a module is scaled to ring
+entries internally by the least common multiple of those denominators,
+which is a module invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 from .rings import (
     FieldElem,
     FieldTag,
     RingElem,
+    as_field,
     canonical_residue,
     euclid_divmod,
 )
@@ -39,41 +41,20 @@ class Ambient(Enum):
         return 4 if self is Ambient.QUAT else 3
 
 
-def _to_field(tag: FieldTag, value) -> FieldElem:
-    if isinstance(value, FieldElem):
-        if value.tag is not tag:
-            raise DomainError("mixed field tags")
-        return value
-    if isinstance(value, RingElem):
-        if value.tag is not tag:
-            raise DomainError("mixed field tags")
-        return value.to_field()
-    if isinstance(value, (int, Fraction)):
-        return FieldElem(tag, Fraction(value))
-    raise TypeError(f"cannot interpret {value!r} as a field element")
-
-
-def _lcm(x: int, y: int) -> int:
-    from math import gcd
-    return x // gcd(x, y) * y
-
-
 class OModule:
     """Full-rank module in canonical triangular form.
 
     Do not call the constructor with arbitrary generators; use
-    hnf_canonical, which produces the canonical basis.
+    hnf_canonical, which produces the canonical basis.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("tag", "ambient", "basis")
 
     def __init__(self, tag: FieldTag, ambient: Ambient, basis):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(tuple(col) for col in basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OModule is immutable")
+        self.tag = tag
+        self.ambient = ambient
+        self.basis = tuple(tuple(col) for col in basis)
 
     @property
     def rank(self) -> int:
@@ -91,7 +72,7 @@ class OModule:
     def coordinates(self, vector):
         """Ring coordinates of vector in this basis, or None if outside."""
         n = self.rank
-        v = [_to_field(self.tag, e) for e in vector]
+        v = [as_field(self.tag, e) for e in vector]
         if len(v) != n:
             raise DomainError(f"expected a vector of length {n}")
         coeffs = [None] * n
@@ -144,6 +125,13 @@ def _col_submul(col, q: RingElem, src) -> None:
         col[idx] = col[idx] - q * src[idx]
 
 
+def _ring_columns(columns):
+    """(scale, ring columns): the least common denominator of the field
+    entries, and the columns multiplied by it."""
+    scale = lcm(*(e.den for col in columns for e in col))
+    return scale, [[e.num * (scale // e.den) for e in col] for col in columns]
+
+
 def _echelon(columns, nrows: int, track: bool = False):
     """Eliminate columns to triangular form by Euclidean operations.
 
@@ -182,22 +170,37 @@ def _echelon(columns, nrows: int, track: bool = False):
     return pivots, pairs
 
 
+def _kernel(columns, nrows: int):
+    """Ring coefficient vectors x forming a basis of the solutions of
+    sum_c x_c * columns[c] = 0."""
+    _, spare = _echelon(columns, nrows, track=True)
+    for zero_col, _ in spare:
+        if not all(e.is_zero() for e in zero_col):
+            raise ArithmeticError("echelon left a nonzero kernel column")
+    return [tr for _, tr in spare]
+
+
+def _combination(coeffs, columns, rows, scale: int) -> list[FieldElem]:
+    """Rows of sum_c coeffs[c] * columns[c], divided by scale."""
+    return [
+        FieldElem.ratio(sum(x * col[r] for x, col in zip(coeffs, columns)),
+                        scale)
+        for r in rows
+    ]
+
+
 def hnf_canonical(tag: FieldTag, ambient: Ambient, generators) -> OModule:
     """Canonical triangular basis of the module spanned by the generators."""
     n = ambient.dim
     gens = []
     for gen in generators:
-        vec = [_to_field(tag, e) for e in gen]
+        vec = [as_field(tag, e) for e in gen]
         if len(vec) != n:
             raise DomainError(f"expected generators of length {n}")
         gens.append(vec)
     if not gens:
         raise DomainError("no generators")
-    scale = 1
-    for vec in gens:
-        for e in vec:
-            scale = _lcm(scale, e.denominator_lcm())
-    cols = [[(e * scale).to_ring() for e in vec] for vec in gens]
+    scale, cols = _ring_columns(gens)
     pivots, _ = _echelon(cols, n)
     if len(pivots) < n:
         raise DomainError("generators do not span a full-rank module")
@@ -213,7 +216,7 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators) -> OModule:
             if not q.is_zero():
                 _col_submul(col, q, basis[r])
     columns = [
-        tuple(e.to_field() / scale for e in col) for col in basis
+        tuple(FieldElem.ratio(e, scale) for e in col) for col in basis
     ]
     return OModule(tag, ambient, columns)
 
@@ -228,7 +231,7 @@ def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
 
 def scale_module(module: OModule, alpha) -> OModule:
     """The module alpha * M for a nonzero field scalar alpha."""
-    a = _to_field(module.tag, alpha)
+    a = as_field(module.tag, alpha)
     if a.is_zero():
         raise DomainError("scaling a module by zero")
     return hnf_canonical(
@@ -246,22 +249,11 @@ def intersect(m1: OModule, m2: OModule) -> OModule:
     """Intersection, via the kernel of (x, y) |-> B1*x - B2*y over the ring."""
     _check_compatible(m1, m2)
     n = m1.rank
-    scale = 1
-    for col in m1.basis + m2.basis:
-        for e in col:
-            scale = _lcm(scale, e.denominator_lcm())
-    cols = [[(e * scale).to_ring() for e in col] for col in m1.basis]
-    cols += [[(-(e * scale)).to_ring() for e in col] for col in m2.basis]
-    _, spare = _echelon(cols, n, track=True)
-    gens = []
-    for zero_col, tr in spare:
-        assert all(e.is_zero() for e in zero_col)
-        vec = [FieldElem(m1.tag, 0)] * n
-        for c in range(n):
-            coeff = tr[c].to_field()
-            for r in range(n):
-                vec[r] = vec[r] + coeff * m1.basis[c][r]
-        gens.append(vec)
+    scale, cols = _ring_columns(m1.basis + m2.basis)
+    first = cols[:n]
+    negated_second = [[-e for e in col] for col in cols[n:]]
+    gens = [_combination(x[:n], first, range(n), scale)
+            for x in _kernel(first + negated_second, n)]
     return hnf_canonical(m1.tag, m1.ambient, gens)
 
 
@@ -309,20 +301,9 @@ def pure_part(module: OModule) -> OModule:
     collected as a rank-3 module in the im ambient."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("pure_part expects a rank-4 module")
-    scale = 1
-    for col in module.basis:
-        scale = _lcm(scale, col[0].denominator_lcm())
-    top = [[(col[0] * scale).to_ring()] for col in module.basis]
-    _, spare = _echelon(top, 1, track=True)
-    gens = []
-    for zero_col, tr in spare:
-        assert all(e.is_zero() for e in zero_col)
-        vec = [FieldElem(module.tag, 0)] * 3
-        for c in range(4):
-            coeff = tr[c].to_field()
-            for r in range(3):
-                vec[r] = vec[r] + coeff * module.basis[c][r + 1]
-        gens.append(vec)
+    scale, cols = _ring_columns(module.basis)
+    gens = [_combination(x, cols, range(1, 4), scale)
+            for x in _kernel([col[:1] for col in cols], 1)]
     return hnf_canonical(module.tag, Ambient.IM, gens)
 
 

@@ -101,19 +101,19 @@ class QuatOrder:
                  "_units_cache")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "field_tag", field_tag)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "maximal", maximal)
-        object.__setattr__(self, "module", hnf_canonical(
+        self.name = name
+        self.field_tag = field_tag
+        self.basis = tuple(basis)
+        self.maximal = maximal
+        self.module = hnf_canonical(
             field_tag, Ambient.QUAT, [b.coords() for b in self.basis]
-        ))
+        )
         degree = field_tag.degree
         zgens = list(self.basis)
         if degree == 2:
             omega = FieldElem.omega(field_tag)
             zgens += [b * omega for b in self.basis]
-        object.__setattr__(self, "_zgens", tuple(zgens))
+        self._zgens = tuple(zgens)
         rank = len(zgens)
         na = [[0] * rank for _ in range(rank)]
         nb = [[0] * rank for _ in range(rank)]
@@ -134,14 +134,11 @@ class QuatOrder:
                     for s in range(rank)]
         else:
             gram = [[2 * na[s][t] for t in range(rank)] for s in range(rank)]
-        object.__setattr__(self, "_na", na)
-        object.__setattr__(self, "_nb", nb)
-        object.__setattr__(self, "_ldl", _ldl(gram))
-        object.__setattr__(self, "_enum_cache", {})
-        object.__setattr__(self, "_units_cache", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatOrder is immutable")
+        self._na = na
+        self._nb = nb
+        self._ldl = _ldl(gram)
+        self._enum_cache = {}
+        self._units_cache = None
 
     def __repr__(self):
         return f"QuatOrder({self.name})"
@@ -211,8 +208,7 @@ class QuatOrder:
             raise DomainError("cannot reduce zero")
         q = q / self._content_of(coords).to_field()
         if self._strips_even_norms():
-            half = Fraction(1, 2)
-            inv_one_plus_i = Quat(self.field_tag, half, -half)
+            inv_one_plus_i = Quat(self.field_tag, 1, -1) / 2
             while q.nr().to_ring().norm_abs() % 2 == 0:
                 q = q * inv_one_plus_i
         return q
@@ -272,7 +268,7 @@ class QuatOrder:
         if self._units_cache is None:
             found = [q for q, _ in self._lattice_elements(
                 RingElem(self.field_tag, 1))]
-            object.__setattr__(self, "_units_cache", tuple(found))
+            self._units_cache = tuple(found)
         return list(self._units_cache)
 
     def enumerate_by_index(self, m: int, cap: int | None = None):
@@ -303,31 +299,25 @@ class QuatOrder:
         return list(result)
 
 
-def _f(tag, a, b=0):
-    return FieldElem(tag, Fraction(a), Fraction(b))
-
-
 @lru_cache(maxsize=None)
 def hurwitz() -> QuatOrder:
     tag = FieldTag.RATIONAL
-    half = Fraction(1, 2)
     return QuatOrder("hurwitz", tag, [
         Quat.one(tag),
         Quat.i(tag),
         Quat.j(tag),
-        Quat(tag, half, half, half, half),
+        Quat(tag, 1, 1, 1, 1) / 2,
     ], maximal=True)
 
 
 @lru_cache(maxsize=None)
 def icosian() -> QuatOrder:
     tag = FieldTag.ROOT_FIVE
-    half = Fraction(1, 2)
     return QuatOrder("icosian", tag, [
         Quat.one(tag),
         Quat.i(tag),
-        Quat(tag, half, half, half, half),
-        Quat(tag, _f(tag, half, -half), _f(tag, 0, half), 0, _f(tag, half)),
+        Quat(tag, 1, 1, 1, 1) / 2,
+        Quat(tag, FieldElem(tag, 1, -1), FieldElem.omega(tag), 0, 1) / 2,
     ], maximal=True)
 
 
@@ -344,13 +334,12 @@ def icosian_conj() -> QuatOrder:
 @lru_cache(maxsize=None)
 def octahedral() -> QuatOrder:
     tag = FieldTag.ROOT_TWO
-    half = Fraction(1, 2)
-    halfw = _f(tag, 0, half)
+    w = FieldElem.omega(tag)
     return QuatOrder("octahedral", tag, [
         Quat.one(tag),
-        Quat(tag, halfw, halfw, 0, 0),
-        Quat(tag, halfw, 0, halfw, 0),
-        Quat(tag, half, half, half, half),
+        Quat(tag, w, w, 0, 0) / 2,
+        Quat(tag, w, 0, w, 0) / 2,
+        Quat(tag, 1, 1, 1, 1) / 2,
     ], maximal=True)
 
 

@@ -1,54 +1,32 @@
 """Quaternions with exact field coordinates and the Cayley rotation map.
 
 A quaternion is stored in the basis {1, i, j, k} with FieldElem
-coordinates, so every derived quantity (reduced norm, rotation matrix,
-cosine of the rotation angle) stays exact.  Nothing here normalizes by
-content or units; that belongs to the order layer.
+coordinates, each a ring numerator over an integer denominator, so every
+derived quantity (reduced norm, rotation matrix, cosine of the rotation
+angle) stays exact.  Nothing here normalizes by content or units; that
+belongs to the order layer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, ParseInputError
-from .rings import (
-    FieldElem,
-    FieldTag,
-    RingElem,
-    _split_terms,
-    format_field_elem,
-    parse_field_elem,
-)
-
-
-def _to_field(tag: FieldTag, value) -> FieldElem:
-    if isinstance(value, FieldElem):
-        if value.tag is not tag:
-            raise DomainError("mixed field tags")
-        return value
-    if isinstance(value, RingElem):
-        if value.tag is not tag:
-            raise DomainError("mixed field tags")
-        return value.to_field()
-    if isinstance(value, (int, Fraction)):
-        return FieldElem(tag, Fraction(value))
-    raise TypeError(f"cannot interpret {value!r} as a field element")
+from .rings import FieldElem, FieldTag, _split_terms, as_field, parse_field_elem
 
 
 class Quat:
-    """Quaternion x0 + x1*i + x2*j + x3*k over one of the base fields."""
+    """Quaternion x0 + x1*i + x2*j + x3*k over one of the base fields.
+
+    Instances are treated as immutable; arithmetic returns new objects.
+    """
 
     __slots__ = ("tag", "x0", "x1", "x2", "x3")
 
     def __init__(self, tag: FieldTag, x0, x1=0, x2=0, x3=0):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "x0", _to_field(tag, x0))
-        object.__setattr__(self, "x1", _to_field(tag, x1))
-        object.__setattr__(self, "x2", _to_field(tag, x2))
-        object.__setattr__(self, "x3", _to_field(tag, x3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quat is immutable")
+        self.tag = tag
+        self.x0 = as_field(tag, x0)
+        self.x1 = as_field(tag, x1)
+        self.x2 = as_field(tag, x2)
+        self.x3 = as_field(tag, x3)
 
     @classmethod
     def zero(cls, tag: FieldTag) -> "Quat":
@@ -83,7 +61,7 @@ class Quat:
                 raise DomainError("mixed field tags")
             return other
         try:
-            return Quat(self.tag, _to_field(self.tag, other))
+            return Quat(self.tag, as_field(self.tag, other))
         except TypeError:
             return NotImplemented
 
@@ -135,7 +113,7 @@ class Quat:
 
     def __truediv__(self, other):
         try:
-            s = _to_field(self.tag, other)
+            s = as_field(self.tag, other)
         except TypeError:
             return NotImplemented
         inv = s.inverse()
@@ -190,21 +168,15 @@ def im_re(q: Quat) -> tuple[FieldElem, tuple[FieldElem, FieldElem, FieldElem]]:
 
 
 class Mat3K:
-    """3x3 matrix with exact field entries."""
+    """3x3 matrix with exact field entries, treated as immutable."""
 
     __slots__ = ("tag", "rows")
 
     def __init__(self, tag: FieldTag, rows):
-        object.__setattr__(self, "tag", tag)
-        coerced = tuple(
-            tuple(_to_field(tag, e) for e in row) for row in rows
-        )
-        if len(coerced) != 3 or any(len(r) != 3 for r in coerced):
+        self.tag = tag
+        self.rows = tuple(tuple(as_field(tag, e) for e in row) for row in rows)
+        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise DomainError("Mat3K needs exactly 3x3 entries")
-        object.__setattr__(self, "rows", coerced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat3K is immutable")
 
     @classmethod
     def identity(cls, tag: FieldTag) -> "Mat3K":
@@ -230,7 +202,7 @@ class Mat3K:
 
     def apply(self, vec):
         """Matrix-vector product; vec is any length-3 sequence over K."""
-        v = tuple(_to_field(self.tag, e) for e in vec)
+        v = tuple(as_field(self.tag, e) for e in vec)
         if len(v) != 3:
             raise DomainError("expected a 3-vector")
         return tuple(
@@ -265,7 +237,7 @@ class Mat3K:
 
     def __str__(self):
         body = "; ".join(
-            ", ".join(format_field_elem(e) for e in row) for row in self.rows
+            ", ".join(str(e) for e in row) for row in self.rows
         )
         return f"[{body}]"
 
@@ -357,11 +329,11 @@ def parse_quat(text: str, tag: FieldTag) -> Quat:
 def format_quat(q: Quat) -> str:
     parts = []
     if not q.x0.is_zero():
-        parts.append(format_field_elem(q.x0))
+        parts.append(str(q.x0))
     for comp, sym in ((q.x1, "i"), (q.x2, "j"), (q.x3, "k")):
         if comp.is_zero():
             continue
-        s = format_field_elem(comp)
+        s = str(comp)
         if s == "1":
             parts.append(sym)
         elif s == "-1":

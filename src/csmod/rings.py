@@ -1,11 +1,15 @@
-"""Exact arithmetic in Z, Z[tau] and Z[sqrt(2)].
+"""Exact arithmetic in Z, Z[tau] and Z[sqrt(2)] and their fraction fields.
 
 tau = (1 + sqrt(5))/2 is the golden ratio, so tau^2 = tau + 1; the three
-rings are the rings of integers of Q, Q(sqrt(5)) and Q(sqrt(2)).  Elements
-are coefficient pairs (a, b) for a + b*omega in the basis {1, omega}, with
-omega equal to 1, tau or sqrt(2) according to the field tag.  All three
-rings are norm-Euclidean principal ideal domains, which keeps gcds,
-contents, Hermite pivots and prime factorization algorithmic.
+rings are the rings of integers of Q, Q(sqrt(5)) and Q(sqrt(2)).  Ring
+elements (RingElem) are integer pairs (a, b) for a + b*omega in the basis
+{1, omega}, with omega equal to 1, tau or sqrt(2) according to the field
+tag.  A field element (FieldElem) is a RingElem numerator over a positive
+integer denominator in lowest terms, so all field arithmetic is integer
+arithmetic on the ring formulas; Fraction only appears where text is
+parsed or printed.  All three rings are norm-Euclidean principal ideal
+domains, which keeps gcds, contents, Hermite pivots and prime
+factorization algorithmic.
 
 Associates are normalized deterministically: the canonical associate of a
 nonzero element is totally positive with embedding ratio sigma1/sigma2 in
@@ -19,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from numbers import Rational
 
 from .errors import DomainError, ParseInputError
 
@@ -58,28 +63,18 @@ class RingElem:
     """An element a + b*omega of Z, Z[tau] or Z[sqrt(2)].
 
     Instances are treated as immutable; arithmetic returns new objects.
+    The per-field formulas (the omega^2 rule, conjugation, norm and trace)
+    are written here once; FieldElem applies them to its numerator.
     """
 
     __slots__ = ("tag", "a", "b")
 
     def __init__(self, tag: FieldTag, a: int, b: int = 0):
-        if tag.degree == 1 and b != 0:
+        if b and tag is FieldTag.RATIONAL:
             raise DomainError("rational integers have no omega part")
         self.tag = tag
         self.a = a
         self.b = b
-
-    @classmethod
-    def from_int(cls, tag: FieldTag, n: int) -> "RingElem":
-        return cls(tag, n, 0)
-
-    @classmethod
-    def zero(cls, tag: FieldTag) -> "RingElem":
-        return cls(tag, 0, 0)
-
-    @classmethod
-    def one(cls, tag: FieldTag) -> "RingElem":
-        return cls(tag, 1, 0)
 
     @classmethod
     def omega(cls, tag: FieldTag) -> "RingElem":
@@ -123,8 +118,7 @@ class RingElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.tag.degree == 1:
-            return RingElem(self.tag, self.a * o.a, 0)
+        # over Q both omega parts are 0 and this is the integer product
         c, d = _OMEGA_SQ[self.tag]
         bb = self.b * o.b
         return RingElem(
@@ -212,19 +206,20 @@ class RingElem:
         return x
 
     def to_field(self) -> "FieldElem":
-        return FieldElem(self.tag, Fraction(self.a), Fraction(self.b))
+        return FieldElem._new(self, 1)
 
     def __eq__(self, other):
+        if isinstance(other, RingElem):
+            return (self.tag is other.tag and self.a == other.a
+                    and self.b == other.b)
         if isinstance(other, int):
             return self.a == other and self.b == 0
-        return (
-            isinstance(other, RingElem)
-            and self.tag is other.tag
-            and self.a == other.a
-            and self.b == other.b
-        )
+        return NotImplemented
 
     def __hash__(self):
+        # elements of Z hash like the int they equal
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.tag, self.a, self.b))
 
     def __str__(self):
@@ -251,61 +246,99 @@ _TOT_POS_UNIT_INV = {
 
 
 class FieldElem:
-    """An element of Q, Q(sqrt5) or Q(sqrt2) with Fraction coefficients."""
+    """An element num/den of Q, Q(sqrt5) or Q(sqrt2).
 
-    __slots__ = ("tag", "a", "b")
+    num is a RingElem and den a positive int, always in lowest terms:
+    gcd(num.a, num.b, den) == 1, so equal elements have equal parts.
+    Instances are treated as immutable; arithmetic returns new objects.
+    The constructor takes the int or Fraction coefficients of a + b*omega.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, tag: FieldTag, a, b=0):
-        if tag.degree == 1 and b:
+        if b and tag is FieldTag.RATIONAL:
             raise DomainError("rational numbers have no omega part")
-        self.tag = tag
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        if a.__class__ is int and b.__class__ is int:
+            self.num = RingElem(tag, a, b)
+            self.den = 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        # lowest terms: each prime power in den is the full power in the
+        # reduced denominator of a or of b, whose scaled numerator is then
+        # prime to it
+        den = lcm(a.denominator, b.denominator)
+        self.num = RingElem(tag, a.numerator * (den // a.denominator),
+                            b.numerator * (den // b.denominator))
+        self.den = den
 
     @classmethod
-    def zero(cls, tag: FieldTag) -> "FieldElem":
-        return cls(tag, 0, 0)
+    def _new(cls, num: RingElem, den: int) -> "FieldElem":
+        # num/den must already be in lowest terms with den > 0
+        x = object.__new__(cls)
+        x.num = num
+        x.den = den
+        return x
 
     @classmethod
-    def one(cls, tag: FieldTag) -> "FieldElem":
-        return cls(tag, 1, 0)
+    def ratio(cls, num: RingElem, den: int) -> "FieldElem":
+        """num/den in lowest terms, for a nonzero int den."""
+        if den < 0:
+            num, den = -num, -den
+        elif den == 0:
+            raise ZeroDivisionError("field element with denominator 0")
+        g = gcd(num.a, num.b, den)
+        if g != 1:
+            num = RingElem(num.tag, num.a // g, num.b // g)
+            den //= g
+        return cls._new(num, den)
 
     @classmethod
     def omega(cls, tag: FieldTag) -> "FieldElem":
-        if tag.degree == 1:
-            return cls(tag, 1, 0)
-        return cls(tag, 0, 1)
+        return RingElem.omega(tag).to_field()
 
-    @classmethod
-    def from_int(cls, tag: FieldTag, n: int) -> "FieldElem":
-        return cls(tag, Fraction(n), Fraction(0))
+    @property
+    def tag(self) -> FieldTag:
+        return self.num.tag
+
+    @property
+    def a(self) -> Fraction:
+        """The rational coefficient of 1."""
+        return Fraction(self.num.a, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The rational coefficient of omega."""
+        return Fraction(self.num.b, self.den)
 
     def _coerce(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.tag is not self.tag:
-                raise DomainError("mixed field tags")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElem(self.tag, Fraction(other), Fraction(0))
-        if isinstance(other, RingElem):
-            if other.tag is not self.tag:
-                raise DomainError("mixed field tags")
-            return other.to_field()
-        return NotImplemented
+        try:
+            return as_field(self.num.tag, other)
+        except TypeError:
+            return NotImplemented
+
+    # The operators delegate to RingElem on the numerators, which also
+    # rejects mixed field tags.
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElem else self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElem(self.tag, self.a + o.a, self.b + o.b)
+        if self.den == o.den:
+            return FieldElem.ratio(self.num + o.num, self.den)
+        return FieldElem.ratio(self.num * o.den + o.num * self.den,
+                               self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElem else self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElem(self.tag, self.a - o.a, self.b - o.b)
+        if self.den == o.den:
+            return FieldElem.ratio(self.num - o.num, self.den)
+        return FieldElem.ratio(self.num * o.den - o.num * self.den,
+                               self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -314,21 +347,13 @@ class FieldElem:
         return o - self
 
     def __neg__(self):
-        return FieldElem(self.tag, -self.a, -self.b)
+        return FieldElem._new(-self.num, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElem else self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.tag.degree == 1:
-            return FieldElem(self.tag, self.a * o.a, Fraction(0))
-        c, d = _OMEGA_SQ[self.tag]
-        bb = self.b * o.b
-        return FieldElem(
-            self.tag,
-            self.a * o.a + c * bb,
-            self.a * o.b + self.b * o.a + d * bb,
-        )
+        return FieldElem.ratio(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -345,66 +370,59 @@ class FieldElem:
         return o * self.inverse()
 
     def inverse(self) -> "FieldElem":
-        n = self.norm_signed()
-        if n == 0:
+        if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.tag.degree == 1:
-            return FieldElem(self.tag, 1 / self.a)
-        # 1/x = conj(x)/N(x), degree 2 only
-        cj = self.conj()
-        return FieldElem(self.tag, cj.a / n, cj.b / n)
+        # d/x = conj(x)*d / (x*conj(x)); x*conj(x) is the integer N(x) in
+        # degree 2 and x^2 over Q, where conj is the identity
+        c = self.num.conj()
+        return FieldElem.ratio(c * self.den, (self.num * c).a)
 
     def conj(self) -> "FieldElem":
-        e, f = _CONJ[self.tag]
-        return FieldElem(self.tag, self.a + e * self.b, f * self.b)
+        return FieldElem._new(self.num.conj(), self.den)
 
-    def norm_signed(self) -> Fraction:
-        if self.tag is FieldTag.RATIONAL:
-            return self.a
-        if self.tag is FieldTag.ROOT_FIVE:
-            return self.a * self.a + self.a * self.b - self.b * self.b
-        return self.a * self.a - 2 * self.b * self.b
+    def norm_signed(self) -> "FieldElem":
+        """Field norm, a rational element of the same field."""
+        tag = self.num.tag
+        return FieldElem.ratio(RingElem(tag, self.num.norm_signed()),
+                               self.den ** tag.degree)
 
-    def trace(self) -> Fraction:
-        if self.tag is FieldTag.RATIONAL:
-            return self.a
-        if self.tag is FieldTag.ROOT_FIVE:
-            return 2 * self.a + self.b
-        return 2 * self.a
+    def trace(self) -> "FieldElem":
+        """Field trace, a rational element of the same field."""
+        return FieldElem.ratio(RingElem(self.num.tag, self.num.trace()),
+                               self.den)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.num.is_zero()
 
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.den == 1
 
     def to_ring(self) -> RingElem:
-        if not self.is_integral():
+        if self.den != 1:
             raise DomainError(f"{self} is not integral")
-        return RingElem(self.tag, int(self.a), int(self.b))
+        return self.num
 
     def denominator_lcm(self) -> int:
-        d = self.a.denominator
-        e = self.b.denominator
-        return d * e // _gcd_int(d, e)
-
-    def sort_key(self):
-        return (self.a.numerator, self.a.denominator, self.b.numerator, self.b.denominator)
+        """Least positive integer that makes self integral."""
+        return self.den
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.a == other and self.b == 0
+        if isinstance(other, FieldElem):
+            return self.den == other.den and self.num == other.num
         if isinstance(other, RingElem):
-            return self.tag is other.tag and self.a == other.a and self.b == other.b
-        return (
-            isinstance(other, FieldElem)
-            and self.tag is other.tag
-            and self.a == other.a
-            and self.b == other.b
-        )
+            return self.den == 1 and self.num == other
+        if isinstance(other, Rational):  # int or rational, in lowest terms
+            return (self.num.b == 0 and self.num.a == other.numerator
+                    and self.den == other.denominator)
+        return False
 
     def __hash__(self):
-        return hash((self.tag, self.a, self.b))
+        # equal values hash alike across rationals, RingElem and FieldElem
+        if self.den == 1:
+            return hash(self.num)
+        if self.num.b == 0:
+            return hash(self.a)
+        return hash((self.num, self.den))
 
     def __str__(self):
         return _format_pair(self.tag, self.a, self.b)
@@ -413,17 +431,32 @@ class FieldElem:
         return f"FieldElem({self.tag.value}, {self})"
 
 
-def _gcd_int(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return abs(x)
+def as_field(tag: FieldTag, value) -> FieldElem:
+    """value as an element of the field tagged tag.
+
+    Takes a FieldElem or RingElem of that field or a rational number;
+    raises DomainError on another field's element and TypeError on
+    anything else.
+    """
+    if isinstance(value, FieldElem):
+        if value.num.tag is not tag:
+            raise DomainError("mixed field tags")
+        return value
+    if isinstance(value, RingElem):
+        if value.tag is not tag:
+            raise DomainError("mixed field tags")
+        return value.to_field()
+    if isinstance(value, Rational):
+        return FieldElem(tag, value)
+    raise TypeError(f"cannot interpret {value!r} as a field element")
 
 
-def _round_half_up(x: Fraction) -> int:
-    # floor(x + 1/2); translation-equivariant, which makes Euclidean
-    # remainders depend only on the residue class of the dividend
-    num = 2 * x.numerator + x.denominator
-    return num // (2 * x.denominator)
+def _round_half_up(n: int, d: int) -> int:
+    # floor(n/d + 1/2) for d != 0; translation-equivariant, which makes
+    # Euclidean remainders depend only on the residue class of the dividend
+    if d < 0:
+        n, d = -n, -d
+    return (2 * n + d) // (2 * d)
 
 
 def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
@@ -440,15 +473,15 @@ def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
         raise DomainError("mixed field tags")
     tag = alpha.tag
     if tag.degree == 1:
-        qa = _round_half_up(Fraction(alpha.a, beta.a))
+        qa = _round_half_up(alpha.a, beta.a)
         qb = 0
         db_range = (0,)
     else:
         # alpha/beta = alpha * conj(beta) / N(beta); valid in degree 2 only
         num = alpha * beta.conj()
         d = beta.norm_signed()
-        qa = _round_half_up(Fraction(num.a, d))
-        qb = _round_half_up(Fraction(num.b, d))
+        qa = _round_half_up(num.a, d)
+        qb = _round_half_up(num.b, d)
         db_range = (0, -1, 1)
     best = None
     for da in (0, -1, 1):
@@ -758,10 +791,3 @@ def parse_ring_elem(text: str, tag: FieldTag) -> RingElem:
         raise ParseInputError(f"{text!r} is not integral")
     return fe.to_ring()
 
-
-def format_field_elem(x: FieldElem) -> str:
-    return str(x)
-
-
-def format_ring_elem(x: RingElem) -> str:
-    return str(x)

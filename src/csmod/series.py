@@ -77,7 +77,10 @@ class EulerFactor:
             c = num[n] if n < len(num) else 0
             for k in range(1, min(n, len(den) - 1) + 1):
                 c -= den[k] * out[n - k]
-            assert c >= 0, "series coefficients must stay nonnegative"
+            if c < 0:
+                raise DomainError(
+                    f"Euler factor at {self.p} gives the negative "
+                    f"coefficient {c} at p^{n}")
             out.append(c)
         return tuple(out)
 

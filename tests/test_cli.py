@@ -1,9 +1,12 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import csmod
 from csmod.cli import main
 
 
@@ -77,6 +80,29 @@ def test_sigma_error_codes(capsys):
     capsys.readouterr()
     assert main(["sigma", "--order", "hurwitz", "0"]) == 3
     capsys.readouterr()
+
+
+def test_sigma_index_mismatch_exits_1(capsys, monkeypatch):
+    # the formula cross-check is an explicit test, so it also runs under -O
+    monkeypatch.setattr("csmod.cli.sigma_index", lambda order, q: 7)
+    code = main(["sigma", "--order", "hurwitz", "--", "-2+i"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "'-2+i'" in captured.err
+    assert "reduced generator -2+i" in captured.err
+    assert "index 5 by intersection but 7 by the formula" in captured.err
+
+
+def test_no_assert_statements_in_package():
+    paths = sorted(pathlib.Path(csmod.__file__).parent.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # -- count ---------------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csmod.errors import DomainError, ParseInputError
 from csmod.rings import (
@@ -9,6 +12,7 @@ from csmod.rings import (
     FieldTag,
     RingElem,
     SplittingClass,
+    _round_half_up,
     euclid_divmod,
     factor,
     factor_int,
@@ -329,3 +333,185 @@ def test_exact_div():
     x = RingElem(tau, 3, 1) * RingElem(tau, 2, 5)
     assert x.exact_div(RingElem(tau, 3, 1)) == RingElem(tau, 2, 5)
     assert RingElem(tau, 7).exact_div(RingElem(tau, 2)) is None
+
+
+# -- FieldElem against a reference on Fraction pairs -----------------------
+#
+# The reference restates the field formulas on pairs (a, b) meaning
+# a + b*omega with Fraction coefficients, independently of csmod.rings.
+
+REF_OMEGA_SQ = {FieldTag.RATIONAL: (0, 0), FieldTag.ROOT_FIVE: (1, 1),
+                FieldTag.ROOT_TWO: (2, 0)}
+
+
+def ref_mul(tag, x, y):
+    c, d = REF_OMEGA_SQ[tag]
+    (a, b), (e, f) = x, y
+    return (a * e + c * b * f, a * f + b * e + d * b * f)
+
+
+def ref_conj(tag, x):
+    a, b = x
+    if tag is FieldTag.ROOT_FIVE:
+        return (a + b, -b)  # tau -> 1 - tau
+    return (a, -b)
+
+
+def ref_norm(tag, x):
+    a, b = x
+    if tag is FieldTag.RATIONAL:
+        return a
+    return ref_mul(tag, x, ref_conj(tag, x))[0]
+
+
+def ref_trace(tag, x):
+    if tag is FieldTag.RATIONAL:
+        return x[0]
+    return 2 * x[0] + (x[1] if tag is FieldTag.ROOT_FIVE else 0)
+
+
+def ref_inverse(tag, x):
+    n = ref_norm(tag, x)
+    if tag is FieldTag.RATIONAL:
+        return (1 / n, Fraction(0))
+    a, b = ref_conj(tag, x)
+    return (a / n, b / n)
+
+
+def pair_of(x):
+    return (x.a, x.b)
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and math.gcd(x.num.a, x.num.b, x.den) == 1
+
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def tagged_pairs(draw, count=2):
+    tag = draw(st.sampled_from(ALL_TAGS))
+    pairs = []
+    for _ in range(count):
+        b = draw(rationals) if tag.degree == 2 else Fraction(0)
+        pairs.append((draw(rationals), b))
+    return tag, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged_pairs())
+def test_field_elem_matches_fraction_reference(case):
+    tag, (p, q) = case
+    x, y = FieldElem(tag, *p), FieldElem(tag, *q)
+    assert pair_of(x) == p and in_lowest_terms(x)
+    results = [
+        (x + y, (p[0] + q[0], p[1] + q[1])),
+        (x - y, (p[0] - q[0], p[1] - q[1])),
+        (x * y, ref_mul(tag, p, q)),
+        (x.conj(), ref_conj(tag, p)),
+        (x.norm_signed(), (ref_norm(tag, p), 0)),
+        (x.trace(), (ref_trace(tag, p), 0)),
+        (-x, (-p[0], -p[1])),
+        (x * 3, (3 * p[0], 3 * p[1])),
+    ]
+    if any(p):
+        results.append((x.inverse(), ref_inverse(tag, p)))
+        results.append((y / x, ref_mul(tag, q, ref_inverse(tag, p))))
+    for got, want in results:
+        assert got.tag is tag
+        assert pair_of(got) == want
+        assert in_lowest_terms(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged_pairs(count=1), st.integers(-3, 3), st.integers(-3, 3))
+def test_eq_and_hash_agree_across_representations(case, k, l):
+    tag, ((a, b),) = case
+    if tag.degree == 1:
+        l = 0
+    # the same value reached by construction and by arithmetic
+    x = FieldElem(tag, a, b)
+    y = (x + FieldElem(tag, k, l)) - RingElem(tag, k, l)
+    values = [x, y]
+    if b == 0:
+        values.append(a)
+        if a.denominator == 1:
+            values.append(a.numerator)
+    if a.denominator == 1 and b.denominator == 1:
+        values.append(RingElem(tag, a.numerator, b.numerator))
+    for u in values:
+        for v in values:
+            if {type(u), type(v)} == {Fraction, RingElem}:
+                continue  # ring elements compare with ints only
+            assert u == v and v == u
+            assert hash(u) == hash(v)
+    # different values compare unequal both ways
+    z = x + 1
+    for u in values:
+        assert u != z and z != u
+        assert u != z.num and z.num != u
+
+
+def old_round_half_up(x):
+    # the reference tie rule: floor(x + 1/2) on a Fraction
+    num = 2 * x.numerator + x.denominator
+    return num // (2 * x.denominator)
+
+
+def old_euclid_divmod(alpha, beta):
+    """Reference euclid_divmod that rounds the quotient on Fractions."""
+    tag = alpha.tag
+    if tag.degree == 1:
+        qa, qb, db_range = old_round_half_up(Fraction(alpha.a, beta.a)), 0, (0,)
+    else:
+        num = alpha * beta.conj()
+        d = beta.norm_signed()
+        qa = old_round_half_up(Fraction(num.a, d))
+        qb = old_round_half_up(Fraction(num.b, d))
+        db_range = (0, -1, 1)
+    best = None
+    for da in (0, -1, 1):
+        for db in db_range:
+            q = RingElem(tag, qa + da, qb + db)
+            r = alpha - q * beta
+            key = (r.norm_abs(), r.a, r.b)
+            if best is None or key < best[0]:
+                best = (key, q, r)
+    return best[1], best[2]
+
+
+ring_pairs = st.tuples(st.sampled_from(ALL_TAGS),
+                       st.integers(-200, 200), st.integers(-200, 200),
+                       st.integers(-30, 30), st.integers(-30, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_pairs)
+@example((FieldTag.RATIONAL, 7, 0, -2, 0))        # 7 / -2: exact tie
+@example((FieldTag.RATIONAL, -7, 0, 2, 0))        # -7 / 2: exact tie
+@example((FieldTag.ROOT_FIVE, 5, 3, 0, 1))        # divisor tau, norm -1
+@example((FieldTag.ROOT_FIVE, 3, 1, 1, -3))       # norm -11
+@example((FieldTag.ROOT_TWO, 7, 3, 1, 1))         # divisor 1+sqrt2, norm -1
+@example((FieldTag.ROOT_TWO, 3, 1, 2, 0))         # 3/2 + 1/2*w: both ties
+def test_euclid_divmod_keeps_contract_and_old_rounding(case):
+    tag, a, b, c, d = case
+    if tag.degree == 1:
+        b = d = 0
+    alpha, beta = RingElem(tag, a, b), RingElem(tag, c, d)
+    if beta.is_zero():
+        return
+    q, r = euclid_divmod(alpha, beta)
+    assert alpha == q * beta + r
+    assert r.norm_abs() < beta.norm_abs()
+    assert (q, r) == old_euclid_divmod(alpha, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-1000, 1000).filter(bool))
+@example(3, 2)
+@example(-3, 2)
+@example(3, -2)
+@example(-5, -2)
+def test_round_half_up_matches_fraction_rule(n, d):
+    assert _round_half_up(n, d) == old_round_half_up(Fraction(n, d))
