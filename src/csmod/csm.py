@@ -19,7 +19,7 @@ from .errors import DomainError
 from .modlat import (Ambient, OModule, hnf_canonical, identity_module,
                      im_project, index_K, intersect, pure_part, scale_module,
                      scalar_intersect)
-from .orders import QuatOrder, hurwitz, icosian, lipschitz, octahedral
+from .orders import QuatOrder, hurwitz, icosian, octahedral
 from .quat import Mat3K, Quat, cayley_matrix
 from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
                     norm_class_reps, splitting_class)

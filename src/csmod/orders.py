@@ -6,19 +6,23 @@ Q(sqrt 2) (these three are maximal), and the plain integer-coordinate
 order available over every base field as a reference.
 
 Enumeration of elements by reduced norm embeds an order into Euclidean
-space through the totally positive quadratic form q |-> Tr(nr(q)),
-which is integral of rank 4 (degree-1 field) or 8 (degree-2 fields) on
-a Z-basis.  For a target norm value, bounded lattice search against an
-exact LDL decomposition of the Gram matrix makes the search provably
-exhaustive; right ideals are then deduplicated by the canonical basis
-of q*O, which avoids walking the (infinite, in the degree-2 cases)
-unit group.
+space through the totally positive form q |-> Tr(2*nr(q)), integral of
+rank 4 (degree-1 field) or 8 (degree-2 fields) on a Z-basis.  For a
+target norm value, a Fincke-Pohst search in integers against an LDL
+decomposition made once per order is provably exhaustive.  Two elements
+of the same exact norm value generate the same right ideal q*O iff they
+differ by a unit of reduced norm one on the right; these units form a
+finite group (24, 120 or 48 elements), so ideals are told apart by their
+unit orbits {q*u}, and the infinite unit group is never walked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, hnf_canonical
@@ -29,7 +33,9 @@ DEFAULT_ENUM_CAP = 10_000
 
 
 def _ldl(gram):
-    """Exact LDL^t decomposition of a positive definite rational matrix."""
+    """Integer search data of a positive definite integer matrix G: from
+    its exact LDL^t decomposition, levels[j] = (w_j, d_j, (l_ij)_{i>j})
+    with scale * x^t G x == sum_j w_j * (d_j*x_j + sum_i l_ij*x_i)^2."""
     n = len(gram)
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag = [Fraction(0)] * n
@@ -40,56 +46,56 @@ def _ldl(gram):
         if s <= 0:
             raise ArithmeticError("form is not positive definite")
         diag[j] = s
-        lower[j][j] = Fraction(1)
         for i in range(j + 1, n):
             v = Fraction(gram[i][j])
             for k in range(j):
                 v -= lower[i][k] * lower[j][k] * diag[k]
             lower[i][j] = v / s
-    return lower, diag
+    dens = [lcm(*(lower[i][j].denominator for i in range(j + 1, n)))
+            for j in range(n)]
+    weights = [diag[j] / (dens[j] * dens[j]) for j in range(n)]
+    scale = lcm(*(w.denominator for w in weights))
+    levels = tuple(
+        (int(weights[j] * scale), dens[j],
+         tuple(int(lower[i][j] * dens[j]) for i in range(j + 1, n)))
+        for j in range(n)
+    )
+    return levels, scale
 
 
-def _solve_quadratic(lower, diag, target: int):
-    """All integer vectors x with sum_j d_j (x_j + c_j)^2 == target,
-    where c_j = sum_{i>j} L_ij x_i.  Scans coordinates outward from the
-    real minimum of each level, so the search is exhaustive."""
-    n = len(diag)
+def _solve_quadratic(search, target: int):
+    """All integer vectors x with x^t G x == target, in integers (Fincke-
+    Pohst).  Each level scans all of the interval its remaining budget
+    allows, from the floor of the center downward and then upward."""
+    levels, scale = search
+    n = len(levels)
     x = [0] * n
     out = []
 
-    def center(j):
-        c = Fraction(0)
-        for i in range(j + 1, n):
-            c += lower[i][j] * x[i]
-        return c
-
     def rec(j, rem):
-        c = center(j)
-        base = (-c).__floor__()
+        weight, den, coeffs = levels[j]
+        c = sum(map(mul, coeffs, x[j + 1:]))    # the center is -c/den
         if j == 0:
-            for x0 in _scan(base, c, diag[0], rem):
-                if diag[0] * (x0 + c) ** 2 == rem:
-                    x[0] = x0
+            if rem % weight:
+                return
+            s = isqrt(rem // weight)
+            if s * s * weight != rem:
+                return
+            for y in ((-s, s) if s else (0,)):
+                if (y - c) % den == 0:
+                    x[0] = (y - c) // den
                     out.append(tuple(x))
             return
-        for xj in _scan(base, c, diag[j], rem):
+        s = isqrt(rem // weight)                # |den*x_j + c| <= s
+        base = -c // den
+        lo = -((s + c) // den)
+        hi = (s - c) // den
+        for xj in chain(range(base, lo - 1, -1), range(base + 1, hi + 1)):
             x[j] = xj
-            rec(j - 1, rem - diag[j] * (xj + c) ** 2)
-        x[j] = 0
+            y = den * xj + c
+            rec(j - 1, rem - weight * y * y)
 
-    def _scan(base, c, d, rem):
-        vals = []
-        v = base
-        while d * (v + c) ** 2 <= rem:
-            vals.append(v)
-            v -= 1
-        v = base + 1
-        while d * (v + c) ** 2 <= rem:
-            vals.append(v)
-            v += 1
-        return vals
-
-    rec(n - 1, Fraction(target))
+    rec(n - 1, scale * target)
     return out
 
 
@@ -97,8 +103,7 @@ class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_zgens", "_na", "_nb", "_ldl", "_enum_cache",
-                 "_units_cache")
+                 "_nb", "_search", "_enum_cache", "_units_cache")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -113,9 +118,10 @@ class QuatOrder:
         if degree == 2:
             omega = FieldElem.omega(field_tag)
             zgens += [b * omega for b in self.basis]
-        self._zgens = tuple(zgens)
+        # 2*nr(q) = A + B*omega is an integral form on the Z-basis; the
+        # search runs on its trace, and then B alone fixes nr(q)
         rank = len(zgens)
-        na = [[0] * rank for _ in range(rank)]
+        gram = [[0] * rank for _ in range(rank)]
         nb = [[0] * rank for _ in range(rank)]
         for s in range(rank):
             for t in range(rank):
@@ -126,17 +132,9 @@ class QuatOrder:
                 if not twice.is_integral():
                     raise ArithmeticError("order basis is not integral")
                 r = twice.to_ring()
-                na[s][t], nb[s][t] = r.a, r.b
-        if degree == 1:
-            gram = na
-        elif field_tag is FieldTag.ROOT_FIVE:
-            gram = [[2 * na[s][t] + nb[s][t] for t in range(rank)]
-                    for s in range(rank)]
-        else:
-            gram = [[2 * na[s][t] for t in range(rank)] for s in range(rank)]
-        self._na = na
-        self._nb = nb
-        self._ldl = _ldl(gram)
+                gram[s][t], nb[s][t] = r.trace(), r.b
+        self._nb = nb if degree == 2 else None
+        self._search = _ldl(gram)
         self._enum_cache = {}
         self._units_cache = None
 
@@ -236,27 +234,14 @@ class QuatOrder:
 
     def _lattice_elements(self, value: RingElem):
         """All order elements with reduced norm exactly the given value."""
-        lower, diag = self._ldl
-        target = 2 * value.trace()
-        rank = len(self._zgens)
-        degree = self.field_tag.degree
+        nb = self._nb
         out = []
-        for v in _solve_quadratic(lower, diag, target):
-            qa = sum(v[s] * self._na[s][t] * v[t]
-                     for s in range(rank) for t in range(rank))
-            if qa != 2 * value.a:
+        for v in _solve_quadratic(self._search, 2 * value.trace()):
+            if nb is not None and 2 * value.b != sum(
+                    vs * sum(map(mul, row, v)) for vs, row in zip(v, nb)):
                 continue
-            if degree == 2:
-                qb = sum(v[s] * self._nb[s][t] * v[t]
-                         for s in range(rank) for t in range(rank))
-                if qb != 2 * value.b:
-                    continue
-            if degree == 1:
-                coords = tuple(RingElem(self.field_tag, v[s])
-                               for s in range(4))
-            else:
-                coords = tuple(RingElem(self.field_tag, v[s], v[s + 4])
-                               for s in range(4))
+            coords = tuple(RingElem(self.field_tag, a, b)
+                           for a, b in zip(v[:4], v[4:] or (0, 0, 0, 0)))
             q = Quat.zero(self.field_tag)
             for lam, b in zip(coords, self.basis):
                 q = q + b * lam
@@ -287,14 +272,28 @@ class QuatOrder:
             )
         if m in self._enum_cache:
             return list(self._enum_cache[m])
-        reps = {}
+        reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
+            units = self.norm_one_units()
             for value in norm_class_reps(self.field_tag, m):
+                # q*O == q'*O with nr(q) == nr(q') iff q' = q*u, nr(u) = 1
+                seen = set()
+                found = []
+                points = 0
                 for q, coords in self._lattice_elements(value):
-                    if not self._content_of(coords).is_unit():
-                        continue
-                    reps.setdefault(self.right_ideal(q), q)
-        result = tuple(reps.values())
+                    if q not in seen:
+                        if not self._content_of(coords).is_unit():
+                            continue
+                        seen.update(q * u for u in units)
+                        found.append(q)
+                    points += 1
+                if points != len(units) * len(found):
+                    raise ArithmeticError(
+                        f"{self.name}, m = {m}, norm {value}: {points} "
+                        f"primitive points, {len(units)} units, "
+                        f"{len(found)} ideals")
+                reps += found
+        result = tuple(reps)
         self._enum_cache[m] = result
         return list(result)
 

@@ -91,11 +91,17 @@ class Quat:
         return Quat(self.tag, -self.x0, -self.x1, -self.x2, -self.x3)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+        if not isinstance(other, Quat):
+            try:
+                s = as_field(self.tag, other)
+            except TypeError:
+                return NotImplemented
+            return Quat(self.tag, self.x0 * s, self.x1 * s,
+                        self.x2 * s, self.x3 * s)
+        if other.tag is not self.tag:
+            raise DomainError("mixed field tags")
         a0, a1, a2, a3 = self.coords()
-        b0, b1, b2, b3 = o.coords()
+        b0, b1, b2, b3 = other.coords()
         return Quat(
             self.tag,
             a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
@@ -104,21 +110,14 @@ class Quat:
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
 
-    def __rmul__(self, other):
-        # only reached for scalars; scalars commute with everything
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self
+    __rmul__ = __mul__  # only reached for scalars, which commute
 
     def __truediv__(self, other):
         try:
             s = as_field(self.tag, other)
         except TypeError:
             return NotImplemented
-        inv = s.inverse()
-        return Quat(self.tag, self.x0 * inv, self.x1 * inv,
-                    self.x2 * inv, self.x3 * inv)
+        return self * s.inverse()
 
     def conj(self) -> "Quat":
         return Quat(self.tag, self.x0, -self.x1, -self.x2, -self.x3)

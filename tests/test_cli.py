@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -103,6 +104,45 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def imported_names(tree):
+    """(name, line) for every name an import statement binds; compiler
+    directives (from __future__) bind none."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module == "__future__"):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def used_names(tree):
+    """Names read anywhere in the module, plus the strings in __all__."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in ast.walk(node.value)
+                     if isinstance(elt, ast.Constant)
+                     and isinstance(elt.value, str)}
+    return used
+
+
+def test_no_unused_imports_in_package():
+    paths = sorted(pathlib.Path(csmod.__file__).parent.glob("*.py"))
+    assert paths
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = used_names(tree)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported_names(tree)
+                   if name not in used]
+    assert unused == []
 
 
 # -- count ---------------------------------------------------------------
@@ -325,10 +365,19 @@ def test_config_errors(tmp_path, capsys):
 # -- installed entry points ------------------------------------------------
 
 
+def child_env():
+    """The environment with the directory that holds csmod first on the
+    child's import path, so the tests need no install."""
+    src = str(pathlib.Path(csmod.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    path = src if not inherited else os.pathsep.join([src, inherited])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "csmod", "spectrum", "--case", "oct", "7"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert "(3, 1)" in proc.stdout
 
@@ -337,6 +386,6 @@ def test_module_entry_point_error_code():
     proc = subprocess.run(
         [sys.executable, "-m", "csmod", "count", "--order", "lipschitz-q",
          "3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 3
     assert "maximal" in proc.stderr

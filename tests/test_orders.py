@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -7,10 +8,13 @@ from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, scalar_intersect,
                           scale_module)
-from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, hurwitz, icosian,
-                          icosian_conj, lipschitz, octahedral, order_by_key)
+import csmod.orders
+from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, QuatOrder, _ldl,
+                          _solve_quadratic, hurwitz, icosian, icosian_conj,
+                          lipschitz, octahedral, order_by_key)
 from csmod.quat import Quat
-from csmod.rings import FieldElem, FieldTag, RingElem, ring_gcd
+from csmod.rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
+                         ring_gcd)
 
 Q = FieldTag.RATIONAL
 R5 = FieldTag.ROOT_FIVE
@@ -287,6 +291,178 @@ def test_enumerate_caps_and_errors():
 def test_enumerate_deterministic():
     I = icosian()
     assert I.enumerate_by_index(5) == I.enumerate_by_index(5)
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 3), (icosian, 5), (octahedral, 2),
+])
+def test_enumerate_detects_a_missed_lattice_point(factory, m, monkeypatch):
+    # every element of squarefree norm is primitive, so dropping one
+    # breaks an orbit, and the orbit count must notice
+    base = factory()
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    order.norm_one_units()
+    value = norm_class_reps(order.field_tag, m)[0]
+    _, coords = order._lattice_elements(value)[0]
+    missed = (tuple(c.a for c in coords)
+              + tuple(c.b for c in coords if order.field_tag is not Q))
+    search = csmod.orders._solve_quadratic
+    monkeypatch.setattr(csmod.orders, "_solve_quadratic", lambda *args: [
+        v for v in search(*args) if v != missed])
+    with pytest.raises(ArithmeticError, match=f"{base.name}, m = {m}"):
+        order.enumerate_by_index(m)
+
+
+# -- the previous enumeration, kept as the reference ----------------------
+#
+# Exact rational LDL^t and lattice search, a Gram matrix built per field
+# from the two integer forms of 2*nr, and one right-ideal HNF per lattice
+# point to drop duplicates.  Slow, but it shares no code with the unit
+# orbits and the integer search it checks.
+
+
+def reference_ldl(gram):
+    n = len(gram)
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for j in range(n):
+        s = Fraction(gram[j][j])
+        for k in range(j):
+            s -= lower[j][k] * lower[j][k] * diag[k]
+        assert s > 0
+        diag[j] = s
+        lower[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            v = Fraction(gram[i][j])
+            for k in range(j):
+                v -= lower[i][k] * lower[j][k] * diag[k]
+            lower[i][j] = v / s
+    return lower, diag
+
+
+def reference_solve(lower, diag, target):
+    n = len(diag)
+    x = [0] * n
+    out = []
+
+    def center(j):
+        return sum((lower[i][j] * x[i] for i in range(j + 1, n)),
+                   Fraction(0))
+
+    def scan(base, c, d, rem):
+        vals = []
+        v = base
+        while d * (v + c) ** 2 <= rem:
+            vals.append(v)
+            v -= 1
+        v = base + 1
+        while d * (v + c) ** 2 <= rem:
+            vals.append(v)
+            v += 1
+        return vals
+
+    def rec(j, rem):
+        c = center(j)
+        base = (-c).__floor__()
+        if j == 0:
+            for x0 in scan(base, c, diag[0], rem):
+                if diag[0] * (x0 + c) ** 2 == rem:
+                    x[0] = x0
+                    out.append(tuple(x))
+            return
+        for xj in scan(base, c, diag[j], rem):
+            x[j] = xj
+            rec(j - 1, rem - diag[j] * (xj + c) ** 2)
+        x[j] = 0
+
+    rec(n - 1, Fraction(target))
+    return out
+
+
+def z_basis(order):
+    if order.field_tag.degree == 1:
+        return list(order.basis)
+    omega = FieldElem.omega(order.field_tag)
+    return list(order.basis) + [b * omega for b in order.basis]
+
+
+def reference_forms(order):
+    """The integer forms A and B of 2*nr = A + B*omega on the Z-basis,
+    and the Gram matrix of the search, Tr(2*nr), built per field."""
+    zgens = z_basis(order)
+    rank = len(zgens)
+    na = [[0] * rank for _ in range(rank)]
+    nb = [[0] * rank for _ in range(rank)]
+    for s in range(rank):
+        for t in range(rank):
+            twice = sum((cs * ct for cs, ct in zip(zgens[s].coords(),
+                                                   zgens[t].coords())),
+                        FieldElem(order.field_tag, 0)) * 2
+            r = twice.to_ring()
+            na[s][t], nb[s][t] = r.a, r.b
+    if order.field_tag is Q:
+        gram = na
+    elif order.field_tag is R5:
+        gram = [[2 * na[s][t] + nb[s][t] for t in range(rank)]
+                for s in range(rank)]
+    else:
+        gram = [[2 * na[s][t] for t in range(rank)] for s in range(rank)]
+    return na, nb, gram
+
+
+def form_value(form, v):
+    return sum(v[s] * form[s][t] * v[t]
+               for s in range(len(v)) for t in range(len(v)))
+
+
+@lru_cache(maxsize=None)
+def reference_vectors(order, target):
+    lower, diag = reference_ldl(reference_forms(order)[2])
+    return reference_solve(lower, diag, target)
+
+
+def reference_enumerate(order, m):
+    tag = order.field_tag
+    if tag is Q and m % 2 == 0:
+        return []
+    zgens = z_basis(order)
+    na, nb, _ = reference_forms(order)
+    reps = {}
+    for value in norm_class_reps(tag, m):
+        for v in reference_vectors(order, 2 * value.trace()):
+            if (form_value(na, v) != 2 * value.a
+                    or form_value(nb, v) != 2 * value.b):
+                continue
+            q = Quat.zero(tag)
+            for vs, g in zip(v, zgens):
+                q = q + g * vs
+            if not order.content(q).is_unit():
+                continue
+            reps.setdefault(order.right_ideal(q), q)
+    return list(reps.values())
+
+
+REFERENCE_RANGES = [(hurwitz, 15), (icosian, 5), (octahedral, 8)]
+
+
+@pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
+def test_enumerate_matches_reference(factory, top):
+    order = factory()
+    for m in range(1, top + 1):
+        got = order.enumerate_by_index(m)
+        want = reference_enumerate(order, m)
+        assert [str(q) for q in got] == [str(q) for q in want], m
+
+
+@pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
+def test_integer_search_matches_reference(factory, top):
+    order = factory()
+    search = _ldl(reference_forms(order)[2])
+    targets = {2 * value.trace() for m in range(1, top + 1)
+               for value in norm_class_reps(order.field_tag, m)}
+    for target in sorted(targets):
+        assert (_solve_quadratic(search, target)
+                == reference_vectors(order, target)), target
 
 
 # -- ring structure ---------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmod.errors import DomainError, ParseInputError
 from csmod.quat import (
@@ -13,7 +15,7 @@ from csmod.quat import (
     im_re,
     parse_quat,
 )
-from csmod.rings import FieldElem, FieldTag
+from csmod.rings import FieldElem, FieldTag, RingElem
 
 TAGS = [FieldTag.RATIONAL, FieldTag.ROOT_FIVE, FieldTag.ROOT_TWO]
 
@@ -243,3 +245,59 @@ def test_format_examples():
     assert format_quat(Quat.zero(tag)) == "0"
     assert format_quat(Quat(tag, 1, -1, 0, 0)) == "1-i"
     assert format_quat(Quat(tag, 0, FieldElem(tag, 1, 1), 0, -1)) == "(1+w)*i-k"
+
+
+# -- scalar products ---------------------------------------------------
+#
+# A scalar scales the four coordinates; the reference is the product with
+# the scalar quaternion, which runs the full Hamilton formula.
+
+small = st.integers(-20, 20)
+rationals = st.builds(Fraction, small, st.integers(1, 6))
+
+
+@st.composite
+def quat_and_scalar(draw):
+    tag = draw(st.sampled_from(TAGS))
+    omega = (lambda: draw(rationals)) if tag.degree == 2 else (lambda: 0)
+    q = Quat(tag, *(FieldElem(tag, draw(rationals), omega())
+                    for _ in range(4)))
+    kind = draw(st.sampled_from(("int", "fraction", "ring", "field")))
+    if kind == "int":
+        s = draw(small)
+    elif kind == "fraction":
+        s = draw(rationals)
+    elif kind == "ring":
+        s = RingElem(tag, draw(small), draw(small) if tag.degree == 2 else 0)
+    else:
+        s = FieldElem(tag, draw(rationals), omega())
+    return q, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(quat_and_scalar())
+def test_scalar_product_matches_scalar_quaternion(case):
+    q, s = case
+    want = q * Quat.scalar(q.tag, s)
+    assert q * s == want
+    assert s * q == want
+    assert (q * s).tag is q.tag
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_scalar_product_rejects_other_operands(tag):
+    q = Quat(tag, 1, 2, 3, 4)
+    for bad in ("2", 1.5, None, (1, 2)):
+        with pytest.raises(TypeError):
+            q * bad
+        with pytest.raises(TypeError):
+            bad * q
+    for other in TAGS:
+        if other is tag:
+            continue
+        for s in (RingElem(other, 2), FieldElem(other, Fraction(1, 2)),
+                  Quat.one(other)):
+            with pytest.raises(DomainError):
+                q * s
+            with pytest.raises(DomainError):
+                s * q
