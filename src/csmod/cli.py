@@ -13,7 +13,8 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
+from math import gcd
 from multiprocessing import Pool
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
@@ -107,9 +108,55 @@ def _build_config(args) -> Config:
 # -- output -------------------------------------------------------------
 
 
+# json.dumps(..., indent=2) runs the pure-Python encoder, several
+# generator calls per item: most of the time of a 20,000-row series
+# table.  _json_text gives the same bytes and lays out a list of flat
+# rows column by column, with one format string per row.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_rows(value):
+    """A value of a top-level key as json.dumps(..., indent=2) lays it
+    out, if it is a non-empty list of dicts with the same keys in the
+    same order and only int or only str values per key; None otherwise."""
+    if type(value) is not list or not value or set(map(type, value)) != {dict}:
+        return None
+    keys = tuple(value[0])
+    if (not keys or any(type(k) is not str for k in keys)
+            or set(map(tuple, value)) != {keys}):
+        return None
+    columns = []
+    for column in zip(*(row.values() for row in value)):
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            column = tuple(map(_encode_str, column))
+        elif kinds != {int}:
+            return None
+        columns.append(column)
+    template = "    {\n" + ",\n".join(
+        "      " + _encode_str(k).replace("%", "%%") + ": %s"
+        for k in keys) + "\n    }"
+    return ("[\n" + ",\n".join([template % row for row in zip(*columns)])
+            + "\n  ]")
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2), byte for byte, for str keys."""
+    if not payload:
+        return "{}"
+    items = []
+    for key, value in payload.items():
+        text = _json_rows(value)
+        if text is None:
+            # strings hold no raw newline, so this indents one level
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {_encode_str(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _emit(cfg: Config, payload: dict, rows=None, text=None) -> None:
     if cfg.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif cfg.format == "csv":
         writer = csv.writer(sys.stdout)
         if rows is None:
@@ -237,29 +284,37 @@ def cmd_count(cfg: Config, args) -> int:
 # -- series -------------------------------------------------------------
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) prints it (d > 0)."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}" if d != g else str(n // g)
+
+
 def cmd_series(cfg: Config, args) -> int:
     if cfg.max is None:
         raise ParseInputError("series needs --max")
     series = phi_coefficients(cfg.case, cfg.max, cfg.cap)
+    density = residue_rho(cfg.case)
     running = 0
     table = []
-    for m in range(1, cfg.max + 1):
-        running += series.at(m)
-        table.append({"m": m, "f": series.at(m), "F": running,
-                      "ratio": str(Fraction(2 * running, m * m))})
+    for m, f in enumerate(series.values, 1):
+        running += f
+        table.append({"m": m, "f": f, "F": running,
+                      "ratio": _ratio_text(2 * running, m * m)})
     payload = {
         "command": "series",
         "case": cfg.case,
         "max": cfg.max,
-        "density": residue_rho(cfg.case),
+        "density": density,
         "rows": table,
     }
-    rows = [("m", "f", "F", "ratio")]
-    rows += [(r["m"], r["f"], r["F"], r["ratio"]) for r in table]
-    text = [f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)"]
-    text += [f"{r['m']:>6} {r['f']:>8} {r['F']:>10}  {r['ratio']}"
-             for r in table]
-    text.append(f"asymptotic density: {residue_rho(cfg.case):.6f}")
+    # one pass over whichever layout is printed
+    rows = chain([("m", "f", "F", "ratio")],
+                 ((r["m"], r["f"], r["F"], r["ratio"]) for r in table))
+    text = chain([f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)"],
+                 (f"{r['m']:>6} {r['f']:>8} {r['F']:>10}  {r['ratio']}"
+                  for r in table),
+                 [f"asymptotic density: {density:.6f}"])
     _emit(cfg, payload, rows=rows, text=text)
     return 0
 

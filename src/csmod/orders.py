@@ -28,8 +28,14 @@ from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, hnf_canonical
 from .quat import Quat
 from .rings import FieldElem, FieldTag, RingElem, norm_class_reps, ring_gcd
+from .series import coefficient
 
 DEFAULT_ENUM_CAP = 10_000
+
+# the maximal orders of one field are conjugate, and each has as many
+# right ideals of index m as the field's counting series says
+_PHI_CASE = {FieldTag.RATIONAL: "cub", FieldTag.ROOT_FIVE: "ico",
+             FieldTag.ROOT_TWO: "oct"}
 
 
 def _ldl(gram):
@@ -293,6 +299,11 @@ class QuatOrder:
                         f"primitive points, {len(units)} units, "
                         f"{len(found)} ideals")
                 reps += found
+        want = coefficient(_PHI_CASE[self.field_tag], m)
+        if len(reps) != want:
+            raise ArithmeticError(
+                f"{self.name}, m = {m}: {len(reps)} ideals, the counting "
+                f"series says {want}")
         result = tuple(reps)
         self._enum_cache[m] = result
         return list(result)

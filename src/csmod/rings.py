@@ -538,6 +538,11 @@ def splitting_class(p: int, tag: FieldTag) -> SplittingClass:
     """Behaviour of the rational prime p in the ring of integers."""
     if p < 2 or not _is_prime(p):
         raise DomainError(f"{p} is not a prime")
+    return _class_of_prime(p, tag)
+
+
+def _class_of_prime(p: int, tag: FieldTag) -> SplittingClass:
+    # the residue rule; p must already be known to be prime
     if tag is FieldTag.RATIONAL:
         return SplittingClass.SPLIT  # degenerate: p stays prime and has norm p
     if tag is FieldTag.ROOT_FIVE:

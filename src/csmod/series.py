@@ -11,14 +11,24 @@ and "zetaOO-<field>", indexed by the module index of an ideal; the
 "-half" variants reindex by the norm of the reduced norm instead, which
 is the grid the counting functions live on.  Fields are named by the
 FieldTag values: rational, root5, root2.
+
+Every series here is multiplicative, so a table f(1..M) is filled by
+prime-power strides: one bytearray sieve lists the primes up to M, and
+for each prime p and each p^k <= M, the entries j with exactly p^k
+dividing j are multiplied by f(p^k), starting from all ones.  The sieve
+is the primality proof, so a table's local factors take their splitting
+class from the residue rule alone, without trial division per prime.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress
 
 from .errors import DomainError, ResourceCapError
-from .rings import FieldTag, SplittingClass, splitting_class
+from .rings import (FieldTag, SplittingClass, _class_of_prime, factor_int,
+                    splitting_class)
 
 DEFAULT_SERIES_CAP = 1_000_000
 
@@ -130,10 +140,12 @@ def _zeta_polys(kind: str, tag: FieldTag, p: int, cls: SplittingClass):
     return _stretch(num), _stretch(den)
 
 
-def _case_polys(case: str, p: int):
+def _parse_case(case: str):
+    """(tag, polys) of a case name, with polys(p, cls) the numerator and
+    denominator of the local factor at a prime p of splitting class cls."""
     tag = _PHI_TAG.get(case)
     if tag is not None:
-        return _phi_polys(tag, p, splitting_class(p, tag))
+        return tag, partial(_phi_polys, tag)
     # zeta case names look like zetaO-root5 or zetaO-half-root5
     kind, _, field = case.rpartition("-")
     tag = _TAG_BY_VALUE.get(field)
@@ -141,13 +153,24 @@ def _case_polys(case: str, p: int):
         known = PHI_CASES + tuple(
             f"{k}-{t}" for k in _ZETA_KINDS for t in _TAG_BY_VALUE)
         raise DomainError(f"unknown series case {case!r}; one of {known}")
-    return _zeta_polys(kind, tag, p, splitting_class(p, tag))
+    return tag, partial(_zeta_polys, kind, tag)
 
 
 def euler_factor(case: str, p: int) -> EulerFactor:
     """Local factor of the named series at the rational prime p."""
-    num, den = _case_polys(case, p)
+    tag, polys = _parse_case(case)
+    num, den = polys(p, splitting_class(p, tag))
     return EulerFactor(p=p, numerator=num, denominator=den)
+
+
+def coefficient(case: str, m: int) -> int:
+    """f(m) of the named series, from the factorisation of m."""
+    if m < 1:
+        raise DomainError("coefficients are indexed from 1")
+    out = 1
+    for p, e in factor_int(m):
+        out *= euler_factor(case, p).expansion(e + 1)[e]
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,14 +193,14 @@ class CoeffSeries:
         return self.values[m - 1]
 
 
-def _spf_sieve(limit: int):
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
+def _prime_sieve(limit: int) -> bytearray:
+    """flags[n] == 1 exactly when n is a prime, for 0 <= n <= limit."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
 
 
 def _check_cap(value: int, cap) -> None:
@@ -192,25 +215,25 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
     if M < 1:
         raise DomainError("need at least one coefficient")
     _check_cap(M, cap)
-    _case_polys(case, 2)
-    values = [0] * (M + 1)
-    values[1] = 1
-    spf = _spf_sieve(M)
-    expansions = {}
-    for m in range(2, M + 1):
-        p = spf[m]
-        rest, r = m, 0
-        while rest % p == 0:
-            rest //= p
-            r += 1
-        exp = expansions.get(p)
-        if exp is None:
-            terms = 2
-            while p ** terms <= M:
-                terms += 1
-            exp = euler_factor(case, p).expansion(terms)
-            expansions[p] = exp
-        values[m] = exp[r] * values[rest]
+    tag, polys = _parse_case(case)
+    values = [1] * (M + 1)
+    for p in compress(range(M + 1), _prime_sieve(M)):
+        top = 1
+        while p ** (top + 1) <= M:
+            top += 1
+        num, den = polys(p, _class_of_prime(p, tag))
+        exp = EulerFactor(p, num, den).expansion(top + 1)
+        q = p
+        for k in range(1, top + 1):
+            # values[q::q] holds f(j) for j = q*i, i >= 1, and v_p(j) == k
+            # iff p does not divide i; at the top power, i <= M/q < p
+            c = exp[k]
+            if k == top:
+                values[q::q] = [v * c for v in values[q::q]]
+            else:
+                values[q::q] = [v * c if i % p else v
+                                for i, v in enumerate(values[q::q], 1)]
+            q *= p
     return CoeffSeries(label=case, values=tuple(values[1:]))
 
 

@@ -4,11 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csmod
-from csmod.cli import main
+from csmod.cli import _json_text, _ratio_text, main
 
 
 def run(capsys, *argv):
@@ -229,6 +232,56 @@ def test_series_error_codes(capsys):
     assert main(["series", "--case", "cub", "--max", "50",
                  "--cap", "10"]) == 4
     capsys.readouterr()
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_ratio_text_matches_fraction(n, d):
+    assert _ratio_text(n, d) == str(Fraction(n, d))
+
+
+# -- JSON layout ----------------------------------------------------------
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=6))
+
+
+@st.composite
+def json_tables(draw):
+    # lists of flat rows: the same keys per row, one value kind per key,
+    # now and then a row in another key order or with another kind
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
+                         unique=True))
+    kinds = [draw(st.sampled_from((st.integers(), st.text(max_size=6),
+                                   json_scalars))) for _ in keys]
+    rows = draw(st.lists(st.fixed_dictionaries(dict(zip(keys, kinds))),
+                         max_size=6))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append({k: row[k] for k in draw(st.permutations(keys))})
+    return rows
+
+
+json_values = st.recursive(
+    json_scalars | json_tables(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(st.dictionaries(st.text(max_size=6), json_tables() | json_values,
+                       max_size=5))
+@example({"rows": [{"m%d": 1, "%s": "50%"}, {"m%d": -2, "%s": "\u00e9"}]})
+@settings(max_examples=400, deadline=None)
+def test_json_text_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_text_series_payload(capsys):
+    code, out = run(capsys, "series", "--case", "ico", "--max", "300",
+                    "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # -- spectrum ------------------------------------------------------------

@@ -313,6 +313,26 @@ def test_enumerate_detects_a_missed_lattice_point(factory, m, monkeypatch):
         order.enumerate_by_index(m)
 
 
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 3), (icosian, 5), (octahedral, 2), (icosian_conj, 4),
+])
+def test_enumerate_detects_a_missed_ideal(factory, m, monkeypatch):
+    # dropping a whole orbit {q*u} keeps |U| points per ideal found, so
+    # only the count against the counting series can notice
+    base = factory()
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    units = order.norm_one_units()
+    value = norm_class_reps(order.field_tag, m)[0]
+    q, _ = order._lattice_elements(value)[0]
+    orbit = {q * u for u in units}
+    search = QuatOrder._lattice_elements
+    monkeypatch.setattr(QuatOrder, "_lattice_elements", lambda self, v: [
+        point for point in search(self, v) if point[0] not in orbit])
+    with pytest.raises(ArithmeticError,
+                       match=f"{base.name}, m = {m}: .* counting series"):
+        order.enumerate_by_index(m)
+
+
 # -- the previous enumeration, kept as the reference ----------------------
 #
 # Exact rational LDL^t and lattice search, a Gram matrix built per field

@@ -3,13 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+import csmod.rings
+import csmod.series
 from csmod.csm import count_csms, spectrum_member
 from csmod.errors import DomainError, ResourceCapError
 from csmod.orders import hurwitz, icosian, octahedral
+from csmod.rings import FieldTag, splitting_class
 from csmod.series import (DEFAULT_SERIES_CAP, PHI_CASES, CoeffSeries,
-                          EulerFactor, coefficient_table, dirichlet_convolve,
-                          euler_factor, phi_coefficients, residue_rho,
-                          summatory, zeta_identity_check)
+                          EulerFactor, coefficient, coefficient_table,
+                          dirichlet_convolve, euler_factor, phi_coefficients,
+                          residue_rho, summatory, zeta_identity_check)
+
+ALL_CASES = PHI_CASES + tuple(
+    f"{kind}-{field}" for kind in csmod.series._ZETA_KINDS
+    for field in ("rational", "root5", "root2"))
 
 
 # -- local factors ------------------------------------------------------
@@ -107,6 +114,98 @@ def test_series_type_invariants():
         series.at(0)
     with pytest.raises(DomainError):
         CoeffSeries(label="x", values=(2, 1))
+
+
+# -- the per-index table, kept as the reference ----------------------------
+#
+# A smallest-prime-factor sieve, then for every m one division loop
+# for the power of its smallest prime and one lookup of the checked
+# local factor: slow, but it shares no fill logic with the stride fill.
+
+
+def reference_table(case, M):
+    spf = list(range(M + 1))
+    for i in range(2, math.isqrt(M) + 1):
+        if spf[i] == i:
+            for j in range(i * i, M + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    values = [0] * (M + 1)
+    values[1] = 1
+    expansions = {}
+    for m in range(2, M + 1):
+        p = spf[m]
+        rest, r = m, 0
+        while rest % p == 0:
+            rest //= p
+            r += 1
+        exp = expansions.get(p)
+        if exp is None:
+            terms = 2
+            while p ** terms <= M:
+                terms += 1
+            exp = euler_factor(case, p).expansion(terms)
+            expansions[p] = exp
+        values[m] = exp[r] * values[rest]
+    return tuple(values[1:])
+
+
+REFERENCE_SIZES = (1, 2, 3, 4, 8, 9, 25, 27, 32, 121, 1000, 4096, 5000)
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_table_matches_reference(case):
+    for M in REFERENCE_SIZES:
+        assert coefficient_table(case, M).values == reference_table(case, M), M
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_single_coefficient_matches_table(case):
+    values = coefficient_table(case, 500).values
+    assert [coefficient(case, m) for m in range(1, 501)] == list(values)
+
+
+def test_single_coefficient_rejects_bad_input():
+    with pytest.raises(DomainError):
+        coefficient("cub", 0)
+    with pytest.raises(DomainError):
+        coefficient("hex", 3)
+
+
+@pytest.mark.parametrize("p,numerator,power", [
+    (3, (1, 0, -1), 2),     # below sqrt(M): negative at p^2
+    (47, (1, -1), 1),       # above sqrt(M): negative at p
+])
+def test_table_rejects_negative_local_coefficient(p, numerator, power,
+                                                  monkeypatch):
+    phi_polys = csmod.series._phi_polys
+
+    def broken(tag, q, cls):
+        return (numerator, (1,)) if q == p else phi_polys(tag, q, cls)
+
+    monkeypatch.setattr(csmod.series, "_phi_polys", broken)
+    with pytest.raises(DomainError, match=f"at {p} gives .* at p\\^{power}"):
+        coefficient_table("oct", 100)
+
+
+def test_table_needs_no_trial_division(monkeypatch):
+    # the sieve proves the primes; the public entry points still check
+    class ProofCalled(Exception):
+        pass
+
+    def refuse(n):
+        raise ProofCalled(n)
+
+    want = reference_table("oct", 10**4)
+    monkeypatch.setattr(csmod.rings, "_is_prime", refuse)
+    assert coefficient_table("oct", 10**4).values == want
+    with pytest.raises(ProofCalled):
+        euler_factor("oct", 7)
+    monkeypatch.undo()
+    with pytest.raises(DomainError):
+        splitting_class(6, FieldTag.ROOT_FIVE)
+    with pytest.raises(DomainError):
+        euler_factor("cub", 4)
 
 
 def test_phi_rejects_bad_case_and_size():
