@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from multiprocessing import Pool
@@ -462,7 +463,9 @@ def _add_common(parser, *, order=False, case=False):
         parser.add_argument("--case", choices=PHI_CASES, default=None)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="csmod",
         description="Coincidence site modules of cubic, icosahedral and "
@@ -511,7 +514,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error or help; hand back its code
+        return exc.code
     try:
         cfg = _build_config(args)
         return args.func(cfg, args)

@@ -14,6 +14,13 @@ of the same exact norm value generate the same right ideal q*O iff they
 differ by a unit of reduced norm one on the right; these units form a
 finite group (24, 120 or 48 elements), so ideals are told apart by their
 unit orbits {q*u}, and the infinite unit group is never walked.
+
+Orbits are marked in integers.  A lattice point is keyed by its
+Z-coordinates, the integer vector the search returns.  The map x |-> x*u
+is Z-linear, so each norm-one unit gets one integer matrix, built from
+the sixteen products of the basis when the units are first asked for;
+an orbit is then |U| integer matrix-vector products, and a quaternion
+is built only for the units and for one representative per ideal.
 """
 
 from __future__ import annotations
@@ -105,11 +112,32 @@ def _solve_quadratic(search, target: int):
     return out
 
 
+def _field_inverse(rows):
+    """Inverse of an invertible square matrix of field elements, by
+    Gauss-Jordan elimination in exact arithmetic."""
+    n = len(rows)
+    tag = rows[0][0].tag
+    zero, one = FieldElem(tag, 0), FieldElem(tag, 1)
+    work = [list(row) + [one if c == r else zero for c in range(n)]
+            for r, row in enumerate(rows)]
+    for j in range(n):
+        p = next(r for r in range(j, n) if not work[r][j].is_zero())
+        work[j], work[p] = work[p], work[j]
+        pivot = work[j][j].inverse()
+        work[j] = [x * pivot for x in work[j]]
+        for r in range(n):
+            f = work[r][j]
+            if r != j and not f.is_zero():
+                work[r] = [x - f * y for x, y in zip(work[r], work[j])]
+    return [row[n:] for row in work]
+
+
 class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_nb", "_search", "_enum_cache", "_units_cache")
+                 "_nb", "_search", "_enum_cache", "_units_cache",
+                 "_unit_cols")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -143,6 +171,7 @@ class QuatOrder:
         self._search = _ldl(gram)
         self._enum_cache = {}
         self._units_cache = None
+        self._unit_cols = None
 
     def __repr__(self):
         return f"QuatOrder({self.name})"
@@ -238,29 +267,79 @@ class QuatOrder:
             [(q * b * inv).coords() for b in self.basis],
         )
 
-    def _lattice_elements(self, value: RingElem):
-        """All order elements with reduced norm exactly the given value."""
+    def _norm_vectors(self, value: RingElem):
+        """Z-coordinates of every order element with reduced norm exactly
+        the given value, in search order."""
+        vectors = _solve_quadratic(self._search, 2 * value.trace())
         nb = self._nb
-        out = []
-        for v in _solve_quadratic(self._search, 2 * value.trace()):
-            if nb is not None and 2 * value.b != sum(
-                    vs * sum(map(mul, row, v)) for vs, row in zip(v, nb)):
-                continue
-            coords = tuple(RingElem(self.field_tag, a, b)
-                           for a, b in zip(v[:4], v[4:] or (0, 0, 0, 0)))
-            q = Quat.zero(self.field_tag)
-            for lam, b in zip(coords, self.basis):
-                q = q + b * lam
-            out.append((q, coords))
-        return out
+        if nb is None:
+            return vectors
+        twice_b = 2 * value.b
+        return [v for v in vectors if twice_b == sum(
+            vs * sum(map(mul, row, v)) for vs, row in zip(v, nb))]
+
+    def _ring_coords(self, v):
+        """Ring coordinates on the basis of the element with Z-coordinates
+        v (the first four are the integer parts, the rest the omega parts)."""
+        tag = self.field_tag
+        return tuple(RingElem(tag, a, b)
+                     for a, b in zip(v[:4], v[4:] or (0, 0, 0, 0)))
+
+    def _is_primitive(self, v) -> bool:
+        """Whether the element with Z-coordinates v has unit content."""
+        return self._content_of(self._ring_coords(v)).is_unit()
+
+    def _element(self, v) -> Quat:
+        """The quaternion with Z-coordinates v."""
+        q = Quat.zero(self.field_tag)
+        for lam, b in zip(self._ring_coords(v), self.basis):
+            q = q + b * lam
+        return q
 
     def norm_one_units(self):
         """Every element of reduced norm one (a finite group)."""
         if self._units_cache is None:
-            found = [q for q, _ in self._lattice_elements(
-                RingElem(self.field_tag, 1))]
-            self._units_cache = tuple(found)
+            vectors = self._norm_vectors(RingElem(self.field_tag, 1))
+            self._units_cache = tuple(map(self._element, vectors))
+            self._unit_cols = self._unit_matrices(vectors)
         return list(self._units_cache)
+
+    def _unit_matrices(self, units):
+        """The columns of the integer matrix of x |-> x*u on Z-coordinates,
+        for each unit u given by its Z-coordinates, all in one tuple."""
+        tag = self.field_tag
+        degree = tag.degree
+        rank = 4 * degree
+        inv = _field_inverse([b.coords() for b in self.basis])
+        omega = RingElem.omega(tag)
+        powers = (RingElem(tag, 1), omega, omega * omega)
+        # prod[s][t]: the Z-coordinates of zgen_s*zgen_t, from the sixteen
+        # products of the basis, since zgen_{s+4e} = basis[s]*omega^e and
+        # omega is central
+        prod = [[None] * rank for _ in range(rank)]
+        for s, bs in enumerate(self.basis):
+            for t, bt in enumerate(self.basis):
+                c = (bs * bt).coords()
+                lam = [sum((c[k] * inv[k][r] for k in range(4)),
+                           FieldElem(tag, 0)).to_ring() for r in range(4)]
+                for e in range(degree):
+                    for f in range(degree):
+                        p = [g * powers[e + f] for g in lam]
+                        prod[s + 4 * e][t + 4 * f] = (
+                            tuple(g.a for g in p) + tuple(g.b for g in p)
+                        )[:rank]
+        # x*u = sum_t u_t * x*zgen_t: entry s of column r of the matrix of
+        # u is the dot product of u with (prod[s][t][r] for t)
+        columns = [[tuple(prod[s][t][r] for t in range(rank))
+                    for s in range(rank)] for r in range(rank)]
+        return tuple(tuple(sum(map(mul, u, entry)) for entry in column)
+                     for u in units for column in columns)
+
+    def _orbit(self, v):
+        """The Z-coordinates of v*u for each unit u of norm_one_units(),
+        in that order: one integer matrix-vector product per unit."""
+        flat = [sum(map(mul, v, col)) for col in self._unit_cols]
+        return list(zip(*[iter(flat)] * len(v)))
 
     def enumerate_by_index(self, m: int, cap: int | None = None):
         """One reduced representative per right ideal q*O with
@@ -280,25 +359,26 @@ class QuatOrder:
             return list(self._enum_cache[m])
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
-            units = self.norm_one_units()
+            units = len(self.norm_one_units())
             for value in norm_class_reps(self.field_tag, m):
-                # q*O == q'*O with nr(q) == nr(q') iff q' = q*u, nr(u) = 1
+                # q*O == q'*O with nr(q) == nr(q') iff q' = q*u, nr(u) = 1;
+                # an orbit {q*u} is marked by the Z-coordinates of its points
                 seen = set()
                 found = []
                 points = 0
-                for q, coords in self._lattice_elements(value):
-                    if q not in seen:
-                        if not self._content_of(coords).is_unit():
+                for v in self._norm_vectors(value):
+                    if v not in seen:
+                        if not self._is_primitive(v):
                             continue
-                        seen.update(q * u for u in units)
-                        found.append(q)
+                        seen.update(self._orbit(v))
+                        found.append(v)
                     points += 1
-                if points != len(units) * len(found):
+                if points != units * len(found):
                     raise ArithmeticError(
                         f"{self.name}, m = {m}, norm {value}: {points} "
-                        f"primitive points, {len(units)} units, "
+                        f"primitive points, {units} units, "
                         f"{len(found)} ideals")
-                reps += found
+                reps += map(self._element, found)
         want = coefficient(_PHI_CASE[self.field_tag], m)
         if len(reps) != want:
             raise ArithmeticError(

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmod
-from csmod.cli import _json_text, _ratio_text, main
+from csmod.cli import _build_parser, _json_text, _ratio_text, main
 
 
 def run(capsys, *argv):
@@ -369,10 +369,24 @@ def test_intersect_mixed_fields_rejected(capsys):
 
 
 def test_intersect_unknown_key_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["intersect", "bcc", "hexagonal"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    assert main(["intersect", "bcc", "hexagonal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: csmod intersect")
+    assert "invalid choice: 'hexagonal'" in captured.err
+
+
+def test_help_returns_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: csmod")
+    assert main(["count", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: csmod count")
+
+
+def test_parser_is_built_once(capsys):
+    assert _build_parser() is _build_parser()
+    assert main(["intersect", "bcc", "hexagonal"]) == 2
+    assert run(capsys, "spectrum", "--case", "oct", "7")[0] == 0
 
 
 # -- config file ---------------------------------------------------------
@@ -442,3 +456,19 @@ def test_module_entry_point_error_code():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 3
     assert "maximal" in proc.stderr
+
+
+def test_module_entry_point_usage_error_code():
+    proc = subprocess.run(
+        [sys.executable, "-m", "csmod", "intersect", "bcc", "hexagonal"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 2
+    assert "invalid choice: 'hexagonal'" in proc.stderr
+
+
+def test_module_entry_point_help_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "-m", "csmod", "--help"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: csmod")

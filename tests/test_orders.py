@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
@@ -303,9 +305,7 @@ def test_enumerate_detects_a_missed_lattice_point(factory, m, monkeypatch):
     order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
     order.norm_one_units()
     value = norm_class_reps(order.field_tag, m)[0]
-    _, coords = order._lattice_elements(value)[0]
-    missed = (tuple(c.a for c in coords)
-              + tuple(c.b for c in coords if order.field_tag is not Q))
+    missed = order._norm_vectors(value)[0]
     search = csmod.orders._solve_quadratic
     monkeypatch.setattr(csmod.orders, "_solve_quadratic", lambda *args: [
         v for v in search(*args) if v != missed])
@@ -323,14 +323,115 @@ def test_enumerate_detects_a_missed_ideal(factory, m, monkeypatch):
     order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
     units = order.norm_one_units()
     value = norm_class_reps(order.field_tag, m)[0]
-    q, _ = order._lattice_elements(value)[0]
+    vectors = order._norm_vectors(value)
+    q = order._element(vectors[0])
     orbit = {q * u for u in units}
-    search = QuatOrder._lattice_elements
-    monkeypatch.setattr(QuatOrder, "_lattice_elements", lambda self, v: [
-        point for point in search(self, v) if point[0] not in orbit])
+    dropped = {v for v in vectors if order._element(v) in orbit}
+    assert len(dropped) == len(units)
+    search = csmod.orders._solve_quadratic
+    monkeypatch.setattr(csmod.orders, "_solve_quadratic", lambda *args: [
+        v for v in search(*args) if v not in dropped])
     with pytest.raises(ArithmeticError,
                        match=f"{base.name}, m = {m}: .* counting series"):
         order.enumerate_by_index(m)
+
+
+# -- integer orbit keys -----------------------------------------------------
+#
+# Enumeration keys a point by its Z-coordinates v (on the basis followed by
+# omega times the basis) and marks its orbit {x*u} with one integer matrix
+# per unit.  The oracle recovers Z-coordinates from quaternion coordinates
+# by a rational inverse of the Z-basis, and multiplies with Quat.__mul__.
+
+
+def rational_parts(q):
+    parts = [c.a for c in q.coords()]
+    if q.tag is not Q:
+        parts += [c.b for c in q.coords()]
+    return parts
+
+
+@lru_cache(maxsize=None)
+def z_basis_inverse(order):
+    rows = [rational_parts(g) for g in z_basis(order)]
+    n = len(rows)
+    work = [row + [Fraction(int(r == c)) for c in range(n)]
+            for r, row in enumerate(rows)]
+    for j in range(n):
+        p = next(r for r in range(j, n) if work[r][j])
+        work[j], work[p] = work[p], work[j]
+        pivot = work[j][j]
+        work[j] = [x / pivot for x in work[j]]
+        for r in range(n):
+            f = work[r][j]
+            if r != j and f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[j])]
+    return [row[n:] for row in work]
+
+
+def z_key(order, q):
+    inv = z_basis_inverse(order)
+    parts = rational_parts(q)
+    key = [sum((p * inv[k][r] for k, p in enumerate(parts)), Fraction(0))
+           for r in range(len(parts))]
+    assert all(c.denominator == 1 for c in key), "not in the order"
+    return tuple(int(c) for c in key)
+
+
+ORBIT_ORDERS = [hurwitz, icosian, icosian_conj, octahedral]
+
+
+@pytest.mark.parametrize("factory", ORBIT_ORDERS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_unit_matrices_match_quaternion_products(factory, data):
+    order = factory()
+    rank = 4 * order.field_tag.degree
+    v = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rank,
+                                 max_size=rank).filter(any)))
+    x = Quat.zero(order.field_tag)
+    for g, c in zip(z_basis(order), v):
+        x = x + g * c
+    assert z_key(order, x) == v
+    assert order._element(v) == x
+    units = order.norm_one_units()
+    orbit = order._orbit(v)
+    assert len(orbit) == len(units)
+    for u, image in zip(units, orbit):
+        assert z_key(order, x * u) == image
+    assert len(set(orbit)) == len(units)
+
+
+@pytest.mark.parametrize("factory", ORBIT_ORDERS)
+def test_unit_vectors_are_the_keys_of_the_units(factory):
+    order = factory()
+    units = order.norm_one_units()
+    vectors = order._norm_vectors(RingElem(order.field_tag, 1))
+    assert [z_key(order, u) for u in units] == vectors
+    # the orbit of 1 is the unit group itself
+    one = z_key(order, Quat.one(order.field_tag))
+    assert order._orbit(one) == vectors
+
+
+@pytest.mark.parametrize("factory,m", [(icosian, 11), (octahedral, 14)])
+def test_enumeration_builds_quaternions_per_ideal(factory, m, monkeypatch):
+    # a Quat per lattice point, or |U| products per ideal, would be
+    # hundreds of times the number of ideals found
+    base = factory()
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    units = order.norm_one_units()
+    calls = 0
+    product = Quat.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Quat, "__mul__", counting)
+    reps = order.enumerate_by_index(m)
+    assert reps
+    assert calls <= 4 * len(reps) < len(reps) * len(units) // 10
 
 
 # -- the previous enumeration, kept as the reference ----------------------
