@@ -11,11 +11,11 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import gcd
 from multiprocessing import Pool
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
@@ -27,7 +27,7 @@ from .errors import (CsmodError, DomainError, ParseInputError,
 from .modlat import index_K, intersect
 from .orders import ORDER_KEYS, hurwitz, icosian, octahedral, order_by_key
 from .quat import Mat3K, Quat, axis_angle, format_quat, parse_quat
-from .rings import parse_field_elem
+from .rings import _ratio_text, parse_field_elem
 from .series import PHI_CASES, phi_coefficients, residue_rho, zeta_identity_check
 
 _CASE_OF_ORDER = {"hurwitz": "cub", "icosian": "ico", "octahedral": "oct"}
@@ -195,7 +195,8 @@ def cmd_sigma(cfg: Config, args) -> int:
     q_star = reduced_representative(order, q)
     submodule, sigma = csm_bruteforce(gamma_of(order), q)
     if order.maximal:
-        by_formula = sigma_index(order, q)
+        # q_star is reduced already: the formula's reduction strips nothing
+        by_formula = sigma_index(order, q_star)
         if by_formula != sigma:
             print(f"error: rotation {args.rotation!r}, reduced generator "
                   f"{format_quat(q_star)}: index {sigma} by intersection "
@@ -283,12 +284,6 @@ def cmd_count(cfg: Config, args) -> int:
 
 
 # -- series -------------------------------------------------------------
-
-
-def _ratio_text(n: int, d: int) -> str:
-    """n/d in lowest terms, as str(Fraction(n, d)) prints it (d > 0)."""
-    g = gcd(n, d)
-    return f"{n // g}/{d // g}" if d != g else str(n // g)
 
 
 def cmd_series(cfg: Config, args) -> int:
@@ -477,6 +472,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "'a,b,c; d,e,f; g,h,i'")
     _add_common(p, order=True)
     p.set_defaults(func=cmd_sigma)
+    # argparse reads any "-..." that is neither an option nor a negative
+    # number as an unknown option, so "-1/2+i" would need a "--" before
+    # it; widening its negative-number pattern to every such token keeps
+    # a leading minus positional.  Set after the options are added, so
+    # that none of them (-h included) counts as a negative number.
+    p._negative_number_matcher = re.compile(r"^-[^-]")
 
     p = sub.add_parser("count", help="count distinct coincidence submodules")
     p.add_argument("indices", help="index m, or a range a..b")

@@ -17,10 +17,10 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .modlat import (Ambient, OModule, hnf_canonical, identity_module,
-                     im_project, index_K, intersect, pure_part, scale_module,
-                     scalar_intersect)
+                     im_project, index_K, intersect, intersect_image,
+                     pure_part, scale_module, scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
-from .quat import Mat3K, Quat, cayley_matrix
+from .quat import Mat3K, Quat, cayley_matrix, rotation_numerators
 from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
                     norm_class_reps, splitting_class)
 
@@ -55,7 +55,10 @@ def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:
     """The intersection of gamma with its rotated copy, plus the index.
 
     Works straight from the module algebra, with no appeal to the
-    ideal-theoretic index formula, so it serves as its oracle.
+    ideal-theoretic index formula, so it serves as its oracle: R(q) is
+    a ring matrix over the ring element nr of q's numerators, and the
+    intersection is one kernel and one canonical form on gamma's ring
+    columns (see modlat.intersect_image).
     """
     if gamma.ambient is not Ambient.IM:
         raise DomainError("expected a module in 3-space")
@@ -63,18 +66,15 @@ def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:
         raise DomainError("the zero quaternion defines no rotation")
     if q.tag is not gamma.tag:
         raise DomainError("field tag does not match the module")
-    rot = cayley_matrix(q)
-    rotated = hnf_canonical(
-        gamma.tag, Ambient.IM, [rot.apply(col) for col in gamma.basis]
-    )
-    common = intersect(gamma, rotated)
+    rows, nr = rotation_numerators(q)
+    common = intersect_image(gamma, rows, nr)
     return common, index_K(gamma, common).absolute
 
 
 def count_csms(order: QuatOrder, m: int, cap: int | None = None) -> int:
     """Number of distinct coincidence submodules of Im(order) of index m."""
     reps = order.enumerate_by_index(m, cap)
-    gamma = im_project(order.module)
+    gamma = gamma_of(order)
     distinct = {csm_bruteforce(gamma, q)[0] for q in reps}
     return len(distinct)
 
@@ -150,9 +150,11 @@ def verify_ideal_correspondence(order: QuatOrder, q: Quat) -> CorrespondenceRepo
         [(b * q.conj()).coords() for b in order.basis],
     )
     common = intersect(order.module, order.conjugated_order_module(q))
-    one = (1, 0, 0, 0)
-    sum_right = hnf_canonical(tag, Ambient.QUAT, [one, *right.basis])
-    sum_left = hnf_canonical(tag, Ambient.QUAT, [one, *left.basis])
+    # scalars + M, with 1 written over the denominator of M
+    sum_right = hnf_canonical(tag, Ambient.QUAT,
+                              [(right.den, 0, 0, 0), *right.cols], right.den)
+    sum_left = hnf_canonical(tag, Ambient.QUAT,
+                             [(left.den, 0, 0, 0), *left.cols], left.den)
     nrq = q.nr().to_ring()
     value = nrq.norm_abs()
     return CorrespondenceReport(
@@ -237,4 +239,4 @@ MODULE_KEYS = ("cubic", "bcc", "fcc", "mb", "mf",
 
 def gamma_of(order: QuatOrder) -> OModule:
     """The rank-3 module whose coincidences the order governs."""
-    return im_project(order.module)
+    return order.im_module()

@@ -1,25 +1,32 @@
 """Exact module linear algebra over the base rings.
 
 Finitely generated full-rank modules over one of the (Euclidean, hence
-PID) base rings are represented by a canonical upper-triangular basis:
-column j has its lowest nonzero entry (the pivot) on row j, pivots are
-canonical associates, and every entry above a pivot is the canonical
-residue modulo that pivot.  Equal modules therefore get identical
-representations, which makes modules directly comparable and hashable.
+PID) base rings are held as ring columns over one positive integer
+denominator: a module is C/den, where C is an upper-triangular matrix
+of RingElem entries in canonical form.  Column j of C has its lowest
+nonzero entry (the pivot) on row j, pivots are canonical associates,
+and every entry above a pivot is the canonical residue modulo that
+pivot.  The pair (C, den) is then normalised so that den and the
+integer coefficients of all entries of C have gcd 1.  The triangular
+form commutes with scaling by positive integers, so equal modules get
+identical pairs whatever the denominator of their generators, which
+makes modules directly comparable and hashable.
+
+All module algebra (echelon forms, kernels, intersections, indices and
+membership) runs in ring arithmetic on the numerators; membership is
+an integer triangular solve.  Field elements appear only in the
+read-only `basis` view, for printing.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
-i, j, k).  Entries are field elements, each a ring numerator over a
-positive integer denominator in lowest terms; a module is scaled to ring
-entries internally by the least common multiple of those denominators,
-which is a module invariant.
+i, j, k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError
 from .rings import (
@@ -42,55 +49,72 @@ class Ambient(Enum):
 
 
 class OModule:
-    """Full-rank module in canonical triangular form.
+    """Full-rank module C/den in canonical triangular form.
 
-    Do not call the constructor with arbitrary generators; use
-    hnf_canonical, which produces the canonical basis.  Instances are
+    Do not call the constructor with arbitrary columns; use
+    hnf_canonical, which produces the canonical pair.  Instances are
     treated as immutable.
     """
 
-    __slots__ = ("tag", "ambient", "basis")
+    __slots__ = ("tag", "ambient", "cols", "den")
 
-    def __init__(self, tag: FieldTag, ambient: Ambient, basis):
+    def __init__(self, tag: FieldTag, ambient: Ambient, cols, den: int):
         self.tag = tag
         self.ambient = ambient
-        self.basis = tuple(tuple(col) for col in basis)
+        self.cols = tuple(tuple(col) for col in cols)
+        self.den = den
 
     @property
     def rank(self) -> int:
         return self.ambient.dim
 
-    def pivots(self) -> tuple[FieldElem, ...]:
-        return tuple(self.basis[r][r] for r in range(self.rank))
+    @property
+    def basis(self) -> tuple[tuple[FieldElem, ...], ...]:
+        """The basis columns as field elements, for printing and tests."""
+        return tuple(tuple(FieldElem.ratio(e, self.den) for e in col)
+                     for col in self.cols)
 
-    def det_field(self) -> FieldElem:
-        out = FieldElem(self.tag, 1)
-        for d in self.pivots():
-            out = out * d
-        return out
+    def pivots(self) -> tuple[FieldElem, ...]:
+        return tuple(FieldElem.ratio(self.cols[r][r], self.den)
+                     for r in range(self.rank))
+
+    def _solve(self, nums, den: int):
+        """Ring coordinates of the vector nums/den, or None if outside."""
+        # sum_c x_c * cols[c] must equal nums * self.den / den
+        g = gcd(self.den, den)
+        up, down = self.den // g, den // g
+        rest = []
+        for e in nums:
+            a, b = e.a * up, e.b * up
+            if a % down or b % down:
+                return None
+            rest.append(RingElem(self.tag, a // down, b // down))
+        coeffs = [None] * len(rest)
+        for r in range(len(rest) - 1, -1, -1):
+            col = self.cols[r]
+            c = rest[r].exact_div(col[r])
+            if c is None:
+                return None
+            coeffs[r] = c
+            if not c.is_zero():
+                _col_submul(rest, c, col[:r])
+        return tuple(coeffs)
 
     def coordinates(self, vector):
         """Ring coordinates of vector in this basis, or None if outside."""
         n = self.rank
-        v = [as_field(self.tag, e) for e in vector]
-        if len(v) != n:
+        if len(vector) != n:
             raise DomainError(f"expected a vector of length {n}")
-        coeffs = [None] * n
-        for r in range(n - 1, -1, -1):
-            c = v[r] / self.basis[r][r]
-            if not c.is_integral():
-                return None
-            coeffs[r] = c.to_ring()
-            for rr in range(r + 1):
-                v[rr] = v[rr] - c * self.basis[r][rr]
-        return tuple(coeffs)
+        den, (nums,) = _ring_columns(self.tag, n, [vector])
+        return self._solve(nums, den)
 
     def contains(self, vector) -> bool:
         return self.coordinates(vector) is not None
 
     def contains_module(self, other: "OModule") -> bool:
         _check_compatible(self, other)
-        return all(self.contains(col) for col in other.basis)
+        return all(self._solve(col, other.den) is not None
+                   for col in other.cols)
 
     def json_columns(self) -> list[list[str]]:
         return [[str(e) for e in col] for col in self.basis]
@@ -99,10 +123,10 @@ class OModule:
         if not isinstance(other, OModule):
             return NotImplemented
         return (self.tag is other.tag and self.ambient is other.ambient
-                and self.basis == other.basis)
+                and self.den == other.den and self.cols == other.cols)
 
     def __hash__(self):
-        return hash((self.tag, self.ambient, self.basis))
+        return hash((self.tag, self.ambient, self.den, self.cols))
 
     def __str__(self):
         cols = "; ".join(
@@ -121,15 +145,47 @@ def _check_compatible(m1: OModule, m2: OModule) -> None:
 
 
 def _col_submul(col, q: RingElem, src) -> None:
-    for idx in range(len(col)):
-        col[idx] = col[idx] - q * src[idx]
+    """col -= q * src, entry by entry, on the integer coefficients."""
+    tag = q.tag
+    c, e = tag._omega_sq    # omega^2 = c + e*omega
+    qa, qb = q.a, q.b
+    for idx, y in enumerate(src):
+        if y.a or y.b:
+            x = col[idx]
+            bb = qb * y.b
+            col[idx] = RingElem(tag, x.a - qa * y.a - c * bb,
+                                x.b - qa * y.b - qb * y.a - e * bb)
 
 
-def _ring_columns(columns):
-    """(scale, ring columns): the least common denominator of the field
-    entries, and the columns multiplied by it."""
-    scale = lcm(*(e.den for col in columns for e in col))
-    return scale, [[e.num * (scale // e.den) for e in col] for col in columns]
+def _scaled(columns, factor: int):
+    """The ring columns multiplied by a positive integer."""
+    if factor == 1:
+        return columns
+    return [[e * factor for e in col] for col in columns]
+
+
+def _ring_columns(tag: FieldTag, n: int, vectors):
+    """(den, ring columns): vectors of length n with entries of the field
+    tagged tag, written as ring columns over their least denominator."""
+    pairs = []
+    for vec in vectors:
+        if len(vec) != n:
+            raise DomainError(f"expected generators of length {n}")
+        col = []
+        for e in vec:
+            if e.__class__ is RingElem:
+                if e.tag is not tag:
+                    raise DomainError("mixed field tags")
+                col.append((e, 1))
+            elif e.__class__ is int:
+                col.append((RingElem(tag, e), 1))
+            else:
+                f = as_field(tag, e)
+                col.append((f.num, f.den))
+        pairs.append(col)
+    den = lcm(*(d for col in pairs for _, d in col))
+    return den, [[e if d == den else e * (den // d) for e, d in col]
+                 for col in pairs]
 
 
 def _echelon(columns, nrows: int, track: bool = False):
@@ -180,27 +236,29 @@ def _kernel(columns, nrows: int):
     return [tr for _, tr in spare]
 
 
-def _combination(coeffs, columns, rows, scale: int) -> list[FieldElem]:
-    """Rows of sum_c coeffs[c] * columns[c], divided by scale."""
-    return [
-        FieldElem.ratio(sum(x * col[r] for x, col in zip(coeffs, columns)),
-                        scale)
-        for r in rows
-    ]
+def _combination(coeffs, columns, rows) -> list[RingElem]:
+    """Rows of sum_c coeffs[c] * columns[c]."""
+    out = []
+    for r in rows:
+        acc = coeffs[0] * columns[0][r]
+        for x, col in zip(coeffs[1:], columns[1:]):
+            acc = acc + x * col[r]
+        out.append(acc)
+    return out
 
 
-def hnf_canonical(tag: FieldTag, ambient: Ambient, generators) -> OModule:
-    """Canonical triangular basis of the module spanned by the generators."""
+def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
+                  den: int = 1) -> OModule:
+    """Canonical form of the module spanned by the generators divided by
+    the positive integer den.  Generator entries are field elements,
+    ring elements or rationals of the field tagged tag."""
+    if den < 1:
+        raise DomainError("the denominator must be a positive integer")
     n = ambient.dim
-    gens = []
-    for gen in generators:
-        vec = [as_field(tag, e) for e in gen]
-        if len(vec) != n:
-            raise DomainError(f"expected generators of length {n}")
-        gens.append(vec)
-    if not gens:
+    scale, cols = _ring_columns(tag, n, generators)
+    if not cols:
         raise DomainError("no generators")
-    scale, cols = _ring_columns(gens)
+    den *= scale
     pivots, _ = _echelon(cols, n)
     if len(pivots) < n:
         raise DomainError("generators do not span a full-rank module")
@@ -208,17 +266,20 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators) -> OModule:
     for r in range(n):
         d = basis[r][r]
         unit = d.canonical_associate().exact_div(d)
-        basis[r] = [e * unit for e in basis[r]]
+        if unit != 1:
+            basis[r] = [e * unit for e in basis[r]]
     for c in range(n):
         col = basis[c]
         for r in range(c - 1, -1, -1):
             q, _ = canonical_residue(col[r], basis[r][r])
             if not q.is_zero():
                 _col_submul(col, q, basis[r])
-    columns = [
-        tuple(FieldElem.ratio(e, scale) for e in col) for col in basis
-    ]
-    return OModule(tag, ambient, columns)
+    g = gcd(den, *(x for col in basis for e in col for x in (e.a, e.b)))
+    if g != 1:
+        basis = [[RingElem(tag, e.a // g, e.b // g) for e in col]
+                 for col in basis]
+        den //= g
+    return OModule(tag, ambient, basis, den)
 
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
@@ -236,25 +297,51 @@ def scale_module(module: OModule, alpha) -> OModule:
         raise DomainError("scaling a module by zero")
     return hnf_canonical(
         module.tag, module.ambient,
-        [[e * a for e in col] for col in module.basis],
+        [[e * a.num for e in col] for col in module.cols],
+        module.den * a.den,
     )
+
+
+def _common_columns(m1: OModule, m2: OModule):
+    """(den, columns of m1, columns of m2), all over one denominator."""
+    den = lcm(m1.den, m2.den)
+    return (den, _scaled(m1.cols, den // m1.den),
+            _scaled(m2.cols, den // m2.den))
 
 
 def module_sum(m1: OModule, m2: OModule) -> OModule:
     _check_compatible(m1, m2)
-    return hnf_canonical(m1.tag, m1.ambient, list(m1.basis) + list(m2.basis))
+    den, first, second = _common_columns(m1, m2)
+    return hnf_canonical(m1.tag, m1.ambient, list(first) + list(second), den)
 
 
 def intersect(m1: OModule, m2: OModule) -> OModule:
     """Intersection, via the kernel of (x, y) |-> B1*x - B2*y over the ring."""
     _check_compatible(m1, m2)
     n = m1.rank
-    scale, cols = _ring_columns(m1.basis + m2.basis)
-    first = cols[:n]
-    negated_second = [[-e for e in col] for col in cols[n:]]
-    gens = [_combination(x[:n], first, range(n), scale)
-            for x in _kernel(first + negated_second, n)]
-    return hnf_canonical(m1.tag, m1.ambient, gens)
+    _, first, second = _common_columns(m1, m2)
+    negated_second = [[-e for e in col] for col in second]
+    gens = [_combination(x[:n], m1.cols, range(n))
+            for x in _kernel(list(first) + negated_second, n)]
+    return hnf_canonical(m1.tag, m1.ambient, gens, m1.den)
+
+
+def intersect_image(module: OModule, numer, scale: RingElem) -> OModule:
+    """M intersected with A*M, for the matrix A = numer/scale given by the
+    rows of a ring matrix numer and a nonzero ring scalar scale.
+
+    With M = C/den, the kernel of [scale*C | numer*C] pairs each x with a
+    y such that C*x/den = A*(-C*y/den); the vectors C*x/den span the
+    intersection.  Only that span is put in canonical form, not A*M.
+    """
+    n = module.rank
+    cols = module.cols
+    kept = [[scale * e for e in col] for col in cols]
+    numer_cols = list(zip(*numer))
+    moved = [_combination(col, numer_cols, range(n)) for col in cols]
+    gens = [_combination(x[:n], cols, range(n))
+            for x in _kernel(kept + moved, n)]
+    return hnf_canonical(module.tag, module.ambient, gens, module.den)
 
 
 @dataclass(frozen=True)
@@ -282,18 +369,25 @@ def index_K(msuper: OModule, msub: OModule) -> KIndex:
     _check_compatible(msuper, msub)
     if not msuper.contains_module(msub):
         raise DomainError("not a submodule")
-    ratio = msub.det_field() / msuper.det_field()
-    if not ratio.is_integral():
+    # det(msub)/det(msuper), both determinants products of pivots over den^n
+    n = msuper.rank
+    num = RingElem(msuper.tag, msuper.den ** n)
+    den = RingElem(msuper.tag, msub.den ** n)
+    for r in range(n):
+        num = num * msub.cols[r][r]
+        den = den * msuper.cols[r][r]
+    ratio = num.exact_div(den)
+    if ratio is None:
         raise DomainError("index is not integral")
-    return KIndex(ratio.to_ring().canonical_associate())
+    return KIndex(ratio.canonical_associate())
 
 
 def im_project(module: OModule) -> OModule:
     """Module of imaginary parts of a rank-4 module, in the im ambient."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("im_project expects a rank-4 module")
-    gens = [col[1:] for col in module.basis]
-    return hnf_canonical(module.tag, Ambient.IM, gens)
+    gens = [col[1:] for col in module.cols]
+    return hnf_canonical(module.tag, Ambient.IM, gens, module.den)
 
 
 def pure_part(module: OModule) -> OModule:
@@ -301,17 +395,17 @@ def pure_part(module: OModule) -> OModule:
     collected as a rank-3 module in the im ambient."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("pure_part expects a rank-4 module")
-    scale, cols = _ring_columns(module.basis)
-    gens = [_combination(x, cols, range(1, 4), scale)
+    cols = module.cols
+    gens = [_combination(x, cols, range(1, 4))
             for x in _kernel([col[:1] for col in cols], 1)]
-    return hnf_canonical(module.tag, Ambient.IM, gens)
+    return hnf_canonical(module.tag, Ambient.IM, gens, module.den)
 
 
 def scalar_intersect(module: OModule) -> RingElem:
     """Canonical generator of the ideal of scalars contained in the module."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("scalar_intersect expects a rank-4 module")
-    d0 = module.basis[0][0]
-    if not d0.is_integral():
+    d0, den = module.cols[0][0], module.den
+    if d0.a % den or d0.b % den:
         raise DomainError("scalar intersection is a fractional ideal")
-    return d0.to_ring().canonical_associate()
+    return RingElem(module.tag, d0.a // den, d0.b // den).canonical_associate()

@@ -32,7 +32,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import DomainError, ResourceCapError
-from .modlat import Ambient, OModule, hnf_canonical
+from .modlat import Ambient, OModule, hnf_canonical, im_project
 from .quat import Quat
 from .rings import FieldElem, FieldTag, RingElem, norm_class_reps, ring_gcd
 from .series import coefficient
@@ -137,7 +137,7 @@ class QuatOrder:
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
                  "_nb", "_search", "_enum_cache", "_units_cache",
-                 "_unit_cols")
+                 "_unit_cols", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -172,11 +172,18 @@ class QuatOrder:
         self._enum_cache = {}
         self._units_cache = None
         self._unit_cols = None
+        self._im_module = None
 
     def __repr__(self):
         return f"QuatOrder({self.name})"
 
     # -- membership ---------------------------------------------------
+
+    def im_module(self) -> OModule:
+        """Im(O), the rank-3 module of imaginary parts, made on first use."""
+        if self._im_module is None:
+            self._im_module = im_project(self.module)
+        return self._im_module
 
     def _check_tag(self, q: Quat) -> None:
         if q.tag is not self.field_tag:
@@ -202,6 +209,8 @@ class QuatOrder:
             if c.is_zero():
                 continue
             acc = c if acc is None else ring_gcd(acc, c)
+            if acc.is_unit():
+                return RingElem(self.field_tag, 1)
         if acc is None:
             raise DomainError("content of zero is undefined")
         return acc.canonical_associate()
@@ -239,7 +248,9 @@ class QuatOrder:
             raise DomainError("element is not in the order")
         if q.is_zero():
             raise DomainError("cannot reduce zero")
-        q = q / self._content_of(coords).to_field()
+        content = self._content_of(coords)
+        if content != 1:
+            q = q / content.to_field()
         if self._strips_even_norms():
             inv_one_plus_i = Quat(self.field_tag, 1, -1) / 2
             while q.nr().to_ring().norm_abs() % 2 == 0:

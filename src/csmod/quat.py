@@ -3,11 +3,16 @@
 A quaternion is stored in the basis {1, i, j, k} with FieldElem
 coordinates, each a ring numerator over an integer denominator, so every
 derived quantity (reduced norm, rotation matrix, cosine of the rotation
-angle) stays exact.  Nothing here normalizes by content or units; that
-belongs to the order layer.
+angle) stays exact.  The Cayley formula is written once, in
+rotation_numerators, on the ring numerators of q: it gives R(q) as a
+ring matrix over one ring element, which the module code uses as it is
+and cayley_matrix divides out.  Nothing here normalizes by content or
+units; that belongs to the order layer.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import DomainError, ParseInputError
 from .rings import FieldElem, FieldTag, _split_terms, as_field, parse_field_elem
@@ -243,6 +248,27 @@ class Mat3K:
     __repr__ = __str__
 
 
+def rotation_numerators(q: Quat):
+    """(rows, n): a 3x3 ring matrix N, as rows, and the ring element
+    n = nr of q's ring numerators, with R(q) = N/n.
+
+    q is written as ring numerators over one integer denominator; that
+    denominator cancels, since R(q) is invariant under rescaling q.
+    """
+    coords = q.coords()
+    den = lcm(*(c.den for c in coords))
+    k, l, m, v = (c.num * (den // c.den) for c in coords)
+    kk, ll, mm, vv = k * k, l * l, m * m, v * v
+    kl, km, kv = k * l, k * m, k * v
+    lm, lv, mv = l * m, l * v, m * v
+    rows = (
+        (kk + ll - mm - vv, 2 * (lm - kv), 2 * (km + lv)),
+        (2 * (kv + lm), kk - ll + mm - vv, 2 * (mv - kl)),
+        (2 * (lv - km), 2 * (kl + mv), kk - ll - mm + vv),
+    )
+    return rows, kk + ll + mm + vv
+
+
 def cayley_matrix(q: Quat) -> Mat3K:
     """Rotation matrix of conjugation by q, acting on pure quaternions.
 
@@ -251,21 +277,12 @@ def cayley_matrix(q: Quat) -> Mat3K:
     """
     if q.is_zero():
         raise DomainError("the zero quaternion has no rotation matrix")
-    n = q.nr()
-    k, l, m, v = q.coords()
-    two = FieldElem(q.tag, 2)
-    rows = [
-        [k * k + l * l - m * m - v * v,
-         two * (l * m - k * v),
-         two * (k * m + l * v)],
-        [two * (k * v + l * m),
-         k * k - l * l + m * m - v * v,
-         two * (m * v - k * l)],
-        [two * (l * v - k * m),
-         two * (k * l + m * v),
-         k * k - l * l - m * m + v * v],
-    ]
-    return Mat3K(q.tag, [[e / n for e in row] for row in rows])
+    rows, n = rotation_numerators(q)
+    # e/n = e*conj(n) / (n*conj(n)), an integer denominator (n^2 over Q)
+    c = n.conj()
+    d = (n * c).a
+    return Mat3K(q.tag, [[FieldElem.ratio(e * c, d) for e in row]
+                         for row in rows])
 
 
 def axis_angle(q: Quat) -> tuple[tuple[FieldElem, FieldElem, FieldElem], FieldElem]:

@@ -29,34 +29,28 @@ from numbers import Rational
 from .errors import DomainError, ParseInputError
 
 
+# per field: omega^2 = c + d*omega, and conj(a + b*omega) = (a + e*b) + f*b*omega
+_FIELD_RULES = {
+    "rational": ((1, 0), (0, 1)),
+    "root5": ((1, 1), (1, -1)),
+    "root2": ((2, 0), (0, -1)),
+}
+
+
 class FieldTag(Enum):
     RATIONAL = "rational"
     ROOT_FIVE = "root5"
     ROOT_TWO = "root2"
 
-    @property
-    def degree(self) -> int:
-        return 1 if self is FieldTag.RATIONAL else 2
+    def __init__(self, value):
+        # plain member attributes: the ring products read them on every
+        # call, where a dict keyed by the member would hash it each time
+        self.degree = 1 if value == "rational" else 2
+        self._omega_sq, self._conj = _FIELD_RULES[value]
 
 
-# omega^2 = c + d*omega
-_OMEGA_SQ = {
-    FieldTag.RATIONAL: (1, 0),
-    FieldTag.ROOT_FIVE: (1, 1),
-    FieldTag.ROOT_TWO: (2, 0),
-}
-
-# conj(a + b*omega) = (a + e*b) + f*b*omega
-_CONJ = {
-    FieldTag.RATIONAL: (0, 1),
-    FieldTag.ROOT_FIVE: (1, -1),
-    FieldTag.ROOT_TWO: (0, -1),
-}
-
-_OMEGA_SYMBOL = {
-    FieldTag.ROOT_FIVE: "w",
-    FieldTag.ROOT_TWO: "w",
-}
+_RATIONAL = FieldTag.RATIONAL
+_ROOT_FIVE = FieldTag.ROOT_FIVE
 
 
 class RingElem:
@@ -70,7 +64,7 @@ class RingElem:
     __slots__ = ("tag", "a", "b")
 
     def __init__(self, tag: FieldTag, a: int, b: int = 0):
-        if b and tag is FieldTag.RATIONAL:
+        if b and tag is _RATIONAL:
             raise DomainError("rational integers have no omega part")
         self.tag = tag
         self.a = a
@@ -83,7 +77,7 @@ class RingElem:
         return cls(tag, 0, 1)
 
     def _coerce(self, other) -> "RingElem":
-        if isinstance(other, RingElem):
+        if other.__class__ is RingElem or isinstance(other, RingElem):
             if other.tag is not self.tag:
                 raise DomainError("mixed field tags")
             return other
@@ -115,11 +109,13 @@ class RingElem:
         return RingElem(self.tag, -self.a, -self.b)
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            return RingElem(self.tag, self.a * other, self.b * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         # over Q both omega parts are 0 and this is the integer product
-        c, d = _OMEGA_SQ[self.tag]
+        c, d = self.tag._omega_sq
         bb = self.b * o.b
         return RingElem(
             self.tag,
@@ -130,14 +126,14 @@ class RingElem:
     __rmul__ = __mul__
 
     def conj(self) -> "RingElem":
-        e, f = _CONJ[self.tag]
+        e, f = self.tag._conj
         return RingElem(self.tag, self.a + e * self.b, f * self.b)
 
     def norm_signed(self) -> int:
         """Field norm as a signed integer."""
-        if self.tag is FieldTag.RATIONAL:
+        if self.tag is _RATIONAL:
             return self.a
-        if self.tag is FieldTag.ROOT_FIVE:
+        if self.tag is _ROOT_FIVE:
             return self.a * self.a + self.a * self.b - self.b * self.b
         return self.a * self.a - 2 * self.b * self.b
 
@@ -145,9 +141,9 @@ class RingElem:
         return abs(self.norm_signed())
 
     def trace(self) -> int:
-        if self.tag is FieldTag.RATIONAL:
+        if self.tag is _RATIONAL:
             return self.a
-        if self.tag is FieldTag.ROOT_FIVE:
+        if self.tag is _ROOT_FIVE:
             return 2 * self.a + self.b
         return 2 * self.a
 
@@ -189,7 +185,7 @@ class RingElem:
         """
         if self.is_zero():
             return self
-        if self.tag is FieldTag.RATIONAL:
+        if self.tag is _RATIONAL:
             return RingElem(self.tag, abs(self.a))
         x = self
         if x.norm_signed() < 0:
@@ -223,7 +219,7 @@ class RingElem:
         return hash((self.tag, self.a, self.b))
 
     def __str__(self):
-        return _format_pair(self.tag, self.a, self.b)
+        return _format_pair(self.a, self.b)
 
     def __repr__(self):
         return f"RingElem({self.tag.value}, {self})"
@@ -257,7 +253,7 @@ class FieldElem:
     __slots__ = ("num", "den")
 
     def __init__(self, tag: FieldTag, a, b=0):
-        if b and tag is FieldTag.RATIONAL:
+        if b and tag is _RATIONAL:
             raise DomainError("rational numbers have no omega part")
         if a.__class__ is int and b.__class__ is int:
             self.num = RingElem(tag, a, b)
@@ -425,7 +421,7 @@ class FieldElem:
         return hash((self.num, self.den))
 
     def __str__(self):
-        return _format_pair(self.tag, self.a, self.b)
+        return _format_pair(self.num.a, self.num.b, self.den)
 
     def __repr__(self):
         return f"FieldElem({self.tag.value}, {self})"
@@ -473,28 +469,39 @@ def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
         raise DomainError("mixed field tags")
     tag = alpha.tag
     if tag.degree == 1:
-        qa = _round_half_up(alpha.a, beta.a)
-        qb = 0
-        db_range = (0,)
-    else:
-        # alpha/beta = alpha * conj(beta) / N(beta); valid in degree 2 only
-        num = alpha * beta.conj()
-        d = beta.norm_signed()
-        qa = _round_half_up(num.a, d)
-        qb = _round_half_up(num.b, d)
-        db_range = (0, -1, 1)
+        q0 = _round_half_up(alpha.a, beta.a)
+        r0 = alpha.a - q0 * beta.a
+        _, r, da = min((abs(r), r, da) for da, r in (
+            (0, r0), (-1, r0 + beta.a), (1, r0 - beta.a)))
+        if abs(r) >= abs(beta.a):
+            raise ArithmeticError(
+                "euclidean division failed to reduce the norm")
+        return RingElem(tag, q0 + da), RingElem(tag, r)
+    # alpha/beta = alpha * conj(beta) / N(beta); valid in degree 2 only
+    num = alpha * beta.conj()
+    d = beta.norm_signed()
+    qa = _round_half_up(num.a, d)
+    qb = _round_half_up(num.b, d)
+    # with omega^2 = c + e*omega: omega*beta = c*b + (a + e*b)*omega for
+    # beta = a + b*omega, and N(x + y*omega) = x^2 + e*x*y - c*y^2; the
+    # offsets (da, db) move the remainder by -da*beta - db*omega*beta
+    c, e = tag._omega_sq
+    ba, bb = beta.a, beta.b
+    wa, wb = c * bb, ba + e * bb
+    r0a = alpha.a - qa * ba - qb * wa
+    r0b = alpha.b - qa * bb - qb * wb
     best = None
     for da in (0, -1, 1):
-        for db in db_range:
-            q = RingElem(tag, qa + da, qb + db)
-            r = alpha - q * beta
-            key = (r.norm_abs(), r.a, r.b)
+        for db in (0, -1, 1):
+            ra = r0a - da * ba - db * wa
+            rb = r0b - da * bb - db * wb
+            key = (abs(ra * ra + e * ra * rb - c * rb * rb), ra, rb)
             if best is None or key < best[0]:
-                best = (key, q, r)
-    _, q, r = best
-    if r.norm_abs() >= beta.norm_abs():
+                best = (key, da, db)
+    (size, ra, rb), da, db = best
+    if size >= abs(d):
         raise ArithmeticError("euclidean division failed to reduce the norm")
-    return q, r
+    return RingElem(tag, qa + da, qb + db), RingElem(tag, ra, rb)
 
 
 def canonical_residue(value: RingElem, modulus: RingElem) -> tuple[RingElem, RingElem]:
@@ -543,9 +550,9 @@ def splitting_class(p: int, tag: FieldTag) -> SplittingClass:
 
 def _class_of_prime(p: int, tag: FieldTag) -> SplittingClass:
     # the residue rule; p must already be known to be prime
-    if tag is FieldTag.RATIONAL:
+    if tag is _RATIONAL:
         return SplittingClass.SPLIT  # degenerate: p stays prime and has norm p
-    if tag is FieldTag.ROOT_FIVE:
+    if tag is _ROOT_FIVE:
         if p == 5:
             return SplittingClass.RAMIFIED
         return SplittingClass.SPLIT if p % 5 in (1, 4) else SplittingClass.INERT
@@ -581,7 +588,7 @@ def _mod_sqrt_scan(d: int, p: int) -> int:
 def primes_above(p: int, tag: FieldTag) -> list[RingElem]:
     """Canonical primes of the ring lying over the rational prime p."""
     cls = splitting_class(p, tag)
-    if tag is FieldTag.RATIONAL:
+    if tag is _RATIONAL:
         return [RingElem(tag, p)]
     if cls is SplittingClass.INERT:
         return [RingElem(tag, p).canonical_associate()]
@@ -589,7 +596,7 @@ def primes_above(p: int, tag: FieldTag) -> list[RingElem]:
         pi = RingElem(tag, 0, 1) if tag is FieldTag.ROOT_TWO else RingElem(tag, -1, 2)
         return [pi.canonical_associate()]
     # split: gcd(p, omega_hat - omega) with omega_hat a mod-p image of omega
-    if tag is FieldTag.ROOT_FIVE:
+    if tag is _ROOT_FIVE:
         x = _mod_sqrt_scan(5, p)
         omega_hat = (1 + x) * pow(2, -1, p) % p
     else:
@@ -680,10 +687,10 @@ def norm_class_reps(tag: FieldTag, m: int) -> list[RingElem]:
     """
     if m < 1:
         raise DomainError("norm must be positive")
-    if tag is FieldTag.RATIONAL:
+    if tag is _RATIONAL:
         return [RingElem(tag, m)]
     found = set()
-    if tag is FieldTag.ROOT_FIVE:
+    if tag is _ROOT_FIVE:
         # a^2 + a*b - b^2 = m; canonical reps satisfy 0 <= b < sqrt(m)
         for b in range(isqrt(m) + 2):
             disc = 5 * b * b + 4 * m
@@ -711,22 +718,21 @@ def norm_class_reps(tag: FieldTag, m: int) -> list[RingElem]:
 # text syntax: "a", "a+b*w", "a/c + b/d*w" with w = tau or sqrt(2) by tag
 
 
-def _format_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) prints it (d > 0)."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}" if d != g else str(n // g)
 
 
-def _format_pair(tag: FieldTag, a, b) -> str:
-    a = Fraction(a)
-    b = Fraction(b)
+def _format_pair(a: int, b: int, den: int = 1) -> str:
+    """Text of (a + b*w)/den, one gcd per printed coefficient."""
     if b == 0:
-        return _format_fraction(a)
-    wpart = "w" if abs(b) == 1 else f"{_format_fraction(abs(b))}*w"
-    sign = "-" if b < 0 else "+"
+        return _ratio_text(a, den)
+    size = _ratio_text(abs(b), den)
+    wpart = "w" if size == "1" else f"{size}*w"
     if a == 0:
         return wpart if b > 0 else f"-{wpart}"
-    return f"{_format_fraction(a)}{sign}{wpart}"
+    return f"{_ratio_text(a, den)}{'-' if b < 0 else '+'}{wpart}"
 
 
 def _split_terms(text: str) -> list[str]:

@@ -98,6 +98,34 @@ def test_sigma_index_mismatch_exits_1(capsys, monkeypatch):
     assert "index 5 by intersection but 7 by the formula" in captured.err
 
 
+# argparse would take a rotation that starts with "-" for an option
+LEADING_MINUS = [("-1/2+(3/2)*i", 5), ("-1,0,0; 0,-1,0; 0,0,1", 1),
+                 ("-1,0,0;0,-1,0;0,0,1", 1), ("-i+2*j", 5)]
+
+
+@pytest.mark.parametrize("rotation, sigma", LEADING_MINUS)
+def test_sigma_leading_minus_needs_no_separator(capsys, rotation, sigma):
+    want = run(capsys, "sigma", "--order", "hurwitz", "--format", "json",
+               "--", rotation)
+    assert want[0] == 0
+    assert json.loads(want[1])["sigma"] == sigma
+    for argv in (["--order", "hurwitz", "--format", "json", rotation],
+                 [rotation, "--order", "hurwitz", "--format", "json"],
+                 ["--format=json", rotation, "--order=hurwitz"]):
+        assert run(capsys, "sigma", *argv) == want
+
+
+def test_sigma_options_still_parse(capsys):
+    assert main(["sigma", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: csmod sigma")
+    assert main(["sigma", "--order", "cubic", "-1"]) == 2
+    assert "invalid choice: 'cubic'" in capsys.readouterr().err
+    assert main(["sigma", "--order", "hurwitz"]) == 2
+    assert "required: rotation" in capsys.readouterr().err
+    assert main(["sigma", "-1", "-2"]) == 2
+    assert "unrecognized arguments: -2" in capsys.readouterr().err
+
+
 def test_no_assert_statements_in_package():
     paths = sorted(pathlib.Path(csmod.__file__).parent.glob("*.py"))
     assert paths
@@ -472,3 +500,13 @@ def test_module_entry_point_help_exits_zero():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: csmod")
+
+
+@pytest.mark.parametrize("rotation, sigma", LEADING_MINUS[:2])
+def test_module_entry_point_leading_minus(rotation, sigma):
+    proc = subprocess.run(
+        [sys.executable, "-m", "csmod", "sigma", "--order", "hurwitz",
+         rotation], capture_output=True, text=True, timeout=120,
+        env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert f"coincidence index:  {sigma}\n" in proc.stdout

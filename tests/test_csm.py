@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csmod.csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
                        reduced_representative, rotation_to_quat, sigma_index,
@@ -11,7 +13,7 @@ from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, pure_part)
 from csmod.orders import hurwitz, icosian, lipschitz, octahedral
-from csmod.quat import Mat3K, Quat, cayley_matrix
+from csmod.quat import Mat3K, Quat, cayley_matrix, im_re
 from csmod.rings import FieldElem, FieldTag
 
 Q = FieldTag.RATIONAL
@@ -488,3 +490,45 @@ def test_gamma_of_matches_projection():
     for order in maximal_orders():
         assert gamma_of(order) == im_project(order.module)
     assert gamma_of(lipschitz(Q)) == standard_module("cubic")
+
+
+# -- the brute-force intersection as an independent oracle ---------------
+
+
+def inverse_rotation(q):
+    """R(q)^-1 as a Mat3K, from quaternion products alone: column c is
+    Im(q^-1 * e_c * q) for e_c = i, j, k."""
+    tag = q.tag
+    inv = q.inverse()
+    cols = [im_re(inv * e * q)[1]
+            for e in (Quat.i(tag), Quat.j(tag), Quat.k(tag))]
+    return Mat3K(tag, [[cols[c][r] for c in range(3)] for r in range(3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["hurwitz", "icosian", "octahedral"]),
+       st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_bruteforce_agrees_with_formula_and_lies_in_both_modules(key,
+                                                                  coeffs):
+    order = {"hurwitz": hurwitz, "icosian": icosian,
+             "octahedral": octahedral}[key]()
+    tag = order.field_tag
+    zbasis = list(order.basis)
+    if tag.degree == 2:
+        zbasis += [b * FieldElem.omega(tag) for b in order.basis]
+    q = Quat.zero(tag)
+    for k, b in zip(coeffs, zbasis):
+        q = q + b * k
+    assume(not q.is_zero())
+    gamma = gamma_of(order)
+    common, sigma = csm_bruteforce(gamma, q)
+    assert sigma == sigma_index(order, q)
+    back = inverse_rotation(q)
+    for col in common.basis:
+        assert gamma.contains(col)
+        assert gamma.contains(back.apply(col))
+    # the same module as the intersection with the rotated copy in HNF
+    rot = cayley_matrix(q)
+    rotated = hnf_canonical(tag, Ambient.IM,
+                            [rot.apply(col) for col in gamma.basis])
+    assert common == intersect(gamma, rotated)

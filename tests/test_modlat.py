@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -220,6 +221,27 @@ def test_hnf_canonical_under_regeneration(tag):
             a + lam.to_field() * b for a, b in zip(gens[1], gens[2])
         ])
         assert hnf_canonical(tag, Ambient.IM, gens) == mod
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_ring_columns_over_one_normalised_denominator(tag):
+    rng = random.Random(107)
+    for _ in range(40):
+        mod = scale_module(rnd_module(rng, tag, Ambient.IM),
+                           Fraction(rng.randint(1, 5), rng.randint(1, 12)))
+        entries = [x for col in mod.cols for e in col for x in (e.a, e.b)]
+        assert mod.den >= 1 and math.gcd(mod.den, *entries) == 1
+        assert mod.basis == tuple(
+            tuple(FieldElem.ratio(e, mod.den) for e in col)
+            for col in mod.cols)
+        # the same generators, scaled up by t and divided by t again
+        t = rng.randint(2, 12)
+        again = hnf_canonical(tag, Ambient.IM,
+                              [[e * t for e in col] for col in mod.basis], t)
+        assert (again.cols, again.den) == (mod.cols, mod.den)
+        assert again == mod and hash(again) == hash(mod)
+    with pytest.raises(DomainError):
+        hnf_canonical(tag, Ambient.IM, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 0)
 
 
 def test_hnf_rank_deficient_raises():

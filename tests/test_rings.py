@@ -515,3 +515,27 @@ def test_euclid_divmod_keeps_contract_and_old_rounding(case):
 @example(-5, -2)
 def test_round_half_up_matches_fraction_rule(n, d):
     assert _round_half_up(n, d) == old_round_half_up(Fraction(n, d))
+
+
+def fraction_text(a: Fraction, b: Fraction) -> str:
+    """Reference text of a + b*w, printed through str(Fraction)."""
+    if b == 0:
+        return str(a)
+    wpart = "w" if abs(b) == 1 else f"{abs(b)}*w"
+    if a == 0:
+        return wpart if b > 0 else f"-{wpart}"
+    return f"{a}{'-' if b < 0 else '+'}{wpart}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(tagged_pairs(count=1), st.integers(1, 10**6))
+@example((FieldTag.ROOT_FIVE, [(Fraction(0), Fraction(-1))]), 1)
+@example((FieldTag.ROOT_TWO, [(Fraction(-1, 2), Fraction(1, 2))]), 1)
+@example((FieldTag.RATIONAL, [(Fraction(0), Fraction(0))]), 1)
+def test_text_matches_fraction_formatting(case, big):
+    tag, ((a, b),) = case
+    for x, y in ((a, b), (a * big, b / big)):
+        assert str(FieldElem(tag, x, y)) == fraction_text(x, y)
+    if a.denominator == 1 and b.denominator == 1:
+        ring = RingElem(tag, a.numerator, b.numerator)
+        assert str(ring) == fraction_text(a, b)
