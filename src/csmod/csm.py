@@ -178,8 +178,6 @@ def rotation_to_quat(mat: Mat3K) -> Quat:
     special orthogonal matrix; rejects anything else."""
     tag = mat.tag
     ident = Mat3K.identity(tag)
-    if mat.transpose() * mat != ident or mat.det() != ident[0, 0]:
-        raise DomainError("matrix is not special orthogonal over the field")
     trace = mat.trace()
     one = ident[0, 0]
     candidates = []
@@ -194,12 +192,15 @@ def rotation_to_quat(mat: Mat3K) -> Quat:
     for c in range(3):
         col = [mat[r, c] + one if r == c else mat[r, c] for r in range(3)]
         candidates.append((0, *col))
+    # a Cayley matrix is special orthogonal, so a match needs no check
     for cand in candidates:
         q = Quat(tag, *cand)
         if q.is_zero():
             continue
         if cayley_matrix(q) == mat:
             return q
+    if mat.transpose() * mat != ident or mat.det() != one:
+        raise DomainError("matrix is not special orthogonal over the field")
     raise DomainError("matrix is not a rotation arising over this field")
 
 

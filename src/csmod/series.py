@@ -13,18 +13,27 @@ is the grid the counting functions live on.  Fields are named by the
 FieldTag values: rational, root5, root2.
 
 Every series here is multiplicative, so a table f(1..M) is filled by
-prime-power strides: one bytearray sieve lists the primes up to M, and
-for each prime p and each p^k <= M, the entries j with exactly p^k
-dividing j are multiplied by f(p^k), starting from all ones.  The sieve
-is the primality proof, so a table's local factors take their splitting
-class from the residue rule alone, without trial division per prime.
+prime strides, starting from all ones: one bytearray sieve lists the
+primes up to M, and each prime p multiplies the stride of its multiples
+j = p*i by f(p^k), k the exponent of p in j.  The primes are streamed
+from the sieve and split at sqrt(M).  A prime p <= sqrt(M) expands its
+local factor up to the top power p^k <= M and applies the whole p-part
+in one product pass: a multiplier list for the stride holds f(p) and is
+overwritten with f(p^k) at the multiples of p^(k-1).  A prime above
+sqrt(M) divides each j <= M at most once, so only f(p) is computed, from
+the first terms of the local factor, and the stride is skipped when
+f(p) = 1 and zeroed when f(p) = 0.  No list of primes or of local
+factors is kept.  The sieve is the primality proof, so a table's local
+factors take their splitting class from the residue rule alone, without
+trial division per prime.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
+from operator import mul
 
 from .errors import DomainError, ResourceCapError
 from .rings import (FieldTag, SplittingClass, _class_of_prime, factor_int,
@@ -74,10 +83,7 @@ class EulerFactor:
     def __post_init__(self):
         if self.p < 2:
             raise DomainError("Euler factors sit at primes")
-        if not self.numerator or self.numerator[0] != 1:
-            raise DomainError("numerator must have constant term 1")
-        if not self.denominator or self.denominator[0] != 1:
-            raise DomainError("denominator must have constant term 1")
+        _check_constant_terms(self.numerator, self.denominator)
 
     def expansion(self, terms: int) -> tuple:
         """First terms of the power series, f(1), f(p), f(p^2), ..."""
@@ -87,12 +93,31 @@ class EulerFactor:
             c = num[n] if n < len(num) else 0
             for k in range(1, min(n, len(den) - 1) + 1):
                 c -= den[k] * out[n - k]
-            if c < 0:
-                raise DomainError(
-                    f"Euler factor at {self.p} gives the negative "
-                    f"coefficient {c} at p^{n}")
-            out.append(c)
+            out.append(_nonnegative(self.p, c, n))
         return tuple(out)
+
+
+def _check_constant_terms(num, den) -> None:
+    if not num or num[0] != 1:
+        raise DomainError("numerator must have constant term 1")
+    if not den or den[0] != 1:
+        raise DomainError("denominator must have constant term 1")
+
+
+def _nonnegative(p: int, c: int, n: int) -> int:
+    """c as the coefficient f(p^n) of a counting series."""
+    if c < 0:
+        raise DomainError(
+            f"Euler factor at {p} gives the negative coefficient {c} at p^{n}")
+    return c
+
+
+def _first_coefficient(p: int, num, den) -> int:
+    """f(p) of the local factor num/den at p: the x-term of its expansion,
+    checked as EulerFactor(p, num, den).expansion(2)[1] is."""
+    _check_constant_terms(num, den)
+    c = (num[1] if len(num) > 1 else 0) - (den[1] if len(den) > 1 else 0)
+    return _nonnegative(p, c, 1)
 
 
 def _phi_polys(tag: FieldTag, p: int, cls: SplittingClass):
@@ -103,7 +128,7 @@ def _phi_polys(tag: FieldTag, p: int, cls: SplittingClass):
     if cls is SplittingClass.RAMIFIED:
         return (1, 1), (1, -p)
     if cls is SplittingClass.SPLIT:
-        return _poly_mul((1, 1), (1, 1)), _poly_mul((1, -p), (1, -p))
+        return (1, 2, 1), (1, -2 * p, p * p)
     return (1, 0, 1), (1, 0, -p * p)
 
 
@@ -217,24 +242,30 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
     _check_cap(M, cap)
     tag, polys = _parse_case(case)
     values = [1] * (M + 1)
+    root = math.isqrt(M)
     for p in compress(range(M + 1), _prime_sieve(M)):
-        top = 1
-        while p ** (top + 1) <= M:
-            top += 1
         num, den = polys(p, _class_of_prime(p, tag))
+        if p > root:
+            # p^2 > M: every multiple j <= M of p has exactly one factor p
+            c = _first_coefficient(p, num, den)
+            if c == 0:
+                values[p::p] = [0] * (M // p)
+            elif c != 1:
+                values[p::p] = list(map(c.__mul__, values[p::p]))
+            continue
+        top, q = 1, p * p
+        while q <= M:
+            top, q = top + 1, q * p
         exp = EulerFactor(p, num, den).expansion(top + 1)
+        # values[p::p] holds f(j) for j = p*i, i >= 1; p^k divides j iff
+        # p^(k-1) divides i, so part[i - 1] ends up f(p^k), p^k || j
+        part = [exp[1]] * (M // p)
         q = p
-        for k in range(1, top + 1):
-            # values[q::q] holds f(j) for j = q*i, i >= 1, and v_p(j) == k
-            # iff p does not divide i; at the top power, i <= M/q < p
-            c = exp[k]
-            if k == top:
-                values[q::q] = [v * c for v in values[q::q]]
-            else:
-                values[q::q] = [v * c if i % p else v
-                                for i, v in enumerate(values[q::q], 1)]
+        for k in range(2, top + 1):
+            part[q - 1::q] = [exp[k]] * (M // (q * p))
             q *= p
-    return CoeffSeries(label=case, values=tuple(values[1:]))
+        values[p::p] = list(map(mul, values[p::p], part))
+    return CoeffSeries(label=case, values=tuple(islice(values, 1, None)))
 
 
 def phi_coefficients(case: str, M: int, cap=None) -> CoeffSeries:

@@ -532,3 +532,14 @@ def test_bruteforce_agrees_with_formula_and_lies_in_both_modules(key,
     rotated = hnf_canonical(tag, Ambient.IM,
                             [rot.apply(col) for col in gamma.basis])
     assert common == intersect(gamma, rotated)
+
+
+def test_rotation_rejection_messages():
+    # the special orthogonal check runs only after no candidate matched,
+    # and still tells a non-rotation from a rotation without a quaternion
+    shear = Mat3K(Q, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(DomainError, match="not special orthogonal"):
+        rotation_to_quat(shear)
+    flip = Mat3K(Q, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    with pytest.raises(DomainError, match="not special orthogonal"):
+        rotation_to_quat(flip)

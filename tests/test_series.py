@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,60 @@ def test_table_needs_no_trial_division(monkeypatch):
         splitting_class(6, FieldTag.ROOT_FIVE)
     with pytest.raises(DomainError):
         euler_factor("cub", 4)
+
+
+# 3721 = 61^2: the sizes sit at prime squares and on both sides of the
+# split between fully expanded small primes and first-order large ones
+@pytest.mark.parametrize("case", ALL_CASES)
+@pytest.mark.parametrize("M", (48, 49, 50, 3720, 3721, 3722))
+def test_table_matches_reference_around_prime_squares(case, M):
+    assert coefficient_table(case, M).values == reference_table(case, M)
+
+
+def test_table_rejects_bad_constant_term_above_root(monkeypatch):
+    # p = 47 > sqrt(100) takes the first-order path, which checks the
+    # constant terms as EulerFactor does
+    phi_polys = csmod.series._phi_polys
+
+    def broken(tag, q, cls):
+        return ((2, 1), (1,)) if q == 47 else phi_polys(tag, q, cls)
+
+    monkeypatch.setattr(csmod.series, "_phi_polys", broken)
+    with pytest.raises(DomainError, match="constant term 1"):
+        coefficient_table("oct", 100)
+
+
+def test_table_peak_memory():
+    # CPython 3.11 tracemalloc peaks for cub at M = 2*10^5: 8.0 MB for
+    # the stride fill with a values[1:] copy, 6.6 MB for this fill, 7.3 MB
+    # with a list of the primes kept, 8.2 MB with one M-sized scratch list
+    # and 10.9 MB with a list of the local factors
+    coefficient_table("cub", 100)
+    tracemalloc.start()
+    try:
+        table = coefficient_table("cub", 2 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 2 * 10**5
+    assert peak < 7.0e6, peak
+
+
+# SHA-256 of repr(values) of the 10^6 tables, recorded from a fill that
+# expanded every local factor through EulerFactor
+MILLION_TABLE_SHA256 = {
+    "cub": "4d326c720e7264198dbf59e9ce991ba1e7e11824d3f311c8b43c07ec0f5280f9",
+    "ico": "25a82c8ee63b62fe4b13e576a798a4cf0ba0f4fa088c2e270eeb452226e2ca8f",
+    "oct": "5a51dd93e1ce564a3263a512e416abec2143585b1dbcddf6ec2a11e65088e15e",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", PHI_CASES)
+def test_million_table_hash(case):
+    values = phi_coefficients(case, 10**6).values
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == MILLION_TABLE_SHA256[case]
 
 
 def test_phi_rejects_bad_case_and_size():
