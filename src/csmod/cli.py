@@ -63,7 +63,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseInputError(f"cannot read config {path}: {exc}")
     out = {}
     for lineno, raw in enumerate(lines, 1):

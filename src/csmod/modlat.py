@@ -35,7 +35,7 @@ from .rings import (
     RingElem,
     as_field,
     canonical_residue,
-    euclid_divmod,
+    round_quotient,
 )
 
 
@@ -191,6 +191,13 @@ def _ring_columns(tag: FieldTag, n: int, vectors):
 def _echelon(columns, nrows: int, track: bool = False):
     """Eliminate columns to triangular form by Euclidean operations.
 
+    Each step subtracts from a column the pivot column times the rounded
+    quotient of their entries (rings.round_quotient), which leaves that
+    entry below the pivot in absolute norm, so the least norm on the row
+    falls until one nonzero entry is left.  The steps change the columns
+    but not the module they span, so hnf_canonical does not depend on
+    them.
+
     Returns (pivots, spare): pivots maps row r to the (column, transform)
     pair whose lowest nonzero entry sits on row r; spare holds the pairs
     eliminated to zero.  Transform columns express each output column as
@@ -214,7 +221,7 @@ def _echelon(columns, nrows: int, track: bool = False):
             nz.sort(key=lambda p: p[0][r].norm_abs())
             piv = nz[0]
             for other in nz[1:]:
-                q, _ = euclid_divmod(other[0][r], piv[0][r])
+                q = round_quotient(other[0][r], piv[0][r])
                 if q.is_zero():
                     raise ArithmeticError("echelon step failed to reduce")
                 _col_submul(other[0], q, piv[0])

@@ -16,11 +16,13 @@ finite group (24, 120 or 48 elements), so ideals are told apart by their
 unit orbits {q*u}, and the infinite unit group is never walked.
 
 Orbits are marked in integers.  A lattice point is keyed by its
-Z-coordinates, the integer vector the search returns.  The map x |-> x*u
-is Z-linear, so each norm-one unit gets one integer matrix, built from
-the sixteen products of the basis when the units are first asked for;
-an orbit is then |U| integer matrix-vector products, and a quaternion
-is built only for the units and for one representative per ideal.
+Z-coordinates, the integer vector the search returns, and the units by
+theirs.  Written on the Z-basis, the product of the order has integer
+structure constants, found once per order from the basis as ring
+numerators over one integer denominator.  The orbit {v*u} of a new
+point v is the integer matrix of u |-> v*u, built from these constants,
+applied to each unit's Z-coordinates.  Enumeration builds no quaternion
+for the units and one per ideal, from integer dot products.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import mul
 
 from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, hnf_canonical, im_project
-from .quat import Quat
+from .quat import Quat, hamilton_product
 from .rings import FieldElem, FieldTag, RingElem, norm_class_reps, ring_gcd
 from .series import coefficient
 
@@ -136,8 +138,8 @@ class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_nb", "_search", "_enum_cache", "_units_cache",
-                 "_unit_cols", "_im_module")
+                 "_nb", "_search", "_enum_cache", "_units", "_columns",
+                 "_structure", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -147,31 +149,25 @@ class QuatOrder:
         self.module = hnf_canonical(
             field_tag, Ambient.QUAT, [b.coords() for b in self.basis]
         )
-        degree = field_tag.degree
-        zgens = list(self.basis)
-        if degree == 2:
-            omega = FieldElem.omega(field_tag)
-            zgens += [b * omega for b in self.basis]
+        den, rows = self._zgen_numerators()
         # 2*nr(q) = A + B*omega is an integral form on the Z-basis; the
         # search runs on its trace, and then B alone fixes nr(q)
-        rank = len(zgens)
+        rank = len(rows)
         gram = [[0] * rank for _ in range(rank)]
         nb = [[0] * rank for _ in range(rank)]
         for s in range(rank):
             for t in range(rank):
-                twice = FieldElem(field_tag, 0)
-                for cs, ct in zip(zgens[s].coords(), zgens[t].coords()):
-                    twice = twice + cs * ct
-                twice = twice + twice
+                twice = FieldElem.ratio(
+                    2 * sum(map(mul, rows[s], rows[t])), den * den)
                 if not twice.is_integral():
                     raise ArithmeticError("order basis is not integral")
-                r = twice.to_ring()
-                gram[s][t], nb[s][t] = r.trace(), r.b
-        self._nb = nb if degree == 2 else None
+                gram[s][t], nb[s][t] = twice.num.trace(), twice.num.b
+        self._nb = nb if field_tag.degree == 2 else None
         self._search = _ldl(gram)
         self._enum_cache = {}
-        self._units_cache = None
-        self._unit_cols = None
+        self._units = None
+        self._columns = None
+        self._structure = None
         self._im_module = None
 
     def __repr__(self):
@@ -300,56 +296,89 @@ class QuatOrder:
         """Whether the element with Z-coordinates v has unit content."""
         return self._content_of(self._ring_coords(v)).is_unit()
 
+    def _zgen_numerators(self):
+        """(den, rows): the Z-basis, the basis followed by omega times the
+        basis, as quaternions of ring numerators over one integer den."""
+        den = lcm(*(c.den for b in self.basis for c in b.coords()))
+        rows = [[c.num * (den // c.den) for c in b.coords()]
+                for b in self.basis]
+        if self.field_tag.degree == 2:
+            omega = RingElem.omega(self.field_tag)
+            rows += [[e * omega for e in row] for row in rows]
+        return den, rows
+
     def _element(self, v) -> Quat:
         """The quaternion with Z-coordinates v."""
-        q = Quat.zero(self.field_tag)
-        for lam, b in zip(self._ring_coords(v), self.basis):
-            q = q + b * lam
-        return q
+        if self._columns is None:
+            # per quaternion coordinate, the integer and omega parts of
+            # the Z-basis numerators, so that a coordinate of the element
+            # is two integer dot products over den
+            den, rows = self._zgen_numerators()
+            self._columns = den, [(tuple(e.a for e in col),
+                                   tuple(e.b for e in col))
+                                  for col in zip(*rows)]
+        den, columns = self._columns
+        tag = self.field_tag
+        return Quat(tag, *(FieldElem.ratio(RingElem(
+            tag, sum(map(mul, v, a)), sum(map(mul, v, b))), den)
+            for a, b in columns))
+
+    def _unit_vectors(self):
+        """The Z-coordinates of the norm-one units, in search order."""
+        if self._units is None:
+            self._units = tuple(
+                self._norm_vectors(RingElem(self.field_tag, 1)))
+        return self._units
 
     def norm_one_units(self):
         """Every element of reduced norm one (a finite group)."""
-        if self._units_cache is None:
-            vectors = self._norm_vectors(RingElem(self.field_tag, 1))
-            self._units_cache = tuple(map(self._element, vectors))
-            self._unit_cols = self._unit_matrices(vectors)
-        return list(self._units_cache)
+        return list(map(self._element, self._unit_vectors()))
 
-    def _unit_matrices(self, units):
-        """The columns of the integer matrix of x |-> x*u on Z-coordinates,
-        for each unit u given by its Z-coordinates, all in one tuple."""
+    def _structure_constants(self):
+        """The integer structure constants of the Z-basis, arranged so
+        that entry [r][t] holds (the r-th Z-coordinate of zgen_s*zgen_t
+        for each s)."""
         tag = self.field_tag
         degree = tag.degree
         rank = 4 * degree
+        # quaternion coordinates to ring coordinates on the basis: the
+        # inverse of the basis matrix, as ring numerators over scale
         inv = _field_inverse([b.coords() for b in self.basis])
+        scale = lcm(*(x.den for row in inv for x in row))
+        inv = [[x.num * (scale // x.den) for x in row] for row in inv]
+        den, rows = self._zgen_numerators()
+        scale *= den * den
         omega = RingElem.omega(tag)
         powers = (RingElem(tag, 1), omega, omega * omega)
         # prod[s][t]: the Z-coordinates of zgen_s*zgen_t, from the sixteen
         # products of the basis, since zgen_{s+4e} = basis[s]*omega^e and
         # omega is central
         prod = [[None] * rank for _ in range(rank)]
-        for s, bs in enumerate(self.basis):
-            for t, bt in enumerate(self.basis):
-                c = (bs * bt).coords()
-                lam = [sum((c[k] * inv[k][r] for k in range(4)),
-                           FieldElem(tag, 0)).to_ring() for r in range(4)]
+        for s in range(4):
+            for t in range(4):
+                c = hamilton_product(rows[s], rows[t])
+                lam = [FieldElem.ratio(sum(map(mul, c, col)), scale).to_ring()
+                       for col in zip(*inv)]
                 for e in range(degree):
                     for f in range(degree):
                         p = [g * powers[e + f] for g in lam]
                         prod[s + 4 * e][t + 4 * f] = (
                             tuple(g.a for g in p) + tuple(g.b for g in p)
                         )[:rank]
-        # x*u = sum_t u_t * x*zgen_t: entry s of column r of the matrix of
-        # u is the dot product of u with (prod[s][t][r] for t)
-        columns = [[tuple(prod[s][t][r] for t in range(rank))
-                    for s in range(rank)] for r in range(rank)]
-        return tuple(tuple(sum(map(mul, u, entry)) for entry in column)
-                     for u in units for column in columns)
+        return tuple(tuple(tuple(prod[s][t][r] for s in range(rank))
+                           for t in range(rank)) for r in range(rank))
 
     def _orbit(self, v):
         """The Z-coordinates of v*u for each unit u of norm_one_units(),
-        in that order: one integer matrix-vector product per unit."""
-        flat = [sum(map(mul, v, col)) for col in self._unit_cols]
+        in that order.  u |-> v*u is Z-linear: its matrix L_v is built
+        from the structure constants (rank^3 integer products), and the
+        orbit is L_v applied to the Z-coordinates of each unit."""
+        if self._structure is None:
+            self._structure = self._structure_constants()
+        rows = [[sum(map(mul, v, entry)) for entry in row]
+                for row in self._structure]
+        flat = [sum(map(mul, row, u))
+                for u in self._unit_vectors() for row in rows]
         return list(zip(*[iter(flat)] * len(v)))
 
     def enumerate_by_index(self, m: int, cap: int | None = None):
@@ -370,7 +399,7 @@ class QuatOrder:
             return list(self._enum_cache[m])
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
-            units = len(self.norm_one_units())
+            units = len(self._unit_vectors())
             for value in norm_class_reps(self.field_tag, m):
                 # q*O == q'*O with nr(q) == nr(q') iff q' = q*u, nr(u) = 1;
                 # an orbit {q*u} is marked by the Z-coordinates of its points

@@ -18,6 +18,17 @@ from .errors import DomainError, ParseInputError
 from .rings import FieldElem, FieldTag, _split_terms, as_field, parse_field_elem
 
 
+def hamilton_product(a, b):
+    """Coordinates of the product of the quaternions with coordinates a
+    and b (on 1, i, j, k), over any commutative ring of coefficients."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
 class Quat:
     """Quaternion x0 + x1*i + x2*j + x3*k over one of the base fields.
 
@@ -105,15 +116,7 @@ class Quat:
                         self.x2 * s, self.x3 * s)
         if other.tag is not self.tag:
             raise DomainError("mixed field tags")
-        a0, a1, a2, a3 = self.coords()
-        b0, b1, b2, b3 = other.coords()
-        return Quat(
-            self.tag,
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        return Quat(self.tag, *hamilton_product(self.coords(), other.coords()))
 
     __rmul__ = __mul__  # only reached for scalars, which commute
 

@@ -455,37 +455,50 @@ def _round_half_up(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
-def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
-    """Return (q, r) with alpha = q*beta + r and N(r) < N(beta) in absolute value.
+def round_quotient(alpha: RingElem, beta: RingElem) -> RingElem:
+    """The exact quotient alpha/beta with each coordinate rounded half up.
 
-    The quotient starts from the nearest-integer rounding of the exact field
-    quotient; a small offset search then picks the remainder of least
-    absolute norm (ties broken by coefficients).  Both quadratic rings are
-    norm-Euclidean, so the contract always holds.
+    The remainder alpha - q*beta is beta times the rounding error, whose
+    norm is at most 5/16 in absolute value in Z[tau] and 1/2 in Z and
+    Z[sqrt(2)]; so it is smaller than beta in absolute norm, and q is
+    nonzero whenever alpha is not smaller than beta.
     """
     if beta.is_zero():
-        raise ZeroDivisionError("euclid_divmod by zero")
+        raise ZeroDivisionError("division by zero ring element")
     if alpha.tag is not beta.tag:
         raise DomainError("mixed field tags")
     tag = alpha.tag
     if tag.degree == 1:
-        q0 = _round_half_up(alpha.a, beta.a)
-        r0 = alpha.a - q0 * beta.a
+        return RingElem(tag, _round_half_up(alpha.a, beta.a))
+    # alpha/beta = alpha * conj(beta) / N(beta); valid in degree 2 only
+    num = alpha * beta.conj()
+    d = beta.norm_signed()
+    return RingElem(tag, _round_half_up(num.a, d), _round_half_up(num.b, d))
+
+
+def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
+    """Return (q, r) with alpha = q*beta + r and N(r) < N(beta) in absolute value.
+
+    The quotient starts from round_quotient; a small offset search then
+    picks the remainder of least absolute norm (ties broken by
+    coefficients), which makes the remainder depend only on the residue
+    class of alpha.
+    """
+    q0 = round_quotient(alpha, beta)
+    tag = alpha.tag
+    if tag.degree == 1:
+        r0 = alpha.a - q0.a * beta.a
         _, r, da = min((abs(r), r, da) for da, r in (
             (0, r0), (-1, r0 + beta.a), (1, r0 - beta.a)))
         if abs(r) >= abs(beta.a):
             raise ArithmeticError(
                 "euclidean division failed to reduce the norm")
-        return RingElem(tag, q0 + da), RingElem(tag, r)
-    # alpha/beta = alpha * conj(beta) / N(beta); valid in degree 2 only
-    num = alpha * beta.conj()
-    d = beta.norm_signed()
-    qa = _round_half_up(num.a, d)
-    qb = _round_half_up(num.b, d)
+        return RingElem(tag, q0.a + da), RingElem(tag, r)
     # with omega^2 = c + e*omega: omega*beta = c*b + (a + e*b)*omega for
     # beta = a + b*omega, and N(x + y*omega) = x^2 + e*x*y - c*y^2; the
     # offsets (da, db) move the remainder by -da*beta - db*omega*beta
     c, e = tag._omega_sq
+    qa, qb = q0.a, q0.b
     ba, bb = beta.a, beta.b
     wa, wb = c * bb, ba + e * bb
     r0a = alpha.a - qa * ba - qb * wa
@@ -499,7 +512,7 @@ def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
             if best is None or key < best[0]:
                 best = (key, da, db)
     (size, ra, rb), da, db = best
-    if size >= abs(d):
+    if size >= beta.norm_abs():
         raise ArithmeticError("euclidean division failed to reduce the norm")
     return RingElem(tag, qa + da, qb + db), RingElem(tag, ra, rb)
 
@@ -760,6 +773,10 @@ def _split_terms(text: str) -> list[str]:
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction reads exponents, and "1e999999" would build a million-digit
+    # integer from ten characters
+    if "e" in text or "E" in text:
+        raise ParseInputError(f"exponent literals are not accepted: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -11,7 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmod
-from csmod.cli import _build_parser, _json_text, _ratio_text, main
+from csmod.cli import (_CONFIG_KEYS, _build_parser, _json_text, _load_config,
+                       _parse_rotation, _ratio_text, main)
+from csmod.errors import DomainError, ParseInputError
+from csmod.quat import parse_quat
+from csmod.rings import FieldTag, parse_field_elem
 
 
 def run(capsys, *argv):
@@ -84,6 +88,9 @@ def test_sigma_error_codes(capsys):
     capsys.readouterr()
     assert main(["sigma", "--order", "hurwitz", "0"]) == 3
     capsys.readouterr()
+    # an exponent would let ten characters build a million-digit integer
+    assert main(["sigma", "--order", "hurwitz", "1e999999"]) == 2
+    assert "exponent" in capsys.readouterr().err
 
 
 def test_sigma_index_mismatch_exits_1(capsys, monkeypatch):
@@ -455,6 +462,56 @@ def test_config_errors(tmp_path, capsys):
     fmt.write_text("format=yaml\n")
     assert main(["count", "3", "--config", str(fmt)]) == 2
     capsys.readouterr()
+    raw = tmp_path / "raw.conf"
+    raw.write_bytes(b"\xff\xfe")
+    assert main(["count", "--order", "hurwitz", "1", "--config", str(raw)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+# Parsers are total: any text over this alphabet parses or raises
+# ParseInputError, and so does a config file of any bytes.  Only a
+# well-formed 3x3 matrix may be refused with DomainError, when it is not a
+# rotation.
+PARSE_ALPHABET = "0123456789+-*/()wijk .;,eE_"
+
+
+def _parses_as_matrix(text, tag):
+    rows = [row.split(",") for row in text.split(";")]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        return False
+    for row in rows:
+        for entry in row:
+            parse_field_elem(entry.strip(), tag)
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(PARSE_ALPHABET, max_size=40), st.sampled_from(list(FieldTag)),
+       st.binary(max_size=64))
+@example("1,0,0;0,1,0;0,0,1", FieldTag.RATIONAL, b"\xff\xfe")
+@example("1,1,0;0,1,0;0,0,1", FieldTag.ROOT_TWO, b"order=hurwitz\n\x00=1\n")
+@example("(1+w)*i-(2", FieldTag.ROOT_FIVE, b"cap=3\r\nseed=\xc3\xa9")
+@example("1e5", FieldTag.RATIONAL, b"")
+@example("1_0/3_3*w", FieldTag.ROOT_FIVE, b"=")
+def test_parsers_are_total(tmp_path_factory, text, tag, raw):
+    for parse in (parse_field_elem, parse_quat):
+        try:
+            parse(text, tag)
+        except ParseInputError:
+            pass
+    try:
+        _parse_rotation(text, tag)
+    except ParseInputError:
+        pass
+    except DomainError:
+        assert _parses_as_matrix(text, tag)
+    path = tmp_path_factory.getbasetemp() / "totality.conf"
+    path.write_bytes(raw)
+    try:
+        loaded = _load_config(str(path))
+    except ParseInputError:
+        return
+    assert set(loaded) <= set(_CONFIG_KEYS)
 
 
 # -- installed entry points ------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmod.errors import DomainError
 from csmod.modlat import (
@@ -221,6 +223,34 @@ def test_hnf_canonical_under_regeneration(tag):
             a + lam.to_field() * b for a, b in zip(gens[1], gens[2])
         ])
         assert hnf_canonical(tag, Ambient.IM, gens) == mod
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(TAGS), st.sampled_from([Ambient.IM, Ambient.QUAT]),
+       st.integers(0, 2**32))
+def test_hnf_canonical_independent_of_elimination_path(tag, ambient, seed):
+    # _echelon steps by rounded quotients; the canonical form must depend
+    # only on the module, so a random unimodular column operation on the
+    # generators (an added multiple of another column, a swap, a unit
+    # factor) must leave it unchanged
+    rng = random.Random(seed)
+    n = ambient.dim
+    gens = [[RingElem(tag, rng.randint(-9, 9),
+                      rng.randint(-3, 3) if tag.degree == 2 else 0)
+             for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+    try:
+        mod = hnf_canonical(tag, ambient, gens)
+    except DomainError:
+        return    # the generators do not span a full-rank module
+    moved = [list(col) for col in gens]
+    i, j = rng.sample(range(len(moved)), 2)
+    lam = RingElem(tag, rng.randint(-5, 5),
+                   rng.randint(-5, 5) if tag.degree == 2 else 0)
+    moved[i] = [a + lam * b for a, b in zip(moved[i], moved[j])]
+    u = rng.choice(units(tag))
+    moved[j] = [e * u for e in moved[j]]
+    rng.shuffle(moved)
+    assert hnf_canonical(tag, ambient, moved) == mod
 
 
 @pytest.mark.parametrize("tag", TAGS)

@@ -339,9 +339,10 @@ def test_enumerate_detects_a_missed_ideal(factory, m, monkeypatch):
 # -- integer orbit keys -----------------------------------------------------
 #
 # Enumeration keys a point by its Z-coordinates v (on the basis followed by
-# omega times the basis) and marks its orbit {x*u} with one integer matrix
-# per unit.  The oracle recovers Z-coordinates from quaternion coordinates
-# by a rational inverse of the Z-basis, and multiplies with Quat.__mul__.
+# omega times the basis) and marks its orbit {x*u} with the integer matrix
+# of u |-> x*u, built from the structure constants of the Z-basis.  The
+# oracle recovers Z-coordinates from quaternion coordinates by a rational
+# inverse of the Z-basis, and multiplies with Quat.__mul__.
 
 
 def rational_parts(q):
@@ -413,25 +414,35 @@ def test_unit_vectors_are_the_keys_of_the_units(factory):
     assert order._orbit(one) == vectors
 
 
-@pytest.mark.parametrize("factory,m", [(icosian, 11), (octahedral, 14)])
+@pytest.mark.parametrize("factory,m", [
+    (icosian, 11), (octahedral, 14), (hurwitz, 15),
+])
 def test_enumeration_builds_quaternions_per_ideal(factory, m, monkeypatch):
-    # a Quat per lattice point, or |U| products per ideal, would be
-    # hundreds of times the number of ideals found
+    # the unit set-up, the orbits and the points stay in integers: a fresh
+    # order builds one Quat per representative and multiplies none
     base = factory()
     order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
-    units = order.norm_one_units()
-    calls = 0
-    product = Quat.__mul__
+    built = products = 0
+    init, product = Quat.__init__, Quat.__mul__
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    def counting_product(self, other):
+        nonlocal products
+        products += 1
         return product(self, other)
 
-    monkeypatch.setattr(Quat, "__mul__", counting)
+    monkeypatch.setattr(Quat, "__init__", counting_init)
+    monkeypatch.setattr(Quat, "__mul__", counting_product)
     reps = order.enumerate_by_index(m)
+    monkeypatch.undo()
     assert reps
-    assert calls <= 4 * len(reps) < len(reps) * len(units) // 10
+    assert built == len(reps)
+    assert products == 0
+    assert reps == base.enumerate_by_index(m)
 
 
 # -- the previous enumeration, kept as the reference ----------------------

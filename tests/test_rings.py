@@ -21,6 +21,7 @@ from csmod.rings import (
     parse_ring_elem,
     primes_above,
     ring_gcd,
+    round_quotient,
     splitting_class,
 )
 
@@ -539,3 +540,72 @@ def test_text_matches_fraction_formatting(case, big):
     if a.denominator == 1 and b.denominator == 1:
         ring = RingElem(tag, a.numerator, b.numerator)
         assert str(ring) == fraction_text(a, b)
+
+
+# -- rounded quotients -------------------------------------------------------
+#
+# The rounding error x + y*omega of round_quotient has |x|, |y| <= 1/2, so
+# |N(error)| is at most 5/16 in Z[tau] and 1/2 in Z and Z[sqrt2]; the
+# remainder is beta times the error.
+
+ROUNDING_BOUND = {FieldTag.RATIONAL: Fraction(1, 2),
+                  FieldTag.ROOT_FIVE: Fraction(5, 16),
+                  FieldTag.ROOT_TWO: Fraction(1, 2)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_pairs)
+@example((FieldTag.RATIONAL, 7, 0, -2, 0))        # 7 / -2: exact tie
+@example((FieldTag.ROOT_FIVE, 1, 1, 2, 0))        # (1+w)/2: both ties
+@example((FieldTag.ROOT_FIVE, 3, 1, 1, -3))       # norm -11
+@example((FieldTag.ROOT_TWO, 0, 1, 2, 0))         # w/2: the worst error
+@example((FieldTag.ROOT_TWO, 3, 1, 2, 0))         # 3/2 + 1/2*w: both ties
+def test_round_quotient_reduces_the_norm(case):
+    tag, a, b, c, d = case
+    if tag.degree == 1:
+        b = d = 0
+    alpha, beta = RingElem(tag, a, b), RingElem(tag, c, d)
+    if beta.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            round_quotient(alpha, beta)
+        return
+    q = round_quotient(alpha, beta)
+    r = alpha - q * beta
+    assert r.norm_abs() < beta.norm_abs()
+    assert r.norm_abs() <= ROUNDING_BOUND[tag] * beta.norm_abs()
+    if alpha.norm_abs() >= beta.norm_abs():
+        assert not q.is_zero()
+    # euclid_divmod starts from this quotient and moves it by at most one
+    # in each coordinate
+    q2, _ = euclid_divmod(alpha, beta)
+    assert abs(q2.a - q.a) <= 1 and abs(q2.b - q.b) <= 1
+
+
+def test_round_quotient_rejects_mixed_tags():
+    with pytest.raises(DomainError):
+        round_quotient(RingElem(FieldTag.ROOT_FIVE, 1),
+                       RingElem(FieldTag.ROOT_TWO, 1))
+
+
+# -- exponent literals ---------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["1e999999", "1E5", "2.5e1", "3/1e2",
+                                  "1e3*w", "-7e0"])
+def test_exponent_literals_are_rejected(text):
+    # Fraction would read these, and 1e999999 alone builds a million-digit
+    # integer; the parser refuses them before any arithmetic
+    for tag in ALL_TAGS:
+        with pytest.raises(ParseInputError, match="exponent"):
+            parse_field_elem(text, tag)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("12", Fraction(12)), ("-3/4", Fraction(-3, 4)), ("1.25", Fraction(5, 4)),
+    (".5", Fraction(1, 2)), ("0.0", Fraction(0)),
+])
+def test_integers_ratios_and_decimals_still_parse(text, value):
+    for tag in ALL_TAGS:
+        assert parse_field_elem(text, tag) == FieldElem(tag, value)
+    tau = FieldTag.ROOT_FIVE
+    assert parse_field_elem(f"{text}*w", tau) == FieldElem(tau, 0, value)
