@@ -195,8 +195,8 @@ def cmd_sigma(cfg: Config, args) -> int:
     q_star = reduced_representative(order, q)
     submodule, sigma = csm_bruteforce(gamma_of(order), q)
     if order.maximal:
-        # q_star is reduced already: the formula's reduction strips nothing
-        by_formula = sigma_index(order, q_star)
+        # the index formula, on the generator reduced above
+        by_formula = q_star.nr().to_ring().norm_abs()
         if by_formula != sigma:
             print(f"error: rotation {args.rotation!r}, reduced generator "
                   f"{format_quat(q_star)}: index {sigma} by intersection "

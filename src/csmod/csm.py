@@ -11,7 +11,6 @@ verifier for the module identities the correspondence rests on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -25,21 +24,16 @@ from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
                     norm_class_reps, splitting_class)
 
 
-def _scaled_into(order: QuatOrder, q: Quat) -> Quat:
-    """Clear denominators so q lands in the order; R(q) is unchanged."""
+def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
+    """Rescale q into the order and strip content and two-sided factors.
+
+    Every order here contains 1, i, j and k, so q's numerators over 1
+    lie in it; when q does too, the content strips the positive integer
+    between them again.  One coordinate solve, and R(q) is unchanged.
+    """
     if q.is_zero():
         raise DomainError("the zero quaternion defines no rotation")
-    if order.contains(q):
-        return q
-    q = q * math.lcm(*(c.den for c in q.coords()))
-    if not order.contains(q):
-        raise DomainError("quaternion cannot be rescaled into the order")
-    return q
-
-
-def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
-    """Rescale q into the order and strip content and two-sided factors."""
-    return order.reduce_generator(_scaled_into(order, q))
+    return order.reduce_generator(Quat.ratio(q.num, 1))
 
 
 def sigma_index(order: QuatOrder, q: Quat) -> int:

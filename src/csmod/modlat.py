@@ -35,6 +35,8 @@ from .rings import (
     RingElem,
     as_field,
     canonical_residue,
+    lowest_terms,
+    ring_columns,
     round_quotient,
 )
 
@@ -78,7 +80,7 @@ class OModule:
         return tuple(FieldElem.ratio(self.cols[r][r], self.den)
                      for r in range(self.rank))
 
-    def _solve(self, nums, den: int):
+    def solve(self, nums, den: int):
         """Ring coordinates of the vector nums/den, or None if outside."""
         # sum_c x_c * cols[c] must equal nums * self.den / den
         g = gcd(self.den, den)
@@ -102,18 +104,15 @@ class OModule:
 
     def coordinates(self, vector):
         """Ring coordinates of vector in this basis, or None if outside."""
-        n = self.rank
-        if len(vector) != n:
-            raise DomainError(f"expected a vector of length {n}")
-        den, (nums,) = _ring_columns(self.tag, n, [vector])
-        return self._solve(nums, den)
+        den, (nums,) = ring_columns(self.tag, self.rank, [vector])
+        return self.solve(nums, den)
 
     def contains(self, vector) -> bool:
         return self.coordinates(vector) is not None
 
     def contains_module(self, other: "OModule") -> bool:
         _check_compatible(self, other)
-        return all(self._solve(col, other.den) is not None
+        return all(self.solve(col, other.den) is not None
                    for col in other.cols)
 
     def json_columns(self) -> list[list[str]]:
@@ -162,30 +161,6 @@ def _scaled(columns, factor: int):
     if factor == 1:
         return columns
     return [[e * factor for e in col] for col in columns]
-
-
-def _ring_columns(tag: FieldTag, n: int, vectors):
-    """(den, ring columns): vectors of length n with entries of the field
-    tagged tag, written as ring columns over their least denominator."""
-    pairs = []
-    for vec in vectors:
-        if len(vec) != n:
-            raise DomainError(f"expected generators of length {n}")
-        col = []
-        for e in vec:
-            if e.__class__ is RingElem:
-                if e.tag is not tag:
-                    raise DomainError("mixed field tags")
-                col.append((e, 1))
-            elif e.__class__ is int:
-                col.append((RingElem(tag, e), 1))
-            else:
-                f = as_field(tag, e)
-                col.append((f.num, f.den))
-        pairs.append(col)
-    den = lcm(*(d for col in pairs for _, d in col))
-    return den, [[e if d == den else e * (den // d) for e, d in col]
-                 for col in pairs]
 
 
 def _echelon(columns, nrows: int, track: bool = False):
@@ -262,7 +237,7 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
     if den < 1:
         raise DomainError("the denominator must be a positive integer")
     n = ambient.dim
-    scale, cols = _ring_columns(tag, n, generators)
+    scale, cols = ring_columns(tag, n, generators)
     if not cols:
         raise DomainError("no generators")
     den *= scale
@@ -281,12 +256,9 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
             q, _ = canonical_residue(col[r], basis[r][r])
             if not q.is_zero():
                 _col_submul(col, q, basis[r])
-    g = gcd(den, *(x for col in basis for e in col for x in (e.a, e.b)))
-    if g != 1:
-        basis = [[RingElem(tag, e.a // g, e.b // g) for e in col]
-                 for col in basis]
-        den //= g
-    return OModule(tag, ambient, basis, den)
+    flat, den = lowest_terms([e for col in basis for e in col], den)
+    return OModule(tag, ambient, [flat[c:c + n] for c in range(0, n * n, n)],
+                   den)
 
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:

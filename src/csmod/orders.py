@@ -36,7 +36,8 @@ from operator import mul
 from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, hnf_canonical, im_project
 from .quat import Quat, hamilton_product
-from .rings import FieldElem, FieldTag, RingElem, norm_class_reps, ring_gcd
+from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
+                    ring_columns, ring_gcd)
 from .series import coefficient
 
 DEFAULT_ENUM_CAP = 10_000
@@ -138,7 +139,7 @@ class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_nb", "_search", "_enum_cache", "_units", "_columns",
+                 "_zgen", "_nb", "_search", "_enum_cache", "_units",
                  "_structure", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
@@ -146,10 +147,15 @@ class QuatOrder:
         self.field_tag = field_tag
         self.basis = tuple(basis)
         self.maximal = maximal
-        self.module = hnf_canonical(
-            field_tag, Ambient.QUAT, [b.coords() for b in self.basis]
-        )
-        den, rows = self._zgen_numerators()
+        # the Z-basis, the basis followed by omega times the basis, as
+        # rows of ring numerators over one integer den
+        den, rows = ring_columns(field_tag, 4,
+                                 [b.coords() for b in self.basis])
+        self.module = hnf_canonical(field_tag, Ambient.QUAT, rows, den)
+        if field_tag.degree == 2:
+            omega = RingElem.omega(field_tag)
+            rows += [[e * omega for e in row] for row in rows]
+        self._zgen = den, rows
         # 2*nr(q) = A + B*omega is an integral form on the Z-basis; the
         # search runs on its trace, and then B alone fixes nr(q)
         rank = len(rows)
@@ -166,7 +172,6 @@ class QuatOrder:
         self._search = _ldl(gram)
         self._enum_cache = {}
         self._units = None
-        self._columns = None
         self._structure = None
         self._im_module = None
 
@@ -187,7 +192,7 @@ class QuatOrder:
 
     def coordinates(self, q: Quat):
         self._check_tag(q)
-        return self.module.coordinates(q.coords())
+        return self.module.solve(q.num, q.den)
 
     def contains(self, q: Quat) -> bool:
         return self.coordinates(q) is not None
@@ -260,9 +265,10 @@ class QuatOrder:
         self._check_tag(q)
         if q.is_zero():
             raise DomainError("zero generates no full-rank ideal")
+        den, rows = self._zgen
         return hnf_canonical(
             self.field_tag, Ambient.QUAT,
-            [(q * b).coords() for b in self.basis],
+            [hamilton_product(q.num, row) for row in rows[:4]], q.den * den,
         )
 
     def conjugated_order_module(self, q: Quat) -> OModule:
@@ -285,43 +291,22 @@ class QuatOrder:
         return [v for v in vectors if twice_b == sum(
             vs * sum(map(mul, row, v)) for vs, row in zip(v, nb))]
 
-    def _ring_coords(self, v):
-        """Ring coordinates on the basis of the element with Z-coordinates
-        v (the first four are the integer parts, the rest the omega parts)."""
-        tag = self.field_tag
-        return tuple(RingElem(tag, a, b)
-                     for a, b in zip(v[:4], v[4:] or (0, 0, 0, 0)))
-
     def _is_primitive(self, v) -> bool:
-        """Whether the element with Z-coordinates v has unit content."""
-        return self._content_of(self._ring_coords(v)).is_unit()
-
-    def _zgen_numerators(self):
-        """(den, rows): the Z-basis, the basis followed by omega times the
-        basis, as quaternions of ring numerators over one integer den."""
-        den = lcm(*(c.den for b in self.basis for c in b.coords()))
-        rows = [[c.num * (den // c.den) for c in b.coords()]
-                for b in self.basis]
-        if self.field_tag.degree == 2:
-            omega = RingElem.omega(self.field_tag)
-            rows += [[e * omega for e in row] for row in rows]
-        return den, rows
+        """Whether the element with Z-coordinates v has unit content; its
+        ring coordinates on the basis pair the first four entries of v,
+        the integer parts, with the rest, the omega parts."""
+        tag = self.field_tag
+        return self._content_of([RingElem(tag, a, b) for a, b in zip(
+            v[:4], v[4:] or (0, 0, 0, 0))]).is_unit()
 
     def _element(self, v) -> Quat:
-        """The quaternion with Z-coordinates v."""
-        if self._columns is None:
-            # per quaternion coordinate, the integer and omega parts of
-            # the Z-basis numerators, so that a coordinate of the element
-            # is two integer dot products over den
-            den, rows = self._zgen_numerators()
-            self._columns = den, [(tuple(e.a for e in col),
-                                   tuple(e.b for e in col))
-                                  for col in zip(*rows)]
-        den, columns = self._columns
+        """The quaternion with Z-coordinates v: each coordinate's ring
+        numerator is two integer dot products with the Z-basis rows."""
+        den, rows = self._zgen
         tag = self.field_tag
-        return Quat(tag, *(FieldElem.ratio(RingElem(
-            tag, sum(map(mul, v, a)), sum(map(mul, v, b))), den)
-            for a, b in columns))
+        return Quat.ratio([RingElem(tag, sum(x * e.a for x, e in zip(v, col)),
+                                    sum(x * e.b for x, e in zip(v, col)))
+                           for col in zip(*rows)], den)
 
     def _unit_vectors(self):
         """The Z-coordinates of the norm-one units, in search order."""
@@ -343,10 +328,9 @@ class QuatOrder:
         rank = 4 * degree
         # quaternion coordinates to ring coordinates on the basis: the
         # inverse of the basis matrix, as ring numerators over scale
-        inv = _field_inverse([b.coords() for b in self.basis])
-        scale = lcm(*(x.den for row in inv for x in row))
-        inv = [[x.num * (scale // x.den) for x in row] for row in inv]
-        den, rows = self._zgen_numerators()
+        scale, inv = ring_columns(
+            tag, 4, _field_inverse([b.coords() for b in self.basis]))
+        den, rows = self._zgen
         scale *= den * den
         omega = RingElem.omega(tag)
         powers = (RingElem(tag, 1), omega, omega * omega)

@@ -1,21 +1,22 @@
 """Quaternions with exact field coordinates and the Cayley rotation map.
 
-A quaternion is stored in the basis {1, i, j, k} with FieldElem
-coordinates, each a ring numerator over an integer denominator, so every
-derived quantity (reduced norm, rotation matrix, cosine of the rotation
-angle) stays exact.  The Cayley formula is written once, in
-rotation_numerators, on the ring numerators of q: it gives R(q) as a
-ring matrix over one ring element, which the module code uses as it is
-and cayley_matrix divides out.  Nothing here normalizes by content or
-units; that belongs to the order layer.
+A quaternion is stored in the basis {1, i, j, k} as four ring
+numerators over one positive integer denominator in lowest terms, as
+FieldElem and OModule columns are, so every derived quantity (reduced
+norm, rotation matrix, cosine of the rotation angle) comes from integer
+ring arithmetic and stays exact; the FieldElem coordinates are read-only
+views.  The Cayley formula is written once, in rotation_numerators, on
+the ring numerators of q: it gives R(q) as a ring matrix over one ring
+element, which the module code uses as it is and cayley_matrix divides
+out.  Nothing here normalizes by content or units; that belongs to the
+order layer.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import DomainError, ParseInputError
-from .rings import FieldElem, FieldTag, _split_terms, as_field, parse_field_elem
+from .rings import (FieldElem, FieldTag, _signed_terms, as_field,
+                    lowest_terms, parse_field_elem, ring_columns)
 
 
 def hamilton_product(a, b):
@@ -30,19 +31,36 @@ def hamilton_product(a, b):
 
 
 class Quat:
-    """Quaternion x0 + x1*i + x2*j + x3*k over one of the base fields.
+    """Quaternion (num[0] + num[1]*i + num[2]*j + num[3]*k)/den over one
+    of the base fields.
 
-    Instances are treated as immutable; arithmetic returns new objects.
+    num holds four RingElems and den is a positive int, in lowest terms,
+    so equal quaternions have equal parts.  Instances are treated as
+    immutable; arithmetic returns new objects.  The constructor takes
+    the four coordinates as field elements, ring elements or rationals.
     """
 
-    __slots__ = ("tag", "x0", "x1", "x2", "x3")
+    __slots__ = ("tag", "num", "den")
 
     def __init__(self, tag: FieldTag, x0, x1=0, x2=0, x3=0):
         self.tag = tag
-        self.x0 = as_field(tag, x0)
-        self.x1 = as_field(tag, x1)
-        self.x2 = as_field(tag, x2)
-        self.x3 = as_field(tag, x3)
+        self.den, (self.num,) = ring_columns(tag, 4, ((x0, x1, x2, x3),))
+
+    @classmethod
+    def _new(cls, tag: FieldTag, num, den: int) -> "Quat":
+        # num/den must already be in lowest terms with den > 0
+        q = object.__new__(cls)
+        q.tag = tag
+        q.num = num
+        q.den = den
+        return q
+
+    @classmethod
+    def ratio(cls, num, den: int) -> "Quat":
+        """num/den in lowest terms, for four RingElems num of one field
+        and a nonzero int den."""
+        num, den = lowest_terms(num, den)
+        return cls._new(num[0].tag, num, den)
 
     @classmethod
     def zero(cls, tag: FieldTag) -> "Quat":
@@ -68,8 +86,14 @@ class Quat:
     def scalar(cls, tag: FieldTag, value) -> "Quat":
         return cls(tag, value)
 
+    # read-only views of the coordinates as field elements
+    x0, x1, x2, x3 = (property(lambda q, i=i: FieldElem.ratio(q.num[i], q.den))
+                      for i in range(4))
+
     def coords(self) -> tuple[FieldElem, FieldElem, FieldElem, FieldElem]:
-        return (self.x0, self.x1, self.x2, self.x3)
+        """The four coordinates as field elements, a read-only view."""
+        den = self.den
+        return tuple(FieldElem.ratio(e, den) for e in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Quat):
@@ -77,16 +101,19 @@ class Quat:
                 raise DomainError("mixed field tags")
             return other
         try:
-            return Quat(self.tag, as_field(self.tag, other))
+            return Quat(self.tag, other)
         except TypeError:
             return NotImplemented
+
+    # The operators work on the numerators and reduce the result once.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Quat(self.tag, self.x0 + o.x0, self.x1 + o.x1,
-                    self.x2 + o.x2, self.x3 + o.x3)
+        return Quat.ratio([x * o.den + y * self.den
+                           for x, y in zip(self.num, o.num)],
+                          self.den * o.den)
 
     __radd__ = __add__
 
@@ -94,17 +121,13 @@ class Quat:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Quat(self.tag, self.x0 - o.x0, self.x1 - o.x1,
-                    self.x2 - o.x2, self.x3 - o.x3)
+        return self + -o
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return -self + other
 
     def __neg__(self):
-        return Quat(self.tag, -self.x0, -self.x1, -self.x2, -self.x3)
+        return Quat._new(self.tag, tuple(-e for e in self.num), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Quat):
@@ -112,11 +135,12 @@ class Quat:
                 s = as_field(self.tag, other)
             except TypeError:
                 return NotImplemented
-            return Quat(self.tag, self.x0 * s, self.x1 * s,
-                        self.x2 * s, self.x3 * s)
+            return Quat.ratio([e * s.num for e in self.num],
+                              self.den * s.den)
         if other.tag is not self.tag:
             raise DomainError("mixed field tags")
-        return Quat(self.tag, *hamilton_product(self.coords(), other.coords()))
+        return Quat.ratio(hamilton_product(self.num, other.num),
+                          self.den * other.den)
 
     __rmul__ = __mul__  # only reached for scalars, which commute
 
@@ -128,15 +152,17 @@ class Quat:
         return self * s.inverse()
 
     def conj(self) -> "Quat":
-        return Quat(self.tag, self.x0, -self.x1, -self.x2, -self.x3)
+        a0, a1, a2, a3 = self.num
+        return Quat._new(self.tag, (a0, -a1, -a2, -a3), self.den)
 
     def nr(self) -> FieldElem:
         """Reduced norm, the sum of the squared coordinates."""
-        a0, a1, a2, a3 = self.coords()
-        return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        a0, a1, a2, a3 = self.num
+        return FieldElem.ratio(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3,
+                               self.den * self.den)
 
     def trace(self) -> FieldElem:
-        return self.x0 + self.x0
+        return FieldElem.ratio(self.num[0] * 2, self.den)
 
     def inverse(self) -> "Quat":
         n = self.nr()
@@ -145,22 +171,19 @@ class Quat:
         return self.conj() / n
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords())
+        return all(e.is_zero() for e in self.num)
 
     def is_scalar(self) -> bool:
-        return self.x1.is_zero() and self.x2.is_zero() and self.x3.is_zero()
-
-    def is_pure(self) -> bool:
-        return self.x0.is_zero()
+        return all(e.is_zero() for e in self.num[1:])
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, Quat) else other
-        if o is NotImplemented or not isinstance(o, Quat):
+        o = other if isinstance(other, Quat) else self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return self.tag is o.tag and self.coords() == o.coords()
+        return self.tag is o.tag and self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.tag, self.coords()))
+        return hash((self.tag, self.num, self.den))
 
     def __str__(self):
         return format_quat(self)
@@ -255,12 +278,10 @@ def rotation_numerators(q: Quat):
     """(rows, n): a 3x3 ring matrix N, as rows, and the ring element
     n = nr of q's ring numerators, with R(q) = N/n.
 
-    q is written as ring numerators over one integer denominator; that
-    denominator cancels, since R(q) is invariant under rescaling q.
+    q's integer denominator cancels, since R(q) is invariant under
+    rescaling q.
     """
-    coords = q.coords()
-    den = lcm(*(c.den for c in coords))
-    k, l, m, v = (c.num * (den // c.den) for c in coords)
+    k, l, m, v = q.num
     kk, ll, mm, vv = k * k, l * l, m * m, v * v
     kl, km, kv = k * l, k * m, k * v
     lm, lv, mv = l * m, l * v, m * v
@@ -324,14 +345,7 @@ def parse_quat(text: str, tag: FieldTag) -> Quat:
     if not stripped:
         raise ParseInputError("empty quaternion")
     coords = [FieldElem(tag, 0) for _ in range(4)]
-    for term in _split_terms(stripped):
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ParseInputError(f"dangling sign in {text!r}")
+    for sign, term in _signed_terms(text, stripped):
         if term in _UNIT_INDEX:
             idx, coeff = _UNIT_INDEX[term], FieldElem(tag, 1)
         elif len(term) >= 3 and term[-2] == "*" and term[-1] in _UNIT_INDEX:

@@ -260,13 +260,10 @@ class FieldElem:
             self.den = 1
             return
         a, b = Fraction(a), Fraction(b)
-        # lowest terms: each prime power in den is the full power in the
-        # reduced denominator of a or of b, whose scaled numerator is then
-        # prime to it
-        den = lcm(a.denominator, b.denominator)
-        self.num = RingElem(tag, a.numerator * (den // a.denominator),
-                            b.numerator * (den // b.denominator))
-        self.den = den
+        x = FieldElem.ratio(RingElem(tag, a.numerator * b.denominator,
+                                     b.numerator * a.denominator),
+                            a.denominator * b.denominator)
+        self.num, self.den = x.num, x.den
 
     @classmethod
     def _new(cls, num: RingElem, den: int) -> "FieldElem":
@@ -398,10 +395,6 @@ class FieldElem:
             raise DomainError(f"{self} is not integral")
         return self.num
 
-    def denominator_lcm(self) -> int:
-        """Least positive integer that makes self integral."""
-        return self.den
-
     def __eq__(self, other):
         if isinstance(other, FieldElem):
             return self.den == other.den and self.num == other.num
@@ -445,6 +438,37 @@ def as_field(tag: FieldTag, value) -> FieldElem:
     if isinstance(value, Rational):
         return FieldElem(tag, value)
     raise TypeError(f"cannot interpret {value!r} as a field element")
+
+
+def ring_columns(tag: FieldTag, n: int, vectors):
+    """(den, columns): vectors of length n with entries of the field
+    tagged tag (see as_field), written as tuples of ring numerators over
+    their least common denominator.  That is in lowest terms, as each
+    entry is: a prime power in den is the full power in the denominator
+    of some entry, whose scaled numerator is then prime to it."""
+    cols = []
+    for vec in vectors:
+        if len(vec) != n:
+            raise DomainError(f"expected vectors of length {n}")
+        cols.append([as_field(tag, e) for e in vec])
+    den = lcm(*(f.den for col in cols for f in col))
+    return den, [tuple(f.num if f.den == den else f.num * (den // f.den)
+                       for f in col) for col in cols]
+
+
+def lowest_terms(nums, den: int):
+    """(nums, den) for the vector nums/den of ring numerators over a
+    nonzero int den, divided through so that den > 0 and den has no
+    common factor with all the integer coefficients of nums."""
+    if den < 0:
+        nums, den = [-e for e in nums], -den
+    elif den == 0:
+        raise ZeroDivisionError("vector with denominator 0")
+    g = gcd(den, *(x for e in nums for x in (e.a, e.b)))
+    if g != 1:
+        nums = [RingElem(e.tag, e.a // g, e.b // g) for e in nums]
+        den //= g
+    return tuple(nums), den
 
 
 def _round_half_up(n: int, d: int) -> int:
@@ -783,6 +807,16 @@ def _parse_rational(text: str) -> Fraction:
         raise ParseInputError(f"bad rational literal {text!r}") from exc
 
 
+def _signed_terms(text: str, stripped: str):
+    """(sign, term) for each top-level term of stripped, the text
+    without spaces, with the term's leading signs folded into sign."""
+    for term in _split_terms(stripped):
+        body = term.lstrip("+-")
+        if not body:
+            raise ParseInputError(f"dangling sign in {text!r}")
+        yield (-1) ** term.count("-", 0, len(term) - len(body)), body
+
+
 def parse_field_elem(text: str, tag: FieldTag) -> FieldElem:
     """Parse 'a', 'a+b*w', 'a/c - b/d*w' (w = tau or sqrt(2) by tag)."""
     stripped = text.replace(" ", "")
@@ -790,14 +824,7 @@ def parse_field_elem(text: str, tag: FieldTag) -> FieldElem:
         raise ParseInputError("empty ring element")
     a = Fraction(0)
     b = Fraction(0)
-    for term in _split_terms(stripped):
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ParseInputError(f"dangling sign in {text!r}")
+    for sign, term in _signed_terms(text, stripped):
         factors = term.split("*")
         has_w = "w" in factors
         numeric = [f for f in factors if f != "w"]

@@ -95,14 +95,35 @@ def test_sigma_error_codes(capsys):
 
 def test_sigma_index_mismatch_exits_1(capsys, monkeypatch):
     # the formula cross-check is an explicit test, so it also runs under -O
-    monkeypatch.setattr("csmod.cli.sigma_index", lambda order, q: 7)
+    bruteforce = csmod.cli.csm_bruteforce
+    monkeypatch.setattr("csmod.cli.csm_bruteforce",
+                        lambda gamma, q: (bruteforce(gamma, q)[0], 7))
     code = main(["sigma", "--order", "hurwitz", "--", "-2+i"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "'-2+i'" in captured.err
     assert "reduced generator -2+i" in captured.err
-    assert "index 5 by intersection but 7 by the formula" in captured.err
+    assert "index 7 by intersection but 5 by the formula" in captured.err
+
+
+@pytest.mark.parametrize("order, rotation", [
+    ("hurwitz", "2+i"), ("hurwitz", "1,0,0; 0,3/5,-4/5; 0,4/5,3/5"),
+    ("hurwitz", "1/2+1/2*i+1/2*j+1/2*k"), ("icosian", "1+w*i+j"),
+    ("octahedral", "1+w*i"), ("lipschitz-q", "3+i+k")])
+def test_sigma_reduces_the_generator_once(capsys, monkeypatch, order,
+                                          rotation):
+    calls = []
+    reduce = csmod.orders.QuatOrder.reduce_generator
+
+    def counted(self, q):
+        calls.append(q)
+        return reduce(self, q)
+
+    monkeypatch.setattr(csmod.orders.QuatOrder, "reduce_generator", counted)
+    assert main(["sigma", "--order", order, rotation]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # argparse would take a rotation that starts with "-" for an option

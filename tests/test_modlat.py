@@ -95,9 +95,7 @@ def flatten_pair(msuper, msub):
     scale = 1
     for col in msuper.basis + msub.basis:
         for e in col:
-            scale = scale * e.denominator_lcm() // __import__("math").gcd(
-                scale, e.denominator_lcm()
-            )
+            scale = scale * e.den // __import__("math").gcd(scale, e.den)
 
     def flat_cols(module):
         out = []

@@ -419,16 +419,22 @@ def test_unit_vectors_are_the_keys_of_the_units(factory):
 ])
 def test_enumeration_builds_quaternions_per_ideal(factory, m, monkeypatch):
     # the unit set-up, the orbits and the points stay in integers: a fresh
-    # order builds one Quat per representative and multiplies none
+    # order builds one Quat per representative and multiplies none; every
+    # Quat is made by the constructor or by Quat._new
     base = factory()
     order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
     built = products = 0
-    init, product = Quat.__init__, Quat.__mul__
+    init, new, product = Quat.__init__, Quat._new.__func__, Quat.__mul__
 
     def counting_init(self, *args):
         nonlocal built
         built += 1
         init(self, *args)
+
+    def counting_new(cls, *args):
+        nonlocal built
+        built += 1
+        return new(cls, *args)
 
     def counting_product(self, other):
         nonlocal products
@@ -436,6 +442,7 @@ def test_enumeration_builds_quaternions_per_ideal(factory, m, monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(Quat, "__init__", counting_init)
+    monkeypatch.setattr(Quat, "_new", classmethod(counting_new))
     monkeypatch.setattr(Quat, "__mul__", counting_product)
     reps = order.enumerate_by_index(m)
     monkeypatch.undo()

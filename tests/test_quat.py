@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from csmod.quat import (
     axis_angle,
     cayley_matrix,
     format_quat,
+    hamilton_product,
     im_re,
     parse_quat,
 )
@@ -301,3 +303,49 @@ def test_scalar_product_rejects_other_operands(tag):
                 q * s
             with pytest.raises(DomainError):
                 s * q
+
+
+@st.composite
+def field_quads(draw):
+    """A tag, two coordinate 4-tuples of FieldElems (sometimes with every
+    omega part 0) and a small positive integer."""
+    tag = draw(st.sampled_from(TAGS))
+    rational = tag.degree == 1 or draw(st.booleans())
+
+    def elem():
+        return FieldElem(tag, draw(rationals),
+                         0 if rational else draw(rationals))
+    return (tag, tuple(elem() for _ in range(4)),
+            tuple(elem() for _ in range(4)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_quads())
+def test_numerator_quaternions_match_field_coordinates(case):
+    tag, a, b, k = case
+    p, q = Quat(tag, *a), Quat(tag, *b)
+    # products, sums and norms agree with the per-coordinate reference
+    assert p.coords() == a
+    assert (p * q).coords() == hamilton_product(a, b)
+    assert (p + q).coords() == tuple(x + y for x, y in zip(a, b))
+    assert (p - q).coords() == tuple(x - y for x, y in zip(a, b))
+    assert p.nr() == sum((x * x for x in a), FieldElem(tag, 0))
+    for r in (p, p * q, p + q, p - q):
+        assert r.den >= 1
+        assert math.gcd(r.den, *(x for e in r.num for x in (e.a, e.b))) == 1
+    # equal quaternions built by different routes have equal parts
+    den = k * math.lcm(*(x.den for x in a))
+    nums = [x.num * (den // x.den) for x in a]
+    routes = [
+        Quat.ratio(nums, den),
+        Quat.ratio([-e for e in nums], -den),
+        Quat(tag, *nums) * Quat(tag, Fraction(1, den)),
+        Quat(tag, *nums) / den,
+        (p * Quat.scalar(tag, den)) * Quat.one(tag) / den,
+    ]
+    if all(x.num.b == 0 for x in a):
+        routes.append(Quat(tag, *(x.a for x in a)))             # Fractions
+        routes.append(Quat(tag, *(e.a for e in nums)) / den)    # ints
+    for r in routes:
+        assert (r.tag, r.num, r.den) == (p.tag, p.num, p.den)
+        assert r == p and hash(r) == hash(p)
