@@ -13,9 +13,12 @@ identical pairs whatever the denominator of their generators, which
 makes modules directly comparable and hashable.
 
 All module algebra (echelon forms, kernels, intersections, indices and
-membership) runs in ring arithmetic on the numerators; membership is
-an integer triangular solve.  Field elements appear only in the
-read-only `basis` view, for printing.
+membership) runs on plain integers: a column is a flat list [a0, b0,
+a1, b1, ...], one pair (a, b) per entry a + b*omega, and each call reads
+the omega^2 rule of its field once.  RingElems appear only in the
+canonical normalisation of the pivots and the entries above them, and in
+the columns of the resulting OModule; field elements only in the
+read-only `basis` view, for printing.  Membership is a triangular solve.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -36,8 +39,10 @@ from .rings import (
     as_field,
     canonical_residue,
     lowest_terms,
+    pair_exact_div,
+    pair_norm,
+    pair_round_quotient,
     ring_columns,
-    round_quotient,
 )
 
 
@@ -82,25 +87,27 @@ class OModule:
 
     def solve(self, nums, den: int):
         """Ring coordinates of the vector nums/den, or None if outside."""
+        x = self._solve([_pairs(col) for col in self.cols], _pairs(nums), den)
+        return None if x is None else _elems(self.tag, x)
+
+    def _solve(self, cols, nums, den: int):
+        """solve on pairs, given the flat columns cols of this module."""
         # sum_c x_c * cols[c] must equal nums * self.den / den
         g = gcd(self.den, den)
         up, down = self.den // g, den // g
-        rest = []
-        for e in nums:
-            a, b = e.a * up, e.b * up
-            if a % down or b % down:
+        if down != 1 and any(x * up % down for x in nums):
+            return None
+        rest = [x * up // down for x in nums]
+        c, e = self.tag._omega_sq
+        coeffs = [0] * len(rest)
+        for i in range(len(rest) - 2, -1, -2):
+            col = cols[i // 2]
+            q = pair_exact_div(rest[i], rest[i + 1], col[i], col[i + 1], c, e)
+            if q is None:
                 return None
-            rest.append(RingElem(self.tag, a // down, b // down))
-        coeffs = [None] * len(rest)
-        for r in range(len(rest) - 1, -1, -1):
-            col = self.cols[r]
-            c = rest[r].exact_div(col[r])
-            if c is None:
-                return None
-            coeffs[r] = c
-            if not c.is_zero():
-                _col_submul(rest, c, col[:r])
-        return tuple(coeffs)
+            coeffs[i], coeffs[i + 1] = q
+            _col_submul(rest, *q, col[:i], c, e)    # the rows above
+        return coeffs
 
     def coordinates(self, vector):
         """Ring coordinates of vector in this basis, or None if outside."""
@@ -112,7 +119,8 @@ class OModule:
 
     def contains_module(self, other: "OModule") -> bool:
         _check_compatible(self, other)
-        return all(self.solve(col, other.den) is not None
+        cols = [_pairs(col) for col in self.cols]
+        return all(self._solve(cols, _pairs(col), other.den) is not None
                    for col in other.cols)
 
     def json_columns(self) -> list[list[str]]:
@@ -143,90 +151,87 @@ def _check_compatible(m1: OModule, m2: OModule) -> None:
         raise DomainError("ambient spaces differ")
 
 
-def _col_submul(col, q: RingElem, src) -> None:
-    """col -= q * src, entry by entry, on the integer coefficients."""
-    tag = q.tag
-    c, e = tag._omega_sq    # omega^2 = c + e*omega
-    qa, qb = q.a, q.b
-    for idx, y in enumerate(src):
-        if y.a or y.b:
-            x = col[idx]
-            bb = qb * y.b
-            col[idx] = RingElem(tag, x.a - qa * y.a - c * bb,
-                                x.b - qa * y.b - qb * y.a - e * bb)
+def _pairs(entries, factor: int = 1) -> list[int]:
+    """Ring elements as one flat list of integer pairs, times an int."""
+    out = []
+    for y in entries:
+        out += y.a * factor, y.b * factor
+    return out
 
 
-def _scaled(columns, factor: int):
-    """The ring columns multiplied by a positive integer."""
-    if factor == 1:
-        return columns
-    return [[e * factor for e in col] for col in columns]
+def _elems(tag: FieldTag, flat) -> tuple[RingElem, ...]:
+    """A flat list of integer pairs as ring elements."""
+    return tuple(RingElem(tag, a, b) for a, b in zip(flat[::2], flat[1::2]))
 
 
-def _echelon(columns, nrows: int, track: bool = False):
-    """Eliminate columns to triangular form by Euclidean operations.
+def _col_submul(col, qa: int, qb: int, src, c: int, e: int) -> None:
+    """col -= (qa + qb*omega) * src on flat pairs; omega^2 = c + e*omega."""
+    # q*(ya + yb*omega) = (qa*ya + c*qb*yb) + (qb*ya + (qa + e*qb)*yb)*omega
+    cqb, qae = c * qb, qa + e * qb
+    i = 0
+    it = iter(src)
+    for ya in it:
+        yb = next(it)
+        if ya or yb:
+            col[i] -= qa * ya + cqb * yb
+            col[i + 1] -= qb * ya + qae * yb
+        i += 2
+
+
+def _combination(x, columns, c: int, e: int) -> list[int]:
+    """sum_k x_k * columns[k], x_k the pairs of the flat list x."""
+    out = [0] * len(columns[0])
+    for k, col in enumerate(columns):
+        xa, xb = x[2 * k], x[2 * k + 1]
+        if xa or xb:
+            _col_submul(out, -xa, -xb, col, c, e)
+    return out
+
+
+def _echelon(columns, nrows: int, c: int, e: int, track: int = 0):
+    """Eliminate flat columns to triangular form by Euclidean operations.
 
     Each step subtracts from a column the pivot column times the rounded
-    quotient of their entries (rings.round_quotient), which leaves that
-    entry below the pivot in absolute norm, so the least norm on the row
-    falls until one nonzero entry is left.  The steps change the columns
-    but not the module they span, so hnf_canonical does not depend on
-    them.
+    quotient of their entries, which leaves that entry below the pivot in
+    absolute norm, so the least norm on the row falls until one nonzero
+    entry is left.  The steps change the columns but not the module they
+    span, so hnf_canonical does not depend on them.
 
     Returns (pivots, spare): pivots maps row r to the (column, transform)
     pair whose lowest nonzero entry sits on row r; spare holds the pairs
-    eliminated to zero.  Transform columns express each output column as
-    a ring combination of the input columns (identity when track=False,
-    where they are simply None).
+    eliminated to zero.  A transform holds the first track coefficients
+    of the column as a combination of the input columns.
     """
-    ncols = len(columns)
-    pairs = []
-    for j, col in enumerate(columns):
-        tr = None
-        if track:
-            tag = col[0].tag
-            tr = [RingElem(tag, int(i == j)) for i in range(ncols)]
-        pairs.append((list(col), tr))
+    pairs = [(list(col), [int(k == 2 * j) for k in range(2 * track)])
+             for j, col in enumerate(columns)]
     pivots = {}
-    for r in range(nrows - 1, -1, -1):
+    for i in range(2 * nrows - 2, -1, -2):
         while True:
-            nz = [p for p in pairs if not p[0][r].is_zero()]
+            nz = [p for p in pairs if p[0][i] or p[0][i + 1]]
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda p: p[0][r].norm_abs())
-            piv = nz[0]
-            for other in nz[1:]:
-                q = round_quotient(other[0][r], piv[0][r])
-                if q.is_zero():
+            nz.sort(key=lambda p: abs(pair_norm(p[0][i], p[0][i + 1], c, e)))
+            piv, ptr = nz[0]
+            ya, yb = piv[i], piv[i + 1]
+            for col, tr in nz[1:]:
+                qa, qb = pair_round_quotient(col[i], col[i + 1], ya, yb, c, e)
+                if not (qa or qb):
                     raise ArithmeticError("echelon step failed to reduce")
-                _col_submul(other[0], q, piv[0])
+                _col_submul(col, qa, qb, piv, c, e)
                 if track:
-                    _col_submul(other[1], q, piv[1])
+                    _col_submul(tr, qa, qb, ptr, c, e)
         if nz:
-            pivots[r] = nz[0]
+            pivots[i // 2] = nz[0]
             pairs.remove(nz[0])
     return pivots, pairs
 
 
-def _kernel(columns, nrows: int):
-    """Ring coefficient vectors x forming a basis of the solutions of
-    sum_c x_c * columns[c] = 0."""
-    _, spare = _echelon(columns, nrows, track=True)
-    for zero_col, _ in spare:
-        if not all(e.is_zero() for e in zero_col):
-            raise ArithmeticError("echelon left a nonzero kernel column")
-    return [tr for _, tr in spare]
-
-
-def _combination(coeffs, columns, rows) -> list[RingElem]:
-    """Rows of sum_c coeffs[c] * columns[c]."""
-    out = []
-    for r in rows:
-        acc = coeffs[0] * columns[0][r]
-        for x, col in zip(coeffs[1:], columns[1:]):
-            acc = acc + x * col[r]
-        out.append(acc)
-    return out
+def _kernel(columns, nrows: int, c: int, e: int, track: int):
+    """First track pairs of a basis of the x with sum_k x_k*columns[k] = 0."""
+    _, spare = _echelon(columns, nrows, c, e, track)
+    if any(any(col) for col, _ in spare):
+        raise ArithmeticError("echelon left a nonzero kernel column")
+    return [x for _, x in spare]
 
 
 def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
@@ -236,37 +241,40 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
     ring elements or rationals of the field tagged tag."""
     if den < 1:
         raise DomainError("the denominator must be a positive integer")
-    n = ambient.dim
-    scale, cols = ring_columns(tag, n, generators)
+    scale, cols = ring_columns(tag, ambient.dim, generators)
     if not cols:
         raise DomainError("no generators")
-    den *= scale
-    pivots, _ = _echelon(cols, n)
+    return _canonical(tag, ambient, [_pairs(col) for col in cols], den * scale)
+
+
+def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
+    """hnf_canonical for flat pair columns over a positive int den."""
+    n = ambient.dim
+    c, e = tag._omega_sq
+    pivots, _ = _echelon(cols, n, c, e)
     if len(pivots) < n:
         raise DomainError("generators do not span a full-rank module")
     basis = [pivots[r][0] for r in range(n)]
-    for r in range(n):
-        d = basis[r][r]
+    for j, col in enumerate(basis):
+        # a canonical pivot, then entries reduced by the final pivots above
+        d = RingElem(tag, col[2 * j], col[2 * j + 1])
         unit = d.canonical_associate().exact_div(d)
         if unit != 1:
-            basis[r] = [e * unit for e in basis[r]]
-    for c in range(n):
-        col = basis[c]
-        for r in range(c - 1, -1, -1):
-            q, _ = canonical_residue(col[r], basis[r][r])
+            col = basis[j] = _combination((unit.a, unit.b), [col], c, e)
+        for i in range(2 * j - 2, -1, -2):
+            piv = basis[i // 2]
+            q, _ = canonical_residue(RingElem(tag, col[i], col[i + 1]),
+                                     RingElem(tag, piv[i], piv[i + 1]))
             if not q.is_zero():
-                _col_submul(col, q, basis[r])
-    flat, den = lowest_terms([e for col in basis for e in col], den)
-    return OModule(tag, ambient, [flat[c:c + n] for c in range(0, n * n, n)],
-                   den)
+                _col_submul(col, q.a, q.b, piv, c, e)
+    flat, den = lowest_terms(_elems(tag, sum(basis, [])), den)
+    return OModule(tag, ambient, zip(*[iter(flat)] * n), den)
 
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
     n = ambient.dim
-    return hnf_canonical(
-        tag, ambient,
-        [[int(r == c) for r in range(n)] for c in range(n)],
-    )
+    return hnf_canonical(tag, ambient,
+                         [[int(r == c) for r in range(n)] for c in range(n)])
 
 
 def scale_module(module: OModule, alpha) -> OModule:
@@ -274,35 +282,31 @@ def scale_module(module: OModule, alpha) -> OModule:
     a = as_field(module.tag, alpha)
     if a.is_zero():
         raise DomainError("scaling a module by zero")
-    return hnf_canonical(
-        module.tag, module.ambient,
-        [[e * a.num for e in col] for col in module.cols],
-        module.den * a.den,
-    )
+    return hnf_canonical(module.tag, module.ambient,
+                         [[e * a.num for e in col] for col in module.cols],
+                         module.den * a.den)
 
 
 def _common_columns(m1: OModule, m2: OModule):
-    """(den, columns of m1, columns of m2), all over one denominator."""
+    """(den, the flat columns of m1 and then of -m2, all over den)."""
+    _check_compatible(m1, m2)
     den = lcm(m1.den, m2.den)
-    return (den, _scaled(m1.cols, den // m1.den),
-            _scaled(m2.cols, den // m2.den))
+    return den, ([_pairs(col, den // m1.den) for col in m1.cols]
+                 + [_pairs(col, -(den // m2.den)) for col in m2.cols])
 
 
 def module_sum(m1: OModule, m2: OModule) -> OModule:
-    _check_compatible(m1, m2)
-    den, first, second = _common_columns(m1, m2)
-    return hnf_canonical(m1.tag, m1.ambient, list(first) + list(second), den)
+    den, cols = _common_columns(m1, m2)
+    return _canonical(m1.tag, m1.ambient, cols, den)
 
 
 def intersect(m1: OModule, m2: OModule) -> OModule:
     """Intersection, via the kernel of (x, y) |-> B1*x - B2*y over the ring."""
-    _check_compatible(m1, m2)
-    n = m1.rank
-    _, first, second = _common_columns(m1, m2)
-    negated_second = [[-e for e in col] for col in second]
-    gens = [_combination(x[:n], m1.cols, range(n))
-            for x in _kernel(list(first) + negated_second, n)]
-    return hnf_canonical(m1.tag, m1.ambient, gens, m1.den)
+    den, cols = _common_columns(m1, m2)
+    c, e = m1.tag._omega_sq
+    gens = [_combination(x, cols[:m1.rank], c, e)
+            for x in _kernel(cols, m1.rank, c, e, m1.rank)]
+    return _canonical(m1.tag, m1.ambient, gens, den)
 
 
 def intersect_image(module: OModule, numer, scale: RingElem) -> OModule:
@@ -313,14 +317,14 @@ def intersect_image(module: OModule, numer, scale: RingElem) -> OModule:
     y such that C*x/den = A*(-C*y/den); the vectors C*x/den span the
     intersection.  Only that span is put in canonical form, not A*M.
     """
-    n = module.rank
-    cols = module.cols
-    kept = [[scale * e for e in col] for col in cols]
-    numer_cols = list(zip(*numer))
-    moved = [_combination(col, numer_cols, range(n)) for col in cols]
-    gens = [_combination(x[:n], cols, range(n))
-            for x in _kernel(kept + moved, n)]
-    return hnf_canonical(module.tag, module.ambient, gens, module.den)
+    c, e = module.tag._omega_sq
+    cols = [_pairs(col) for col in module.cols]
+    numer_cols = [_pairs(col) for col in zip(*numer)]
+    kept = [_combination((scale.a, scale.b), [col], c, e) for col in cols]
+    moved = [_combination(col, numer_cols, c, e) for col in cols]
+    gens = [_combination(x, cols, c, e)
+            for x in _kernel(kept + moved, module.rank, c, e, module.rank)]
+    return _canonical(module.tag, module.ambient, gens, module.den)
 
 
 @dataclass(frozen=True)
@@ -350,23 +354,24 @@ def index_K(msuper: OModule, msub: OModule) -> KIndex:
         raise DomainError("not a submodule")
     # det(msub)/det(msuper), both determinants products of pivots over den^n
     n = msuper.rank
-    num = RingElem(msuper.tag, msuper.den ** n)
-    den = RingElem(msuper.tag, msub.den ** n)
+    c, e = msuper.tag._omega_sq
+    na, nb, da, db = msuper.den ** n, 0, msub.den ** n, 0
     for r in range(n):
-        num = num * msub.cols[r][r]
-        den = den * msuper.cols[r][r]
-    ratio = num.exact_div(den)
+        x, y = msub.cols[r][r], msuper.cols[r][r]
+        na, nb = na * x.a + c * nb * x.b, na * x.b + nb * (x.a + e * x.b)
+        da, db = da * y.a + c * db * y.b, da * y.b + db * (y.a + e * y.b)
+    ratio = pair_exact_div(na, nb, da, db, c, e)
     if ratio is None:
         raise DomainError("index is not integral")
-    return KIndex(ratio.canonical_associate())
+    return KIndex(RingElem(msuper.tag, *ratio).canonical_associate())
 
 
 def im_project(module: OModule) -> OModule:
     """Module of imaginary parts of a rank-4 module, in the im ambient."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("im_project expects a rank-4 module")
-    gens = [col[1:] for col in module.cols]
-    return hnf_canonical(module.tag, Ambient.IM, gens, module.den)
+    gens = [_pairs(col[1:]) for col in module.cols]
+    return _canonical(module.tag, Ambient.IM, gens, module.den)
 
 
 def pure_part(module: OModule) -> OModule:
@@ -374,10 +379,11 @@ def pure_part(module: OModule) -> OModule:
     collected as a rank-3 module in the im ambient."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("pure_part expects a rank-4 module")
-    cols = module.cols
-    gens = [_combination(x, cols, range(1, 4))
-            for x in _kernel([col[:1] for col in cols], 1)]
-    return hnf_canonical(module.tag, Ambient.IM, gens, module.den)
+    c, e = module.tag._omega_sq
+    cols = [_pairs(col) for col in module.cols]
+    gens = [_combination(x, cols, c, e)[2:]
+            for x in _kernel([col[:2] for col in cols], 1, c, e, 4)]
+    return _canonical(module.tag, Ambient.IM, gens, module.den)
 
 
 def scalar_intersect(module: OModule) -> RingElem:

@@ -41,6 +41,7 @@ from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
 from .series import coefficient
 
 DEFAULT_ENUM_CAP = 10_000
+ENUM_CACHE_WINDOW = 32      # an order keeps the ideals of its last 32 m
 
 # the maximal orders of one field are conjugate, and each has as many
 # right ideals of index m as the field's counting series says
@@ -379,7 +380,8 @@ class QuatOrder:
             raise DomainError(
                 "enumeration by reduced norm needs a maximal order"
             )
-        if m in self._enum_cache:
+        if m in self._enum_cache:    # moved to the end: most recently used
+            self._enum_cache[m] = self._enum_cache.pop(m)
             return list(self._enum_cache[m])
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
@@ -408,8 +410,9 @@ class QuatOrder:
             raise ArithmeticError(
                 f"{self.name}, m = {m}: {len(reps)} ideals, the counting "
                 f"series says {want}")
-        result = tuple(reps)
-        self._enum_cache[m] = result
+        result = self._enum_cache[m] = tuple(reps)
+        if len(self._enum_cache) > ENUM_CACHE_WINDOW:
+            del self._enum_cache[next(iter(self._enum_cache))]
         return list(result)
 
 

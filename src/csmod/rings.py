@@ -29,12 +29,9 @@ from numbers import Rational
 from .errors import DomainError, ParseInputError
 
 
-# per field: omega^2 = c + d*omega, and conj(a + b*omega) = (a + e*b) + f*b*omega
-_FIELD_RULES = {
-    "rational": ((1, 0), (0, 1)),
-    "root5": ((1, 1), (1, -1)),
-    "root2": ((2, 0), (0, -1)),
-}
+# per field: omega^2 = c + e*omega; then conj(a + b*omega) = (a + e*b) -
+# b*omega, which is the identity over Q, where b = 0
+_OMEGA_SQ = {"rational": (1, 0), "root5": (1, 1), "root2": (2, 0)}
 
 
 class FieldTag(Enum):
@@ -46,7 +43,7 @@ class FieldTag(Enum):
         # plain member attributes: the ring products read them on every
         # call, where a dict keyed by the member would hash it each time
         self.degree = 1 if value == "rational" else 2
-        self._omega_sq, self._conj = _FIELD_RULES[value]
+        self._omega_sq = _OMEGA_SQ[value]
 
 
 _RATIONAL = FieldTag.RATIONAL
@@ -126,16 +123,14 @@ class RingElem:
     __rmul__ = __mul__
 
     def conj(self) -> "RingElem":
-        e, f = self.tag._conj
-        return RingElem(self.tag, self.a + e * self.b, f * self.b)
+        return RingElem(self.tag, self.a + self.tag._omega_sq[1] * self.b,
+                        -self.b)
 
     def norm_signed(self) -> int:
         """Field norm as a signed integer."""
         if self.tag is _RATIONAL:
             return self.a
-        if self.tag is _ROOT_FIVE:
-            return self.a * self.a + self.a * self.b - self.b * self.b
-        return self.a * self.a - 2 * self.b * self.b
+        return pair_norm(self.a, self.b, *self.tag._omega_sq)
 
     def norm_abs(self) -> int:
         return abs(self.norm_signed())
@@ -143,9 +138,7 @@ class RingElem:
     def trace(self) -> int:
         if self.tag is _RATIONAL:
             return self.a
-        if self.tag is _ROOT_FIVE:
-            return 2 * self.a + self.b
-        return 2 * self.a
+        return 2 * self.a + self.tag._omega_sq[1] * self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -162,16 +155,8 @@ class RingElem:
         o = self._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero ring element")
-        if self.tag.degree == 1:
-            if self.a % o.a:
-                return None
-            return RingElem(self.tag, self.a // o.a)
-        # alpha/beta = alpha * conj(beta) / N(beta), degree 2 only
-        num = self * o.conj()
-        d = o.norm_signed()
-        if num.a % d or num.b % d:
-            return None
-        return RingElem(self.tag, num.a // d, num.b // d)
+        q = pair_exact_div(self.a, self.b, o.a, o.b, *self.tag._omega_sq)
+        return None if q is None else RingElem(self.tag, *q)
 
     def divides(self, other: "RingElem") -> bool:
         return other.exact_div(self) is not None
@@ -193,11 +178,10 @@ class RingElem:
         if x.trace() < 0:
             x = -x
         eps = _TOT_POS_UNIT[self.tag]
-        eps_inv = _TOT_POS_UNIT_INV[self.tag]
-        eps_conj = eps.conj()
+        eps_inv = eps.conj()    # eps has norm 1
         while x.b < 0:  # sigma1 < sigma2: push the ratio up
             x = x * eps
-        while (x * eps_conj).b >= 0:  # ratio >= ratio(eps): pull it down
+        while (x * eps_inv).b >= 0:  # ratio >= ratio(eps): pull it down
             x = x * eps_inv
         return x
 
@@ -234,10 +218,6 @@ _NEG_NORM_UNIT = {
 _TOT_POS_UNIT = {
     FieldTag.ROOT_FIVE: RingElem(FieldTag.ROOT_FIVE, 1, 1),     # tau^2
     FieldTag.ROOT_TWO: RingElem(FieldTag.ROOT_TWO, 3, 2),       # 3 + 2*sqrt2
-}
-_TOT_POS_UNIT_INV = {
-    FieldTag.ROOT_FIVE: RingElem(FieldTag.ROOT_FIVE, 2, -1),
-    FieldTag.ROOT_TWO: RingElem(FieldTag.ROOT_TWO, 3, -2),
 }
 
 
@@ -471,12 +451,36 @@ def lowest_terms(nums, den: int):
     return tuple(nums), den
 
 
+def pair_norm(a: int, b: int, c: int, e: int) -> int:
+    """(a + b*omega)*conj(a + b*omega): the norm, or a^2 over Q (b = 0)."""
+    return a * (a + e * b) - c * b * b
+
+
+def _times_conj(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
+    """(x*conj(y) as a pair, pair_norm of y) for x = xa + xb*omega and y
+    with omega^2 = c + e*omega; the quotients below hold in both degrees."""
+    ca, bb = ya + e * yb, -xb * yb   # conj(y) = ca - yb*omega
+    return xa * ca + c * bb, xb * ca - xa * yb + e * bb, ya * ca - c * yb * yb
+
+
+def pair_exact_div(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
+    """x/y as a pair (see _times_conj) if it lies in the ring, else None."""
+    na, nb, d = _times_conj(xa, xb, ya, yb, c, e)
+    return None if na % d or nb % d else (na // d, nb // d)
+
+
 def _round_half_up(n: int, d: int) -> int:
     # floor(n/d + 1/2) for d != 0; translation-equivariant, which makes
     # Euclidean remainders depend only on the residue class of the dividend
     if d < 0:
         n, d = -n, -d
     return (2 * n + d) // (2 * d)
+
+
+def pair_round_quotient(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
+    """x/y (see _times_conj) with each coordinate rounded half up."""
+    na, nb, d = _times_conj(xa, xb, ya, yb, c, e)
+    return _round_half_up(na, d), _round_half_up(nb, d)
 
 
 def round_quotient(alpha: RingElem, beta: RingElem) -> RingElem:
@@ -491,13 +495,8 @@ def round_quotient(alpha: RingElem, beta: RingElem) -> RingElem:
         raise ZeroDivisionError("division by zero ring element")
     if alpha.tag is not beta.tag:
         raise DomainError("mixed field tags")
-    tag = alpha.tag
-    if tag.degree == 1:
-        return RingElem(tag, _round_half_up(alpha.a, beta.a))
-    # alpha/beta = alpha * conj(beta) / N(beta); valid in degree 2 only
-    num = alpha * beta.conj()
-    d = beta.norm_signed()
-    return RingElem(tag, _round_half_up(num.a, d), _round_half_up(num.b, d))
+    return RingElem(alpha.tag, *pair_round_quotient(
+        alpha.a, alpha.b, beta.a, beta.b, *alpha.tag._omega_sq))
 
 
 def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
@@ -510,35 +509,24 @@ def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
     """
     q0 = round_quotient(alpha, beta)
     tag = alpha.tag
-    if tag.degree == 1:
-        r0 = alpha.a - q0.a * beta.a
-        _, r, da = min((abs(r), r, da) for da, r in (
-            (0, r0), (-1, r0 + beta.a), (1, r0 - beta.a)))
-        if abs(r) >= abs(beta.a):
-            raise ArithmeticError(
-                "euclidean division failed to reduce the norm")
-        return RingElem(tag, q0.a + da), RingElem(tag, r)
-    # with omega^2 = c + e*omega: omega*beta = c*b + (a + e*b)*omega for
-    # beta = a + b*omega, and N(x + y*omega) = x^2 + e*x*y - c*y^2; the
-    # offsets (da, db) move the remainder by -da*beta - db*omega*beta
+    # omega*beta = c*b + (a + e*b)*omega for beta = a + b*omega; the offsets
+    # (da, db) move the remainder by -da*beta - db*omega*beta (db = 0 over Q)
     c, e = tag._omega_sq
-    qa, qb = q0.a, q0.b
     ba, bb = beta.a, beta.b
     wa, wb = c * bb, ba + e * bb
-    r0a = alpha.a - qa * ba - qb * wa
-    r0b = alpha.b - qa * bb - qb * wb
+    r0 = alpha - q0 * beta
     best = None
     for da in (0, -1, 1):
-        for db in (0, -1, 1):
-            ra = r0a - da * ba - db * wa
-            rb = r0b - da * bb - db * wb
-            key = (abs(ra * ra + e * ra * rb - c * rb * rb), ra, rb)
+        for db in (0, -1, 1)[:2 * tag.degree - 1]:
+            ra = r0.a - da * ba - db * wa
+            rb = r0.b - da * bb - db * wb
+            key = (abs(pair_norm(ra, rb, c, e)), ra, rb)
             if best is None or key < best[0]:
                 best = (key, da, db)
     (size, ra, rb), da, db = best
-    if size >= beta.norm_abs():
+    if size >= abs(pair_norm(ba, bb, c, e)):
         raise ArithmeticError("euclidean division failed to reduce the norm")
-    return RingElem(tag, qa + da, qb + db), RingElem(tag, ra, rb)
+    return RingElem(tag, q0.a + da, q0.b + db), RingElem(tag, ra, rb)
 
 
 def canonical_residue(value: RingElem, modulus: RingElem) -> tuple[RingElem, RingElem]:
@@ -551,24 +539,26 @@ def canonical_residue(value: RingElem, modulus: RingElem) -> tuple[RingElem, Rin
     reduces to 1, not -1).
     """
     q0, r0 = euclid_divmod(value, modulus)
+    c, e = value.tag._omega_sq
     best = None
     for t in (0, -1, 1):
-        r = r0 - modulus * t
-        key = (r.norm_abs(), abs(r.a), abs(r.b), r.a < 0, r.b < 0)
+        ra, rb = r0.a - t * modulus.a, r0.b - t * modulus.b
+        key = (abs(pair_norm(ra, rb, c, e)), abs(ra), abs(rb), ra < 0, rb < 0)
         if best is None or key < best[0]:
-            best = (key, q0 + t, r)
-    _, q, r = best
-    return q, r
+            best = (key, t, ra, rb)
+    _, t, ra, rb = best
+    return RingElem(value.tag, q0.a + t, q0.b), RingElem(value.tag, ra, rb)
 
 
 def ring_gcd(x: RingElem, y: RingElem) -> RingElem:
-    """Greatest common divisor, returned as a canonical associate."""
+    """Greatest common divisor, returned as a canonical associate; any
+    remainder of smaller norm serves, so it takes rounded quotients."""
     if x.tag is not y.tag:
         raise DomainError("mixed field tags")
     if x.is_zero() and y.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
     while not y.is_zero():
-        x, y = y, euclid_divmod(x, y)[1]
+        x, y = y, x - round_quotient(x, y) * y
     return x.canonical_associate()
 
 

@@ -11,16 +11,18 @@ from csmod.modlat import (
     Ambient,
     KIndex,
     OModule,
+    _kernel,
     hnf_canonical,
     identity_module,
     im_project,
     index_K,
     intersect,
+    intersect_image,
     module_sum,
     scalar_intersect,
     scale_module,
 )
-from csmod.quat import Quat, cayley_matrix
+from csmod.quat import Quat, cayley_matrix, rotation_numerators
 from csmod.rings import FieldElem, FieldTag, RingElem, parse_field_elem
 
 TAGS = [FieldTag.RATIONAL, FieldTag.ROOT_FIVE, FieldTag.ROOT_TWO]
@@ -89,30 +91,33 @@ def bfs_coset_count(super_cols, sub_cols, n, cap=20000):
     return len(seen)
 
 
+def z_gens(tag, columns, scale):
+    """Integer Z-generators (col, w*col) of the field columns times scale."""
+    out = []
+    for col in columns:
+        pairs = [((x * scale).a, (x * scale).b) for x in col]
+        assert all(v.denominator == 1 for p in pairs for v in p)
+        pairs = [(int(a), int(b)) for a, b in pairs]
+        if tag.degree == 1:
+            out.append([a for a, _ in pairs])
+            continue
+        c, e = OMEGA_SQ[tag]
+        out.append([v for a, b in pairs for v in (a, b)])
+        out.append([v for a, b in pairs for v in (c * b, a + e * b)])
+    return out
+
+
+def common_scale(*column_sets):
+    return math.lcm(*(x.den for cols in column_sets for col in cols
+                      for x in col))
+
+
 def flatten_pair(msuper, msub):
     """Common-scale integer flattening of two modules over the same ring."""
+    scale = common_scale(msuper.basis, msub.basis)
     tag = msuper.tag
-    scale = 1
-    for col in msuper.basis + msub.basis:
-        for e in col:
-            scale = scale * e.den // __import__("math").gcd(scale, e.den)
-
-    def flat_cols(module):
-        out = []
-        for col in module.basis:
-            pairs = [((e * scale).a, (e * scale).b) for e in col]
-            assert all(a.denominator == 1 and b.denominator == 1
-                       for a, b in pairs)
-            ints = [(int(a), int(b)) for a, b in pairs]
-            if tag.degree == 1:
-                out.append([a for a, _ in ints])
-            else:
-                c, d = OMEGA_SQ[tag]
-                out.append([x for a, b in ints for x in (a, b)])
-                out.append([x for a, b in ints for x in (b * c, a + b * d)])
-        return out
-
-    return flat_cols(msuper), flat_cols(msub), msuper.rank * tag.degree
+    return (z_gens(tag, msuper.basis, scale), z_gens(tag, msub.basis, scale),
+            msuper.rank * tag.degree)
 
 
 def oracle_index(msuper, msub, cap=20000):
@@ -507,3 +512,132 @@ def test_json_columns_roundtrip():
             for col in mod.json_columns()
         ])
         assert rebuilt == mod
+
+
+# ---------------------------------------------------------------------------
+# Z-lattice oracle for the integer-pair core.  A module over the ring is the
+# Z-lattice spanned by (col, w*col) over its columns; these checks expand
+# columns of field elements that way (z_gens), with FieldElem arithmetic
+# only, and compare canonical Z-HNFs, so they share no code with the core.
+
+def z_canonical(vectors, n):
+    """The Hermite normal form of a full-rank Z-lattice in Z^n: z_hnf,
+    then every entry above a pivot reduced into [0, pivot)."""
+    basis = z_hnf(vectors, n)
+    for j, col in enumerate(basis):
+        for r in range(j - 1, -1, -1):
+            q = col[r] // basis[r][r]
+            for i in range(r + 1):
+                col[i] -= q * basis[r][i]
+    return [tuple(col) for col in basis]
+
+
+def z_intersection(first, second, n):
+    """Z-basis of the meet of two full-rank lattices in Z^n: the columns
+    (v; v) and (0; w) span {(B1 x; B1 x + B2 y)}, and the HNF columns whose
+    last n entries vanish carry B1 x for B1 x = -B2 y."""
+    stacked = [list(v) + list(v) for v in first]
+    stacked += [[0] * n + list(w) for w in second]
+    return [col[:n] for col in z_hnf(stacked, 2 * n)[:n]]
+
+
+def rnd_ring(rng, tag, span):
+    return RingElem(tag, rng.randint(-span, span),
+                    rng.randint(-span, span) if tag.degree == 2 else 0)
+
+
+@pytest.mark.parametrize("ambient", [Ambient.IM, Ambient.QUAT])
+@pytest.mark.parametrize("tag", TAGS)
+def test_hnf_canonical_spans_its_generators_over_z(tag, ambient):
+    rng = random.Random(211)
+    n = ambient.dim
+    checked = 0
+    while checked < 12:
+        gens = [[FieldElem(tag, Fraction(rng.randint(-6, 6),
+                                         rng.randint(1, 3)),
+                           rng.randint(-1, 1) if tag.degree == 2 else 0)
+                 for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        den = rng.randint(1, 4)
+        try:
+            mod = hnf_canonical(tag, ambient, gens, den)
+        except DomainError:
+            continue
+        inputs = [[x / den for x in col] for col in gens]
+        scale = common_scale(inputs, mod.basis)
+        size = n * tag.degree
+        assert (z_canonical(z_gens(tag, mod.basis, scale), size)
+                == z_canonical(z_gens(tag, inputs, scale), size))
+        checked += 1
+
+
+@pytest.mark.parametrize("ambient", [Ambient.IM, Ambient.QUAT])
+@pytest.mark.parametrize("tag", TAGS)
+def test_intersect_image_is_the_z_intersection(tag, ambient):
+    rng = random.Random(223)
+    n = ambient.dim
+    for trial in range(10):
+        mod = rnd_module(rng, tag, ambient)
+        if ambient is Ambient.IM and trial % 2:
+            q = Quat(tag, *(rnd_ring(rng, tag, 3) for _ in range(4)))
+            if q.is_zero():
+                continue
+            numer, scale = rotation_numerators(q)
+        else:
+            # diagonally dominant in the first embedding, so invertible
+            numer = [[rnd_ring(rng, tag, 2) + (40 if r == k else 0)
+                      for k in range(n)] for r in range(n)]
+            scale = rnd_ring(rng, tag, 4)
+            if scale.is_zero():
+                continue
+        image = [[sum((numer[r][k].to_field() * col[k] for k in range(n)),
+                      FieldElem(tag, 0)) / scale.to_field()
+                  for r in range(n)] for col in mod.basis]
+        got = intersect_image(mod, numer, scale)
+        scale_z = common_scale(mod.basis, image, got.basis)
+        size = n * tag.degree
+        want = z_intersection(z_gens(tag, mod.basis, scale_z),
+                              z_gens(tag, image, scale_z), size)
+        assert (z_canonical(z_gens(tag, got.basis, scale_z), size)
+                == z_canonical(want, size))
+
+
+def q_rank(vectors):
+    """Rank over Q of integer vectors, by Fraction elimination."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TAGS), st.integers(1, 4), st.integers(1, 6),
+       st.integers(0, 2**32))
+def test_kernel_vectors_annihilate_and_count(tag, nrows, ncols, seed):
+    rng = random.Random(seed)
+    columns = [[rnd_ring(rng, tag, 4) for _ in range(nrows)]
+               for _ in range(ncols)]
+    if rng.random() < 0.3 and ncols > 1:    # force a dependence
+        lam = rnd_ring(rng, tag, 2)
+        columns[-1] = [a + lam * b
+                       for a, b in zip(columns[0], columns[1 % ncols])]
+    flat = [[v for x in col for v in (x.a, x.b)] for col in columns]
+    c, e = OMEGA_SQ.get(tag, (1, 0))
+    kernel = _kernel(flat, nrows, c, e, ncols)
+    for x in kernel:
+        coeffs = [RingElem(tag, x[2 * k], x[2 * k + 1]) for k in range(ncols)]
+        assert any(not a.is_zero() for a in coeffs)
+        for r in range(nrows):
+            assert sum((a * col[r] for a, col in zip(coeffs, columns)),
+                       RingElem(tag, 0)) == 0
+    rank = q_rank(z_gens(tag, [[x.to_field() for x in col]
+                               for col in columns], 1)) // tag.degree
+    assert len(kernel) == ncols - rank

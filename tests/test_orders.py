@@ -717,3 +717,22 @@ def test_order_by_key():
     assert order_by_key("lipschitz-r5") is lipschitz(R5)
     with pytest.raises(DomainError):
         order_by_key("nope")
+
+
+def test_enumeration_cache_keeps_a_window_of_recent_indices():
+    # a count over a range must not grow the cache without limit; the
+    # cache is per order and keeps the most recently used values of m
+    base = hurwitz()
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    first = order.enumerate_by_index(15)
+    for m in range(1, 201):
+        order.enumerate_by_index(m)
+        assert len(order._enum_cache) <= csmod.orders.ENUM_CACHE_WINDOW
+    assert 15 not in order._enum_cache and 200 in order._enum_cache
+    assert order.enumerate_by_index(15) == first
+    # a hit makes m the most recent, so it outlives older entries
+    recent = list(order._enum_cache)
+    order.enumerate_by_index(recent[0])
+    order.enumerate_by_index(201)
+    assert recent[0] in order._enum_cache
+    assert recent[1] not in order._enum_cache

@@ -609,3 +609,23 @@ def test_integers_ratios_and_decimals_still_parse(text, value):
         assert parse_field_elem(text, tag) == FieldElem(tag, value)
     tau = FieldTag.ROOT_FIVE
     assert parse_field_elem(f"{text}*w", tau) == FieldElem(tau, 0, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_pairs)
+@example((FieldTag.ROOT_FIVE, 0, 0, 3, 1))        # gcd(0, y)
+@example((FieldTag.ROOT_TWO, 4, 0, 6, 0))         # rational inputs
+@example((FieldTag.RATIONAL, -12, 0, 18, 0))
+def test_gcd_is_canonical_with_coprime_cofactors(case):
+    # ring_gcd takes its remainders from rounded quotients; whatever the
+    # remainder path, the result must be the canonical common divisor
+    tag, a, b, c, d = case
+    if tag.degree == 1:
+        b = d = 0
+    x, y = RingElem(tag, a, b), RingElem(tag, c, d)
+    if x.is_zero() and y.is_zero():
+        return
+    g = ring_gcd(x, y)
+    assert g == g.canonical_associate()
+    assert g.divides(x) and g.divides(y)
+    assert ring_gcd(x.exact_div(g), y.exact_div(g)) == 1
