@@ -19,7 +19,8 @@ from .modlat import (Ambient, OModule, hnf_canonical, identity_module,
                      im_project, index_K, intersect, intersect_image,
                      pure_part, scale_module, scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
-from .quat import Mat3K, Quat, cayley_matrix, rotation_numerators
+from .quat import (Mat3K, Quat, cayley_matrix, format_quat,
+                   rotation_numerators)
 from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
                     norm_class_reps, splitting_class)
 
@@ -66,10 +67,18 @@ def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:
 
 
 def count_csms(order: QuatOrder, m: int, cap: int | None = None) -> int:
-    """Number of distinct coincidence submodules of Im(order) of index m."""
-    reps = order.enumerate_by_index(m, cap)
+    """Number of distinct coincidence submodules of Im(order) of index m;
+    each brute-force index must be m, or ArithmeticError names the
+    generator."""
     gamma = gamma_of(order)
-    distinct = {csm_bruteforce(gamma, q)[0] for q in reps}
+    distinct = set()
+    for q in order.enumerate_by_index(m, cap):
+        common, index = csm_bruteforce(gamma, q)
+        if index != m:
+            raise ArithmeticError(
+                f"{order.name}, m = {m}: the intersection for "
+                f"{format_quat(q)} has index {index}, not {m}")
+        distinct.add(common)
     return len(distinct)
 
 

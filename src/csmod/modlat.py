@@ -12,13 +12,14 @@ form commutes with scaling by positive integers, so equal modules get
 identical pairs whatever the denominator of their generators, which
 makes modules directly comparable and hashable.
 
-All module algebra (echelon forms, kernels, intersections, indices and
-membership) runs on plain integers: a column is a flat list [a0, b0,
-a1, b1, ...], one pair (a, b) per entry a + b*omega, and each call reads
-the omega^2 rule of its field once.  RingElems appear only in the
-canonical normalisation of the pivots and the entries above them, and in
-the columns of the resulting OModule; field elements only in the
-read-only `basis` view, for printing.  Membership is a triangular solve.
+All module algebra (echelon forms, kernels, intersections, indices,
+membership and the canonical normalisation) runs on plain integers: a
+column is a flat list [a0, b0, a1, b1, ...], one pair (a, b) per entry
+a + b*omega, and each call reads the omega^2 rule of its field once.
+The pivots, the residues above them and the lowest terms are normalised
+by the pair helpers of rings.  RingElems appear only in the columns of
+the resulting OModule, field elements only in the read-only `basis`
+view, for printing.  Membership is a triangular solve.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -37,9 +38,10 @@ from .rings import (
     FieldTag,
     RingElem,
     as_field,
-    canonical_residue,
-    lowest_terms,
+    pair_canonical_associate,
+    pair_canonical_residue,
     pair_exact_div,
+    pair_mul,
     pair_norm,
     pair_round_quotient,
     ring_columns,
@@ -257,18 +259,22 @@ def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
     basis = [pivots[r][0] for r in range(n)]
     for j, col in enumerate(basis):
         # a canonical pivot, then entries reduced by the final pivots above
-        d = RingElem(tag, col[2 * j], col[2 * j + 1])
-        unit = d.canonical_associate().exact_div(d)
-        if unit != 1:
-            col = basis[j] = _combination((unit.a, unit.b), [col], c, e)
+        da, db = col[2 * j], col[2 * j + 1]
+        unit = pair_exact_div(*pair_canonical_associate(da, db, tag), da, db,
+                              c, e)
+        if unit != (1, 0):
+            col = basis[j] = _combination(unit, [col], c, e)
         for i in range(2 * j - 2, -1, -2):
             piv = basis[i // 2]
-            q, _ = canonical_residue(RingElem(tag, col[i], col[i + 1]),
-                                     RingElem(tag, piv[i], piv[i + 1]))
-            if not q.is_zero():
-                _col_submul(col, q.a, q.b, piv, c, e)
-    flat, den = lowest_terms(_elems(tag, sum(basis, [])), den)
-    return OModule(tag, ambient, zip(*[iter(flat)] * n), den)
+            qa, qb, _, _ = pair_canonical_residue(col[i], col[i + 1],
+                                                  piv[i], piv[i + 1], tag)
+            if qa or qb:
+                _col_submul(col, qa, qb, piv, c, e)
+    flat = sum(basis, [])
+    g = gcd(den, *flat)     # lowest terms
+    if g != 1:
+        flat, den = [x // g for x in flat], den // g
+    return OModule(tag, ambient, zip(*[iter(_elems(tag, flat))] * n), den)
 
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
@@ -309,18 +315,20 @@ def intersect(m1: OModule, m2: OModule) -> OModule:
     return _canonical(m1.tag, m1.ambient, gens, den)
 
 
-def intersect_image(module: OModule, numer, scale: RingElem) -> OModule:
-    """M intersected with A*M, for the matrix A = numer/scale given by the
-    rows of a ring matrix numer and a nonzero ring scalar scale.
+def intersect_image(module: OModule, rows, scale) -> OModule:
+    """M intersected with A*M, for the matrix A = N/s given by the rows
+    of a ring matrix N, each a flat list of integer pairs, and a nonzero
+    ring scalar s as a pair (a, b).
 
-    With M = C/den, the kernel of [scale*C | numer*C] pairs each x with a
-    y such that C*x/den = A*(-C*y/den); the vectors C*x/den span the
+    With M = C/den, the kernel of [s*C | N*C] pairs each x with a y such
+    that C*x/den = A*(-C*y/den); the vectors C*x/den span the
     intersection.  Only that span is put in canonical form, not A*M.
     """
     c, e = module.tag._omega_sq
     cols = [_pairs(col) for col in module.cols]
-    numer_cols = [_pairs(col) for col in zip(*numer)]
-    kept = [_combination((scale.a, scale.b), [col], c, e) for col in cols]
+    numer_cols = [[x for row in rows for x in row[k:k + 2]]
+                  for k in range(0, 2 * module.rank, 2)]
+    kept = [_combination(scale, [col], c, e) for col in cols]
     moved = [_combination(col, numer_cols, c, e) for col in cols]
     gens = [_combination(x, cols, c, e)
             for x in _kernel(kept + moved, module.rank, c, e, module.rank)]
@@ -358,8 +366,8 @@ def index_K(msuper: OModule, msub: OModule) -> KIndex:
     na, nb, da, db = msuper.den ** n, 0, msub.den ** n, 0
     for r in range(n):
         x, y = msub.cols[r][r], msuper.cols[r][r]
-        na, nb = na * x.a + c * nb * x.b, na * x.b + nb * (x.a + e * x.b)
-        da, db = da * y.a + c * db * y.b, da * y.b + db * (y.a + e * y.b)
+        na, nb = pair_mul(na, nb, x.a, x.b, c, e)
+        da, db = pair_mul(da, db, y.a, y.b, c, e)
     ratio = pair_exact_div(na, nb, da, db, c, e)
     if ratio is None:
         raise DomainError("index is not integral")

@@ -15,14 +15,17 @@ differ by a unit of reduced norm one on the right; these units form a
 finite group (24, 120 or 48 elements), so ideals are told apart by their
 unit orbits {q*u}, and the infinite unit group is never walked.
 
-Orbits are marked in integers.  A lattice point is keyed by its
-Z-coordinates, the integer vector the search returns, and the units by
-theirs.  Written on the Z-basis, the product of the order has integer
-structure constants, found once per order from the basis as ring
-numerators over one integer denominator.  The orbit {v*u} of a new
-point v is the integer matrix of u |-> v*u, built from these constants,
-applied to each unit's Z-coordinates.  Enumeration builds no quaternion
-for the units and one per ideal, from integer dot products.
+Orbits are classified in integers, once each.  The search returns a
+lattice point as its integer Z-coordinates v; its key packs its
+coordinates on the Z-basis of the order's canonical module into one
+integer with fixed-width slots, a dot product of v with fixed weights.
+The structure constants of the order, read off by triangular solves in
+the canonical module, give each unit u a table whose dot product with v
+is the key of v*u.  Right multiplication by a unit keeps the reduced
+norm and the content, so at the first unmarked point of an orbit the
+exact-norm and primitivity checks run once and all |U| keys are marked;
+every later point of the orbit is one set lookup.  Enumeration builds no
+quaternion for the units and one per ideal, from integer dot products.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .series import coefficient
 
 DEFAULT_ENUM_CAP = 10_000
 ENUM_CACHE_WINDOW = 32      # an order keeps the ideals of its last 32 m
+KEY_BITS = 24               # slot width of the packed orbit keys
 
 # the maximal orders of one field are conjugate, and each has as many
 # right ideals of index m as the field's counting series says
@@ -116,32 +120,12 @@ def _solve_quadratic(search, target: int):
     return out
 
 
-def _field_inverse(rows):
-    """Inverse of an invertible square matrix of field elements, by
-    Gauss-Jordan elimination in exact arithmetic."""
-    n = len(rows)
-    tag = rows[0][0].tag
-    zero, one = FieldElem(tag, 0), FieldElem(tag, 1)
-    work = [list(row) + [one if c == r else zero for c in range(n)]
-            for r, row in enumerate(rows)]
-    for j in range(n):
-        p = next(r for r in range(j, n) if not work[r][j].is_zero())
-        work[j], work[p] = work[p], work[j]
-        pivot = work[j][j].inverse()
-        work[j] = [x * pivot for x in work[j]]
-        for r in range(n):
-            f = work[r][j]
-            if r != j and not f.is_zero():
-                work[r] = [x - f * y for x, y in zip(work[r], work[j])]
-    return [row[n:] for row in work]
-
-
 class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
                  "_zgen", "_nb", "_search", "_enum_cache", "_units",
-                 "_structure", "_im_module")
+                 "_orbits", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -173,7 +157,7 @@ class QuatOrder:
         self._search = _ldl(gram)
         self._enum_cache = {}
         self._units = None
-        self._structure = None
+        self._orbits = None
         self._im_module = None
 
     def __repr__(self):
@@ -284,13 +268,15 @@ class QuatOrder:
     def _norm_vectors(self, value: RingElem):
         """Z-coordinates of every order element with reduced norm exactly
         the given value, in search order."""
-        vectors = _solve_quadratic(self._search, 2 * value.trace())
+        return [v for v in _solve_quadratic(self._search, 2 * value.trace())
+                if self._has_norm(v, value)]
+
+    def _has_norm(self, v, value: RingElem) -> bool:
+        """Whether a point v of the search for value has reduced norm
+        exactly value: the search fixes the trace, then B alone decides."""
         nb = self._nb
-        if nb is None:
-            return vectors
-        twice_b = 2 * value.b
-        return [v for v in vectors if twice_b == sum(
-            vs * sum(map(mul, row, v)) for vs, row in zip(v, nb))]
+        return nb is None or 2 * value.b == sum(
+            vs * sum(map(mul, row, v)) for vs, row in zip(v, nb))
 
     def _is_primitive(self, v) -> bool:
         """Whether the element with Z-coordinates v has unit content; its
@@ -320,55 +306,67 @@ class QuatOrder:
         """Every element of reduced norm one (a finite group)."""
         return list(map(self._element, self._unit_vectors()))
 
-    def _structure_constants(self):
-        """The integer structure constants of the Z-basis, arranged so
-        that entry [r][t] holds (the r-th Z-coordinate of zgen_s*zgen_t
-        for each s)."""
-        tag = self.field_tag
-        degree = tag.degree
-        rank = 4 * degree
-        # quaternion coordinates to ring coordinates on the basis: the
-        # inverse of the basis matrix, as ring numerators over scale
-        scale, inv = ring_columns(
-            tag, 4, _field_inverse([b.coords() for b in self.basis]))
-        den, rows = self._zgen
-        scale *= den * den
-        omega = RingElem.omega(tag)
-        powers = (RingElem(tag, 1), omega, omega * omega)
-        # prod[s][t]: the Z-coordinates of zgen_s*zgen_t, from the sixteen
-        # products of the basis, since zgen_{s+4e} = basis[s]*omega^e and
-        # omega is central
-        prod = [[None] * rank for _ in range(rank)]
-        for s in range(4):
-            for t in range(4):
-                c = hamilton_product(rows[s], rows[t])
-                lam = [FieldElem.ratio(sum(map(mul, c, col)), scale).to_ring()
-                       for col in zip(*inv)]
-                for e in range(degree):
-                    for f in range(degree):
-                        p = [g * powers[e + f] for g in lam]
-                        prod[s + 4 * e][t + 4 * f] = (
-                            tuple(g.a for g in p) + tuple(g.b for g in p)
-                        )[:rank]
-        return tuple(tuple(tuple(prod[s][t][r] for s in range(rank))
-                           for t in range(rank)) for r in range(rank))
+    def _orbit_table(self):
+        """(weights, table, reach) of the packed orbit keys, made on first
+        use.  A point is keyed by its coordinates y on the Z-basis of the
+        canonical module (its triangular columns, then omega times them,
+        so a triangular solve finds them), packed into KEY_BITS-bit slots
+        as sum_r y_r * 2^(KEY_BITS*r).  The key is Z-linear: for the
+        search's Z-basis zgen, weights[s] = key(zgen_s) and table[u][s] =
+        key(zgen_s*u), from the structure constants key(zgen_s*zgen_t), so
+        the keys of v and of v*u are dot products of v.  Keys are distinct
+        while every |y_r| < 2^(KEY_BITS-1); on the orbit of v that holds
+        while |v|_1 <= reach, as the y_r of v*u are at most |v|_1 * |u|_1
+        times the largest structure constant."""
+        if self._orbits is None:
+            c, e = self.field_tag._omega_sq
+            den, rows = self._zgen
+            rank = len(rows)
+            powers = [1 << KEY_BITS * r for r in range(rank)]
 
-    def _orbit(self, v):
-        """The Z-coordinates of v*u for each unit u of norm_one_units(),
-        in that order.  u |-> v*u is Z-linear: its matrix L_v is built
-        from the structure constants (rank^3 integer products), and the
-        orbit is L_v applied to the Z-coordinates of each unit."""
-        if self._structure is None:
-            self._structure = self._structure_constants()
-        rows = [[sum(map(mul, v, entry)) for entry in row]
-                for row in self._structure]
-        flat = [sum(map(mul, row, u))
-                for u in self._unit_vectors() for row in rows]
-        return list(zip(*[iter(flat)] * len(v)))
+            def coordinates(nums, d):
+                # ring coordinates of nums/d on the canonical basis, as pairs
+                y = self.module.solve(nums, d)
+                if y is None:
+                    raise ArithmeticError("order basis is not closed")
+                return [(x.a, x.b) for x in y]
+
+            def z_coordinates(y, k):
+                # canonical Z-coordinates of omega^k times ring coordinates y
+                for _ in range(k):
+                    y = [(c * b, a + e * b) for a, b in y]
+                return ([a for a, _ in y] + [b for _, b in y])[:rank]
+
+            # zgen_{s+4i}*zgen_{t+4j} = omega^(i+j)*basis[s]*basis[t], as
+            # omega is central, so sixteen products of the basis suffice
+            base = [[coordinates(hamilton_product(rows[s], rows[t]), den * den)
+                     for t in range(4)] for s in range(4)]
+            prod = [[z_coordinates(base[s % 4][t % 4], s // 4 + t // 4)
+                     for t in range(rank)] for s in range(rank)]
+            packed = [[sum(map(mul, y, powers)) for y in row] for row in prod]
+            units = self._unit_vectors()
+            size = (max(abs(x) for row in prod for y in row for x in y)
+                    * max(sum(map(abs, u)) for u in units))
+            self._orbits = (
+                [sum(map(mul, z_coordinates(coordinates(row, den), 0), powers))
+                 for row in rows],
+                [[sum(map(mul, u, row)) for row in packed] for u in units],
+                ((1 << KEY_BITS - 1) - 1) // size)
+        return self._orbits
+
+    def _orbit_keys(self, v):
+        """The keys of v*u for each unit u of norm_one_units(), in that
+        order; see _orbit_table.  Refused when v is too long for them."""
+        _, table, reach = self._orbit_table()
+        if sum(map(abs, v)) > reach:
+            raise ArithmeticError(f"{self.name}: the orbit of {v} overflows "
+                                  f"{KEY_BITS}-bit key slots")
+        return [sum(map(mul, v, w)) for w in table]
 
     def enumerate_by_index(self, m: int, cap: int | None = None):
         """One reduced representative per right ideal q*O with
-        norm_abs(nr q) = m."""
+        norm_abs(nr q) = m: the first point of each orbit, in search
+        order, whose norm is exactly the value and whose content is 1."""
         if m < 1:
             raise DomainError("index must be a positive integer")
         limit = DEFAULT_ENUM_CAP if cap is None else cap
@@ -386,25 +384,27 @@ class QuatOrder:
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
             units = len(self._unit_vectors())
+            weights = self._orbit_table()[0]
             for value in norm_class_reps(self.field_tag, m):
-                # q*O == q'*O with nr(q) == nr(q') iff q' = q*u, nr(u) = 1;
-                # an orbit {q*u} is marked by the Z-coordinates of its points
-                seen = set()
-                found = []
-                points = 0
-                for v in self._norm_vectors(value):
-                    if v not in seen:
-                        if not self._is_primitive(v):
-                            continue
-                        seen.update(self._orbit(v))
-                        found.append(v)
-                    points += 1
-                if points != units * len(found):
+                # right multiplication by a unit keeps the reduced norm and
+                # the content, so each orbit {v*u} of the search is marked
+                # and classified once, at its first point
+                vectors = _solve_quadratic(self._search, 2 * value.trace())
+                marked = set()
+                orbits = 0
+                for v in vectors:
+                    if sum(map(mul, v, weights)) in marked:
+                        continue
+                    marked.update(self._orbit_keys(v))
+                    orbits += 1
+                    if self._has_norm(v, value) and self._is_primitive(v):
+                        # q*O == q'*O with nr(q) == nr(q') iff q' = q*u
+                        reps.append(self._element(v))
+                if not len(vectors) == len(marked) == units * orbits:
                     raise ArithmeticError(
-                        f"{self.name}, m = {m}, norm {value}: {points} "
-                        f"primitive points, {units} units, "
-                        f"{len(found)} ideals")
-                reps += map(self._element, found)
+                        f"{self.name}, m = {m}, norm {value}: {len(vectors)} "
+                        f"points, {len(marked)} marked, {units} units, "
+                        f"{orbits} orbits")
         want = coefficient(_PHI_CASE[self.field_tag], m)
         if len(reps) != want:
             raise ArithmeticError(

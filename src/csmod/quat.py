@@ -7,16 +7,17 @@ norm, rotation matrix, cosine of the rotation angle) comes from integer
 ring arithmetic and stays exact; the FieldElem coordinates are read-only
 views.  The Cayley formula is written once, in rotation_numerators, on
 the ring numerators of q: it gives R(q) as a ring matrix over one ring
-element, which the module code uses as it is and cayley_matrix divides
-out.  Nothing here normalizes by content or units; that belongs to the
-order layer.
+element, both as integer pairs, which the module code takes as they are
+and cayley_matrix divides out.  Nothing here normalizes by content or
+units; that belongs to the order layer.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, ParseInputError
-from .rings import (FieldElem, FieldTag, _signed_terms, as_field,
-                    lowest_terms, parse_field_elem, ring_columns)
+from .rings import (FieldElem, FieldTag, RingElem, _signed_terms, _times_conj,
+                    as_field, lowest_terms, pair_mul, parse_field_elem,
+                    ring_columns)
 
 
 def hamilton_product(a, b):
@@ -275,22 +276,27 @@ class Mat3K:
 
 
 def rotation_numerators(q: Quat):
-    """(rows, n): a 3x3 ring matrix N, as rows, and the ring element
-    n = nr of q's ring numerators, with R(q) = N/n.
+    """(rows, n): a 3x3 ring matrix N, its rows as flat lists of integer
+    pairs [a0, b0, a1, b1, a2, b2], and n = nr of q's ring numerators as
+    a pair (a, b), with R(q) = N/n.
 
     q's integer denominator cancels, since R(q) is invariant under
-    rescaling q.
+    rescaling q.  The Cayley formula is linear in the ten products of the
+    coordinates, so it is applied to their a parts and their b parts.
     """
-    k, l, m, v = q.num
-    kk, ll, mm, vv = k * k, l * l, m * m, v * v
-    kl, km, kv = k * l, k * m, k * v
-    lm, lv, mv = l * m, l * v, m * v
-    rows = (
-        (kk + ll - mm - vv, 2 * (lm - kv), 2 * (km + lv)),
-        (2 * (kv + lm), kk - ll + mm - vv, 2 * (mv - kl)),
-        (2 * (lv - km), 2 * (kl + mv), kk - ll - mm + vv),
-    )
-    return rows, kk + ll + mm + vv
+    c, e = q.tag._omega_sq
+    x = [(y.a, y.b) for y in q.num]
+    prods = [pair_mul(*x[s], *x[t], c, e) for s, t in (
+        (0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2),
+        (1, 3), (2, 3))]
+    parts = []      # the entries and n, from the a parts, then the b parts
+    for kk, ll, mm, vv, kl, km, kv, lm, lv, mv in zip(*prods):
+        parts.append((kk + ll - mm - vv, 2 * (lm - kv), 2 * (km + lv),
+                      2 * (kv + lm), kk - ll + mm - vv, 2 * (mv - kl),
+                      2 * (lv - km), 2 * (kl + mv), kk - ll - mm + vv,
+                      kk + ll + mm + vv))
+    flat = [y for ab in zip(*parts) for y in ab]
+    return (flat[0:6], flat[6:12], flat[12:18]), (flat[18], flat[19])
 
 
 def cayley_matrix(q: Quat) -> Mat3K:
@@ -301,12 +307,13 @@ def cayley_matrix(q: Quat) -> Mat3K:
     """
     if q.is_zero():
         raise DomainError("the zero quaternion has no rotation matrix")
-    rows, n = rotation_numerators(q)
-    # e/n = e*conj(n) / (n*conj(n)), an integer denominator (n^2 over Q)
-    c = n.conj()
-    d = (n * c).a
-    return Mat3K(q.tag, [[FieldElem.ratio(e * c, d) for e in row]
-                         for row in rows])
+    rows, (na, nb) = rotation_numerators(q)
+    c, e = q.tag._omega_sq
+    # x/n = x*conj(n) / N(n), an integer denominator (n^2 over Q)
+    quots = [_times_conj(xa, xb, na, nb, c, e)
+             for row in rows for xa, xb in zip(row[::2], row[1::2])]
+    return Mat3K(q.tag, [[FieldElem.ratio(RingElem(q.tag, a, b), d)
+                          for a, b, d in quots[r:r + 3]] for r in (0, 3, 6)])
 
 
 def axis_angle(q: Quat) -> tuple[tuple[FieldElem, FieldElem, FieldElem], FieldElem]:

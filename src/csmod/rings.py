@@ -162,28 +162,10 @@ class RingElem:
         return other.exact_div(self) is not None
 
     def canonical_associate(self) -> "RingElem":
-        """The distinguished generator of the ideal (self).
-
-        Zero maps to zero.  Over Z the result is |a|; over the quadratic
-        rings it is the unique totally positive associate whose embedding
-        ratio sigma1/sigma2 lies in [1, ratio(eps)).
-        """
-        if self.is_zero():
-            return self
-        if self.tag is _RATIONAL:
-            return RingElem(self.tag, abs(self.a))
-        x = self
-        if x.norm_signed() < 0:
-            x = x * _NEG_NORM_UNIT[self.tag]
-        if x.trace() < 0:
-            x = -x
-        eps = _TOT_POS_UNIT[self.tag]
-        eps_inv = eps.conj()    # eps has norm 1
-        while x.b < 0:  # sigma1 < sigma2: push the ratio up
-            x = x * eps
-        while (x * eps_inv).b >= 0:  # ratio >= ratio(eps): pull it down
-            x = x * eps_inv
-        return x
+        """The distinguished generator of the ideal (self): zero, |a| over
+        Z, else see pair_canonical_associate."""
+        return RingElem(self.tag, *pair_canonical_associate(
+            self.a, self.b, self.tag))
 
     def to_field(self) -> "FieldElem":
         return FieldElem._new(self, 1)
@@ -209,16 +191,10 @@ class RingElem:
         return f"RingElem({self.tag.value}, {self})"
 
 
-# Units used by the normalization: eta has norm -1, eps = eta^2 generates
-# the totally positive units.
-_NEG_NORM_UNIT = {
-    FieldTag.ROOT_FIVE: RingElem(FieldTag.ROOT_FIVE, 0, 1),     # tau
-    FieldTag.ROOT_TWO: RingElem(FieldTag.ROOT_TWO, 1, 1),       # 1 + sqrt2
-}
-_TOT_POS_UNIT = {
-    FieldTag.ROOT_FIVE: RingElem(FieldTag.ROOT_FIVE, 1, 1),     # tau^2
-    FieldTag.ROOT_TWO: RingElem(FieldTag.ROOT_TWO, 3, 2),       # 3 + 2*sqrt2
-}
+# Units used by the normalization, as pairs: eta has norm -1, eps = eta^2
+# generates the totally positive units.
+_NEG_NORM_UNIT = {FieldTag.ROOT_FIVE: (0, 1), FieldTag.ROOT_TWO: (1, 1)}
+_TOT_POS_UNIT = {FieldTag.ROOT_FIVE: (1, 1), FieldTag.ROOT_TWO: (3, 2)}
 
 
 class FieldElem:
@@ -456,6 +432,12 @@ def pair_norm(a: int, b: int, c: int, e: int) -> int:
     return a * (a + e * b) - c * b * b
 
 
+def pair_mul(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
+    """(xa + xb*omega)*(ya + yb*omega) as a pair; omega^2 = c + e*omega."""
+    bb = xb * yb
+    return xa * ya + c * bb, xa * yb + xb * ya + e * bb
+
+
 def _times_conj(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
     """(x*conj(y) as a pair, pair_norm of y) for x = xa + xb*omega and y
     with omega^2 = c + e*omega; the quotients below hold in both degrees."""
@@ -483,6 +465,80 @@ def pair_round_quotient(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
     return _round_half_up(na, d), _round_half_up(nb, d)
 
 
+def pair_canonical_associate(a: int, b: int, tag: FieldTag):
+    """The canonical associate of a + b*omega as a pair: zero for zero,
+    |a| over Z, and over the quadratic rings the totally positive
+    associate whose embedding ratio sigma1/sigma2 lies in [1, ratio(eps))."""
+    if tag is _RATIONAL or not (a or b):
+        return abs(a), b
+    c, e = tag._omega_sq
+    if pair_norm(a, b, c, e) < 0:
+        a, b = pair_mul(a, b, *_NEG_NORM_UNIT[tag], c, e)
+    if 2 * a + e * b < 0:   # the trace
+        a, b = -a, -b
+    pa, pb = _TOT_POS_UNIT[tag]
+    while b < 0:    # sigma1 < sigma2: push the ratio up
+        a, b = pair_mul(a, b, pa, pb, c, e)
+    pa, pb = pa + e * pb, -pb   # eps^-1 = conj(eps), as eps has norm 1
+    while pair_mul(a, b, pa, pb, c, e)[1] >= 0:   # ratio >= ratio(eps)
+        a, b = pair_mul(a, b, pa, pb, c, e)
+    return a, b
+
+
+def pair_euclid_divmod(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):
+    """(qa, qb, ra, rb) with x = q*y + r and N(r) < N(y) in absolute value
+    for a nonzero y.  The quotient starts from pair_round_quotient; a
+    small offset search then picks the remainder of least absolute norm
+    (ties broken by coefficients), which makes the remainder depend only
+    on the residue class of x."""
+    c, e = tag._omega_sq
+    qa, qb = pair_round_quotient(xa, xb, ya, yb, c, e)
+    pa, pb = pair_mul(qa, qb, ya, yb, c, e)
+    # omega*y = c*yb + (ya + e*yb)*omega; the offsets (da, db) move the
+    # remainder by -da*y - db*omega*y (db = 0 over Q)
+    wa, wb = c * yb, ya + e * yb
+    best = None
+    for da in (0, -1, 1):
+        for db in (0, -1, 1)[:2 * tag.degree - 1]:
+            ra = xa - pa - da * ya - db * wa
+            rb = xb - pb - da * yb - db * wb
+            key = (abs(pair_norm(ra, rb, c, e)), ra, rb)
+            if best is None or key < best[0]:
+                best = (key, da, db)
+    (size, ra, rb), da, db = best
+    if size >= abs(pair_norm(ya, yb, c, e)):
+        raise ArithmeticError("euclidean division failed to reduce the norm")
+    return qa + da, qb + db, ra, rb
+
+
+def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
+                           tag: FieldTag):
+    """(qa, qb, ra, rb) with x = q*y + r and r the canonical
+    representative of x modulo a nonzero y: it depends only on the coset
+    x + y*O, which makes it usable for canonical matrix normal forms.
+    Among the small remainders reachable from the Euclidean one it
+    minimizes absolute norm, then absolute coefficients, preferring
+    nonnegative ones (so 1 mod 2 reduces to 1, not -1)."""
+    qa, qb, r0a, r0b = pair_euclid_divmod(xa, xb, ya, yb, tag)
+    c, e = tag._omega_sq
+    best = None
+    for t in (0, -1, 1):
+        ra, rb = r0a - t * ya, r0b - t * yb
+        key = (abs(pair_norm(ra, rb, c, e)), abs(ra), abs(rb), ra < 0, rb < 0)
+        if best is None or key < best[0]:
+            best = (key, t, ra, rb)
+    _, t, ra, rb = best
+    return qa + t, qb, ra, rb
+
+
+def _division_tag(alpha: RingElem, beta: RingElem) -> FieldTag:
+    if beta.is_zero():
+        raise ZeroDivisionError("division by zero ring element")
+    if alpha.tag is not beta.tag:
+        raise DomainError("mixed field tags")
+    return alpha.tag
+
+
 def round_quotient(alpha: RingElem, beta: RingElem) -> RingElem:
     """The exact quotient alpha/beta with each coordinate rounded half up.
 
@@ -491,63 +547,26 @@ def round_quotient(alpha: RingElem, beta: RingElem) -> RingElem:
     Z[sqrt(2)]; so it is smaller than beta in absolute norm, and q is
     nonzero whenever alpha is not smaller than beta.
     """
-    if beta.is_zero():
-        raise ZeroDivisionError("division by zero ring element")
-    if alpha.tag is not beta.tag:
-        raise DomainError("mixed field tags")
-    return RingElem(alpha.tag, *pair_round_quotient(
-        alpha.a, alpha.b, beta.a, beta.b, *alpha.tag._omega_sq))
+    tag = _division_tag(alpha, beta)
+    return RingElem(tag, *pair_round_quotient(
+        alpha.a, alpha.b, beta.a, beta.b, *tag._omega_sq))
+
+
+def _quotient_remainder(pair_division, alpha: RingElem, beta: RingElem):
+    tag = _division_tag(alpha, beta)
+    qa, qb, ra, rb = pair_division(alpha.a, alpha.b, beta.a, beta.b, tag)
+    return RingElem(tag, qa, qb), RingElem(tag, ra, rb)
 
 
 def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
-    """Return (q, r) with alpha = q*beta + r and N(r) < N(beta) in absolute value.
-
-    The quotient starts from round_quotient; a small offset search then
-    picks the remainder of least absolute norm (ties broken by
-    coefficients), which makes the remainder depend only on the residue
-    class of alpha.
-    """
-    q0 = round_quotient(alpha, beta)
-    tag = alpha.tag
-    # omega*beta = c*b + (a + e*b)*omega for beta = a + b*omega; the offsets
-    # (da, db) move the remainder by -da*beta - db*omega*beta (db = 0 over Q)
-    c, e = tag._omega_sq
-    ba, bb = beta.a, beta.b
-    wa, wb = c * bb, ba + e * bb
-    r0 = alpha - q0 * beta
-    best = None
-    for da in (0, -1, 1):
-        for db in (0, -1, 1)[:2 * tag.degree - 1]:
-            ra = r0.a - da * ba - db * wa
-            rb = r0.b - da * bb - db * wb
-            key = (abs(pair_norm(ra, rb, c, e)), ra, rb)
-            if best is None or key < best[0]:
-                best = (key, da, db)
-    (size, ra, rb), da, db = best
-    if size >= abs(pair_norm(ba, bb, c, e)):
-        raise ArithmeticError("euclidean division failed to reduce the norm")
-    return RingElem(tag, q0.a + da, q0.b + db), RingElem(tag, ra, rb)
+    """(q, r) with alpha = q*beta + r; see pair_euclid_divmod."""
+    return _quotient_remainder(pair_euclid_divmod, alpha, beta)
 
 
 def canonical_residue(value: RingElem, modulus: RingElem) -> tuple[RingElem, RingElem]:
-    """Return (q, r) with r the canonical representative of value mod modulus.
-
-    The representative depends only on the coset value + modulus*O, which
-    makes it usable for canonical matrix normal forms.  Among the small
-    remainders reachable from the Euclidean one it minimizes absolute norm,
-    then absolute coefficients, preferring nonnegative ones (so 1 mod 2
-    reduces to 1, not -1).
-    """
-    q0, r0 = euclid_divmod(value, modulus)
-    c, e = value.tag._omega_sq
-    best = None
-    for t in (0, -1, 1):
-        ra, rb = r0.a - t * modulus.a, r0.b - t * modulus.b
-        key = (abs(pair_norm(ra, rb, c, e)), abs(ra), abs(rb), ra < 0, rb < 0)
-        if best is None or key < best[0]:
-            best = (key, t, ra, rb)
-    _, t, ra, rb = best
-    return RingElem(value.tag, q0.a + t, q0.b), RingElem(value.tag, ra, rb)
+    """(q, r) with r the canonical representative of value mod modulus;
+    see pair_canonical_residue."""
+    return _quotient_remainder(pair_canonical_residue, value, modulus)
 
 
 def ring_gcd(x: RingElem, y: RingElem) -> RingElem:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csmod import csm
 from csmod.csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
                        reduced_representative, rotation_to_quat, sigma_index,
                        spectrum_member, spectrum_witness, standard_module,
@@ -13,7 +14,7 @@ from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, pure_part)
 from csmod.orders import hurwitz, icosian, lipschitz, octahedral
-from csmod.quat import Mat3K, Quat, cayley_matrix, im_re
+from csmod.quat import Mat3K, Quat, cayley_matrix, format_quat, im_re
 from csmod.rings import FieldElem, FieldTag
 
 Q = FieldTag.RATIONAL
@@ -181,6 +182,27 @@ def test_count_matches_ideal_enumeration():
                 seen.add(sub)
             assert len(seen) == len(reps)
             assert count_csms(order, m) == len(reps)
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 5), (icosian, 4), (octahedral, 2),
+])
+def test_count_names_a_wrong_bruteforce_index(factory, m, monkeypatch):
+    # the brute-force index of every enumerated generator must be m; a
+    # wrong one stops the count and names the order, m, the generator
+    # and both numbers
+    bruteforce = csm.csm_bruteforce
+    first = format_quat(factory().enumerate_by_index(m)[0])
+
+    def off_by_one(gamma, q):
+        common, index = bruteforce(gamma, q)
+        return common, index + (format_quat(q) == first)
+
+    monkeypatch.setattr(csm, "csm_bruteforce", off_by_one)
+    with pytest.raises(ArithmeticError) as err:
+        count_csms(factory(), m)
+    assert str(err.value) == (f"{factory().name}, m = {m}: the intersection "
+                              f"for {first} has index {m + 1}, not {m}")
 
 
 def test_count_multiplicative_on_coprime_indices():

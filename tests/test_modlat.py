@@ -581,7 +581,10 @@ def test_intersect_image_is_the_z_intersection(tag, ambient):
             q = Quat(tag, *(rnd_ring(rng, tag, 3) for _ in range(4)))
             if q.is_zero():
                 continue
-            numer, scale = rotation_numerators(q)
+            rows, (sa, sb) = rotation_numerators(q)
+            numer = [[RingElem(tag, a, b) for a, b in zip(row[::2], row[1::2])]
+                     for row in rows]
+            scale = RingElem(tag, sa, sb)
         else:
             # diagonally dominant in the first embedding, so invertible
             numer = [[rnd_ring(rng, tag, 2) + (40 if r == k else 0)
@@ -592,7 +595,9 @@ def test_intersect_image_is_the_z_intersection(tag, ambient):
         image = [[sum((numer[r][k].to_field() * col[k] for k in range(n)),
                       FieldElem(tag, 0)) / scale.to_field()
                   for r in range(n)] for col in mod.basis]
-        got = intersect_image(mod, numer, scale)
+        got = intersect_image(
+            mod, [[x for y in row for x in (y.a, y.b)] for row in numer],
+            (scale.a, scale.b))
         scale_z = common_scale(mod.basis, image, got.basis)
         size = n * tag.degree
         want = z_intersection(z_gens(tag, mod.basis, scale_z),

@@ -336,13 +336,16 @@ def test_enumerate_detects_a_missed_ideal(factory, m, monkeypatch):
         order.enumerate_by_index(m)
 
 
-# -- integer orbit keys -----------------------------------------------------
+# -- packed orbit keys -----------------------------------------------------
 #
-# Enumeration keys a point by its Z-coordinates v (on the basis followed by
-# omega times the basis) and marks its orbit {x*u} with the integer matrix
-# of u |-> x*u, built from the structure constants of the Z-basis.  The
-# oracle recovers Z-coordinates from quaternion coordinates by a rational
-# inverse of the Z-basis, and multiplies with Quat.__mul__.
+# The search returns Z-coordinates v on the order's Z-basis (the basis, then
+# omega times the basis).  Enumeration keys a point by its coordinates on
+# the Z-basis of the canonical module (its columns, then omega times them),
+# packed into one integer with KEY_BITS-bit slots, and marks its orbit
+# {x*u} with one dot product per unit against a table built from the
+# structure constants.  The oracle recovers either kind of Z-coordinates
+# from quaternion coordinates by a rational inverse of that Z-basis,
+# multiplies with Quat.__mul__ and packs by shifts.
 
 
 def rational_parts(q):
@@ -352,9 +355,18 @@ def rational_parts(q):
     return parts
 
 
+def canonical_z_basis(order):
+    cols = [Quat(order.field_tag, *col) for col in order.module.basis]
+    if order.field_tag.degree == 1:
+        return cols
+    omega = FieldElem.omega(order.field_tag)
+    return cols + [g * omega for g in cols]
+
+
 @lru_cache(maxsize=None)
-def z_basis_inverse(order):
-    rows = [rational_parts(g) for g in z_basis(order)]
+def z_basis_inverse(order, canonical=False):
+    basis = canonical_z_basis(order) if canonical else z_basis(order)
+    rows = [rational_parts(g) for g in basis]
     n = len(rows)
     work = [row + [Fraction(int(r == c)) for c in range(n)]
             for r, row in enumerate(rows)]
@@ -370,13 +382,18 @@ def z_basis_inverse(order):
     return [row[n:] for row in work]
 
 
-def z_key(order, q):
-    inv = z_basis_inverse(order)
+def z_key(order, q, canonical=False):
+    inv = z_basis_inverse(order, canonical)
     parts = rational_parts(q)
     key = [sum((p * inv[k][r] for k, p in enumerate(parts)), Fraction(0))
            for r in range(len(parts))]
     assert all(c.denominator == 1 for c in key), "not in the order"
     return tuple(int(c) for c in key)
+
+
+def packed_key(order, q):
+    return sum(x << csmod.orders.KEY_BITS * r
+               for r, x in enumerate(z_key(order, q, canonical=True)))
 
 
 ORBIT_ORDERS = [hurwitz, icosian, icosian_conj, octahedral]
@@ -386,6 +403,9 @@ ORBIT_ORDERS = [hurwitz, icosian, icosian_conj, octahedral]
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_unit_matrices_match_quaternion_products(factory, data):
+    # for x the element with Z-coordinates v, the key of v is the packed
+    # canonical Z-coordinates of x, and the orbit keys of v are those of
+    # x*u for each unit u, in unit order
     order = factory()
     rank = 4 * order.field_tag.degree
     v = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rank,
@@ -395,12 +415,12 @@ def test_unit_matrices_match_quaternion_products(factory, data):
         x = x + g * c
     assert z_key(order, x) == v
     assert order._element(v) == x
+    weights = order._orbit_table()[0]
+    assert sum(c * w for c, w in zip(v, weights)) == packed_key(order, x)
     units = order.norm_one_units()
-    orbit = order._orbit(v)
-    assert len(orbit) == len(units)
-    for u, image in zip(units, orbit):
-        assert z_key(order, x * u) == image
-    assert len(set(orbit)) == len(units)
+    keys = order._orbit_keys(v)
+    assert keys == [packed_key(order, x * u) for u in units]
+    assert len(set(keys)) == len(units)
 
 
 @pytest.mark.parametrize("factory", ORBIT_ORDERS)
@@ -411,7 +431,77 @@ def test_unit_vectors_are_the_keys_of_the_units(factory):
     assert [z_key(order, u) for u in units] == vectors
     # the orbit of 1 is the unit group itself
     one = z_key(order, Quat.one(order.field_tag))
-    assert order._orbit(one) == vectors
+    assert order._orbit_keys(one) == [packed_key(order, u) for u in units]
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 9), (icosian, 4), (octahedral, 2),
+])
+def test_orbit_keys_refuse_narrow_slots(factory, m, monkeypatch):
+    # two vectors could share a key once a coordinate reaches half a
+    # slot; the guard must raise before any orbit is marked with such keys
+    base = factory()
+    monkeypatch.setattr(csmod.orders, "KEY_BITS", 3)
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    with pytest.raises(ArithmeticError, match="3-bit key slots"):
+        order.enumerate_by_index(m)
+
+
+def enumeration_tally(factory, m, monkeypatch):
+    """(search points, orbits, wrong-norm orbits, non-primitive orbits,
+    ideals) of enumerate_by_index(m) on a fresh copy of the order."""
+    base = factory()
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    order.norm_one_units()
+    tally = dict.fromkeys(("points", "orbits", "wrong", "imprimitive"), 0)
+    search = csmod.orders._solve_quadratic
+    orbit_keys = QuatOrder._orbit_keys
+    has_norm, primitive = QuatOrder._has_norm, QuatOrder._is_primitive
+
+    def counting_search(*args):
+        found = search(*args)
+        tally["points"] += len(found)
+        return found
+
+    def counting_orbit_keys(self, v):
+        tally["orbits"] += 1
+        return orbit_keys(self, v)
+
+    def counting_has_norm(self, v, value):
+        ok = has_norm(self, v, value)
+        tally["wrong"] += not ok
+        return ok
+
+    def counting_primitive(self, v):
+        ok = primitive(self, v)
+        tally["imprimitive"] += not ok
+        return ok
+
+    monkeypatch.setattr(csmod.orders, "_solve_quadratic", counting_search)
+    monkeypatch.setattr(QuatOrder, "_orbit_keys", counting_orbit_keys)
+    monkeypatch.setattr(QuatOrder, "_has_norm", counting_has_norm)
+    monkeypatch.setattr(QuatOrder, "_is_primitive", counting_primitive)
+    reps = order.enumerate_by_index(m)
+    monkeypatch.undo()
+    assert reps == base.enumerate_by_index(m)
+    return (tally["points"], tally["orbits"], tally["wrong"],
+            tally["imprimitive"], len(reps))
+
+
+@pytest.mark.parametrize("factory,m,want", [
+    # 624 = 13 orbits * 48 units of trace norm 4: 3 ideals of norm 2+sqrt2
+    # and 10 orbits of norm 2-sqrt2 or 2
+    (octahedral, 2, (624, 13, 10, 0, 3)),
+    # the same search: 6 ideals, 6 wrong-norm orbits and the orbit of 2
+    (octahedral, 4, (624, 13, 6, 1, 6)),
+    # 312 = 13 orbits * 24 units: 12 ideals and the orbit of 3
+    (hurwitz, 9, (312, 13, 0, 1, 12)),
+    (icosian, 4, (600, 5, 0, 0, 5)),
+])
+def test_enumeration_classifies_each_orbit_once(factory, m, want, monkeypatch):
+    # the norm check and the content check run once per orbit, at its
+    # first point in search order; every other point is a key lookup
+    assert enumeration_tally(factory, m, monkeypatch) == want
 
 
 @pytest.mark.parametrize("factory,m", [

@@ -13,10 +13,14 @@ from csmod.rings import (
     RingElem,
     SplittingClass,
     _round_half_up,
+    canonical_residue,
     euclid_divmod,
     factor,
     factor_int,
     norm_class_reps,
+    pair_canonical_associate,
+    pair_canonical_residue,
+    pair_euclid_divmod,
     parse_field_elem,
     parse_ring_elem,
     primes_above,
@@ -506,6 +510,65 @@ def test_euclid_divmod_keeps_contract_and_old_rounding(case):
     assert alpha == q * beta + r
     assert r.norm_abs() < beta.norm_abs()
     assert (q, r) == old_euclid_divmod(alpha, beta)
+
+
+def old_canonical_associate(x):
+    """Reference canonical associate by RingElem products: fix the sign
+    of the norm and of the trace, then step the embedding ratio by eps."""
+    tag = x.tag
+    if x.is_zero():
+        return x
+    if tag.degree == 1:
+        return RingElem(tag, abs(x.a))
+    eta = (RingElem(tag, 0, 1) if tag is FieldTag.ROOT_FIVE
+           else RingElem(tag, 1, 1))
+    eps = eta * eta
+    if x.norm_signed() < 0:
+        x = x * eta
+    if x.trace() < 0:
+        x = -x
+    while x.b < 0:
+        x = x * eps
+    while (x * eps.conj()).b >= 0:
+        x = x * eps.conj()
+    return x
+
+
+def old_canonical_residue(value, modulus):
+    """Reference canonical residue: the Euclidean remainder moved by at
+    most one modulus, by least norm, then absolute coefficients, then
+    nonnegative ones."""
+    q0, r0 = old_euclid_divmod(value, modulus)
+    best = None
+    for t in (0, -1, 1):
+        r = r0 - modulus * t
+        key = (r.norm_abs(), abs(r.a), abs(r.b), r.a < 0, r.b < 0)
+        if best is None or key < best[0]:
+            best = (key, q0 + t, r)
+    return best[1], best[2]
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_pairs)
+@example((FieldTag.ROOT_FIVE, 0, 0, 3, 1))        # zero
+@example((FieldTag.ROOT_FIVE, -3, -5, 2, 0))      # norm -11, trace -11
+@example((FieldTag.ROOT_TWO, 1, -30, 3, 0))       # ratio far below 1
+@example((FieldTag.RATIONAL, -7, 0, 2, 0))
+def test_pair_canonical_helpers_match_ring_references(case):
+    tag, a, b, c, d = case
+    if tag.degree == 1:
+        b = d = 0
+    alpha, beta = RingElem(tag, a, b), RingElem(tag, c, d)
+    want = old_canonical_associate(alpha)
+    assert pair_canonical_associate(a, b, tag) == (want.a, want.b)
+    assert alpha.canonical_associate() == want
+    if beta.is_zero():
+        return
+    q, r = old_canonical_residue(alpha, beta)
+    assert pair_canonical_residue(a, b, c, d, tag) == (q.a, q.b, r.a, r.b)
+    assert canonical_residue(alpha, beta) == (q, r)
+    q, r = old_euclid_divmod(alpha, beta)
+    assert pair_euclid_divmod(a, b, c, d, tag) == (q.a, q.b, r.a, r.b)
 
 
 @settings(max_examples=300, deadline=None)
