@@ -13,10 +13,8 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from multiprocessing import Pool
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
                   reduced_representative, rotation_to_quat, sigma_index,
@@ -38,8 +36,8 @@ _FORMATS = ("text", "json", "csv")
 _CONFIG_KEYS = ("order", "case", "max", "cap", "format", "seed", "workers")
 
 
-@dataclass
 class Config:
+    """The settings of one command; unset ones read these defaults."""
     order: str = "hurwitz"
     case: str = "cub"
     max: int | None = None
@@ -256,6 +254,7 @@ def cmd_count(cfg: Config, args) -> int:
     lo, hi = _parse_index_range(args.indices)
     tasks = [(order.name, m, cfg.cap) for m in range(lo, hi + 1)]
     if cfg.workers > 1 and len(tasks) > 1:
+        from multiprocessing import Pool    # a slow import: only here
         with Pool(min(cfg.workers, len(tasks))) as pool:
             counted = pool.map(_count_task, tasks)
     else:

@@ -11,7 +11,6 @@ verifier for the module identities the correspondence rests on.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import DomainError
@@ -109,16 +108,22 @@ def spectrum_witness(order: QuatOrder, m: int):
     return (reps[0].a, reps[0].b)
 
 
-@dataclass(frozen=True)
 class CorrespondenceReport:
     """Outcome of the exact module identities for one reduced generator."""
 
-    norm_value: int
-    im_projections_match: bool
-    sum_decompositions_match: bool
-    order_index_matches: bool
-    ideal_index_matches: bool
-    scalar_intersection_matches: bool
+    __slots__ = ("norm_value", "im_projections_match",
+                 "sum_decompositions_match", "order_index_matches",
+                 "ideal_index_matches", "scalar_intersection_matches")
+
+    def __init__(self, norm_value: int, im_projections_match: bool,
+                 sum_decompositions_match: bool, order_index_matches: bool,
+                 ideal_index_matches: bool, scalar_intersection_matches: bool):
+        self.norm_value = norm_value
+        self.im_projections_match = im_projections_match
+        self.sum_decompositions_match = sum_decompositions_match
+        self.order_index_matches = order_index_matches
+        self.ideal_index_matches = ideal_index_matches
+        self.scalar_intersection_matches = scalar_intersection_matches
 
     @property
     def all_ok(self) -> bool:
@@ -129,7 +134,7 @@ class CorrespondenceReport:
                 and self.scalar_intersection_matches)
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        out = {key: getattr(self, key) for key in self.__slots__}
         out["all_ok"] = self.all_ok
         return out
 

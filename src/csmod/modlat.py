@@ -28,7 +28,6 @@ i, j, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
 
@@ -335,11 +334,19 @@ def intersect_image(module: OModule, rows, scale) -> OModule:
     return _canonical(module.tag, module.ambient, gens, module.den)
 
 
-@dataclass(frozen=True)
 class KIndex:
     """Principal-ideal index of a submodule, held by a canonical generator."""
 
-    generator: RingElem
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: RingElem):
+        self.generator = generator
+
+    def __eq__(self, other):
+        return other.__class__ is KIndex and self.generator == other.generator
+
+    def __hash__(self):
+        return hash(self.generator)
 
     @property
     def absolute(self) -> int:

@@ -7,13 +7,15 @@ order available over every base field as a reference.
 
 Enumeration of elements by reduced norm embeds an order into Euclidean
 space through the totally positive form q |-> Tr(2*nr(q)), integral of
-rank 4 (degree-1 field) or 8 (degree-2 fields) on a Z-basis.  For a
-target norm value, a Fincke-Pohst search in integers against an LDL
-decomposition made once per order is provably exhaustive.  Two elements
-of the same exact norm value generate the same right ideal q*O iff they
-differ by a unit of reduced norm one on the right; these units form a
-finite group (24, 120 or 48 elements), so ideals are told apart by their
-unit orbits {q*u}, and the infinite unit group is never walked.
+rank 4 (degree-1 field) or 8 (degree-2 fields) on a Z-basis, whose Gram
+matrix is summed from integer pair products.  For a target norm value, a
+Fincke-Pohst search in integers against an LDL decomposition, made once
+per order by fraction-free (Bareiss) elimination, is provably exhaustive.
+Two elements of the same exact norm value generate the same right ideal
+q*O iff they differ by a unit of reduced norm one on the right; these
+units form a finite group (24, 120 or 48 elements), so ideals are told
+apart by their unit orbits {q*u}, and the infinite unit group is never
+walked.
 
 Orbits are classified in integers, once each.  The search returns a
 lattice point as its integer Z-coordinates v; its key packs its
@@ -30,17 +32,16 @@ quaternion for the units and one per ideal, from integer dot products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, hnf_canonical, im_project
 from .quat import Quat, hamilton_product
 from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
-                    ring_columns, ring_gcd)
+                    pair_mul, ring_columns, ring_gcd)
 from .series import coefficient
 
 DEFAULT_ENUM_CAP = 10_000
@@ -56,32 +57,32 @@ _PHI_CASE = {FieldTag.RATIONAL: "cub", FieldTag.ROOT_FIVE: "ico",
 def _ldl(gram):
     """Integer search data of a positive definite integer matrix G: from
     its exact LDL^t decomposition, levels[j] = (w_j, d_j, (l_ij)_{i>j})
-    with scale * x^t G x == sum_j w_j * (d_j*x_j + sum_i l_ij*x_i)^2."""
+    with scale * x^t G x == sum_j w_j * (d_j*x_j + sum_i l_ij*x_i)^2.
+    Bareiss elimination leaves the leading minor M_j+1 of G in a[j][j]
+    and M_j+1 * L_ij in a[i][j]; then D_jj = M_j+1 / M_j."""
     n = len(gram)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = Fraction(gram[j][j])
-        for k in range(j):
-            s -= lower[j][k] * lower[j][k] * diag[k]
-        if s <= 0:
+    a = [list(row) for row in gram]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
             raise ArithmeticError("form is not positive definite")
-        diag[j] = s
-        for i in range(j + 1, n):
-            v = Fraction(gram[i][j])
-            for k in range(j):
-                v -= lower[i][k] * lower[j][k] * diag[k]
-            lower[i][j] = v / s
-    dens = [lcm(*(lower[i][j].denominator for i in range(j + 1, n)))
-            for j in range(n)]
-    weights = [diag[j] / (dens[j] * dens[j]) for j in range(n)]
-    scale = lcm(*(w.denominator for w in weights))
-    levels = tuple(
-        (int(weights[j] * scale), dens[j],
-         tuple(int(lower[i][j] * dens[j]) for i in range(j + 1, n)))
-        for j in range(n)
-    )
-    return levels, scale
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[j][k]) // prev
+        prev = pivot
+    levels, weights, prev = [], [], 1
+    for j in range(n):
+        minor = a[j][j]
+        g = gcd(minor, *(a[i][j] for i in range(j + 1, n)))
+        den = minor // g                    # lcm of the L_ij denominators
+        levels.append((den, tuple(a[i][j] // g for i in range(j + 1, n))))
+        g = gcd(minor, prev * den * den)    # D_jj / den^2 in lowest terms
+        weights.append((minor // g, prev * den * den // g))
+        prev = minor
+    scale = lcm(*(d for _, d in weights))
+    return tuple((w * (scale // d), den, coeffs)
+                 for (w, d), (den, coeffs) in zip(weights, levels)), scale
 
 
 def _solve_quadratic(search, target: int):
@@ -139,20 +140,26 @@ class QuatOrder:
         self.module = hnf_canonical(field_tag, Ambient.QUAT, rows, den)
         if field_tag.degree == 2:
             omega = RingElem.omega(field_tag)
-            rows += [[e * omega for e in row] for row in rows]
+            rows += [[x * omega for x in row] for row in rows]
         self._zgen = den, rows
         # 2*nr(q) = A + B*omega is an integral form on the Z-basis; the
         # search runs on its trace, and then B alone fixes nr(q)
+        c, e = field_tag._omega_sq
         rank = len(rows)
         gram = [[0] * rank for _ in range(rank)]
         nb = [[0] * rank for _ in range(rank)]
         for s in range(rank):
-            for t in range(rank):
-                twice = FieldElem.ratio(
-                    2 * sum(map(mul, rows[s], rows[t])), den * den)
-                if not twice.is_integral():
+            for t in range(s + 1):
+                a = b = 0
+                for x, y in zip(rows[s], rows[t]):
+                    xa, xb = pair_mul(x.a, x.b, y.a, y.b, c, e)
+                    a, b = a + xa, b + xb
+                a, ra = divmod(2 * a, den * den)
+                b, rb = divmod(2 * b, den * den)
+                if ra or rb:
                     raise ArithmeticError("order basis is not integral")
-                gram[s][t], nb[s][t] = twice.num.trace(), twice.num.b
+                gram[s][t] = gram[t][s] = RingElem(field_tag, a, b).trace()
+                nb[s][t] = nb[t][s] = b
         self._nb = nb if field_tag.degree == 2 else None
         self._search = _ldl(gram)
         self._enum_cache = {}
@@ -343,15 +350,29 @@ class QuatOrder:
                      for t in range(4)] for s in range(4)]
             prod = [[z_coordinates(base[s % 4][t % 4], s // 4 + t // 4)
                      for t in range(rank)] for s in range(rank)]
-            packed = [[sum(map(mul, y, powers)) for y in row] for row in prod]
+            packed = [[sum(map(mul, y, powers)) for y in row]
+                      for row in prod[:4]]
             units = self._unit_vectors()
             size = (max(abs(x) for row in prod for y in row for x in y)
                     * max(sum(map(abs, u)) for u in units))
+            # the key of zgen_s*u is k = A + B*2^half, A and B its packed
+            # integer and omega coordinates, and zgen_{s+4}*u = omega*zgen_s*u
+            # has key c*B + (A + e*B)*2^half.  A slot is at most size, so A
+            # is the signed residue of k mod 2^half while reach >= 1
+            half = 4 * KEY_BITS
+            low, mask = 1 << half - 1, (1 << half) - 1
+            table = []
+            for u in units:
+                row = [sum(map(mul, u, r)) for r in packed]
+                for k in row[:rank - 4]:
+                    a = ((k + low) & mask) - low
+                    b = (k - a) >> half
+                    row.append(c * b + (a + e * b << half))
+                table.append(row)
             self._orbits = (
                 [sum(map(mul, z_coordinates(coordinates(row, den), 0), powers))
                  for row in rows],
-                [[sum(map(mul, u, row)) for row in packed] for u in units],
-                ((1 << KEY_BITS - 1) - 1) // size)
+                table, ((1 << KEY_BITS - 1) - 1) // size)
         return self._orbits
 
     def _orbit_keys(self, v):

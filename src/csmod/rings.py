@@ -20,7 +20,6 @@ arithmetic; no floating point enters any ring computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -654,12 +653,13 @@ def primes_above(p: int, tag: FieldTag) -> list[RingElem]:
     return pair
 
 
-@dataclass(frozen=True)
 class Factorization:
     """unit * product(prime^exponent) over the ambient ring."""
 
-    unit: RingElem
-    primes: tuple[tuple[RingElem, int], ...]
+    __slots__ = ("unit", "primes")
+
+    def __init__(self, unit: RingElem, primes: tuple):
+        self.unit, self.primes = unit, primes
 
     def __iter__(self):
         return iter(self.primes)

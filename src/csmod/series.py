@@ -29,7 +29,6 @@ trial division per prime.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, islice
@@ -71,19 +70,17 @@ def _stretch(poly):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class EulerFactor:
     """Local factor at one rational prime, as numerator/denominator
     polynomials in x with integer coefficients and constant term 1."""
 
-    p: int
-    numerator: tuple
-    denominator: tuple
+    __slots__ = ("p", "numerator", "denominator")
 
-    def __post_init__(self):
-        if self.p < 2:
+    def __init__(self, p: int, numerator: tuple, denominator: tuple):
+        if p < 2:
             raise DomainError("Euler factors sit at primes")
-        _check_constant_terms(self.numerator, self.denominator)
+        _check_constant_terms(numerator, denominator)
+        self.p, self.numerator, self.denominator = p, numerator, denominator
 
     def expansion(self, terms: int) -> tuple:
         """First terms of the power series, f(1), f(p), f(p^2), ..."""
@@ -198,16 +195,15 @@ def coefficient(case: str, m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class CoeffSeries:
     """Initial coefficients f(1..M) of a multiplicative series."""
 
-    label: str
-    values: tuple
+    __slots__ = ("label", "values")
 
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
+    def __init__(self, label: str, values: tuple):
+        if not values or values[0] != 1:
             raise DomainError("coefficient series start with f(1) = 1")
+        self.label, self.values = label, values
 
     def __len__(self) -> int:
         return len(self.values)

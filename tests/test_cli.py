@@ -555,6 +555,27 @@ def test_module_entry_point():
     assert "(3, 1)" in proc.stdout
 
 
+# a CLI run must not pay for these: dataclasses pulls in inspect, and
+# only count --workers N (N > 1) needs multiprocessing
+START_UP_PROBE = """
+import sys
+import csmod.cli
+from csmod.orders import hurwitz, icosian, octahedral
+hurwitz(); icosian(); octahedral()
+code = csmod.cli.main(["count", "--order", "hurwitz", "3"])
+print(code, sorted({"dataclasses", "inspect", "multiprocessing"}
+                   & set(sys.modules)))
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_multiprocessing():
+    proc = subprocess.run([sys.executable, "-c", START_UP_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_module_entry_point_error_code():
     proc = subprocess.run(
         [sys.executable, "-m", "csmod", "count", "--order", "lipschitz-q",

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csmod import csm
-from csmod.csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
-                       reduced_representative, rotation_to_quat, sigma_index,
-                       spectrum_member, spectrum_witness, standard_module,
+from csmod.csm import (MODULE_KEYS, CorrespondenceReport, count_csms,
+                       csm_bruteforce, gamma_of, reduced_representative,
+                       rotation_to_quat, sigma_index, spectrum_member,
+                       spectrum_witness, standard_module,
                        verify_ideal_correspondence)
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
@@ -321,6 +322,19 @@ def test_correspondence_hurwitz_norm5():
         "order_index_matches", "ideal_index_matches",
         "scalar_intersection_matches", "all_ok",
     }
+
+
+def test_correspondence_report_as_dict_order():
+    report = CorrespondenceReport(7, True, True, True, False,
+                                  scalar_intersection_matches=True)
+    assert not report.all_ok
+    assert list(report.as_dict().items()) == [
+        ("norm_value", 7), ("im_projections_match", True),
+        ("sum_decompositions_match", True), ("order_index_matches", True),
+        ("ideal_index_matches", False),
+        ("scalar_intersection_matches", True), ("all_ok", False)]
+    report = verify_ideal_correspondence(hurwitz(), Quat(Q, 2, 1, 0, 0))
+    assert list(report.as_dict().values()) == [5] + [True] * 6
 
 
 def test_correspondence_degenerate_unit():

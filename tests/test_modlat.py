@@ -416,6 +416,18 @@ def test_index_hurwitz_examples():
     assert oracle_index(hur, ideal) == 4
 
 
+def test_kindex_equality_and_hash():
+    tag = FieldTag.ROOT_FIVE
+    two, also_two = KIndex(RingElem(tag, 2)), KIndex(RingElem(tag, 2))
+    three = KIndex(RingElem(tag, 3))
+    assert two == also_two and hash(two) == hash(also_two)
+    assert two != three and two != RingElem(tag, 2)
+    assert len({two, also_two, three}) == 2
+    assert two * three == KIndex(RingElem(tag, 6))
+    assert {index_K(hurwitz_module(), lipschitz_module()): "x"}[
+        KIndex(RingElem(FieldTag.RATIONAL, 2))] == "x"
+
+
 def test_index_not_submodule_raises():
     ident = identity_module(FieldTag.RATIONAL, Ambient.IM)
     with pytest.raises(DomainError):

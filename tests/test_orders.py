@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -569,6 +570,22 @@ def reference_ldl(gram):
     return lower, diag
 
 
+def reference_search(gram):
+    """(levels, scale) of _ldl, from the rational LDL^t as _ldl made them
+    before it ran in integers."""
+    lower, diag = reference_ldl(gram)
+    n = len(gram)
+    dens = [lcm(*(lower[i][j].denominator for i in range(j + 1, n)))
+            for j in range(n)]
+    weights = [diag[j] / (dens[j] * dens[j]) for j in range(n)]
+    scale = lcm(*(w.denominator for w in weights))
+    levels = tuple(
+        (int(weights[j] * scale), dens[j],
+         tuple(int(lower[i][j] * dens[j]) for i in range(j + 1, n)))
+        for j in range(n))
+    return levels, scale
+
+
 def reference_solve(lower, diag, target):
     n = len(diag)
     x = [0] * n
@@ -692,6 +709,39 @@ def test_integer_search_matches_reference(factory, top):
     for target in sorted(targets):
         assert (_solve_quadratic(search, target)
                 == reference_vectors(order, target)), target
+
+
+@pytest.mark.parametrize("order", all_orders() + [icosian_conj()],
+                         ids=lambda o: o.name)
+def test_integer_ldl_matches_rational_reference(order):
+    gram = reference_forms(order)[2]
+    assert _ldl(gram) == reference_search(gram) == order._search
+
+
+@st.composite
+def positive_definite(draw):
+    n = draw(st.integers(1, 8))
+    a = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    return [[sum(row[s] * row[t] for row in a) + (s == t) for t in range(n)]
+            for s in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive_definite())
+def test_integer_ldl_matches_rational_reference_drawn(gram):
+    assert _ldl(gram) == reference_search(gram)
+
+
+@pytest.mark.parametrize("gram", [
+    [[0]], [[-3]], [[1, 1], [1, 1]], [[1, 2], [2, 1]],
+    [[2, 0, 0], [0, 2, 0], [0, 0, -1]],
+    [[sum(r[s] * r[t] for r in ((1, 2, 3), (1, 2, 3), (0, 1, 1)))
+      for t in range(3)] for s in range(3)],
+])
+def test_integer_ldl_refuses_forms_not_positive_definite(gram):
+    with pytest.raises(ArithmeticError, match="not positive definite"):
+        _ldl(gram)
 
 
 # -- ring structure ---------------------------------------------------

@@ -242,6 +242,11 @@ def test_factor_examples():
     (pi, e), = fac2.primes
     assert e == 2 and pi.norm_abs() == 2
     assert fac2.value() == RingElem(rt2, 2)
+    assert list(fac2) == [(pi, 2)] and fac2.unit.is_unit()
+    fac3 = factor(RingElem(FieldTag.RATIONAL, -12))
+    assert len(fac3) == 2 and list(fac3) == list(fac3.primes)
+    assert [(p.a, k) for p, k in fac3] == [(2, 2), (3, 1)]
+    assert fac3.unit == RingElem(FieldTag.RATIONAL, -1)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)

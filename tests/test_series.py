@@ -72,6 +72,12 @@ def test_euler_factor_rejects_bad_input():
         euler_factor("zetaO-half", 3)
     with pytest.raises(DomainError):
         EulerFactor(p=3, numerator=(2, 1), denominator=(1,))
+    with pytest.raises(DomainError):
+        EulerFactor(p=1, numerator=(1, 1), denominator=(1,))
+    with pytest.raises(DomainError):
+        EulerFactor(3, (1, 1), (2,))
+    assert EulerFactor(3, (1, 1), denominator=(1, -3)).expansion(3) == (
+        1, 4, 12)
 
 
 # -- coefficient tables --------------------------------------------------
