@@ -4,17 +4,19 @@ Subcommands: sigma, count, series, spectrum, verify, intersect.  Output
 is human text by default; --format json is the stable machine
 interface, --format csv emits flat tables.  Exit codes: 0 success,
 1 verification failure, 2 argument or input parse failure, 3 domain
-error, 4 resource-cap refusal.
+error, 4 resource-cap refusal, 141 output pipe closed by its reader
+(as for a process stopped by SIGPIPE; nothing is printed).
 """
 
 import argparse
-import csv
 import json
+import os
 import random
 import re
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, islice
+from math import gcd
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
                   reduced_representative, rotation_to_quat, sigma_index,
@@ -25,7 +27,7 @@ from .errors import (CsmodError, DomainError, ParseInputError,
 from .modlat import index_K, intersect
 from .orders import ORDER_KEYS, hurwitz, icosian, octahedral, order_by_key
 from .quat import Mat3K, Quat, axis_angle, format_quat, parse_quat
-from .rings import _ratio_text, parse_field_elem
+from .rings import parse_field_elem
 from .series import PHI_CASES, phi_coefficients, residue_rho, zeta_identity_check
 
 _CASE_OF_ORDER = {"hurwitz": "cub", "icosian": "ico", "octahedral": "oct"}
@@ -107,56 +109,11 @@ def _build_config(args) -> Config:
 # -- output -------------------------------------------------------------
 
 
-# json.dumps(..., indent=2) runs the pure-Python encoder, several
-# generator calls per item: most of the time of a 20,000-row series
-# table.  _json_text gives the same bytes and lays out a list of flat
-# rows column by column, with one format string per row.
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_rows(value):
-    """A value of a top-level key as json.dumps(..., indent=2) lays it
-    out, if it is a non-empty list of dicts with the same keys in the
-    same order and only int or only str values per key; None otherwise."""
-    if type(value) is not list or not value or set(map(type, value)) != {dict}:
-        return None
-    keys = tuple(value[0])
-    if (not keys or any(type(k) is not str for k in keys)
-            or set(map(tuple, value)) != {keys}):
-        return None
-    columns = []
-    for column in zip(*(row.values() for row in value)):
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            column = tuple(map(_encode_str, column))
-        elif kinds != {int}:
-            return None
-        columns.append(column)
-    template = "    {\n" + ",\n".join(
-        "      " + _encode_str(k).replace("%", "%%") + ": %s"
-        for k in keys) + "\n    }"
-    return ("[\n" + ",\n".join([template % row for row in zip(*columns)])
-            + "\n  ]")
-
-
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2), byte for byte, for str keys."""
-    if not payload:
-        return "{}"
-    items = []
-    for key, value in payload.items():
-        text = _json_rows(value)
-        if text is None:
-            # strings hold no raw newline, so this indents one level
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {_encode_str(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
-
-
 def _emit(cfg: Config, payload: dict, rows=None, text=None) -> None:
     if cfg.format == "json":
-        print(_json_text(payload))
+        print(json.dumps(payload, indent=2))
     elif cfg.format == "csv":
+        import csv      # only CSV output needs it
         writer = csv.writer(sys.stdout)
         if rows is None:
             writer.writerow(("field", "value"))
@@ -285,32 +242,64 @@ def cmd_count(cfg: Config, args) -> int:
 # -- series -------------------------------------------------------------
 
 
+# csmod series writes its table this many rows at a time, so that it
+# never holds more than one block of rows and their text
+_SERIES_BLOCK = 10_000
+
+# one row as json.dumps(payload, indent=2) lays it out, and as text
+_SERIES_JSON_ROW = ('    {\n      "m": %d,\n      "f": %d,\n      "F": %d,\n'
+                    '      "ratio": "%s"\n    }')
+_SERIES_TEXT_ROW = "%6d %8d %10d  %s\n"
+
+
+def _series_blocks(values):
+    """The rows (m, f(m), F(m), F(m)/(m^2/2)), _SERIES_BLOCK at a time:
+    F the running sum, the ratio in lowest terms as rings._ratio_text
+    prints it.  A block is a zip over its columns, so that no row is a
+    tuple of its own: one GC-tracked object per row sets off collections
+    that, with large tables alive, cost as much as the formatting."""
+    running = accumulate(values)
+    for start in range(0, len(values), _SERIES_BLOCK):
+        fs = values[start:start + _SERIES_BLOCK]
+        ms = range(start + 1, start + 1 + len(fs))
+        totals = list(islice(running, len(fs)))
+        ratios = []
+        for m, total in zip(ms, totals):
+            n, d = 2 * total, m * m
+            g = gcd(n, d)
+            ratios.append(f"{n // g}/{d // g}" if d != g else str(n // g))
+        yield zip(ms, fs, totals, ratios)
+
+
 def cmd_series(cfg: Config, args) -> int:
     if cfg.max is None:
         raise ParseInputError("series needs --max")
-    series = phi_coefficients(cfg.case, cfg.max, cfg.cap)
+    # the whole table first: cap and domain errors come before any output
+    values = phi_coefficients(cfg.case, cfg.max, cfg.cap).values
     density = residue_rho(cfg.case)
-    running = 0
-    table = []
-    for m, f in enumerate(series.values, 1):
-        running += f
-        table.append({"m": m, "f": f, "F": running,
-                      "ratio": _ratio_text(2 * running, m * m)})
-    payload = {
-        "command": "series",
-        "case": cfg.case,
-        "max": cfg.max,
-        "density": density,
-        "rows": table,
-    }
-    # one pass over whichever layout is printed
-    rows = chain([("m", "f", "F", "ratio")],
-                 ((r["m"], r["f"], r["F"], r["ratio"]) for r in table))
-    text = chain([f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)"],
-                 (f"{r['m']:>6} {r['f']:>8} {r['F']:>10}  {r['ratio']}"
-                  for r in table),
-                 [f"asymptotic density: {density:.6f}"])
-    _emit(cfg, payload, rows=rows, text=text)
+    blocks = _series_blocks(values)
+    # sys.stdout is read at each write: callers may redirect it
+    if cfg.format == "json":
+        head = json.dumps({"command": "series", "case": cfg.case,
+                           "max": cfg.max, "density": density}, indent=2)
+        sys.stdout.write(head[:-2] + ',\n  "rows": [\n')
+        sep = ""
+        for block in blocks:
+            sys.stdout.write(sep + ",\n".join(map(_SERIES_JSON_ROW.__mod__,
+                                                   block)))
+            sep = ",\n"
+        sys.stdout.write("\n  ]\n}\n")
+    elif cfg.format == "csv":
+        import csv      # only CSV output needs it
+        writer = csv.writer(sys.stdout)
+        writer.writerow(("m", "f", "F", "ratio"))
+        for block in blocks:
+            writer.writerows(block)
+    else:
+        sys.stdout.write(f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)\n")
+        for block in blocks:
+            sys.stdout.write("".join(map(_SERIES_TEXT_ROW.__mod__, block)))
+        sys.stdout.write(f"asymptotic density: {density:.6f}\n")
     return 0
 
 
@@ -521,7 +510,16 @@ def main(argv=None) -> int:
         return exc.code
     try:
         cfg = _build_config(args)
-        return args.func(cfg, args)
+        code = args.func(cfg, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (csmod ... | head).  Point stdout at devnull
+        # so that the flush at exit cannot fail again, and exit as a
+        # process stopped by SIGPIPE does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ParseInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,13 @@
 import ast
+import contextlib
+import csv
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmod
-from csmod.cli import (_CONFIG_KEYS, _build_parser, _json_text, _load_config,
-                       _parse_rotation, _ratio_text, main)
+from csmod.cli import (_CONFIG_KEYS, _build_parser, _load_config,
+                       _parse_rotation, main)
 from csmod.errors import DomainError, ParseInputError
 from csmod.quat import parse_quat
-from csmod.rings import FieldTag, parse_field_elem
+from csmod.rings import FieldTag, _ratio_text, parse_field_elem
+from csmod.series import PHI_CASES, phi_coefficients, residue_rho
 
 
 def run(capsys, *argv):
@@ -287,7 +292,10 @@ def test_series_error_codes(capsys):
     capsys.readouterr()
     assert main(["series", "--case", "cub", "--max", "50",
                  "--cap", "10"]) == 4
-    capsys.readouterr()
+    # the table is made before the first row is written
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
@@ -296,41 +304,40 @@ def test_ratio_text_matches_fraction(n, d):
     assert _ratio_text(n, d) == str(Fraction(n, d))
 
 
-# -- JSON layout ----------------------------------------------------------
-
-json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
-                         st.floats(), st.text(max_size=6))
-
-
-@st.composite
-def json_tables(draw):
-    # lists of flat rows: the same keys per row, one value kind per key,
-    # now and then a row in another key order or with another kind
-    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
-                         unique=True))
-    kinds = [draw(st.sampled_from((st.integers(), st.text(max_size=6),
-                                   json_scalars))) for _ in keys]
-    rows = draw(st.lists(st.fixed_dictionaries(dict(zip(keys, kinds))),
-                         max_size=6))
-    if rows and draw(st.booleans()):
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        rows.append({k: row[k] for k in draw(st.permutations(keys))})
-    return rows
-
-
-json_values = st.recursive(
-    json_scalars | json_tables(),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=12)
+def series_reference(case, M, fmt):
+    """csmod series output as a table of row dicts prints it."""
+    density = residue_rho(case)
+    running, table = 0, []
+    for m, f in enumerate(phi_coefficients(case, M).values, 1):
+        running += f
+        table.append({"m": m, "f": f, "F": running,
+                      "ratio": str(Fraction(2 * running, m * m))})
+    if fmt == "json":
+        payload = {"command": "series", "case": case, "max": M,
+                   "density": density, "rows": table}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out).writerows(
+            [("m", "f", "F", "ratio")]
+            + [(r["m"], r["f"], r["F"], r["ratio"]) for r in table])
+        return out.getvalue()
+    lines = [f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)"]
+    lines += [f"{r['m']:>6} {r['f']:>8} {r['F']:>10}  {r['ratio']}"
+              for r in table]
+    lines.append(f"asymptotic density: {density:.6f}")
+    return "\n".join(lines) + "\n"
 
 
-@given(st.dictionaries(st.text(max_size=6), json_tables() | json_values,
-                       max_size=5))
-@example({"rows": [{"m%d": 1, "%s": "50%"}, {"m%d": -2, "%s": "\u00e9"}]})
-@settings(max_examples=400, deadline=None)
-def test_json_text_matches_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
+# both edges of the 10,000-row blocks the table is written in
+@pytest.mark.parametrize("M", [1, 2, 9_999, 10_000, 10_001, 20_000])
+@pytest.mark.parametrize("case", PHI_CASES)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_series_output_matches_row_dict_rendering(capsys, fmt, case, M):
+    code, out = run(capsys, "series", "--case", case, "--max", str(M),
+                    "--format", fmt)
+    assert code == 0
+    assert out == series_reference(case, M, fmt)
 
 
 def test_json_text_series_payload(capsys):
@@ -338,6 +345,38 @@ def test_json_text_series_payload(capsys):
                     "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class CharCounter:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.slow
+def test_series_streams_its_rows():
+    # the JSON text of 200,000 rows is about 21.8 MB; a table of row
+    # dicts and one string of the whole document peaked at 157 MB
+    sink = CharCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["series", "--case", "cub", "--max", "200000",
+                         "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 20_000_000
+    assert peak < 15_000_000
 
 
 # -- spectrum ------------------------------------------------------------
@@ -555,15 +594,15 @@ def test_module_entry_point():
     assert "(3, 1)" in proc.stdout
 
 
-# a CLI run must not pay for these: dataclasses pulls in inspect, and
-# only count --workers N (N > 1) needs multiprocessing
+# a CLI run must not pay for these: dataclasses pulls in inspect, only
+# count --workers N (N > 1) needs multiprocessing, only CSV output csv
 START_UP_PROBE = """
 import sys
 import csmod.cli
 from csmod.orders import hurwitz, icosian, octahedral
 hurwitz(); icosian(); octahedral()
 code = csmod.cli.main(["count", "--order", "hurwitz", "3"])
-print(code, sorted({"dataclasses", "inspect", "multiprocessing"}
+print(code, sorted({"csv", "dataclasses", "inspect", "multiprocessing"}
                    & set(sys.modules)))
 """
 
@@ -583,6 +622,20 @@ def test_module_entry_point_error_code():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 3
     assert "maximal" in proc.stderr
+
+
+def test_module_entry_point_closed_pipe_exits_141():
+    # the reader takes one line and goes: the next block cannot be written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csmod", "series", "--case", "cub", "--max",
+         "300000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env())
+    assert proc.stdout.readline().split() == [b"m", b"f(m)", b"F(m)",
+                                              b"F(m)/(m^2/2)"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_module_entry_point_usage_error_code():
