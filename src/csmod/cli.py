@@ -148,13 +148,14 @@ def cmd_sigma(cfg: Config, args) -> int:
     order = order_by_key(cfg.order)
     q = _parse_rotation(args.rotation, order.field_tag)
     q_star = reduced_representative(order, q)
+    generator = format_quat(q_star)
     submodule, sigma = csm_bruteforce(gamma_of(order), q)
     if order.maximal:
         # the index formula, on the generator reduced above
         by_formula = q_star.nr().to_ring().norm_abs()
         if by_formula != sigma:
             print(f"error: rotation {args.rotation!r}, reduced generator "
-                  f"{format_quat(q_star)}: index {sigma} by intersection "
+                  f"{generator}: index {sigma} by intersection "
                   f"but {by_formula} by the formula", file=sys.stderr)
             return 1
     if q.is_scalar():
@@ -162,25 +163,26 @@ def cmd_sigma(cfg: Config, args) -> int:
     else:
         axis_vec, cos_elem = axis_angle(q)
         axis, cos = [str(e) for e in axis_vec], str(cos_elem)
-    payload = {
+    if cfg.format == "text":
+        _emit(cfg, None, text=[
+            f"order:              {order.name}",
+            f"reduced generator:  {generator}",
+            f"coincidence index:  {sigma}",
+            f"axis:               {'(identity rotation)' if axis is None else '(' + ', '.join(axis) + ')'}",
+            f"cos(angle):         {cos}",
+            f"csm basis:          {submodule}",
+        ])
+        return 0
+    _emit(cfg, {
         "command": "sigma",
         "order": order.name,
         "rotation": args.rotation,
-        "reduced_generator": format_quat(q_star),
+        "reduced_generator": generator,
         "sigma": sigma,
         "axis": axis,
         "cos_angle": cos,
         "csm_basis": submodule.json_columns(),
-    }
-    text = [
-        f"order:              {order.name}",
-        f"reduced generator:  {format_quat(q_star)}",
-        f"coincidence index:  {sigma}",
-        f"axis:               {'(identity rotation)' if axis is None else '(' + ', '.join(axis) + ')'}",
-        f"cos(angle):         {cos}",
-        f"csm basis:          {submodule}",
-    ]
-    _emit(cfg, payload, text=text)
+    })
     return 0
 
 

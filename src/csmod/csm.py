@@ -12,16 +12,17 @@ verifier for the module identities the correspondence rests on.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .errors import DomainError
 from .modlat import (Ambient, OModule, hnf_canonical, identity_module,
                      im_project, index_K, intersect, intersect_image,
                      pure_part, scale_module, scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
-from .quat import (Mat3K, Quat, cayley_matrix, format_quat,
-                   rotation_numerators)
+from .quat import Mat3K, Quat, format_quat, rotation_numerators
 from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
-                    norm_class_reps, splitting_class)
+                    norm_class_reps, pair_mul, ring_columns,
+                    splitting_class)
 
 
 def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
@@ -185,29 +186,29 @@ def rotation_to_quat(mat: Mat3K) -> Quat:
     """Quaternion (up to scale) whose conjugation action is the given
     special orthogonal matrix; rejects anything else."""
     tag = mat.tag
-    ident = Mat3K.identity(tag)
-    trace = mat.trace()
-    one = ident[0, 0]
-    candidates = []
-    candidates.append((
-        trace + one,
-        mat[2, 1] - mat[1, 2],
-        mat[0, 2] - mat[2, 0],
-        mat[1, 0] - mat[0, 1],
-    ))
+    c, e = tag._omega_sq
+    den, m = ring_columns(tag, 3, mat.rows)     # mat = m/den
+    one = RingElem(tag, den)
+    candidates = [(m[0][0] + m[1][1] + m[2][2] + one, m[2][1] - m[1][2],
+                   m[0][2] - m[2][0], m[1][0] - m[0][1])]
     # half-turns have trace -1 and a symmetric matrix; each nonzero
     # column of R + 1 is then proportional to the axis
-    for c in range(3):
-        col = [mat[r, c] + one if r == c else mat[r, c] for r in range(3)]
-        candidates.append((0, *col))
-    # a Cayley matrix is special orthogonal, so a match needs no check
+    for col in range(3):
+        axis = [m[r][col] + one if r == col else m[r][col] for r in range(3)]
+        candidates.append((RingElem(tag, 0), *axis))
+    # a Cayley matrix N/n is special orthogonal, so a match needs no
+    # check; it is mat = m/den iff N*den == m*n entry by entry
     for cand in candidates:
-        q = Quat(tag, *cand)
-        if q.is_zero():
+        if all(x.is_zero() for x in cand):
             continue
-        if cayley_matrix(q) == mat:
+        q = Quat.ratio(cand, den)
+        rows, (na, nb) = rotation_numerators(q)
+        flat = [y for row in rows for y in row]
+        if all(pair_mul(x.a, x.b, na, nb, c, e) == (ya * den, yb * den)
+               for x, ya, yb in zip(chain(*m), flat[::2], flat[1::2])):
             return q
-    if mat.transpose() * mat != ident or mat.det() != one:
+    ident = Mat3K.identity(tag)
+    if mat.transpose() * mat != ident or mat.det() != ident[0, 0]:
         raise DomainError("matrix is not special orthogonal over the field")
     raise DomainError("matrix is not a rotation arising over this field")
 

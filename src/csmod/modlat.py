@@ -19,7 +19,8 @@ a + b*omega, and each call reads the omega^2 rule of its field once.
 The pivots, the residues above them and the lowest terms are normalised
 by the pair helpers of rings.  RingElems appear only in the columns of
 the resulting OModule, field elements only in the read-only `basis`
-view, for printing.  Membership is a triangular solve.
+view; text is printed from the numerators.  Membership is a triangular
+solve.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -36,6 +37,7 @@ from .rings import (
     FieldElem,
     FieldTag,
     RingElem,
+    _format_pair,
     as_field,
     pair_canonical_associate,
     pair_canonical_residue,
@@ -78,7 +80,7 @@ class OModule:
 
     @property
     def basis(self) -> tuple[tuple[FieldElem, ...], ...]:
-        """The basis columns as field elements, for printing and tests."""
+        """The basis columns as field elements, a read-only view."""
         return tuple(tuple(FieldElem.ratio(e, self.den) for e in col)
                      for col in self.cols)
 
@@ -125,7 +127,8 @@ class OModule:
                    for col in other.cols)
 
     def json_columns(self) -> list[list[str]]:
-        return [[str(e) for e in col] for col in self.basis]
+        return [[_format_pair(e.a, e.b, self.den) for e in col]
+                for col in self.cols]
 
     def __eq__(self, other):
         if not isinstance(other, OModule):
@@ -137,9 +140,8 @@ class OModule:
         return hash((self.tag, self.ambient, self.den, self.cols))
 
     def __str__(self):
-        cols = "; ".join(
-            "(" + ", ".join(str(e) for e in col) + ")" for col in self.basis
-        )
+        cols = "; ".join("(" + ", ".join(col) + ")"
+                         for col in self.json_columns())
         return f"<{cols}>"
 
     __repr__ = __str__

@@ -41,7 +41,7 @@ from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, hnf_canonical, im_project
 from .quat import Quat, hamilton_product
 from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
-                    pair_mul, ring_columns, ring_gcd)
+                    pair_gcd, pair_mul, pair_norm, ring_columns)
 from .series import coefficient
 
 DEFAULT_ENUM_CAP = 10_000
@@ -191,22 +191,29 @@ class QuatOrder:
 
     def content(self, q: Quat) -> RingElem:
         """Canonical gcd of the coordinates; largest scalar divisor in O."""
+        return RingElem(self.field_tag, *self._content_in(
+            q, "content of zero is undefined"))
+
+    def _content_in(self, q: Quat, zero_error: str):
+        """The content of q as a pair; DomainError outside O or at zero."""
         coords = self.coordinates(q)
         if coords is None:
             raise DomainError("element is not in the order")
-        return self._content_of(coords)
+        if q.is_zero():
+            raise DomainError(zero_error)
+        return self._content_of((x.a, x.b) for x in coords)
 
-    def _content_of(self, coords) -> RingElem:
-        acc = None
-        for c in coords:
-            if c.is_zero():
-                continue
-            acc = c if acc is None else ring_gcd(acc, c)
-            if acc.is_unit():
-                return RingElem(self.field_tag, 1)
-        if acc is None:
+    def _content_of(self, pairs):
+        """The canonical gcd of ring elements given as pairs, as a pair."""
+        ga = gb = 0
+        for a, b in pairs:
+            if a or b:
+                ga, gb = pair_gcd(ga, gb, a, b, self.field_tag)
+                if (ga, gb) == (1, 0):      # a unit, in canonical form
+                    break
+        if not (ga or gb):
             raise DomainError("content of zero is undefined")
-        return acc.canonical_associate()
+        return ga, gb
 
     def is_unit(self, q: Quat) -> bool:
         if not self.contains(q):
@@ -218,12 +225,7 @@ class QuatOrder:
             raise DomainError(
                 "reducedness is defined here for the maximal orders only"
             )
-        coords = self.coordinates(q)
-        if coords is None:
-            raise DomainError("element is not in the order")
-        if q.is_zero():
-            raise DomainError("the zero element is not reduced")
-        if not self._content_of(coords).is_unit():
+        if self._content_in(q, "the zero element is not reduced") != (1, 0):
             return False
         if self._strips_even_norms():
             return q.nr().to_ring().norm_abs() % 2 == 1
@@ -236,19 +238,18 @@ class QuatOrder:
     def reduce_generator(self, q: Quat) -> Quat:
         """Divide out the content (and any two-sided even-norm factor),
         keeping the conjugated order q O q^-1 unchanged."""
-        coords = self.coordinates(q)
-        if coords is None:
-            raise DomainError("element is not in the order")
-        if q.is_zero():
-            raise DomainError("cannot reduce zero")
-        content = self._content_of(coords)
-        if content != 1:
-            q = q / content.to_field()
+        ga, gb = self._content_in(q, "cannot reduce zero")
+        c, e = self.field_tag._omega_sq
+        # q/g = q*conj(g)/N(g), with N(g) = g^2 over Q
+        nums = [pair_mul(x.a, x.b, ga + e * gb, -gb, c, e) for x in q.num]
+        den = q.den * pair_norm(ga, gb, c, e)
         if self._strips_even_norms():
-            inv_one_plus_i = Quat(self.field_tag, 1, -1) / 2
-            while q.nr().to_ring().norm_abs() % 2 == 0:
-                q = q * inv_one_plus_i
-        return q
+            # times (1-i)/2, which halves nr = sum(a^2)/den^2, an integer
+            a = [x for x, _ in nums]
+            while sum(x * x for x in a) // den ** 2 % 2 == 0:
+                a, den = hamilton_product(a, (1, -1, 0, 0)), 2 * den
+            nums = [(x, 0) for x in a]
+        return Quat.ratio([RingElem(self.field_tag, *x) for x in nums], den)
 
     # -- ideals and enumeration ----------------------------------------
 
@@ -289,9 +290,7 @@ class QuatOrder:
         """Whether the element with Z-coordinates v has unit content; its
         ring coordinates on the basis pair the first four entries of v,
         the integer parts, with the rest, the omega parts."""
-        tag = self.field_tag
-        return self._content_of([RingElem(tag, a, b) for a, b in zip(
-            v[:4], v[4:] or (0, 0, 0, 0))]).is_unit()
+        return self._content_of(zip(v[:4], v[4:] or (0, 0, 0, 0))) == (1, 0)
 
     def _element(self, v) -> Quat:
         """The quaternion with Z-coordinates v: each coordinate's ring

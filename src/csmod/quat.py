@@ -15,9 +15,9 @@ units; that belongs to the order layer.
 from __future__ import annotations
 
 from .errors import DomainError, ParseInputError
-from .rings import (FieldElem, FieldTag, RingElem, _signed_terms, _times_conj,
-                    as_field, lowest_terms, pair_mul, parse_field_elem,
-                    ring_columns)
+from .rings import (FieldElem, FieldTag, RingElem, _format_pair,
+                    _parse_numerators, _signed_terms, _times_conj, as_field,
+                    lowest_terms, pair_mul, ring_columns)
 
 
 def hamilton_product(a, b):
@@ -320,9 +320,11 @@ def axis_angle(q: Quat) -> tuple[tuple[FieldElem, FieldElem, FieldElem], FieldEl
     """Rotation axis and exact cosine of the rotation angle of R(q)."""
     if q.is_scalar():
         raise DomainError("a scalar quaternion has no rotation axis")
-    k, l, m, v = q.coords()
-    cos = (k * k - l * l - m * m - v * v) / q.nr()
-    return (l, m, v), cos
+    # cos = (k^2 - l^2 - m^2 - v^2)/nr on the ring numerators of q
+    kk, ll, mm, vv = (x * x for x in q.num)
+    top, n = kk - ll - mm - vv, kk + ll + mm + vv
+    ca, cb, d = _times_conj(top.a, top.b, n.a, n.b, *q.tag._omega_sq)
+    return q.coords()[1:], FieldElem.ratio(RingElem(q.tag, ca, cb), d)
 
 
 _UNIT_INDEX = {"i": 1, "j": 2, "k": 3}
@@ -351,29 +353,32 @@ def parse_quat(text: str, tag: FieldTag) -> Quat:
     stripped = text.replace(" ", "")
     if not stripped:
         raise ParseInputError("empty quaternion")
-    coords = [FieldElem(tag, 0) for _ in range(4)]
+    nums, den = [0] * 8, 1      # the coordinates' pairs (a, b) over den
     for sign, term in _signed_terms(text, stripped):
         if term in _UNIT_INDEX:
-            idx, coeff = _UNIT_INDEX[term], FieldElem(tag, 1)
+            idx, (a, b, d) = _UNIT_INDEX[term], (1, 0, 1)
         elif len(term) >= 3 and term[-2] == "*" and term[-1] in _UNIT_INDEX:
             idx = _UNIT_INDEX[term[-1]]
-            coeff = parse_field_elem(_strip_outer_parens(term[:-2]), tag)
+            a, b, d = _parse_numerators(_strip_outer_parens(term[:-2]), tag)
         else:
-            idx, coeff = 0, parse_field_elem(term, tag)
-        if sign < 0:
-            coeff = -coeff
-        coords[idx] = coords[idx] + coeff
-    return Quat(tag, *coords)
+            idx, (a, b, d) = 0, _parse_numerators(term, tag)
+        nums = [x * d for x in nums]
+        nums[2 * idx] += sign * a * den
+        nums[2 * idx + 1] += sign * b * den
+        den *= d
+    return Quat.ratio([RingElem(tag, *nums[i:i + 2]) for i in (0, 2, 4, 6)],
+                      den)
 
 
 def format_quat(q: Quat) -> str:
     parts = []
-    if not q.x0.is_zero():
-        parts.append(str(q.x0))
-    for comp, sym in ((q.x1, "i"), (q.x2, "j"), (q.x3, "k")):
-        if comp.is_zero():
+    x0, x1, x2, x3 = q.num
+    if x0.a or x0.b:
+        parts.append(_format_pair(x0.a, x0.b, q.den))
+    for x, sym in ((x1, "i"), (x2, "j"), (x3, "k")):
+        if not (x.a or x.b):
             continue
-        s = str(comp)
+        s = _format_pair(x.a, x.b, q.den)
         if s == "1":
             parts.append(sym)
         elif s == "-1":

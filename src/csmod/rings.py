@@ -5,11 +5,12 @@ rings are the rings of integers of Q, Q(sqrt(5)) and Q(sqrt(2)).  Ring
 elements (RingElem) are integer pairs (a, b) for a + b*omega in the basis
 {1, omega}, with omega equal to 1, tau or sqrt(2) according to the field
 tag.  A field element (FieldElem) is a RingElem numerator over a positive
-integer denominator in lowest terms, so all field arithmetic is integer
-arithmetic on the ring formulas; Fraction only appears where text is
-parsed or printed.  All three rings are norm-Euclidean principal ideal
-domains, which keeps gcds, contents, Hermite pivots and prime
-factorization algorithmic.
+integer denominator in lowest terms, so all field arithmetic, parsing and
+printing is integer arithmetic on the ring formulas; Fraction is imported
+only by the FieldElem.a and .b views, its hash of a rational, its
+constructor given Fractions and series.summatory.  All three rings are
+norm-Euclidean principal ideal domains, which keeps gcds, contents,
+Hermite pivots and prime factorization algorithmic.
 
 Associates are normalized deterministically: the canonical associate of a
 nonzero element is totally positive with embedding ratio sigma1/sigma2 in
@@ -20,8 +21,8 @@ arithmetic; no floating point enters any ring computation.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from numbers import Rational
 
@@ -214,6 +215,7 @@ class FieldElem:
             self.num = RingElem(tag, a, b)
             self.den = 1
             return
+        from fractions import Fraction    # only this branch needs it
         a, b = Fraction(a), Fraction(b)
         x = FieldElem.ratio(RingElem(tag, a.numerator * b.denominator,
                                      b.numerator * a.denominator),
@@ -250,13 +252,15 @@ class FieldElem:
         return self.num.tag
 
     @property
-    def a(self) -> Fraction:
-        """The rational coefficient of 1."""
+    def a(self):
+        """The rational coefficient of 1, a Fraction."""
+        from fractions import Fraction
         return Fraction(self.num.a, self.den)
 
     @property
-    def b(self) -> Fraction:
-        """The rational coefficient of omega."""
+    def b(self):
+        """The rational coefficient of omega, a Fraction."""
+        from fractions import Fraction
         return Fraction(self.num.b, self.den)
 
     def _coerce(self, other) -> "FieldElem":
@@ -568,16 +572,24 @@ def canonical_residue(value: RingElem, modulus: RingElem) -> tuple[RingElem, Rin
     return _quotient_remainder(pair_canonical_residue, value, modulus)
 
 
-def ring_gcd(x: RingElem, y: RingElem) -> RingElem:
-    """Greatest common divisor, returned as a canonical associate; any
+def pair_gcd(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):
+    """The canonical gcd of x and y, not both zero, as a pair; any
     remainder of smaller norm serves, so it takes rounded quotients."""
+    c, e = tag._omega_sq
+    while ya or yb:
+        qa, qb = pair_round_quotient(xa, xb, ya, yb, c, e)
+        pa, pb = pair_mul(qa, qb, ya, yb, c, e)
+        xa, xb, ya, yb = ya, yb, xa - pa, xb - pb
+    return pair_canonical_associate(xa, xb, tag)
+
+
+def ring_gcd(x: RingElem, y: RingElem) -> RingElem:
+    """Greatest common divisor, returned as a canonical associate."""
     if x.tag is not y.tag:
         raise DomainError("mixed field tags")
     if x.is_zero() and y.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    while not y.is_zero():
-        x, y = y, x - round_quotient(x, y) * y
-    return x.canonical_associate()
+    return RingElem(x.tag, *pair_gcd(x.a, x.b, y.a, y.b, x.tag))
 
 
 class SplittingClass(Enum):
@@ -805,15 +817,30 @@ def _split_terms(text: str) -> list[str]:
     return terms
 
 
-def _parse_rational(text: str) -> Fraction:
-    # Fraction reads exponents, and "1e999999" would build a million-digit
+# what CPython 3.11's Fraction reads, less exponents: n, n/d, decimals (".5"
+# and "1." too), "_" between digits, whitespace around, any Unicode digit
+_RATIONAL_LITERAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)((?:\d+(?:_\d+)*)?)"
+                               r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?)\s*")
+
+
+def _parse_rational(text: str) -> tuple[int, int]:
+    """(n, d) with d > 0 and n/d the value of a rational literal."""
+    # exponents are refused: "1e999999" would build a million-digit
     # integer from ten characters
     if "e" in text or "E" in text:
         raise ParseInputError(f"exponent literals are not accepted: {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseInputError(f"bad rational literal {text!r}") from exc
+    m = _RATIONAL_LITERAL.fullmatch(text)
+    if m:
+        sign, num, den, dec = m.groups()
+        dec = (dec or "").replace("_", "")
+        try:    # int() refuses more digits than sys.get_int_max_str_digits()
+            n = int(num or "0") * 10 ** len(dec) + int(dec or "0")
+            d = int(den or "1") * 10 ** len(dec)
+        except ValueError:
+            d = 0
+        if d:
+            return (-n if sign == "-" else n), d
+    raise ParseInputError(f"bad rational literal {text!r}")
 
 
 def _signed_terms(text: str, stripped: str):
@@ -826,27 +853,31 @@ def _signed_terms(text: str, stripped: str):
         yield (-1) ** term.count("-", 0, len(term) - len(body)), body
 
 
-def parse_field_elem(text: str, tag: FieldTag) -> FieldElem:
-    """Parse 'a', 'a+b*w', 'a/c - b/d*w' (w = tau or sqrt(2) by tag)."""
+def _parse_numerators(text: str, tag: FieldTag):
+    """(a, b, den) with den > 0 and (a + b*w)/den the value of the text of
+    a field element (see parse_field_elem), not in lowest terms."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise ParseInputError("empty ring element")
-    a = Fraction(0)
-    b = Fraction(0)
+    a, b, den = 0, 0, 1
     for sign, term in _signed_terms(text, stripped):
         factors = term.split("*")
         has_w = "w" in factors
         numeric = [f for f in factors if f != "w"]
         if len(factors) - len(numeric) > 1 or len(numeric) > 1:
             raise ParseInputError(f"bad term {term!r} in {text!r}")
-        coeff = _parse_rational(numeric[0]) if numeric else Fraction(1)
-        if has_w:
-            if tag.degree == 1:
-                raise ParseInputError("'w' is not available over the rationals")
-            b += sign * coeff
-        else:
-            a += sign * coeff
-    return FieldElem(tag, a, b)
+        n, d = _parse_rational(numeric[0]) if numeric else (1, 1)
+        if has_w and tag.degree == 1:
+            raise ParseInputError("'w' is not available over the rationals")
+        n, den = sign * n * den, den * d
+        a, b = (a * d, b * d + n) if has_w else (a * d + n, b * d)
+    return a, b, den
+
+
+def parse_field_elem(text: str, tag: FieldTag) -> FieldElem:
+    """Parse 'a', 'a+b*w', 'a/c - b/d*w' (w = tau or sqrt(2) by tag)."""
+    a, b, den = _parse_numerators(text, tag)
+    return FieldElem.ratio(RingElem(tag, a, b), den)
 
 
 def parse_ring_elem(text: str, tag: FieldTag) -> RingElem:

@@ -29,7 +29,6 @@ trial division per prime.
 """
 
 import math
-from fractions import Fraction
 from functools import partial
 from itertools import compress, islice
 from operator import mul
@@ -289,6 +288,7 @@ def dirichlet_convolve(a, b) -> tuple:
 def summatory(case: str, x: int, cap=None):
     """(F(x), F(x) / (x^2 / 2)) with F the partial sum of the counting
     coefficients; the ratio tracks the linear average growth."""
+    from fractions import Fraction    # only this ratio needs it
     series = phi_coefficients(case, x, cap)
     total = sum(series.values)
     return total, Fraction(2 * total, x * x)

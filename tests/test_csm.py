@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -14,9 +16,10 @@ from csmod.csm import (MODULE_KEYS, CorrespondenceReport, count_csms,
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, pure_part)
-from csmod.orders import hurwitz, icosian, lipschitz, octahedral
+from csmod.orders import (hurwitz, icosian, lipschitz, octahedral,
+                           order_by_key)
 from csmod.quat import Mat3K, Quat, cayley_matrix, format_quat, im_re
-from csmod.rings import FieldElem, FieldTag
+from csmod.rings import FieldElem, FieldTag, parse_field_elem
 
 Q = FieldTag.RATIONAL
 R5 = FieldTag.ROOT_FIVE
@@ -579,3 +582,96 @@ def test_rotation_rejection_messages():
     flip = Mat3K(Q, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
     with pytest.raises(DomainError, match="not special orthogonal"):
         rotation_to_quat(flip)
+
+
+# -- rotation_to_quat against the field-element reference ----------------
+
+
+def old_rotation_to_quat(mat: Mat3K) -> Quat:
+    """The reference: candidates in field elements, each checked by
+    comparing its whole cayley_matrix with mat."""
+    tag = mat.tag
+    ident = Mat3K.identity(tag)
+    one = ident[0, 0]
+    candidates = [(mat.trace() + one, mat[2, 1] - mat[1, 2],
+                   mat[0, 2] - mat[2, 0], mat[1, 0] - mat[0, 1])]
+    for c in range(3):
+        candidates.append((0, *(mat[r, c] + one if r == c else mat[r, c]
+                                for r in range(3))))
+    for cand in candidates:
+        q = Quat(tag, *cand)
+        if not q.is_zero() and cayley_matrix(q) == mat:
+            return q
+    if mat.transpose() * mat != ident or mat.det() != one:
+        raise DomainError("matrix is not special orthogonal over the field")
+    raise DomainError("matrix is not a rotation arising over this field")
+
+
+def _rotation_outcome(convert, mat):
+    try:
+        return convert(mat)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _golden_matrices():
+    """The matrices of the recorded sigma runs, with their orders' fields."""
+    path = pathlib.Path(__file__).parent / "data" / "sigma_golden.json"
+    for entry in json.loads(path.read_text(encoding="utf-8")):
+        key, text = entry["argv"][2], entry["argv"][-1]
+        if ";" in text:
+            tag = order_by_key(key).field_tag
+            yield Mat3K(tag, [[parse_field_elem(e.strip(), tag)
+                               for e in row.split(",")]
+                              for row in text.split(";")])
+
+
+def _half_turns(tag):
+    return [Mat3K(tag, [[d[r] if r == c else 0 for c in range(3)]
+                        for r in range(3)])
+            for d in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+
+
+def _conjugated(mat, unit):
+    u = cayley_matrix(unit)
+    return u * mat * u.transpose()
+
+
+def test_rotation_to_quat_matches_the_field_element_reference():
+    mats = list(_golden_matrices())
+    assert len(mats) >= 6 * 5
+    for tag in FieldTag:
+        mats += _half_turns(tag)
+    # the half-turns conjugated by every tenth unit of the icosian and the
+    # octahedral order: half-turns about axes off the coordinate axes
+    for order in (icosian(), octahedral()):
+        for unit in order.norm_one_units()[::10]:
+            mats += [_conjugated(h, unit) for h in _half_turns(order.field_tag)]
+    # scalar multiples of a generator give the same matrix
+    rng = random.Random(7)
+    scalars = {Q: [2, -3, Fraction(1, 2)],
+               R5: [fe(R5, 0, 1), fe(R5, 1, 1), fe(R5, -2, Fraction(1, 3))],
+               R2: [fe(R2, 0, 1), fe(R2, 1, 1), fe(R2, Fraction(1, 2), -1)]}
+    for order in maximal_orders():
+        q = rnd_element(order, rng)
+        for s in scalars[order.field_tag]:
+            mat = cayley_matrix(q * s)
+            assert mat == cayley_matrix(q)
+            mats.append(mat)
+            back = rotation_to_quat(mat)
+            assert (back * q.conj()).is_scalar()
+    # refusals: no special orthogonal matrix
+    for tag in FieldTag:
+        mats += [Mat3K(tag, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                 Mat3K(tag, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+                 Mat3K(tag, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+                 Mat3K(tag, [[0] * 3] * 3)]
+    refused = 0
+    for mat in mats:
+        new = _rotation_outcome(rotation_to_quat, mat)
+        assert new == _rotation_outcome(old_rotation_to_quat, mat), mat
+        if isinstance(new, str):
+            refused += 1
+        else:
+            assert cayley_matrix(new) == mat
+    assert refused >= 12

@@ -2,7 +2,9 @@
 
 tests/data/sigma_golden.json holds `csmod sigma --format json` runs on
 seeded rotations of all six orders (quaternion text, matrix text,
-negative scalar parts, a few refusals); tests/data/intersect_golden.json
+negative scalar parts, a few refusals), and sigma_text_golden.json and
+sigma_csv_golden.json the same runs with `--format text` and `--format
+csv`; tests/data/intersect_golden.json
 holds `csmod intersect --format json` on every pair of standard modules.
 Each entry records argv, exit code and stdout.  To re-record after an
 intended output change, run
@@ -27,6 +29,8 @@ from csmod.rings import RingElem
 
 DATA = pathlib.Path(__file__).parent / "data"
 SIGMA_GOLDEN = DATA / "sigma_golden.json"
+SIGMA_TEXT_GOLDEN = DATA / "sigma_text_golden.json"
+SIGMA_CSV_GOLDEN = DATA / "sigma_csv_golden.json"
 INTERSECT_GOLDEN = DATA / "intersect_golden.json"
 
 SIGMA_PER_ORDER = 20
@@ -65,9 +69,9 @@ def _sigma_rotations(order, rng):
     return texts + list(SIGMA_EXTRA)
 
 
-def sigma_argvs():
+def sigma_argvs(fmt="json"):
     rng = random.Random(SIGMA_SEED)
-    return [["sigma", "--order", key, "--format", "json", "--", text]
+    return [["sigma", "--order", key, "--format", fmt, "--", text]
             for key in ORDER_KEYS
             for text in _sigma_rotations(order_by_key(key), rng)]
 
@@ -89,8 +93,10 @@ def _load(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("path", [SIGMA_GOLDEN, INTERSECT_GOLDEN],
-                         ids=["sigma", "intersect"])
+@pytest.mark.parametrize("path", [SIGMA_GOLDEN, SIGMA_TEXT_GOLDEN,
+                                  SIGMA_CSV_GOLDEN, INTERSECT_GOLDEN],
+                         ids=["sigma", "sigma-text", "sigma-csv",
+                              "intersect"])
 def test_cli_output_matches_golden(path):
     entries = _load(path)
     assert entries
@@ -108,11 +114,20 @@ def test_sigma_golden_covers_the_orders_and_inputs():
     assert {e["exit"] for e in _load(SIGMA_GOLDEN)} == {0, 3}
 
 
+def test_sigma_goldens_run_the_same_rotations_in_each_format():
+    argvs = [e["argv"] for e in _load(SIGMA_GOLDEN)]
+    for path, fmt in ((SIGMA_TEXT_GOLDEN, "text"), (SIGMA_CSV_GOLDEN, "csv")):
+        assert [e["argv"] for e in _load(path)] == [
+            a[:4] + [fmt] + a[5:] for a in argvs]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     DATA.mkdir(exist_ok=True)
     for path, argvs in ((SIGMA_GOLDEN, sigma_argvs()),
+                        (SIGMA_TEXT_GOLDEN, sigma_argvs("text")),
+                        (SIGMA_CSV_GOLDEN, sigma_argvs("csv")),
                         (INTERSECT_GOLDEN, intersect_argvs())):
         path.write_text(json.dumps(_record(argvs), indent=1) + "\n",
                         encoding="utf-8")

@@ -679,6 +679,22 @@ def test_integers_ratios_and_decimals_still_parse(text, value):
     assert parse_field_elem(f"{text}*w", tau) == FieldElem(tau, 0, value)
 
 
+@pytest.mark.parametrize("text,value", [
+    ("1_0/3_3", Fraction(10, 33)), ("1_000.2_5", Fraction(4001, 4)),
+    ("-0_7.", Fraction(-7)), ("+.0_5", Fraction(1, 20)),
+])
+def test_underscores_between_digits(text, value):
+    # one grammar on every Python version, that of Fraction in 3.11: it
+    # reads "_" between digits, which Fraction in 3.10 refuses
+    for tag in ALL_TAGS:
+        assert parse_field_elem(text, tag) == FieldElem(tag, value)
+    tau = FieldTag.ROOT_FIVE
+    assert parse_field_elem(f"1+{text}*w", tau) == FieldElem(tau, 1, value)
+    for bad in ("1__0", "_1", "1_", "1._5", "1/_3", "1_/3", "1/0_0", "."):
+        with pytest.raises(ParseInputError, match="bad rational literal"):
+            parse_field_elem(bad, tau)
+
+
 @settings(max_examples=300, deadline=None)
 @given(ring_pairs)
 @example((FieldTag.ROOT_FIVE, 0, 0, 3, 1))        # gcd(0, y)
