@@ -28,10 +28,8 @@ from .modlat import index_K, intersect
 from .orders import ORDER_KEYS, hurwitz, icosian, octahedral, order_by_key
 from .quat import Mat3K, Quat, axis_angle, format_quat, parse_quat
 from .rings import parse_field_elem
-from .series import PHI_CASES, phi_coefficients, residue_rho, zeta_identity_check
-
-_CASE_OF_ORDER = {"hurwitz": "cub", "icosian": "ico", "octahedral": "oct"}
-_ORDER_OF_CASE = {"cub": hurwitz, "ico": icosian, "oct": octahedral}
+from .series import (CASE_OF_FIELD, PHI_CASES, phi_coefficients, residue_rho,
+                     zeta_identity_check)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -211,6 +209,10 @@ def _count_task(task):
 def cmd_count(cfg: Config, args) -> int:
     order = order_by_key(cfg.order)
     lo, hi = _parse_index_range(args.indices)
+    # the caps are checked before any count is made
+    order.check_indices(lo, hi, cfg.cap)
+    case = CASE_OF_FIELD[order.field_tag] if order.maximal else None
+    series = phi_coefficients(case, hi) if case else None
     tasks = [(order.name, m, cfg.cap) for m in range(lo, hi + 1)]
     if cfg.workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool    # a slow import: only here
@@ -219,8 +221,6 @@ def cmd_count(cfg: Config, args) -> int:
     else:
         counted = [_count_task(task) for task in tasks]
     counted.sort()
-    case = _CASE_OF_ORDER.get(order.name)
-    series = phi_coefficients(case, hi) if case else None
     table = [{"m": m, "count": count,
               "matches_series": bool(series and series.at(m) == count)}
              for m, count in counted]
@@ -309,7 +309,9 @@ def cmd_series(cfg: Config, args) -> int:
 
 
 def cmd_spectrum(cfg: Config, args) -> int:
-    order = _ORDER_OF_CASE[cfg.case]()
+    # the first maximal order over the case's field, in key order
+    order = next(o for o in map(order_by_key, ORDER_KEYS)
+                 if o.maximal and CASE_OF_FIELD[o.field_tag] == cfg.case)
     member = spectrum_member(order, args.index)
     witness = spectrum_witness(order, args.index)
     payload = {

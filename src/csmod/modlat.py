@@ -84,10 +84,6 @@ class OModule:
         return tuple(tuple(FieldElem.ratio(e, self.den) for e in col)
                      for col in self.cols)
 
-    def pivots(self) -> tuple[FieldElem, ...]:
-        return tuple(FieldElem.ratio(self.cols[r][r], self.den)
-                     for r in range(self.rank))
-
     def solve(self, nums, den: int):
         """Ring coordinates of the vector nums/den, or None if outside."""
         x = self._solve([_pairs(col) for col in self.cols], _pairs(nums), den)
@@ -353,12 +349,6 @@ class KIndex:
     @property
     def absolute(self) -> int:
         return self.generator.norm_abs()
-
-    def is_trivial(self) -> bool:
-        return self.generator == 1
-
-    def __mul__(self, other: "KIndex") -> "KIndex":
-        return KIndex((self.generator * other.generator).canonical_associate())
 
     def __str__(self):
         return f"({self.generator})"

@@ -32,7 +32,7 @@ quaternion for the units and one per ideal, from integer dot products.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -42,16 +42,11 @@ from .modlat import Ambient, OModule, hnf_canonical, im_project
 from .quat import Quat, hamilton_product
 from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
                     pair_gcd, pair_mul, pair_norm, ring_columns)
-from .series import coefficient
+from .series import CASE_OF_FIELD, coefficient
 
 DEFAULT_ENUM_CAP = 10_000
 ENUM_CACHE_WINDOW = 32      # an order keeps the ideals of its last 32 m
 KEY_BITS = 24               # slot width of the packed orbit keys
-
-# the maximal orders of one field are conjugate, and each has as many
-# right ideals of index m as the field's counting series says
-_PHI_CASE = {FieldTag.RATIONAL: "cub", FieldTag.ROOT_FIVE: "ico",
-             FieldTag.ROOT_TWO: "oct"}
 
 
 def _ldl(gram):
@@ -383,21 +378,28 @@ class QuatOrder:
                                   f"{KEY_BITS}-bit key slots")
         return [sum(map(mul, v, w)) for w in table]
 
+    def check_indices(self, lo: int, hi: int, cap: int | None = None):
+        """Raise what enumerate_by_index raises at the first m in lo..hi
+        that it refuses, without enumerating; nothing if it takes all."""
+        limit = DEFAULT_ENUM_CAP if cap is None else cap
+        # the first m refused, if any, is lo or the first m above the cap
+        for m in (lo, max(lo, limit + 1)):
+            if m > hi:
+                return
+            if m < 1:
+                raise DomainError("index must be a positive integer")
+            if m > limit:
+                raise ResourceCapError(
+                    f"norm {m} exceeds the enumeration cap {limit}")
+            if not self.maximal:
+                raise DomainError(
+                    "enumeration by reduced norm needs a maximal order")
+
     def enumerate_by_index(self, m: int, cap: int | None = None):
         """One reduced representative per right ideal q*O with
         norm_abs(nr q) = m: the first point of each orbit, in search
         order, whose norm is exactly the value and whose content is 1."""
-        if m < 1:
-            raise DomainError("index must be a positive integer")
-        limit = DEFAULT_ENUM_CAP if cap is None else cap
-        if m > limit:
-            raise ResourceCapError(
-                f"norm {m} exceeds the enumeration cap {limit}"
-            )
-        if not self.maximal:
-            raise DomainError(
-                "enumeration by reduced norm needs a maximal order"
-            )
+        self.check_indices(m, m, cap)
         if m in self._enum_cache:    # moved to the end: most recently used
             self._enum_cache[m] = self._enum_cache.pop(m)
             return list(self._enum_cache[m])
@@ -425,7 +427,9 @@ class QuatOrder:
                         f"{self.name}, m = {m}, norm {value}: {len(vectors)} "
                         f"points, {len(marked)} marked, {units} units, "
                         f"{orbits} orbits")
-        want = coefficient(_PHI_CASE[self.field_tag], m)
+        # the maximal orders of one field are conjugate, and each has as
+        # many right ideals of index m as the field's counting series says
+        want = coefficient(CASE_OF_FIELD[self.field_tag], m)
         if len(reps) != want:
             raise ArithmeticError(
                 f"{self.name}, m = {m}: {len(reps)} ideals, the counting "
@@ -491,21 +495,20 @@ def lipschitz(tag: FieldTag) -> QuatOrder:
     ], maximal=False)
 
 
-ORDER_KEYS = ("hurwitz", "icosian", "octahedral",
-              "lipschitz-q", "lipschitz-r5", "lipschitz-r2")
+# every order by its key: the three maximal orders, one per field, first
+_ORDERS = {
+    "hurwitz": hurwitz,
+    "icosian": icosian,
+    "octahedral": octahedral,
+    "lipschitz-q": partial(lipschitz, FieldTag.RATIONAL),
+    "lipschitz-r5": partial(lipschitz, FieldTag.ROOT_FIVE),
+    "lipschitz-r2": partial(lipschitz, FieldTag.ROOT_TWO),
+}
+ORDER_KEYS = tuple(_ORDERS)
 
 
 def order_by_key(key: str) -> QuatOrder:
-    if key == "hurwitz":
-        return hurwitz()
-    if key == "icosian":
-        return icosian()
-    if key == "octahedral":
-        return octahedral()
-    if key == "lipschitz-q":
-        return lipschitz(FieldTag.RATIONAL)
-    if key == "lipschitz-r5":
-        return lipschitz(FieldTag.ROOT_FIVE)
-    if key == "lipschitz-r2":
-        return lipschitz(FieldTag.ROOT_TWO)
-    raise DomainError(f"unknown order {key!r}; pick one of {ORDER_KEYS}")
+    factory = _ORDERS.get(key)
+    if factory is None:
+        raise DomainError(f"unknown order {key!r}; pick one of {ORDER_KEYS}")
+    return factory()

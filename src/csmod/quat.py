@@ -87,10 +87,6 @@ class Quat:
     def scalar(cls, tag: FieldTag, value) -> "Quat":
         return cls(tag, value)
 
-    # read-only views of the coordinates as field elements
-    x0, x1, x2, x3 = (property(lambda q, i=i: FieldElem.ratio(q.num[i], q.den))
-                      for i in range(4))
-
     def coords(self) -> tuple[FieldElem, FieldElem, FieldElem, FieldElem]:
         """The four coordinates as field elements, a read-only view."""
         den = self.den
@@ -193,11 +189,6 @@ class Quat:
         return f"Quat[{self.tag.value}]({format_quat(self)})"
 
 
-def im_re(q: Quat) -> tuple[FieldElem, tuple[FieldElem, FieldElem, FieldElem]]:
-    """Split q into its real part and imaginary 3-vector."""
-    return q.x0, (q.x1, q.x2, q.x3)
-
-
 class Mat3K:
     """3x3 matrix with exact field entries, treated as immutable."""
 
@@ -230,17 +221,6 @@ class Mat3K:
             ]
             for r in range(3)
         ])
-
-    def apply(self, vec):
-        """Matrix-vector product; vec is any length-3 sequence over K."""
-        v = tuple(as_field(self.tag, e) for e in vec)
-        if len(v) != 3:
-            raise DomainError("expected a 3-vector")
-        return tuple(
-            sum((self.rows[r][t] * v[t] for t in range(3)),
-                FieldElem(self.tag, 0))
-            for r in range(3)
-        )
 
     def transpose(self) -> "Mat3K":
         return Mat3K(self.tag, [

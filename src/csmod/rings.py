@@ -463,7 +463,9 @@ def _round_half_up(n: int, d: int) -> int:
 
 
 def pair_round_quotient(xa: int, xb: int, ya: int, yb: int, c: int, e: int):
-    """x/y (see _times_conj) with each coordinate rounded half up."""
+    """x/y (see _times_conj) with each coordinate rounded half up.  The
+    remainder x - q*y is y times the rounding error, whose norm is at most
+    5/16 in absolute value in Z[tau] and 1/2 in Z and Z[sqrt(2)]."""
     na, nb, d = _times_conj(xa, xb, ya, yb, c, e)
     return _round_half_up(na, d), _round_half_up(nb, d)
 
@@ -532,44 +534,6 @@ def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
             best = (key, t, ra, rb)
     _, t, ra, rb = best
     return qa + t, qb, ra, rb
-
-
-def _division_tag(alpha: RingElem, beta: RingElem) -> FieldTag:
-    if beta.is_zero():
-        raise ZeroDivisionError("division by zero ring element")
-    if alpha.tag is not beta.tag:
-        raise DomainError("mixed field tags")
-    return alpha.tag
-
-
-def round_quotient(alpha: RingElem, beta: RingElem) -> RingElem:
-    """The exact quotient alpha/beta with each coordinate rounded half up.
-
-    The remainder alpha - q*beta is beta times the rounding error, whose
-    norm is at most 5/16 in absolute value in Z[tau] and 1/2 in Z and
-    Z[sqrt(2)]; so it is smaller than beta in absolute norm, and q is
-    nonzero whenever alpha is not smaller than beta.
-    """
-    tag = _division_tag(alpha, beta)
-    return RingElem(tag, *pair_round_quotient(
-        alpha.a, alpha.b, beta.a, beta.b, *tag._omega_sq))
-
-
-def _quotient_remainder(pair_division, alpha: RingElem, beta: RingElem):
-    tag = _division_tag(alpha, beta)
-    qa, qb, ra, rb = pair_division(alpha.a, alpha.b, beta.a, beta.b, tag)
-    return RingElem(tag, qa, qb), RingElem(tag, ra, rb)
-
-
-def euclid_divmod(alpha: RingElem, beta: RingElem) -> tuple[RingElem, RingElem]:
-    """(q, r) with alpha = q*beta + r; see pair_euclid_divmod."""
-    return _quotient_remainder(pair_euclid_divmod, alpha, beta)
-
-
-def canonical_residue(value: RingElem, modulus: RingElem) -> tuple[RingElem, RingElem]:
-    """(q, r) with r the canonical representative of value mod modulus;
-    see pair_canonical_residue."""
-    return _quotient_remainder(pair_canonical_residue, value, modulus)
 
 
 def pair_gcd(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):
@@ -878,11 +842,4 @@ def parse_field_elem(text: str, tag: FieldTag) -> FieldElem:
     """Parse 'a', 'a+b*w', 'a/c - b/d*w' (w = tau or sqrt(2) by tag)."""
     a, b, den = _parse_numerators(text, tag)
     return FieldElem.ratio(RingElem(tag, a, b), den)
-
-
-def parse_ring_elem(text: str, tag: FieldTag) -> RingElem:
-    fe = parse_field_elem(text, tag)
-    if not fe.is_integral():
-        raise ParseInputError(f"{text!r} is not integral")
-    return fe.to_ring()
 

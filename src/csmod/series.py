@@ -39,13 +39,15 @@ from .rings import (FieldTag, SplittingClass, _class_of_prime, factor_int,
 
 DEFAULT_SERIES_CAP = 1_000_000
 
-PHI_CASES = ("cub", "ico", "oct")
-
+# the three module families, each by its case and the field of its
+# maximal order; every other view of the families is derived from this
 _PHI_TAG = {
     "cub": FieldTag.RATIONAL,
     "ico": FieldTag.ROOT_FIVE,
     "oct": FieldTag.ROOT_TWO,
 }
+PHI_CASES = tuple(_PHI_TAG)
+CASE_OF_FIELD = {tag: case for case, tag in _PHI_TAG.items()}
 
 _TAG_BY_VALUE = {tag.value: tag for tag in FieldTag}
 

@@ -256,6 +256,36 @@ def test_count_error_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (("hurwitz", "1..7", "--cap", "5"), 4,
+     "norm 6 exceeds the enumeration cap 5"),
+    (("hurwitz", "8..20", "--cap", "5"), 4,
+     "norm 8 exceeds the enumeration cap 5"),
+    (("icosian", "9999..10002"), 4,
+     "norm 10001 exceeds the enumeration cap 10000"),
+    (("lipschitz-q", "1..20000"), 3,
+     "enumeration by reduced norm needs a maximal order"),
+    (("lipschitz-r5", "20000..20001"), 4,
+     "norm 20000 exceeds the enumeration cap 10000"),
+    (("hurwitz", "1000001", "--cap", "2000000"), 4,
+     "series length 1000001 exceeds the cap 1000000"),
+    (("octahedral", "1..5", "--cap", "5"), 0, ""),
+])
+def test_count_refuses_its_range_before_counting(capsys, monkeypatch, argv,
+                                                 code, err):
+    # the first m the enumeration refuses is named, and nothing is counted
+    calls = []
+    monkeypatch.setattr("csmod.cli.count_csms",
+                        lambda order, m, cap: calls.append(m) or 0)
+    assert main(["count", "--order", *argv]) == code
+    out, errtext = capsys.readouterr()
+    assert errtext == (f"error: {err}\n" if err else "")
+    if code:
+        assert out == "" and calls == []
+    else:
+        assert calls == [1, 2, 3, 4, 5]
+
+
 # -- series --------------------------------------------------------------
 
 

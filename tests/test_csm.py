@@ -18,7 +18,7 @@ from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, pure_part)
 from csmod.orders import (hurwitz, icosian, lipschitz, octahedral,
                            order_by_key)
-from csmod.quat import Mat3K, Quat, cayley_matrix, format_quat, im_re
+from csmod.quat import Mat3K, Quat, cayley_matrix, format_quat
 from csmod.rings import FieldElem, FieldTag, parse_field_elem
 
 Q = FieldTag.RATIONAL
@@ -534,14 +534,10 @@ def test_gamma_of_matches_projection():
 # -- the brute-force intersection as an independent oracle ---------------
 
 
-def inverse_rotation(q):
-    """R(q)^-1 as a Mat3K, from quaternion products alone: column c is
-    Im(q^-1 * e_c * q) for e_c = i, j, k."""
-    tag = q.tag
-    inv = q.inverse()
-    cols = [im_re(inv * e * q)[1]
-            for e in (Quat.i(tag), Quat.j(tag), Quat.k(tag))]
-    return Mat3K(tag, [[cols[c][r] for c in range(3)] for r in range(3)])
+def rotate(q, vec):
+    """R(q)*vec from quaternion products alone: Im(q * v * q^-1) for the
+    pure quaternion v with imaginary part vec."""
+    return (q * Quat(q.tag, 0, *vec) * q.inverse()).coords()[1:]
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,14 +558,12 @@ def test_bruteforce_agrees_with_formula_and_lies_in_both_modules(key,
     gamma = gamma_of(order)
     common, sigma = csm_bruteforce(gamma, q)
     assert sigma == sigma_index(order, q)
-    back = inverse_rotation(q)
     for col in common.basis:
         assert gamma.contains(col)
-        assert gamma.contains(back.apply(col))
+        assert gamma.contains(rotate(q.inverse(), col))
     # the same module as the intersection with the rotated copy in HNF
-    rot = cayley_matrix(q)
     rotated = hnf_canonical(tag, Ambient.IM,
-                            [rot.apply(col) for col in gamma.basis])
+                            [rotate(q, col) for col in gamma.basis])
     assert common == intersect(gamma, rotated)
 
 

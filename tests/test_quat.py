@@ -14,7 +14,6 @@ from csmod.quat import (
     cayley_matrix,
     format_quat,
     hamilton_product,
-    im_re,
     parse_quat,
 )
 from csmod.rings import FieldElem, FieldTag, RingElem
@@ -72,7 +71,7 @@ def test_trace_and_norm_basics():
     for tag in TAGS:
         for _ in range(100):
             q = rnd_quat(rng, tag)
-            assert q.trace() == q.x0 + q.x0
+            assert q.trace() == 2 * q.coords()[0]
             assert q + q.conj() == Quat.scalar(tag, q.trace())
 
 
@@ -109,7 +108,7 @@ def test_cayley_cyclic_example():
     q = Quat(tag, 1, 1, 1, 1)
     mat = cayley_matrix(q)
     assert mat == Mat3K(tag, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert mat.apply((1, 2, 3)) == tuple(
+    assert (q * Quat(tag, 0, 1, 2, 3) * q.inverse()).coords()[1:] == tuple(
         FieldElem(tag, v) for v in (3, 1, 2)
     )
 
@@ -144,9 +143,11 @@ def test_cayley_rotates_imaginary_parts():
     for tag in TAGS:
         for _ in range(200):
             q = rnd_quat(rng, tag, nonzero=True)
-            a = rnd_quat(rng, tag)
-            _, im = im_re(q * a * q.inverse())
-            assert im == cayley_matrix(q).apply(im_re(a)[1])
+            rows = cayley_matrix(q).rows
+            # column c of R(q) is Im(q * e * q^-1) for e = i, j, k
+            for c, e in enumerate((Quat.i(tag), Quat.j(tag), Quat.k(tag))):
+                im = (q * e * q.inverse()).coords()[1:]
+                assert im == tuple(row[c] for row in rows)
 
 
 def test_cayley_scale_invariant():
@@ -189,23 +190,21 @@ def test_axis_angle_scalar_rejected():
         axis_angle(Quat.scalar(FieldTag.ROOT_FIVE, 3))
 
 
-def test_im_re_examples():
+def test_coords_examples():
     tag = FieldTag.RATIONAL
-    re, im = im_re(Quat(tag, 1, 2, 0, 0))
-    assert re == FieldElem(tag, 1)
-    assert im == tuple(FieldElem(tag, v) for v in (2, 0, 0))
+    assert Quat(tag, 1, 2, 0, 0).coords() == tuple(
+        FieldElem(tag, v) for v in (1, 2, 0, 0))
     half = Fraction(1, 2)
-    re, im = im_re(Quat(tag, half, half, half, half))
-    assert re == FieldElem(tag, half)
-    assert im == tuple(FieldElem(tag, half) for _ in range(3))
+    assert Quat(tag, half, half, half, half).coords() == tuple(
+        FieldElem(tag, half) for _ in range(4))
     rng = random.Random(73)
     for tg in TAGS:
         for _ in range(50):
             q = rnd_quat(rng, tg)
-            re, im = im_re(q)
-            cre, cim = im_re(q.conj())
+            re, *im = q.coords()
+            cre, *cim = q.conj().coords()
             assert cre == re
-            assert cim == tuple(-c for c in im)
+            assert cim == [-c for c in im]
 
 
 @pytest.mark.parametrize("tag", TAGS)
