@@ -16,18 +16,19 @@ import re
 import sys
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import gcd
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
-                  reduced_representative, rotation_to_quat, sigma_index,
+                  quat_of_rotation, reduced_representative, sigma_index,
                   spectrum_member, spectrum_witness, standard_module,
                   verify_ideal_correspondence)
 from .errors import (CsmodError, DomainError, ParseInputError,
                      ResourceCapError)
 from .modlat import index_K, intersect
 from .orders import ORDER_KEYS, hurwitz, icosian, octahedral, order_by_key
-from .quat import Mat3K, Quat, axis_angle, format_quat, parse_quat
-from .rings import parse_field_elem
+from .quat import Quat, axis_angle, format_quat, parse_quat
+from .rings import _parse_numerators
 from .series import (CASE_OF_FIELD, PHI_CASES, phi_coefficients, residue_rho,
                      zeta_identity_check)
 
@@ -107,9 +108,32 @@ def _build_config(args) -> Config:
 # -- output -------------------------------------------------------------
 
 
+def _json_text(value, indent="\n") -> str:
+    """json.dumps(value, indent=2) for a str, int, bool or None, or a
+    list or dict (str keys) of them: the same text, laid out here with
+    the C string encoder, where indent= would select json's pure-Python
+    encoder.  indent is the newline and indentation of value's line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner, text = indent + "  ", encode_basestring_ascii
+    if isinstance(value, dict):
+        parts, ends = [text(key) + ": " + (text(v) if v.__class__ is str
+                                            else _json_text(v, inner))
+                       for key, v in value.items()], "{}"
+    else:
+        parts, ends = [text(v) if v.__class__ is str else _json_text(v, inner)
+                       for v in value], "[]"
+    return (ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
+            if parts else ends)
+
+
 def _emit(cfg: Config, payload: dict, rows=None, text=None) -> None:
     if cfg.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif cfg.format == "csv":
         import csv      # only CSV output needs it
         writer = csv.writer(sys.stdout)
@@ -136,9 +160,12 @@ def _parse_rotation(text: str, tag):
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ParseInputError("a rotation matrix needs 3 rows of 3 "
                                   "entries, rows separated by ';'")
-        mat = Mat3K(tag, [[parse_field_elem(e.strip(), tag) for e in row]
-                          for row in rows])
-        return rotation_to_quat(mat)
+        # the entries' numerators over one common denominator
+        entries = [_parse_numerators(e.strip(), tag) for row in rows
+                   for e in row]
+        den = lcm(*(d for *_, d in entries))
+        return quat_of_rotation(tag, [x * (den // d) for a, b, d in entries
+                                      for x in (a, b)], den)
     return parse_quat(text, tag)
 
 
@@ -333,11 +360,10 @@ def cmd_spectrum(cfg: Config, args) -> int:
 
 
 def _suite_ideal_correspondence(n, seed):
-    top = n if n is not None else 10
     checks = failures = 0
     for factory in (hurwitz, icosian, octahedral):
         order = factory()
-        for m in range(1, top + 1):
+        for m in range(1, (n or 10) + 1):
             for q in order.enumerate_by_index(m):
                 checks += 1
                 if not verify_ideal_correspondence(order, q).all_ok:
@@ -386,6 +412,9 @@ def cmd_verify(cfg: Config, args) -> int:
     if args.n is not None and args.n < 1:
         raise ParseInputError("--n must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    if "ideal-correspondence" in names:     # its caps, before any suite
+        for factory in (hurwitz, icosian, octahedral):
+            factory().check_indices(1, args.n or 10)
     table = []
     for name in names:
         checks, failures = _SUITES[name](args.n, cfg.seed)

@@ -12,16 +12,16 @@ verifier for the module identities the correspondence rests on.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .modlat import (Ambient, OModule, hnf_canonical, identity_module,
-                     im_project, index_K, intersect, intersect_image,
-                     pure_part, scale_module, scalar_intersect)
+                     im_project, index_K, index_pair, intersect,
+                     intersect_image, pure_part, scale_module,
+                     scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
-from .quat import Mat3K, Quat, format_quat, rotation_numerators
-from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
-                    norm_class_reps, pair_mul, ring_columns,
+from .quat import Mat3K, Quat, cayley_pairs, format_quat, rotation_numerators
+from .rings import (FieldElem, FieldTag, RingElem, SplittingClass,
+                    factor_int, norm_class_reps, pair_mul, ring_columns,
                     splitting_class)
 
 
@@ -63,7 +63,9 @@ def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:
         raise DomainError("field tag does not match the module")
     rows, nr = rotation_numerators(q)
     common = intersect_image(gamma, rows, nr)
-    return common, index_K(gamma, common).absolute
+    # |N| of any generator of the index ideal: the canonical one differs
+    # from it by a unit
+    return common, RingElem(q.tag, *index_pair(gamma, common)).norm_abs()
 
 
 def count_csms(order: QuatOrder, m: int, cap: int | None = None) -> int:
@@ -82,11 +84,23 @@ def count_csms(order: QuatOrder, m: int, cap: int | None = None) -> int:
     return len(distinct)
 
 
-def spectrum_member(order: QuatOrder, m: int) -> bool:
-    """Whether m occurs as a coincidence index, by the prime criterion."""
+# over Q(sqrt 5) and Q(sqrt 2) the spectrum scans up to sqrt(m): trial
+# division in spectrum_member, the norm-form search in spectrum_witness
+SPECTRUM_CAP = 10 ** 12
+
+
+def _check_spectrum_index(tag: FieldTag, m: int) -> None:
     if m < 1:
         raise DomainError("index must be a positive integer")
+    if m > SPECTRUM_CAP and tag is not FieldTag.RATIONAL:
+        raise ResourceCapError(
+            f"index {m} exceeds the spectrum cap {SPECTRUM_CAP}")
+
+
+def spectrum_member(order: QuatOrder, m: int) -> bool:
+    """Whether m occurs as a coincidence index, by the prime criterion."""
     tag = order.field_tag
+    _check_spectrum_index(tag, m)
     if tag is FieldTag.RATIONAL:
         return m % 2 == 1
     for p, e in factor_int(m):
@@ -98,9 +112,8 @@ def spectrum_member(order: QuatOrder, m: int) -> bool:
 def spectrum_witness(order: QuatOrder, m: int):
     """A pair (k, l) representing m by the norm form of the scalar ring,
     or None.  Over the rationals the witness is m itself when odd."""
-    if m < 1:
-        raise DomainError("index must be a positive integer")
     tag = order.field_tag
+    _check_spectrum_index(tag, m)
     if tag is FieldTag.RATIONAL:
         return (m, 0) if m % 2 == 1 else None
     reps = norm_class_reps(tag, m)
@@ -185,28 +198,37 @@ def verify_ideal_correspondence(order: QuatOrder, q: Quat) -> CorrespondenceRepo
 def rotation_to_quat(mat: Mat3K) -> Quat:
     """Quaternion (up to scale) whose conjugation action is the given
     special orthogonal matrix; rejects anything else."""
-    tag = mat.tag
+    den, m = ring_columns(mat.tag, 3, mat.rows)
+    return quat_of_rotation(mat.tag, [x for row in m for y in row
+                                      for x in (y.a, y.b)], den)
+
+
+def quat_of_rotation(tag: FieldTag, m, den: int) -> Quat:
+    """rotation_to_quat for the matrix m/den, m its nine entries in rows
+    as one flat list of integer pairs and den a positive int."""
     c, e = tag._omega_sq
-    den, m = ring_columns(tag, 3, mat.rows)     # mat = m/den
-    one = RingElem(tag, den)
-    candidates = [(m[0][0] + m[1][1] + m[2][2] + one, m[2][1] - m[1][2],
-                   m[0][2] - m[2][0], m[1][0] - m[0][1])]
-    # half-turns have trace -1 and a symmetric matrix; each nonzero
-    # column of R + 1 is then proportional to the axis
-    for col in range(3):
-        axis = [m[r][col] + one if r == col else m[r][col] for r in range(3)]
-        candidates.append((RingElem(tag, 0), *axis))
+    d = [x + den if k in (0, 8, 16) else x for k, x in enumerate(m)]
+    # d = m + den*I.  Half-turns have trace -1 and a symmetric matrix; each
+    # nonzero column of R + 1 is then proportional to the axis
+    candidates = [(m[0] + m[8] + m[16] + den, m[1] + m[9] + m[17],
+                   m[14] - m[10], m[15] - m[11], m[4] - m[12], m[5] - m[13],
+                   m[6] - m[2], m[7] - m[3])]
+    candidates += [(0, 0, *d[k:k + 2], *d[k + 6:k + 8], *d[k + 12:k + 14])
+                   for k in (0, 2, 4)]
     # a Cayley matrix N/n is special orthogonal, so a match needs no
-    # check; it is mat = m/den iff N*den == m*n entry by entry
-    for cand in candidates:
-        if all(x.is_zero() for x in cand):
+    # check; it is m/den iff N*den == m*n entry by entry
+    for x in candidates:
+        if not any(x):
             continue
-        q = Quat.ratio(cand, den)
-        rows, (na, nb) = rotation_numerators(q)
-        flat = [y for row in rows for y in row]
-        if all(pair_mul(x.a, x.b, na, nb, c, e) == (ya * den, yb * den)
-               for x, ya, yb in zip(chain(*m), flat[::2], flat[1::2])):
-            return q
+        rows, (na, nb) = cayley_pairs(list(zip(x[::2], x[1::2])), c, e)
+        flat = [y * den for row in rows for y in row]
+        if all(pair_mul(m[k], m[k + 1], na, nb, c, e) == (flat[k], flat[k + 1])
+               for k in range(0, 18, 2)):
+            return Quat.ratio([RingElem(tag, *x[k:k + 2])
+                               for k in (0, 2, 4, 6)], den)
+    # refused: tell a non-rotation from a rotation without a quaternion
+    mat = Mat3K(tag, [[FieldElem.ratio(RingElem(tag, *m[k:k + 2]), den)
+                       for k in range(r, r + 6, 2)] for r in (0, 6, 12)])
     ident = Mat3K.identity(tag)
     if mat.transpose() * mat != ident or mat.det() != ident[0, 0]:
         raise DomainError("matrix is not special orthogonal over the field")

@@ -17,10 +17,10 @@ membership and the canonical normalisation) runs on plain integers: a
 column is a flat list [a0, b0, a1, b1, ...], one pair (a, b) per entry
 a + b*omega, and each call reads the omega^2 rule of its field once.
 The pivots, the residues above them and the lowest terms are normalised
-by the pair helpers of rings.  RingElems appear only in the columns of
-the resulting OModule, field elements only in the read-only `basis`
-view; text is printed from the numerators.  Membership is a triangular
-solve.
+by the pair helpers of rings.  An OModule keeps its columns in that flat
+form, converted once when it is made; RingElems and field elements
+appear only in its read-only `cols` and `basis` views, and text is
+printed from the numerators.  Membership is a triangular solve.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -30,6 +30,7 @@ i, j, k).
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import DomainError
@@ -61,17 +62,18 @@ class Ambient(Enum):
 class OModule:
     """Full-rank module C/den in canonical triangular form.
 
-    Do not call the constructor with arbitrary columns; use
-    hnf_canonical, which produces the canonical pair.  Instances are
-    treated as immutable.
+    pairs holds the columns of C as flat integer pair lists; cols and
+    basis are read-only views of them as ring and field elements.  Do not
+    call the constructor with arbitrary columns; use hnf_canonical, which
+    produces the canonical pair.  Instances are treated as immutable.
     """
 
-    __slots__ = ("tag", "ambient", "cols", "den")
+    __slots__ = ("tag", "ambient", "pairs", "den")
 
-    def __init__(self, tag: FieldTag, ambient: Ambient, cols, den: int):
+    def __init__(self, tag: FieldTag, ambient: Ambient, pairs, den: int):
         self.tag = tag
         self.ambient = ambient
-        self.cols = tuple(tuple(col) for col in cols)
+        self.pairs = tuple(map(tuple, pairs))
         self.den = den
 
     @property
@@ -79,18 +81,21 @@ class OModule:
         return self.ambient.dim
 
     @property
+    def cols(self) -> tuple[tuple[RingElem, ...], ...]:
+        return tuple(_elems(self.tag, col) for col in self.pairs)
+
+    @property
     def basis(self) -> tuple[tuple[FieldElem, ...], ...]:
-        """The basis columns as field elements, a read-only view."""
         return tuple(tuple(FieldElem.ratio(e, self.den) for e in col)
                      for col in self.cols)
 
     def solve(self, nums, den: int):
         """Ring coordinates of the vector nums/den, or None if outside."""
-        x = self._solve([_pairs(col) for col in self.cols], _pairs(nums), den)
+        x = self.solve_pairs(_pairs(nums), den)
         return None if x is None else _elems(self.tag, x)
 
-    def _solve(self, cols, nums, den: int):
-        """solve on pairs, given the flat columns cols of this module."""
+    def solve_pairs(self, nums, den: int):
+        """solve for the flat integer pairs nums, giving flat pairs."""
         # sum_c x_c * cols[c] must equal nums * self.den / den
         g = gcd(self.den, den)
         up, down = self.den // g, den // g
@@ -100,7 +105,9 @@ class OModule:
         c, e = self.tag._omega_sq
         coeffs = [0] * len(rest)
         for i in range(len(rest) - 2, -1, -2):
-            col = cols[i // 2]
+            if not (rest[i] or rest[i + 1]):
+                continue    # its coefficient is 0
+            col = self.pairs[i // 2]
             q = pair_exact_div(rest[i], rest[i + 1], col[i], col[i + 1], c, e)
             if q is None:
                 return None
@@ -118,22 +125,22 @@ class OModule:
 
     def contains_module(self, other: "OModule") -> bool:
         _check_compatible(self, other)
-        cols = [_pairs(col) for col in self.cols]
-        return all(self._solve(cols, _pairs(col), other.den) is not None
-                   for col in other.cols)
+        return all(self.solve_pairs(col, other.den) is not None
+                   for col in other.pairs)
 
     def json_columns(self) -> list[list[str]]:
-        return [[_format_pair(e.a, e.b, self.den) for e in col]
-                for col in self.cols]
+        den = self.den
+        return [[_format_pair(col[i], col[i + 1], den)
+                 for i in range(0, len(col), 2)] for col in self.pairs]
 
     def __eq__(self, other):
         if not isinstance(other, OModule):
             return NotImplemented
         return (self.tag is other.tag and self.ambient is other.ambient
-                and self.den == other.den and self.cols == other.cols)
+                and self.den == other.den and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((self.tag, self.ambient, self.den, self.cols))
+        return hash((self.tag, self.ambient, self.den, self.pairs))
 
     def __str__(self):
         cols = "; ".join("(" + ", ".join(col) + ")"
@@ -150,11 +157,11 @@ def _check_compatible(m1: OModule, m2: OModule) -> None:
         raise DomainError("ambient spaces differ")
 
 
-def _pairs(entries, factor: int = 1) -> list[int]:
-    """Ring elements as one flat list of integer pairs, times an int."""
+def _pairs(entries) -> list[int]:
+    """Ring elements as one flat list of integer pairs."""
     out = []
     for y in entries:
-        out += y.a * factor, y.b * factor
+        out += y.a, y.b
     return out
 
 
@@ -187,8 +194,9 @@ def _combination(x, columns, c: int, e: int) -> list[int]:
     return out
 
 
-def _echelon(columns, nrows: int, c: int, e: int, track: int = 0):
-    """Eliminate flat columns to triangular form by Euclidean operations.
+def _echelon(columns, nrows: int, c: int, e: int):
+    """Eliminate flat columns to triangular form on their first nrows rows
+    by Euclidean operations; any rows below ride along.
 
     Each step subtracts from a column the pivot column times the rounded
     quotient of their entries, which leaves that entry below the pivot in
@@ -196,41 +204,42 @@ def _echelon(columns, nrows: int, c: int, e: int, track: int = 0):
     entry is left.  The steps change the columns but not the module they
     span, so hnf_canonical does not depend on them.
 
-    Returns (pivots, spare): pivots maps row r to the (column, transform)
-    pair whose lowest nonzero entry sits on row r; spare holds the pairs
-    eliminated to zero.  A transform holds the first track coefficients
-    of the column as a combination of the input columns.
+    Returns (pivots, spare): pivots maps row r to the column whose lowest
+    nonzero entry among the first nrows sits on row r; spare holds the
+    columns eliminated to zero there.
     """
-    pairs = [(list(col), [int(k == 2 * j) for k in range(2 * track)])
-             for j, col in enumerate(columns)]
+    cols = [list(col) for col in columns]
     pivots = {}
     for i in range(2 * nrows - 2, -1, -2):
         while True:
-            nz = [p for p in pairs if p[0][i] or p[0][i + 1]]
+            nz = [col for col in cols if col[i] or col[i + 1]]
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda p: abs(pair_norm(p[0][i], p[0][i + 1], c, e)))
-            piv, ptr = nz[0]
+            nz.sort(key=lambda col: abs(pair_norm(col[i], col[i + 1], c, e)))
+            piv = nz[0]
             ya, yb = piv[i], piv[i + 1]
-            for col, tr in nz[1:]:
+            for col in nz[1:]:
                 qa, qb = pair_round_quotient(col[i], col[i + 1], ya, yb, c, e)
                 if not (qa or qb):
                     raise ArithmeticError("echelon step failed to reduce")
                 _col_submul(col, qa, qb, piv, c, e)
-                if track:
-                    _col_submul(tr, qa, qb, ptr, c, e)
         if nz:
             pivots[i // 2] = nz[0]
-            pairs.remove(nz[0])
-    return pivots, pairs
+            cols.remove(nz[0])
+    return pivots, cols
 
 
-def _kernel(columns, nrows: int, c: int, e: int, track: int):
-    """First track pairs of a basis of the x with sum_k x_k*columns[k] = 0."""
-    _, spare = _echelon(columns, nrows, c, e, track)
-    if any(any(col) for col, _ in spare):
+def _kernel(columns, nrows: int, c: int, e: int, track: int = 0):
+    """sum_k x_k*tail_k for a basis of the ring vectors x with
+    sum_k x_k*head_k = 0, each column split into a head of nrows rows and
+    a tail of the rows below, which the first track columns extend by the
+    unit vectors of length track (so that those tails give x_0..x_track-1):
+    the tails of the columns the echelon eliminates to zero."""
+    _, spare = _echelon([[*col, *(int(k == 2 * j) for k in range(2 * track))]
+                         for j, col in enumerate(columns)], nrows, c, e)
+    if any(any(col[:2 * nrows]) for col in spare):
         raise ArithmeticError("echelon left a nonzero kernel column")
-    return [x for _, x in spare]
+    return [col[2 * nrows:] for col in spare]
 
 
 def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
@@ -253,7 +262,7 @@ def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
     pivots, _ = _echelon(cols, n, c, e)
     if len(pivots) < n:
         raise DomainError("generators do not span a full-rank module")
-    basis = [pivots[r][0] for r in range(n)]
+    basis = [pivots[r] for r in range(n)]
     for j, col in enumerate(basis):
         # a canonical pivot, then entries reduced by the final pivots above
         da, db = col[2 * j], col[2 * j + 1]
@@ -267,11 +276,10 @@ def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
                                                   piv[i], piv[i + 1], tag)
             if qa or qb:
                 _col_submul(col, qa, qb, piv, c, e)
-    flat = sum(basis, [])
-    g = gcd(den, *flat)     # lowest terms
+    g = gcd(den, *chain.from_iterable(basis))     # lowest terms
     if g != 1:
-        flat, den = [x // g for x in flat], den // g
-    return OModule(tag, ambient, zip(*[iter(_elems(tag, flat))] * n), den)
+        basis, den = [[x // g for x in col] for col in basis], den // g
+    return OModule(tag, ambient, basis, den)
 
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
@@ -294,8 +302,9 @@ def _common_columns(m1: OModule, m2: OModule):
     """(den, the flat columns of m1 and then of -m2, all over den)."""
     _check_compatible(m1, m2)
     den = lcm(m1.den, m2.den)
-    return den, ([_pairs(col, den // m1.den) for col in m1.cols]
-                 + [_pairs(col, -(den // m2.den)) for col in m2.cols])
+    f1, f2 = den // m1.den, -(den // m2.den)
+    return den, ([[x * f1 for x in col] for col in m1.pairs]
+                 + [[x * f2 for x in col] for col in m2.pairs])
 
 
 def module_sum(m1: OModule, m2: OModule) -> OModule:
@@ -304,11 +313,13 @@ def module_sum(m1: OModule, m2: OModule) -> OModule:
 
 
 def intersect(m1: OModule, m2: OModule) -> OModule:
-    """Intersection, via the kernel of (x, y) |-> B1*x - B2*y over the ring."""
+    """Intersection, via the kernel of (x, y) |-> B1*x - B2*y over the ring:
+    the columns of B1 carry themselves as tails, those of B2 zero."""
     den, cols = _common_columns(m1, m2)
     c, e = m1.tag._omega_sq
-    gens = [_combination(x, cols[:m1.rank], c, e)
-            for x in _kernel(cols, m1.rank, c, e, m1.rank)]
+    zero = [0] * len(cols[0])
+    gens = _kernel([col + (col if k < m1.rank else zero)
+                    for k, col in enumerate(cols)], m1.rank, c, e)
     return _canonical(m1.tag, m1.ambient, gens, den)
 
 
@@ -319,16 +330,17 @@ def intersect_image(module: OModule, rows, scale) -> OModule:
 
     With M = C/den, the kernel of [s*C | N*C] pairs each x with a y such
     that C*x/den = A*(-C*y/den); the vectors C*x/den span the
-    intersection.  Only that span is put in canonical form, not A*M.
+    intersection, and the columns of s*C carry those of C as tails.  Only
+    that span is put in canonical form, not A*M.
     """
     c, e = module.tag._omega_sq
-    cols = [_pairs(col) for col in module.cols]
+    cols = module.pairs
     numer_cols = [[x for row in rows for x in row[k:k + 2]]
                   for k in range(0, 2 * module.rank, 2)]
-    kept = [_combination(scale, [col], c, e) for col in cols]
-    moved = [_combination(col, numer_cols, c, e) for col in cols]
-    gens = [_combination(x, cols, c, e)
-            for x in _kernel(kept + moved, module.rank, c, e, module.rank)]
+    kept = [_combination(scale, [col], c, e) + list(col) for col in cols]
+    zero = [0] * len(cols[0])
+    moved = [_combination(col, numer_cols, c, e) + zero for col in cols]
+    gens = _kernel(kept + moved, module.rank, c, e)
     return _canonical(module.tag, module.ambient, gens, module.den)
 
 
@@ -356,28 +368,34 @@ class KIndex:
 
 def index_K(msuper: OModule, msub: OModule) -> KIndex:
     """Canonical generator of the index ideal of msub inside msuper."""
+    return KIndex(RingElem(msuper.tag, *pair_canonical_associate(
+        *index_pair(msuper, msub), msuper.tag)))
+
+
+def index_pair(msuper: OModule, msub: OModule):
+    """A generator of the index ideal of msub inside msuper, as a pair:
+    det(msub)/det(msuper), both products of pivots over den^n."""
     _check_compatible(msuper, msub)
     if not msuper.contains_module(msub):
         raise DomainError("not a submodule")
-    # det(msub)/det(msuper), both determinants products of pivots over den^n
     n = msuper.rank
     c, e = msuper.tag._omega_sq
     na, nb, da, db = msuper.den ** n, 0, msub.den ** n, 0
-    for r in range(n):
-        x, y = msub.cols[r][r], msuper.cols[r][r]
-        na, nb = pair_mul(na, nb, x.a, x.b, c, e)
-        da, db = pair_mul(da, db, y.a, y.b, c, e)
+    for r in range(0, 2 * n, 2):
+        x, y = msub.pairs[r // 2], msuper.pairs[r // 2]
+        na, nb = pair_mul(na, nb, x[r], x[r + 1], c, e)
+        da, db = pair_mul(da, db, y[r], y[r + 1], c, e)
     ratio = pair_exact_div(na, nb, da, db, c, e)
     if ratio is None:
         raise DomainError("index is not integral")
-    return KIndex(RingElem(msuper.tag, *ratio).canonical_associate())
+    return ratio
 
 
 def im_project(module: OModule) -> OModule:
     """Module of imaginary parts of a rank-4 module, in the im ambient."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("im_project expects a rank-4 module")
-    gens = [_pairs(col[1:]) for col in module.cols]
+    gens = [col[2:] for col in module.pairs]
     return _canonical(module.tag, Ambient.IM, gens, module.den)
 
 
@@ -387,9 +405,7 @@ def pure_part(module: OModule) -> OModule:
     if module.ambient is not Ambient.QUAT:
         raise DomainError("pure_part expects a rank-4 module")
     c, e = module.tag._omega_sq
-    cols = [_pairs(col) for col in module.cols]
-    gens = [_combination(x, cols, c, e)[2:]
-            for x in _kernel([col[:2] for col in cols], 1, c, e, 4)]
+    gens = _kernel(module.pairs, 1, c, e)   # the scalar row is the head
     return _canonical(module.tag, Ambient.IM, gens, module.den)
 
 
@@ -397,7 +413,8 @@ def scalar_intersect(module: OModule) -> RingElem:
     """Canonical generator of the ideal of scalars contained in the module."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("scalar_intersect expects a rank-4 module")
-    d0, den = module.cols[0][0], module.den
-    if d0.a % den or d0.b % den:
+    (a, b, *_), den = module.pairs[0], module.den
+    if a % den or b % den:
         raise DomainError("scalar intersection is a fractional ideal")
-    return RingElem(module.tag, d0.a // den, d0.b // den).canonical_associate()
+    return RingElem(module.tag, *pair_canonical_associate(
+        a // den, b // den, module.tag))

@@ -38,10 +38,11 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DomainError, ResourceCapError
-from .modlat import Ambient, OModule, hnf_canonical, im_project
+from .modlat import Ambient, OModule, _pairs, hnf_canonical, im_project
 from .quat import Quat, hamilton_product
 from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
-                    pair_gcd, pair_mul, pair_norm, ring_columns)
+                    pair_canonical_associate, pair_euclid, pair_mul,
+                    pair_norm, ring_columns)
 from .series import CASE_OF_FIELD, coefficient
 
 DEFAULT_ENUM_CAP = 10_000
@@ -191,24 +192,26 @@ class QuatOrder:
 
     def _content_in(self, q: Quat, zero_error: str):
         """The content of q as a pair; DomainError outside O or at zero."""
-        coords = self.coordinates(q)
+        self._check_tag(q)
+        coords = self.module.solve_pairs(_pairs(q.num), q.den)
         if coords is None:
             raise DomainError("element is not in the order")
-        if q.is_zero():
+        if not any(coords):
             raise DomainError(zero_error)
-        return self._content_of((x.a, x.b) for x in coords)
+        return self._content_of(zip(coords[::2], coords[1::2]))
 
     def _content_of(self, pairs):
-        """The canonical gcd of ring elements given as pairs, as a pair."""
+        """The canonical gcd of ring elements given as pairs, as a pair;
+        the running gcd is put in canonical form once, at the end."""
+        tag = self.field_tag
         ga = gb = 0
         for a, b in pairs:
-            if a or b:
-                ga, gb = pair_gcd(ga, gb, a, b, self.field_tag)
-                if (ga, gb) == (1, 0):      # a unit, in canonical form
-                    break
+            ga, gb = pair_euclid(ga, gb, a, b, tag)
+            if abs(pair_norm(ga, gb, *tag._omega_sq)) == 1:     # a unit
+                return 1, 0
         if not (ga or gb):
             raise DomainError("content of zero is undefined")
-        return ga, gb
+        return pair_canonical_associate(ga, gb, tag)
 
     def is_unit(self, q: Quat) -> bool:
         if not self.contains(q):
@@ -234,6 +237,8 @@ class QuatOrder:
         """Divide out the content (and any two-sided even-norm factor),
         keeping the conjugated order q O q^-1 unchanged."""
         ga, gb = self._content_in(q, "cannot reduce zero")
+        if (ga, gb) == (1, 0) and not self._strips_even_norms():
+            return q    # already reduced, and in lowest terms as any Quat
         c, e = self.field_tag._omega_sq
         # q/g = q*conj(g)/N(g), with N(g) = g^2 over Q
         nums = [pair_mul(x.a, x.b, ga + e * gb, -gb, c, e) for x in q.num]
@@ -327,10 +332,10 @@ class QuatOrder:
 
             def coordinates(nums, d):
                 # ring coordinates of nums/d on the canonical basis, as pairs
-                y = self.module.solve(nums, d)
+                y = self.module.solve_pairs(_pairs(nums), d)
                 if y is None:
                     raise ArithmeticError("order basis is not closed")
-                return [(x.a, x.b) for x in y]
+                return list(zip(y[::2], y[1::2]))
 
             def z_coordinates(y, k):
                 # canonical Z-coordinates of omega^k times ring coordinates y

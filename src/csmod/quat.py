@@ -5,19 +5,22 @@ numerators over one positive integer denominator in lowest terms, as
 FieldElem and OModule columns are, so every derived quantity (reduced
 norm, rotation matrix, cosine of the rotation angle) comes from integer
 ring arithmetic and stays exact; the FieldElem coordinates are read-only
-views.  The Cayley formula is written once, in rotation_numerators, on
-the ring numerators of q: it gives R(q) as a ring matrix over one ring
-element, both as integer pairs, which the module code takes as they are
-and cayley_matrix divides out.  Nothing here normalizes by content or
+views.  The Cayley formula is written once, in cayley_pairs, on the
+ring numerators of q as integer pairs: it gives R(q) as a ring matrix
+over one ring element, both as integer pairs, which the module code and
+the matrix match of csm.quat_of_rotation take as they are and
+cayley_matrix divides out.  Nothing here normalizes by content or
 units; that belongs to the order layer.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, ParseInputError
-from .rings import (FieldElem, FieldTag, RingElem, _format_pair,
-                    _parse_numerators, _signed_terms, _times_conj, as_field,
-                    lowest_terms, pair_mul, ring_columns)
+from math import lcm
+
+from .errors import DomainError
+from .rings import (FieldElem, FieldTag, RingElem, _format_pair, _read_terms,
+                    _refuse, _times_conj, as_field, lowest_terms, pair_mul,
+                    ring_columns)
 
 
 def hamilton_product(a, b):
@@ -261,11 +264,16 @@ def rotation_numerators(q: Quat):
     a pair (a, b), with R(q) = N/n.
 
     q's integer denominator cancels, since R(q) is invariant under
-    rescaling q.  The Cayley formula is linear in the ten products of the
-    coordinates, so it is applied to their a parts and their b parts.
+    rescaling q.
     """
-    c, e = q.tag._omega_sq
-    x = [(y.a, y.b) for y in q.num]
+    return cayley_pairs([(y.a, y.b) for y in q.num], *q.tag._omega_sq)
+
+
+def cayley_pairs(x, c: int, e: int):
+    """rotation_numerators for the four coordinates x of a nonzero
+    quaternion as pairs, omega^2 = c + e*omega.  The Cayley formula is
+    linear in the ten products of the coordinates, so it is applied to
+    their a parts and their b parts."""
     prods = [pair_mul(*x[s], *x[t], c, e) for s, t in (
         (0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2),
         (1, 3), (2, 3))]
@@ -304,24 +312,8 @@ def axis_angle(q: Quat) -> tuple[tuple[FieldElem, FieldElem, FieldElem], FieldEl
     kk, ll, mm, vv = (x * x for x in q.num)
     top, n = kk - ll - mm - vv, kk + ll + mm + vv
     ca, cb, d = _times_conj(top.a, top.b, n.a, n.b, *q.tag._omega_sq)
-    return q.coords()[1:], FieldElem.ratio(RingElem(q.tag, ca, cb), d)
-
-
-_UNIT_INDEX = {"i": 1, "j": 2, "k": 3}
-
-
-def _strip_outer_parens(text: str) -> str:
-    if not (text.startswith("(") and text.endswith(")")):
-        return text
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return text[1:-1] if pos == len(text) - 1 else text
-    return text
+    return (tuple(FieldElem.ratio(x, q.den) for x in q.num[1:]),
+            FieldElem.ratio(RingElem(q.tag, ca, cb), d))
 
 
 def parse_quat(text: str, tag: FieldTag) -> Quat:
@@ -331,21 +323,14 @@ def parse_quat(text: str, tag: FieldTag) -> Quat:
     '(1+w)*i - 2*j'.
     """
     stripped = text.replace(" ", "")
-    if not stripped:
-        raise ParseInputError("empty quaternion")
-    nums, den = [0] * 8, 1      # the coordinates' pairs (a, b) over den
-    for sign, term in _signed_terms(text, stripped):
-        if term in _UNIT_INDEX:
-            idx, (a, b, d) = _UNIT_INDEX[term], (1, 0, 1)
-        elif len(term) >= 3 and term[-2] == "*" and term[-1] in _UNIT_INDEX:
-            idx = _UNIT_INDEX[term[-1]]
-            a, b, d = _parse_numerators(_strip_outer_parens(term[:-2]), tag)
-        else:
-            idx, (a, b, d) = 0, _parse_numerators(term, tag)
-        nums = [x * d for x in nums]
-        nums[2 * idx] += sign * a * den
-        nums[2 * idx + 1] += sign * b * den
-        den *= d
+    terms, stop = _read_terms(stripped, tag, 0, len(stripped), True)
+    if stop < len(stripped) or not stripped:
+        _refuse(text, tag, stop, True)
+    den = lcm(*(d for *_, d in terms))
+    nums = [0] * 8      # the coordinates' pairs (a, b) over den
+    for c, a, b, d in terms:
+        nums[2 * c] += a * (den // d)
+        nums[2 * c + 1] += b * (den // d)
     return Quat.ratio([RingElem(tag, *nums[i:i + 2]) for i in (0, 2, 4, 6)],
                       den)
 

@@ -537,14 +537,19 @@ def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
 
 
 def pair_gcd(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):
-    """The canonical gcd of x and y, not both zero, as a pair; any
-    remainder of smaller norm serves, so it takes rounded quotients."""
+    """The canonical gcd of x and y, not both zero, as a pair."""
+    return pair_canonical_associate(*pair_euclid(xa, xb, ya, yb, tag), tag)
+
+
+def pair_euclid(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):
+    """A gcd of x and y as a pair, up to a unit; any remainder of smaller
+    norm serves, so it takes rounded quotients."""
     c, e = tag._omega_sq
     while ya or yb:
         qa, qb = pair_round_quotient(xa, xb, ya, yb, c, e)
         pa, pb = pair_mul(qa, qb, ya, yb, c, e)
         xa, xb, ya, yb = ya, yb, xa - pa, xb - pb
-    return pair_canonical_associate(xa, xb, tag)
+    return xa, xb
 
 
 def ring_gcd(x: RingElem, y: RingElem) -> RingElem:
@@ -757,84 +762,125 @@ def _format_pair(a: int, b: int, den: int = 1) -> str:
     return f"{_ratio_text(a, den)}{'-' if b < 0 else '+'}{wpart}"
 
 
-def _split_terms(text: str) -> list[str]:
-    """Split on top-level + and - (keeping signs), honouring parentheses."""
-    terms = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseInputError(f"unbalanced parentheses in {text!r}")
-        if ch in "+-" and depth == 0 and cur and cur[-1] not in "+-*/(":
-            terms.append(cur)
-            cur = ch
-            continue
-        cur += ch
-    if depth:
-        raise ParseInputError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        terms.append(cur)
-    return terms
+# The text of a quaternion (see csmod.quat) or of a field element, the
+# same less units, is read term by term.  A term is a run of signs, then a
+# unit u in i, j, k, "(field text)*u", or a field term ("w", a literal,
+# "literal*w" or "w*literal") optionally times u, up to the sign that
+# starts the next term.  A literal is what CPython 3.11's Fraction reads,
+# less exponents: n, n/d or a decimal (".5", "1."), "_" between digits,
+# any Unicode digit, whitespace around it, and a sign only after "w*".
+# The patterns are compiled on first use (then held by re's cache): only
+# the commands that read a rotation need them.
+_TERM = (r"([-+]*)(?:([ijk])|\(([^()]+)\)\*([ijk])|(?:(w)|(?P<wl>w\*)?"
+         r"(?:(?<=\*)([-+])|\s*)(?=\d|\.\d)(\d+(?:_\d+)*)?"
+         r"(?:/(\d+(?:_\d+)*)|\.(\d+(?:_\d+)*)?|)\s*(?(wl)|(\*w)?))"
+         r"(?:\*([ijk]))?)(?=[-+]|\Z)")
+_UNITS = {"i": 1, "j": 2, "k": 3}
 
 
-# what CPython 3.11's Fraction reads, less exponents: n, n/d, decimals (".5"
-# and "1." too), "_" between digits, whitespace around, any Unicode digit
-_RATIONAL_LITERAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)((?:\d+(?:_\d+)*)?)"
-                               r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?)\s*")
+def _read_terms(text: str, tag: FieldTag, pos: int, end: int, units: bool):
+    """(terms, stop) for text[pos:end], the text of a quaternion, or of a
+    field element unless units: terms holds (c, a, b, d) for each term
+    read, (a + b*w)/d times the unit of coordinate c (0 for 1), and
+    reading stopped at stop, which is end when all of it was read."""
+    terms, match = [], re.compile(_TERM).match
+    while pos < end:
+        m = match(text, pos, end)
+        if m is None:
+            break
+        (signs, unit, inner, inner_unit, w, wl, lsign, whole, den, frac, wr,
+         field_unit) = m.groups()
+        sign = -1 if signs.count("-") % 2 else 1
+        if not units and (unit or inner or field_unit):
+            break
+        if unit:
+            terms.append((_UNITS[unit], sign, 0, 1))
+        elif inner:     # a field text in parentheses
+            sub, stop = _read_terms(text, tag, m.start(3), m.end(3), False)
+            if stop < m.end(3):
+                break
+            c = _UNITS[inner_unit]
+            terms += [(c, sign * a, sign * b, d) for _, a, b, d in sub]
+        else:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            try:
+                if w:
+                    n = d = 1
+                elif frac is None:
+                    n, d = int(whole), int(den or 1)
+                else:
+                    d = 10 ** len(frac.replace("_", ""))
+                    n = int(whole or 0) * d + int(frac)
+            except ValueError:
+                break
+            w = w or wl or wr
+            if not d or w and tag.degree == 1:
+                break
+            n *= -sign if lsign == "-" else sign
+            c = _UNITS.get(field_unit, 0)
+            terms.append((c, 0, n, d) if w else (c, n, 0, d))
+        pos = m.end()
+    return terms, pos
 
 
-def _parse_rational(text: str) -> tuple[int, int]:
-    """(n, d) with d > 0 and n/d the value of a rational literal."""
-    # exponents are refused: "1e999999" would build a million-digit
-    # integer from ten characters
-    if "e" in text or "E" in text:
-        raise ParseInputError(f"exponent literals are not accepted: {text!r}")
-    m = _RATIONAL_LITERAL.fullmatch(text)
-    if m:
-        sign, num, den, dec = m.groups()
-        dec = (dec or "").replace("_", "")
-        try:    # int() refuses more digits than sys.get_int_max_str_digits()
-            n = int(num or "0") * 10 ** len(dec) + int(dec or "0")
-            d = int(den or "1") * 10 ** len(dec)
-        except ValueError:
-            d = 0
-        if d:
-            return (-n if sign == "-" else n), d
-    raise ParseInputError(f"bad rational literal {text!r}")
+def _balanced(text: str) -> bool:
+    text = re.sub(r"[^()]+", "", text)
+    while "()" in text:
+        text = text.replace("()", "")
+    return not text
 
 
-def _signed_terms(text: str, stripped: str):
-    """(sign, term) for each top-level term of stripped, the text
-    without spaces, with the term's leading signs folded into sign."""
-    for term in _split_terms(stripped):
-        body = term.lstrip("+-")
-        if not body:
-            raise ParseInputError(f"dangling sign in {text!r}")
-        yield (-1) ** term.count("-", 0, len(term) - len(body)), body
+def _refuse(text: str, tag: FieldTag, pos: int, units: bool):
+    """Raise the ParseInputError for the text of a quaternion, or of a
+    field element unless units, that _read_terms read up to the term at
+    pos (of the text without spaces): unbalanced parentheses, else the
+    first fault of that term."""
+    stripped = text.replace(" ", "")
+    if not stripped:
+        raise ParseInputError("empty quaternion" if units
+                              else "empty ring element")
+    if not _balanced(stripped):
+        raise ParseInputError(f"unbalanced parentheses in {stripped!r}")
+    # the term ends at the next sign after no sign, "*" or "/", outside
+    # parentheses
+    starts = re.compile(r"(?<=[^-+*/])[-+]").finditer(stripped, pos + 1)
+    end = next((p for p in (m.start() for m in starts)
+                if stripped.count("(", 0, p) == stripped.count(")", 0, p)),
+               len(stripped))
+    term = stripped[pos:end].lstrip("+-")
+    if not term:
+        raise ParseInputError(f"dangling sign in {text!r}")
+    if units:   # a coefficient (outer parentheses stripped) times a unit,
+        # or a scalar: read as a field element, which raises at its fault
+        if len(term) >= 3 and term[-2] == "*" and term[-1] in _UNITS:
+            term = term[:-2]
+            if term[0] == "(" and term[-1] == ")" and _balanced(term[1:-1]):
+                term = term[1:-1]
+        _parse_numerators(term, tag)
+    factors = term.split("*")
+    numeric = [f for f in factors if f != "w"]
+    if len(factors) - len(numeric) > 1 or len(numeric) > 1:
+        raise ParseInputError(f"bad term {term!r} in {text!r}")
+    if numeric and ("e" in numeric[0] or "E" in numeric[0]):
+        # "1e999999" would build a million-digit integer
+        raise ParseInputError(
+            f"exponent literals are not accepted: {numeric[0]!r}")
+    if "w" in factors and _read_terms(term, FieldTag.ROOT_TWO, 0, len(term),
+                                      False)[1] == len(term):
+        raise ParseInputError("'w' is not available over the rationals")
+    raise ParseInputError(f"bad rational literal {numeric[0]!r}")
 
 
 def _parse_numerators(text: str, tag: FieldTag):
     """(a, b, den) with den > 0 and (a + b*w)/den the value of the text of
     a field element (see parse_field_elem), not in lowest terms."""
     stripped = text.replace(" ", "")
-    if not stripped:
-        raise ParseInputError("empty ring element")
+    terms, stop = _read_terms(stripped, tag, 0, len(stripped), False)
+    if stop < len(stripped) or not stripped:
+        _refuse(text, tag, stop, False)
     a, b, den = 0, 0, 1
-    for sign, term in _signed_terms(text, stripped):
-        factors = term.split("*")
-        has_w = "w" in factors
-        numeric = [f for f in factors if f != "w"]
-        if len(factors) - len(numeric) > 1 or len(numeric) > 1:
-            raise ParseInputError(f"bad term {term!r} in {text!r}")
-        n, d = _parse_rational(numeric[0]) if numeric else (1, 1)
-        if has_w and tag.degree == 1:
-            raise ParseInputError("'w' is not available over the rationals")
-        n, den = sign * n * den, den * d
-        a, b = (a * d, b * d + n) if has_w else (a * d + n, b * d)
+    for _, x, y, d in terms:
+        a, b, den = a * d + x * den, b * d + y * den, den * d
     return a, b, den
 
 

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmod
-from csmod.cli import (_CONFIG_KEYS, _build_parser, _load_config,
+from csmod.cli import (_CONFIG_KEYS, _build_parser, _json_text, _load_config,
                        _parse_rotation, main)
+from csmod.csm import SPECTRUM_CAP, rotation_to_quat
 from csmod.errors import DomainError, ParseInputError
-from csmod.quat import Quat, _strip_outer_parens, parse_quat
-from csmod.rings import (FieldElem, FieldTag, _ratio_text, _signed_terms,
-                         parse_field_elem)
+from csmod.quat import Mat3K, Quat, parse_quat
+from csmod.rings import (FieldElem, FieldTag, RingElem, _parse_numerators,
+                         _ratio_text, parse_field_elem)
 from csmod.series import PHI_CASES, phi_coefficients, residue_rho
 
 
@@ -435,6 +438,20 @@ def test_spectrum_rejects_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", ["ico", "oct"])
+def test_spectrum_refuses_an_index_past_its_cap(capsys, case):
+    # the scans run to sqrt(m): a 30-digit index is refused before either
+    m = "1" + "0" * 29
+    started = time.perf_counter()
+    assert main(["spectrum", "--case", case, m]) == 4
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == (
+        "", f"error: index {m} exceeds the spectrum cap {SPECTRUM_CAP}\n")
+    # the cubic answer is the parity of m, with no scan and no cap
+    assert main(["spectrum", "--case", "cub", m]) == 0
+    assert capsys.readouterr().out == "no\n"
+
+
 # -- verify --------------------------------------------------------------
 
 
@@ -469,6 +486,58 @@ def test_verify_ideal_correspondence(capsys):
 def test_verify_rejects_bad_n(capsys):
     assert main(["verify", "--suite", "zeta", "--n", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["ideal-correspondence", "all"])
+def test_verify_refuses_n_past_the_cap_before_any_suite(capsys, monkeypatch,
+                                                         suite):
+    calls = []
+    monkeypatch.setattr(csmod.orders.QuatOrder, "enumerate_by_index",
+                        lambda order, m, cap=None: calls.append(m) or [])
+    monkeypatch.setattr("csmod.cli.zeta_identity_check",
+                        lambda case, m: calls.append(case) or True)
+    assert main(["verify", "--suite", suite, "--n", "10001"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: norm 10001 exceeds the enumeration cap 10000\n")
+    assert calls == []
+
+
+# -- JSON output -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma", "--order", "hurwitz", "1"),               # axis null
+    ("sigma", "--order", "hurwitz", "\uff11+i"),        # echoed escaped
+    ("sigma", "--order", "octahedral", "1/2,1/2*w,1/2; 1/2*w,0,-1/2*w; "
+                                       "-1/2,1/2*w,-1/2"),
+    ("count", "--order", "icosian", "1..4"),
+    ("verify", "--suite", "zeta", "--n", "30"),
+    ("spectrum", "--case", "ico", "3"),                 # witness null
+    ("spectrum", "--case", "oct", "7"),
+    ("intersect", "mb", "mf"),
+])
+def test_json_output_is_json_dumps_with_indent_2(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if "\uff11+i" in argv:
+        assert '"rotation": "\\uff11+i",' in out
+    if argv[0] == "sigma" and argv[-1] == "1":
+        assert '"axis": null,' in out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[], {}], "d": [True, False, None, -7]})
+def test_json_layout_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 # -- intersect -----------------------------------------------------------
@@ -603,6 +672,194 @@ def test_parsers_are_total(tmp_path_factory, text, tag, raw):
     except ParseInputError:
         return
     assert set(loaded) <= set(_CONFIG_KEYS)
+
+
+# The character-loop parser that the term pattern of csmod.rings replaced,
+# kept here as the reference: it splits the text into top-level terms one
+# character at a time, then reads each term's factors.
+
+
+def _split_terms(text):
+    """Split on top-level + and - (keeping signs), honouring parentheses."""
+    terms = []
+    depth = 0
+    cur = ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseInputError(f"unbalanced parentheses in {text!r}")
+        if ch in "+-" and depth == 0 and cur and cur[-1] not in "+-*/(":
+            terms.append(cur)
+            cur = ch
+            continue
+        cur += ch
+    if depth:
+        raise ParseInputError(f"unbalanced parentheses in {text!r}")
+    if cur:
+        terms.append(cur)
+    return terms
+
+
+# what CPython 3.11's Fraction reads, less exponents: n, n/d, decimals (".5"
+# and "1." too), "_" between digits, whitespace around, any Unicode digit
+_RATIONAL_LITERAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)((?:\d+(?:_\d+)*)?)"
+                               r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?)\s*")
+
+
+def _parse_rational(text):
+    """(n, d) with d > 0 and n/d the value of a rational literal."""
+    if "e" in text or "E" in text:
+        raise ParseInputError(f"exponent literals are not accepted: {text!r}")
+    m = _RATIONAL_LITERAL.fullmatch(text)
+    if m:
+        sign, num, den, dec = m.groups()
+        dec = (dec or "").replace("_", "")
+        try:    # int() refuses more digits than sys.get_int_max_str_digits()
+            n = int(num or "0") * 10 ** len(dec) + int(dec or "0")
+            d = int(den or "1") * 10 ** len(dec)
+        except ValueError:
+            d = 0
+        if d:
+            return (-n if sign == "-" else n), d
+    raise ParseInputError(f"bad rational literal {text!r}")
+
+
+def _signed_terms(text, stripped):
+    """(sign, term) for each top-level term of stripped, the text
+    without spaces, with the term's leading signs folded into sign."""
+    for term in _split_terms(stripped):
+        body = term.lstrip("+-")
+        if not body:
+            raise ParseInputError(f"dangling sign in {text!r}")
+        yield (-1) ** term.count("-", 0, len(term) - len(body)), body
+
+
+def loop_parse_numerators(text, tag):
+    """(a, b, den), not in lowest terms, as _parse_numerators gives it."""
+    stripped = text.replace(" ", "")
+    if not stripped:
+        raise ParseInputError("empty ring element")
+    a, b, den = 0, 0, 1
+    for sign, term in _signed_terms(text, stripped):
+        factors = term.split("*")
+        has_w = "w" in factors
+        numeric = [f for f in factors if f != "w"]
+        if len(factors) - len(numeric) > 1 or len(numeric) > 1:
+            raise ParseInputError(f"bad term {term!r} in {text!r}")
+        n, d = _parse_rational(numeric[0]) if numeric else (1, 1)
+        if has_w and tag.degree == 1:
+            raise ParseInputError("'w' is not available over the rationals")
+        n, den = sign * n * den, den * d
+        a, b = (a * d, b * d + n) if has_w else (a * d + n, b * d)
+    return a, b, den
+
+
+def _strip_outer_parens(text):
+    if not (text.startswith("(") and text.endswith(")")):
+        return text
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return text[1:-1] if pos == len(text) - 1 else text
+    return text
+
+
+LOOP_UNITS = {"i": 1, "j": 2, "k": 3}
+
+
+def loop_parse_quat(text, tag):
+    stripped = text.replace(" ", "")
+    if not stripped:
+        raise ParseInputError("empty quaternion")
+    nums, den = [0] * 8, 1      # the coordinates' pairs (a, b) over den
+    for sign, term in _signed_terms(text, stripped):
+        if term in LOOP_UNITS:
+            idx, (a, b, d) = LOOP_UNITS[term], (1, 0, 1)
+        elif len(term) >= 3 and term[-2] == "*" and term[-1] in LOOP_UNITS:
+            idx = LOOP_UNITS[term[-1]]
+            a, b, d = loop_parse_numerators(_strip_outer_parens(term[:-2]),
+                                            tag)
+        else:
+            idx, (a, b, d) = 0, loop_parse_numerators(term, tag)
+        nums = [x * d for x in nums]
+        nums[2 * idx] += sign * a * den
+        nums[2 * idx + 1] += sign * b * den
+        den *= d
+    return Quat.ratio([RingElem(tag, *nums[i:i + 2]) for i in (0, 2, 4, 6)],
+                      den)
+
+
+def loop_parse_rotation(text, tag):
+    """cli._parse_rotation as it read a matrix: each entry to a field
+    element, then a Mat3K, then rotation_to_quat."""
+    if ";" not in text:
+        return loop_parse_quat(text, tag)
+    rows = [chunk.split(",") for chunk in text.split(";")]
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ParseInputError("a rotation matrix needs 3 rows of 3 "
+                              "entries, rows separated by ';'")
+    entries = [[FieldElem.ratio(RingElem(tag, a, b), d) for a, b, d in
+                (loop_parse_numerators(e.strip(), tag) for e in row)]
+               for row in rows]
+    return rotation_to_quat(Mat3K(tag, entries))
+
+
+def _outcome(parse, text, tag):
+    """What parse makes of text: its value, or the error and message."""
+    try:
+        return parse(text, tag)
+    except (ParseInputError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# texts made of these pieces: literals of every form the grammar has,
+# exponents, w, units, operators, parentheses, spaces, Unicode digits and
+# whitespace, and junk
+PARSE_PIECES = ["0", "1", "7", "12", "1/2", "3/0", "4/6", ".5", "1.", "0.25",
+                "1_0", "2__0", "_", "\u0663", "\u0661/\u0664", "\uff11",
+                "1e3", "e", "E", "w", "*", "/", "+", "-", "--", "+-", "(",
+                ")", " ", "\t", "\u3000", "\n", "i", "j", "k", ".", "x",
+                "*w", "w*", "*i", ")*j"]
+piece_texts = st.lists(st.sampled_from(PARSE_PIECES), max_size=12).map("".join)
+matrix_texts = st.lists(piece_texts, min_size=9, max_size=9).map(
+    lambda e: "; ".join(",".join(e[r:r + 3]) for r in (0, 3, 6)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(piece_texts, matrix_texts, st.text(PARSE_ALPHABET + "\t",
+                                                    max_size=30)),
+       st.sampled_from(list(FieldTag)))
+@example("w*-3+1/2", FieldTag.ROOT_FIVE)
+@example("w*\t-3", FieldTag.ROOT_FIVE)
+@example("w* -3", FieldTag.ROOT_TWO)
+@example("3\t*w-\t2", FieldTag.ROOT_TWO)
+@example("w\n", FieldTag.ROOT_TWO)
+@example("1\n", FieldTag.RATIONAL)
+@example("(1+w)*i-((2))*j+(w*-1)*k", FieldTag.ROOT_FIVE)
+@example("()*i", FieldTag.RATIONAL)
+@example("(1)(2)*i", FieldTag.RATIONAL)
+@example("w+1)", FieldTag.RATIONAL)
+@example("\uff11+i", FieldTag.RATIONAL)
+@example("1" * 5000 + "/2*i", FieldTag.RATIONAL)
+@example("1,0,0; 0,3/5,-4/5; 0,4/5,3/5", FieldTag.RATIONAL)
+@example("1,0,0; 0,-1,0; 0,0,-1", FieldTag.ROOT_TWO)
+@example("1/2,1/2*w,1/2; 1/2*w,0,-1/2*w; -1/2,1/2*w,-1/2", FieldTag.ROOT_TWO)
+@example("1,1,0; 0,1,0; 0,0,1", FieldTag.ROOT_FIVE)
+@example("1,0,0; 0,1,0; 0,0,1e3", FieldTag.RATIONAL)
+def test_term_patterns_match_the_character_loop(text, tag):
+    # the same numerators for a field element, the same quaternion, and
+    # for a matrix the same quaternion; and the same errors and messages
+    for new, old in ((_parse_numerators, loop_parse_numerators),
+                     (parse_quat, loop_parse_quat),
+                     (_parse_rotation, loop_parse_rotation)):
+        assert _outcome(new, text, tag) == _outcome(old, text, tag)
 
 
 # The parsers against the Fraction-based ones they replaced, kept here as
