@@ -19,23 +19,27 @@ j = p*i by f(p^k), k the exponent of p in j.  The primes are streamed
 from the sieve and split at sqrt(M).  A prime p <= sqrt(M) expands its
 local factor up to the top power p^k <= M and applies the whole p-part
 in one product pass: a multiplier list for the stride holds f(p) and is
-overwritten with f(p^k) at the multiples of p^(k-1).  A prime above
-sqrt(M) divides each j <= M at most once, so only f(p) is computed, from
-the first terms of the local factor, and the stride is skipped when
-f(p) = 1 and zeroed when f(p) = 0.  No list of primes or of local
-factors is kept.  The sieve is the primality proof, so a table's local
-factors take their splitting class from the residue rule alone, without
-trial division per prime.
+overwritten with f(p^k) at the multiples of p^(k-1).  When f(p) = 0 the
+stride is zeroed instead, and only the multiples of p^2 get a product
+pass, with the multiplier list of their own stride; they get none when
+every f(p^k) is 0.  A prime above sqrt(M) divides each j <= M at most
+once, so only f(p) is computed, from the first terms of the local
+factor, and the stride is skipped when f(p) = 1 and zeroed when
+f(p) = 0; a prime above M/2 is its own only multiple and gets one
+write.  No list of primes or of local factors is kept, and the table is
+the tuple of the zero-based list values[j - 1] = f(j).  The sieve is the
+primality proof, so a table's local factors take their splitting class
+from the residue rule alone, without trial division per prime.
 """
 
 import math
 from functools import partial
-from itertools import compress, islice
+from itertools import compress
 from operator import mul
 
 from .errors import DomainError, ResourceCapError
-from .rings import (FieldTag, SplittingClass, _class_of_prime, factor_int,
-                    splitting_class)
+from .rings import (_RATIONAL, FieldTag, SplittingClass, _class_of_prime,
+                    factor_int, splitting_class)
 
 DEFAULT_SERIES_CAP = 1_000_000
 
@@ -51,24 +55,11 @@ CASE_OF_FIELD = {tag: case for case, tag in _PHI_TAG.items()}
 
 _TAG_BY_VALUE = {tag.value: tag for tag in FieldTag}
 
+# the local factors test these per prime: module constants, not lookups
+_SPLIT = SplittingClass.SPLIT
+_RAMIFIED = SplittingClass.RAMIFIED
+
 _ZETA_KINDS = ("zetaK", "zetaO", "zetaOO", "zetaO-half", "zetaOO-half")
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _stretch(poly):
-    """Substitute x -> x^2, turning a reduced-norm grid into a
-    module-index grid."""
-    out = [0] * (2 * len(poly) - 1)
-    for i, c in enumerate(poly):
-        out[2 * i] = c
-    return tuple(out)
 
 
 class EulerFactor:
@@ -110,57 +101,64 @@ def _nonnegative(p: int, c: int, n: int) -> int:
     return c
 
 
-def _first_coefficient(p: int, num, den) -> int:
-    """f(p) of the local factor num/den at p: the x-term of its expansion,
-    checked as EulerFactor(p, num, den).expansion(2)[1] is."""
-    _check_constant_terms(num, den)
-    c = (num[1] if len(num) > 1 else 0) - (den[1] if len(den) > 1 else 0)
-    return _nonnegative(p, c, 1)
-
-
 def _phi_polys(tag: FieldTag, p: int, cls: SplittingClass):
-    if tag is FieldTag.RATIONAL:
+    if tag is _RATIONAL:
         if p == 2:
             return (1,), (1,)
         return (1, 1), (1, -p)
-    if cls is SplittingClass.RAMIFIED:
+    if cls is _RAMIFIED:
         return (1, 1), (1, -p)
-    if cls is SplittingClass.SPLIT:
+    if cls is _SPLIT:
         return (1, 2, 1), (1, -2 * p, p * p)
     return (1, 0, 1), (1, 0, -p * p)
 
 
 def _zeta_polys(kind: str, tag: FieldTag, p: int, cls: SplittingClass):
+    # written out: each prime of the field of norm p^f gives the zetaO-half
+    # denominator (1 - x^f)(1 - p^f x^f) and the zetaOO-half one
+    # (1 - x^(2f)), save (1 - x) for both at 2 over Q; a module-index
+    # denominator is its "-half" one with x -> x^2
     if kind == "zetaK":
-        if tag is FieldTag.RATIONAL or cls is SplittingClass.RAMIFIED:
+        if tag is _RATIONAL or cls is _RAMIFIED:
             return (1,), (1, -1)
-        if cls is SplittingClass.SPLIT:
-            return (1,), _poly_mul((1, -1), (1, -1))
+        if cls is _SPLIT:
+            return (1,), (1, -2, 1)
         return (1,), (1, 0, -1)
     if kind == "zetaO-half":
-        if tag is FieldTag.RATIONAL:
-            if p == 2:
-                return (1,), (1, -1)
-            return (1,), _poly_mul((1, -1), (1, -p))
-        if cls is SplittingClass.RAMIFIED:
-            return (1,), _poly_mul((1, -1), (1, -p))
-        if cls is SplittingClass.SPLIT:
-            sq = _poly_mul((1, -1), (1, -1))
-            return (1,), _poly_mul(sq, _poly_mul((1, -p), (1, -p)))
-        return (1,), _poly_mul((1, 0, -1), (1, 0, -p * p))
+        if tag is _RATIONAL and p == 2:
+            return (1,), (1, -1)
+        if tag is _RATIONAL or cls is _RAMIFIED:
+            return (1,), (1, -1 - p, p)
+        if cls is _SPLIT:
+            q = p * p
+            return (1,), (1, -2 - 2 * p, 1 + 4 * p + q, -2 * p - 2 * q, q)
+        return (1,), (1, 0, -1 - p * p, 0, p * p)
+    if kind == "zetaO":
+        if tag is _RATIONAL and p == 2:
+            return (1,), (1, 0, -1)
+        if tag is _RATIONAL or cls is _RAMIFIED:
+            return (1,), (1, 0, -1 - p, 0, p)
+        if cls is _SPLIT:
+            q = p * p
+            return (1,), (1, 0, -2 - 2 * p, 0, 1 + 4 * p + q, 0,
+                          -2 * p - 2 * q, 0, q)
+        return (1,), (1, 0, 0, 0, -1 - p * p, 0, 0, 0, p * p)
     if kind == "zetaOO-half":
-        if tag is FieldTag.RATIONAL:
-            if p == 2:
-                return (1,), (1, -1)
+        if tag is _RATIONAL and p == 2:
+            return (1,), (1, -1)
+        if tag is _RATIONAL or cls is _RAMIFIED:
             return (1,), (1, 0, -1)
-        if cls is SplittingClass.RAMIFIED:
-            return (1,), (1, 0, -1)
-        if cls is SplittingClass.SPLIT:
-            return (1,), _poly_mul((1, 0, -1), (1, 0, -1))
+        if cls is _SPLIT:
+            return (1,), (1, 0, -2, 0, 1)
         return (1,), (1, 0, 0, 0, -1)
-    # the module-index versions are the half versions on the square grid
-    num, den = _zeta_polys(kind + "-half", tag, p, cls)
-    return _stretch(num), _stretch(den)
+    # zetaOO
+    if tag is _RATIONAL and p == 2:
+        return (1,), (1, 0, -1)
+    if tag is _RATIONAL or cls is _RAMIFIED:
+        return (1,), (1, 0, 0, 0, -1)
+    if cls is _SPLIT:
+        return (1,), (1, 0, 0, 0, -2, 0, 0, 0, 1)
+    return (1,), (1, 0, 0, 0, 0, 0, 0, 0, -1)
 
 
 def _parse_case(case: str):
@@ -232,37 +230,64 @@ def _check_cap(value: int, cap) -> None:
             f"series length {value} exceeds the cap {limit}")
 
 
+def _stride_multipliers(exp: tuple, p: int, s: int, M: int) -> list:
+    """Multipliers of the stride j = p^s * i <= M, i >= 1, from the
+    expansion exp of the local factor at p up to the top power p^k <= M:
+    the entry of i is exp[k] for p^k || j, that is for p^(k-s) || i."""
+    step = p ** s
+    part = [exp[s]] * (M // step)
+    q = p
+    for k in range(s + 1, len(exp)):
+        part[q - 1::q] = [exp[k]] * (M // (q * step))
+        q *= p
+    return part
+
+
 def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
     """f(1..M) of the named series, assembled prime by prime."""
     if M < 1:
         raise DomainError("need at least one coefficient")
     _check_cap(M, cap)
     tag, polys = _parse_case(case)
-    values = [1] * (M + 1)
-    root = math.isqrt(M)
+    values = [1] * M    # values[j - 1] = f(j)
+    root, half = math.isqrt(M), M // 2
     for p in compress(range(M + 1), _prime_sieve(M)):
         num, den = polys(p, _class_of_prime(p, tag))
         if p > root:
-            # p^2 > M: every multiple j <= M of p has exactly one factor p
-            c = _first_coefficient(p, num, den)
-            if c == 0:
-                values[p::p] = [0] * (M // p)
+            # p^2 > M: every multiple j <= M of p has exactly one factor p,
+            # so only f(p) is needed, checked as in EulerFactor.expansion
+            if not (num and den and num[0] == 1 and den[0] == 1):
+                _check_constant_terms(num, den)
+            c = ((num[1] if len(num) > 1 else 0)
+                 - (den[1] if len(den) > 1 else 0))
+            if c < 0:
+                _nonnegative(p, c, 1)
+            if p > half:
+                values[p - 1] = c    # p is its only multiple up to M
+            elif c == 0:
+                values[p - 1::p] = [0] * (M // p)
             elif c != 1:
-                values[p::p] = list(map(c.__mul__, values[p::p]))
+                values[p - 1::p] = list(map(c.__mul__, values[p - 1::p]))
             continue
         top, q = 1, p * p
         while q <= M:
             top, q = top + 1, q * p
         exp = EulerFactor(p, num, den).expansion(top + 1)
-        # values[p::p] holds f(j) for j = p*i, i >= 1; p^k divides j iff
-        # p^(k-1) divides i, so part[i - 1] ends up f(p^k), p^k || j
-        part = [exp[1]] * (M // p)
-        q = p
-        for k in range(2, top + 1):
-            part[q - 1::q] = [exp[k]] * (M // (q * p))
-            q *= p
-        values[p::p] = list(map(mul, values[p::p], part))
-    return CoeffSeries(label=case, values=tuple(islice(values, 1, None)))
+        if exp[1]:
+            values[p - 1::p] = list(map(
+                mul, values[p - 1::p], _stride_multipliers(exp, p, 1, M)))
+            continue
+        # f(p) = 0, so f(j) = 0 wherever p || j: zero the p-stride, then
+        # give the multiples of p^2 their p-part unless every f(p^k) is 0
+        sq = p * p
+        if any(exp[2:]):
+            kept = values[sq - 1::sq]
+            values[p - 1::p] = [0] * (M // p)
+            values[sq - 1::sq] = list(map(
+                mul, kept, _stride_multipliers(exp, p, 2, M)))
+        else:
+            values[p - 1::p] = [0] * (M // p)
+    return CoeffSeries(label=case, values=tuple(values))
 
 
 def phi_coefficients(case: str, M: int, cap=None) -> CoeffSeries:

@@ -10,7 +10,7 @@ import csmod.series
 from csmod.csm import count_csms, spectrum_member
 from csmod.errors import DomainError, ResourceCapError
 from csmod.orders import hurwitz, icosian, octahedral
-from csmod.rings import FieldTag, splitting_class
+from csmod.rings import FieldTag, SplittingClass, splitting_class
 from csmod.series import (DEFAULT_SERIES_CAP, PHI_CASES, CoeffSeries,
                           EulerFactor, coefficient, coefficient_table,
                           dirichlet_convolve, euler_factor, phi_coefficients,
@@ -78,6 +78,77 @@ def test_euler_factor_rejects_bad_input():
         EulerFactor(3, (1, 1), (2,))
     assert EulerFactor(3, (1, 1), denominator=(1, -3)).expansion(3) == (
         1, 4, 12)
+
+
+# -- the zeta local factors, composed as the reference -----------------------
+#
+# The order zeta factors as products of (1 - x^f)-type polynomials and
+# the module-index kinds as the "-half" ones with x -> x^2, multiplied out
+# here with no written-out coefficient shared with the library.
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def _stretch(poly):
+    """Substitute x -> x^2, turning a reduced-norm grid into a
+    module-index grid."""
+    out = [0] * (2 * len(poly) - 1)
+    for i, c in enumerate(poly):
+        out[2 * i] = c
+    return tuple(out)
+
+
+def reference_zeta_polys(kind, tag, p, cls):
+    if kind == "zetaK":
+        if tag is FieldTag.RATIONAL or cls is SplittingClass.RAMIFIED:
+            return (1,), (1, -1)
+        if cls is SplittingClass.SPLIT:
+            return (1,), _poly_mul((1, -1), (1, -1))
+        return (1,), (1, 0, -1)
+    if kind == "zetaO-half":
+        if tag is FieldTag.RATIONAL:
+            if p == 2:
+                return (1,), (1, -1)
+            return (1,), _poly_mul((1, -1), (1, -p))
+        if cls is SplittingClass.RAMIFIED:
+            return (1,), _poly_mul((1, -1), (1, -p))
+        if cls is SplittingClass.SPLIT:
+            sq = _poly_mul((1, -1), (1, -1))
+            return (1,), _poly_mul(sq, _poly_mul((1, -p), (1, -p)))
+        return (1,), _poly_mul((1, 0, -1), (1, 0, -p * p))
+    if kind == "zetaOO-half":
+        if tag is FieldTag.RATIONAL:
+            if p == 2:
+                return (1,), (1, -1)
+            return (1,), (1, 0, -1)
+        if cls is SplittingClass.RAMIFIED:
+            return (1,), (1, 0, -1)
+        if cls is SplittingClass.SPLIT:
+            return (1,), _poly_mul((1, 0, -1), (1, 0, -1))
+        return (1,), (1, 0, 0, 0, -1)
+    # the module-index versions are the half versions on the square grid
+    num, den = reference_zeta_polys(kind + "-half", tag, p, cls)
+    return _stretch(num), _stretch(den)
+
+
+def test_zeta_polys_match_composed_reference():
+    # every kind, field and class, including pairs no prime of the field
+    # takes, so that each written-out branch is pinned
+    primes = [p for p in range(2, 500)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for kind in csmod.series._ZETA_KINDS:
+        for tag in FieldTag:
+            for cls in SplittingClass:
+                for p in primes:
+                    want = reference_zeta_polys(kind, tag, p, cls)
+                    got = csmod.series._zeta_polys(kind, tag, p, cls)
+                    assert got == want, (kind, tag, cls, p)
 
 
 # -- coefficient tables --------------------------------------------------
@@ -183,6 +254,7 @@ def test_single_coefficient_rejects_bad_input():
 @pytest.mark.parametrize("p,numerator,power", [
     (3, (1, 0, -1), 2),     # below sqrt(M): negative at p^2
     (47, (1, -1), 1),       # above sqrt(M): negative at p
+    (53, (1, -1), 1),       # above M/2: negative at p
 ])
 def test_table_rejects_negative_local_coefficient(p, numerator, power,
                                                   monkeypatch):
@@ -224,13 +296,28 @@ def test_table_matches_reference_around_prime_squares(case, M):
     assert coefficient_table(case, M).values == reference_table(case, M)
 
 
-def test_table_rejects_bad_constant_term_above_root(monkeypatch):
+# M = 2p - 1, 2p, 2p + 1 put p on both sides of the single write above
+# M/2; around the squares and at the cubes of the primes with f(p) = 0 in
+# some case, the zeroed p-stride meets the product pass on the p^2 stride
+FILL_BOUNDARY_SIZES = sorted(
+    {2 * p + d for p in (47, 53) for d in (-1, 0, 1)}
+    | {n for p in (2, 3, 5, 7) for n in (p * p - 1, p * p, p * p + 1, p ** 3)})
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_table_matches_reference_at_fill_boundaries(case):
+    for M in FILL_BOUNDARY_SIZES:
+        assert coefficient_table(case, M).values == reference_table(case, M), M
+
+
+@pytest.mark.parametrize("p", (47, 53))
+def test_table_rejects_bad_constant_term_above_root(p, monkeypatch):
     # p = 47 > sqrt(100) takes the first-order path, which checks the
-    # constant terms as EulerFactor does
+    # constant terms as EulerFactor does; p = 53 > 100/2 takes its one write
     phi_polys = csmod.series._phi_polys
 
     def broken(tag, q, cls):
-        return ((2, 1), (1,)) if q == 47 else phi_polys(tag, q, cls)
+        return ((2, 1), (1,)) if q == p else phi_polys(tag, q, cls)
 
     monkeypatch.setattr(csmod.series, "_phi_polys", broken)
     with pytest.raises(DomainError, match="constant term 1"):
@@ -239,9 +326,12 @@ def test_table_rejects_bad_constant_term_above_root(monkeypatch):
 
 def test_table_peak_memory():
     # CPython 3.11 tracemalloc peaks for cub at M = 2*10^5: 8.0 MB for
-    # the stride fill with a values[1:] copy, 6.6 MB for this fill, 7.3 MB
-    # with a list of the primes kept, 8.2 MB with one M-sized scratch list
-    # and 10.9 MB with a list of the local factors
+    # the stride fill with a values[1:] copy, 6.4 MB for this fill (zero
+    # strides, one write above M/2, a zero-based list turned into the
+    # tuple directly), 6.6 MB for the same fill reading the tuple through
+    # islice(values, 1, None) and for the fill before it, 7.3 MB with a
+    # list of the primes kept, 8.2 MB with one M-sized scratch list and
+    # 10.9 MB with a list of the local factors
     coefficient_table("cub", 100)
     tracemalloc.start()
     try:
