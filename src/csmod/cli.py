@@ -9,14 +9,12 @@ error, 4 resource-cap refusal, 141 output pipe closed by its reader
 """
 
 import argparse
-import json
 import os
 import random
 import re
 import sys
 from functools import lru_cache
 from itertools import accumulate, islice
-from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
@@ -108,25 +106,33 @@ def _build_config(args) -> Config:
 # -- output -------------------------------------------------------------
 
 
-def _json_text(value, indent="\n") -> str:
+def _json_text(value) -> str:
     """json.dumps(value, indent=2) for a str, int, bool or None, or a
     list or dict (str keys) of them: the same text, laid out here with
     the C string encoder, where indent= would select json's pure-Python
-    encoder.  indent is the newline and indentation of value's line."""
+    encoder."""
+    # json loads only where JSON is written
+    from json.encoder import encode_basestring_ascii
+    return _json_layout(value, "\n", encode_basestring_ascii)
+
+
+def _json_layout(value, indent: str, text) -> str:
+    """_json_text of value, with text the string encoder and indent the
+    newline and indentation of value's line."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return text(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner, text = indent + "  ", encode_basestring_ascii
+    inner = indent + "  "
     if isinstance(value, dict):
         parts, ends = [text(key) + ": " + (text(v) if v.__class__ is str
-                                            else _json_text(v, inner))
+                                            else _json_layout(v, inner, text))
                        for key, v in value.items()], "{}"
     else:
-        parts, ends = [text(v) if v.__class__ is str else _json_text(v, inner)
-                       for v in value], "[]"
+        parts, ends = [text(v) if v.__class__ is str
+                       else _json_layout(v, inner, text) for v in value], "[]"
     return (ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
             if parts else ends)
 
@@ -136,6 +142,7 @@ def _emit(cfg: Config, payload: dict, rows=None, text=None) -> None:
         print(_json_text(payload))
     elif cfg.format == "csv":
         import csv      # only CSV output needs it
+        import json     # for its list and dict fields
         writer = csv.writer(sys.stdout)
         if rows is None:
             writer.writerow(("field", "value"))
@@ -309,6 +316,7 @@ def cmd_series(cfg: Config, args) -> int:
     blocks = _series_blocks(values)
     # sys.stdout is read at each write: callers may redirect it
     if cfg.format == "json":
+        import json     # only JSON output needs it
         head = json.dumps({"command": "series", "case": cfg.case,
                            "max": cfg.max, "density": density}, indent=2)
         sys.stdout.write(head[:-2] + ',\n  "rows": [\n')

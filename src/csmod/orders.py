@@ -28,6 +28,18 @@ norm and the content, so at the first unmarked point of an orbit the
 exact-norm and primitivity checks run once and all |U| keys are marked;
 every later point of the orbit is one set lookup.  Enumeration builds no
 quaternion for the units and one per ideal, from integer dot products.
+
+The search runs only at a norm value that is prime in the scalar ring (or
+1).  The maximal orders have class number one, so a primitive right
+ideal whose reduced norm is a composite value nu = prod(pi^k), factored
+by rings.factor, is a product of ideals of prime reduced norm, unique
+once the order of the primes is fixed (Conway & Smith, On Quaternions and
+Octonions, ch. 5).  Its generators are formed as products of the
+generators the search finds at each prime pi, kept per value on the
+order: those for pi^k are those for pi^(k-1) times those for pi whose
+product is primitive, and the coprime parts are multiplied in factor
+order.  The products run on integer numerators, and each ideal gets one
+quaternion.
 """
 
 from __future__ import annotations
@@ -40,13 +52,13 @@ from operator import mul
 from .errors import DomainError, ResourceCapError
 from .modlat import Ambient, OModule, _pairs, hnf_canonical, im_project
 from .quat import Quat, hamilton_product
-from .rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
+from .rings import (FieldElem, FieldTag, RingElem, factor, norm_class_reps,
                     pair_canonical_associate, pair_euclid, pair_mul,
                     pair_norm, ring_columns)
 from .series import CASE_OF_FIELD, coefficient
 
 DEFAULT_ENUM_CAP = 10_000
-ENUM_CACHE_WINDOW = 32      # an order keeps the ideals of its last 32 m
+ENUM_CACHE_WINDOW = 32      # an order keeps its last 32 m and norm values
 KEY_BITS = 24               # slot width of the packed orbit keys
 
 
@@ -121,8 +133,8 @@ class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_zgen", "_nb", "_search", "_enum_cache", "_units",
-                 "_orbits", "_im_module")
+                 "_zgen", "_nb", "_search", "_enum_cache", "_value_cache",
+                 "_units", "_orbits", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -159,6 +171,7 @@ class QuatOrder:
         self._nb = nb if field_tag.degree == 2 else None
         self._search = _ldl(gram)
         self._enum_cache = {}
+        self._value_cache = {}
         self._units = None
         self._orbits = None
         self._im_module = None
@@ -292,20 +305,28 @@ class QuatOrder:
         the integer parts, with the rest, the omega parts."""
         return self._content_of(zip(v[:4], v[4:] or (0, 0, 0, 0))) == (1, 0)
 
+    def _numerators(self, v):
+        """(A, B): the integer and omega parts of the four ring numerators
+        of the element with Z-coordinates v, over the den of the Z-basis;
+        each is an integer dot product with a column of the Z-basis rows."""
+        cols = list(zip(*self._zgen[1]))
+        return (tuple(sum(x * e.a for x, e in zip(v, col)) for col in cols),
+                tuple(sum(x * e.b for x, e in zip(v, col)) for col in cols))
+
     def _element(self, v) -> Quat:
-        """The quaternion with Z-coordinates v: each coordinate's ring
-        numerator is two integer dot products with the Z-basis rows."""
-        den, rows = self._zgen
+        """The quaternion with Z-coordinates v."""
         tag = self.field_tag
-        return Quat.ratio([RingElem(tag, sum(x * e.a for x, e in zip(v, col)),
-                                    sum(x * e.b for x, e in zip(v, col)))
-                           for col in zip(*rows)], den)
+        return Quat.ratio([RingElem(tag, a, b)
+                           for a, b in zip(*self._numerators(v))],
+                          self._zgen[0])
 
     def _unit_vectors(self):
         """The Z-coordinates of the norm-one units, in search order."""
         if self._units is None:
-            self._units = tuple(
-                self._norm_vectors(RingElem(self.field_tag, 1)))
+            one = RingElem(self.field_tag, 1)
+            self._units = tuple(self._norm_vectors(one))
+            # they are one orbit: the ideal O, generated by the first
+            _remember(self._value_cache, one, self._units[:1])
         return self._units
 
     def norm_one_units(self):
@@ -400,38 +421,94 @@ class QuatOrder:
                 raise DomainError(
                     "enumeration by reduced norm needs a maximal order")
 
+    def _ideal_vectors(self, value: RingElem):
+        """The Z-coordinates of one reduced generator per right ideal q*O
+        with nr(q) exactly value, by the whole-order search: the first
+        point of each unit orbit, in search order, whose norm is exactly
+        value and whose content is 1.  An order keeps the answers for its
+        last ENUM_CACHE_WINDOW values."""
+        units = len(self._unit_vectors())     # it keeps the value 1
+        found = _recall(self._value_cache, value)
+        if found is not None:
+            return found
+        weights = self._orbit_table()[0]
+        # right multiplication by a unit keeps the reduced norm and the
+        # content, so each orbit {v*u} of the search is marked and
+        # classified once, at its first point
+        vectors = _solve_quadratic(self._search, 2 * value.trace())
+        marked = set()
+        found = []
+        orbits = 0
+        for v in vectors:
+            if sum(map(mul, v, weights)) in marked:
+                continue
+            marked.update(self._orbit_keys(v))
+            orbits += 1
+            if self._has_norm(v, value) and self._is_primitive(v):
+                # q*O == q'*O with nr(q) == nr(q') iff q' = q*u
+                found.append(v)
+        if not len(vectors) == len(marked) == units * orbits:
+            raise ArithmeticError(
+                f"{self.name}, m = {value.norm_abs()}, norm {value}: "
+                f"{len(vectors)} points, {len(marked)} marked, {units} "
+                f"units, {orbits} orbits")
+        return _remember(self._value_cache, value, tuple(found))
+
+    def _product_generators(self, factors):
+        """One reduced generator per right ideal whose reduced norm is
+        prod(pi^k) over the factors (pi, k) of a norm value.  With class
+        number one a primitive ideal of norm pi^k is, in one way, one of
+        norm pi^(k-1) times one of norm pi, and an ideal of coprime norms
+        the product of its parts.  So the generators for pi^k are those
+        for pi^(k-1) times those for pi, where the product stays
+        primitive, and the parts are multiplied in factor order.  The
+        products run on integer numerators; each generator becomes one
+        Quat at the end."""
+        c, e = self.field_tag._omega_sq
+        den = self._zgen[0]
+        gens = None
+        for pi, k in factors:
+            primes = list(map(self._numerators, self._ideal_vectors(pi)))
+            power, d = primes, den
+            for _ in range(k - 1):
+                d *= den
+                power = [x for x in (_split_product(y, p, c, e)
+                                     for y in power for p in primes)
+                         if self._is_primitive_product(x, d)]
+            if gens is None:
+                gens, gens_den = power, d
+            else:
+                gens = [_split_product(y, p, c, e) for y in gens for p in power]
+                gens_den *= d
+        tag = self.field_tag
+        return [Quat.ratio([RingElem(tag, a, b) for a, b in zip(*x)], gens_den)
+                for x in gens]
+
+    def _is_primitive_product(self, x, den: int) -> bool:
+        """Whether the element with numerator parts x (see _numerators)
+        over den has unit content."""
+        y = self.module.solve_pairs([n for pair in zip(*x) for n in pair], den)
+        return self._content_of(zip(y[::2], y[1::2])) == (1, 0)
+
     def enumerate_by_index(self, m: int, cap: int | None = None):
         """One reduced representative per right ideal q*O with
-        norm_abs(nr q) = m: the first point of each orbit, in search
-        order, whose norm is exactly the value and whose content is 1."""
+        norm_abs(nr q) = m, taken per value of norm_class_reps.  At a prime
+        value (or 1) it is the first point of an orbit of the search at
+        that value (see _ideal_vectors); at a composite value, a product
+        of generators of prime reduced norm (see _product_generators),
+        whose reduced norm is the value up to a totally positive unit."""
         self.check_indices(m, m, cap)
-        if m in self._enum_cache:    # moved to the end: most recently used
-            self._enum_cache[m] = self._enum_cache.pop(m)
-            return list(self._enum_cache[m])
+        reps = _recall(self._enum_cache, m)
+        if reps is not None:
+            return list(reps)
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
-            units = len(self._unit_vectors())
-            weights = self._orbit_table()[0]
             for value in norm_class_reps(self.field_tag, m):
-                # right multiplication by a unit keeps the reduced norm and
-                # the content, so each orbit {v*u} of the search is marked
-                # and classified once, at its first point
-                vectors = _solve_quadratic(self._search, 2 * value.trace())
-                marked = set()
-                orbits = 0
-                for v in vectors:
-                    if sum(map(mul, v, weights)) in marked:
-                        continue
-                    marked.update(self._orbit_keys(v))
-                    orbits += 1
-                    if self._has_norm(v, value) and self._is_primitive(v):
-                        # q*O == q'*O with nr(q) == nr(q') iff q' = q*u
-                        reps.append(self._element(v))
-                if not len(vectors) == len(marked) == units * orbits:
-                    raise ArithmeticError(
-                        f"{self.name}, m = {m}, norm {value}: {len(vectors)} "
-                        f"points, {len(marked)} marked, {units} units, "
-                        f"{orbits} orbits")
+                factors = factor(value).primes
+                if sum(k for _, k in factors) > 1:
+                    reps += self._product_generators(factors)
+                else:
+                    reps += map(self._element, self._ideal_vectors(value))
         # the maximal orders of one field are conjugate, and each has as
         # many right ideals of index m as the field's counting series says
         want = coefficient(CASE_OF_FIELD[self.field_tag], m)
@@ -439,10 +516,35 @@ class QuatOrder:
             raise ArithmeticError(
                 f"{self.name}, m = {m}: {len(reps)} ideals, the counting "
                 f"series says {want}")
-        result = self._enum_cache[m] = tuple(reps)
-        if len(self._enum_cache) > ENUM_CACHE_WINDOW:
-            del self._enum_cache[next(iter(self._enum_cache))]
-        return list(result)
+        return list(_remember(self._enum_cache, m, tuple(reps)))
+
+
+def _recall(cache: dict, key):
+    """The value cached under key, now the most recently used, or None."""
+    if key in cache:
+        cache[key] = cache.pop(key)
+        return cache[key]
+    return None
+
+
+def _remember(cache: dict, key, value):
+    """Cache value under key, dropping the least recently used key past
+    ENUM_CACHE_WINDOW; returns value."""
+    cache[key] = value
+    if len(cache) > ENUM_CACHE_WINDOW:
+        del cache[next(iter(cache))]
+    return value
+
+
+def _split_product(x, y, c: int, e: int):
+    """The product of quaternions given as the integer and omega parts
+    (A, B) of their numerators, A + B*omega, with omega central and
+    omega^2 = c + e*omega: pair_mul on quaternion coefficients."""
+    (xa, xb), (ya, yb) = x, y
+    aa, bb = hamilton_product(xa, ya), hamilton_product(xb, yb)
+    ab, ba = hamilton_product(xa, yb), hamilton_product(xb, ya)
+    return (tuple(s + c * t for s, t in zip(aa, bb)),
+            tuple(s + t + e * u for s, t, u in zip(ab, ba, bb)))
 
 
 @lru_cache(maxsize=None)

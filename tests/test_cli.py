@@ -994,6 +994,27 @@ def test_start_up_imports_no_dataclasses_inspect_or_multiprocessing():
     assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
+# json loads only where JSON is written: not at start-up, and not for the
+# orders or a text count
+JSON_PROBE = """
+import sys
+import csmod.cli
+from csmod.orders import hurwitz, icosian, octahedral
+hurwitz(); icosian(); octahedral()
+loaded = "json" in sys.modules
+code = csmod.cli.main(["count", "--order", "hurwitz", "3"])
+print(code, loaded, "json" in sys.modules)
+"""
+
+
+def test_start_up_leaves_json_unloaded():
+    proc = subprocess.run([sys.executable, "-c", JSON_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
 def test_module_entry_point_error_code():
     proc = subprocess.run(
         [sys.executable, "-m", "csmod", "count", "--order", "lipschitz-q",

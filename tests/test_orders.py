@@ -16,8 +16,8 @@ from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, QuatOrder, _ldl,
                           _solve_quadratic, hurwitz, icosian, icosian_conj,
                           lipschitz, octahedral, order_by_key)
 from csmod.quat import Quat
-from csmod.rings import (FieldElem, FieldTag, RingElem, norm_class_reps,
-                         ring_gcd)
+from csmod.rings import (FieldElem, FieldTag, RingElem, factor,
+                         norm_class_reps, ring_gcd)
 
 Q = FieldTag.RATIONAL
 R5 = FieldTag.ROOT_FIVE
@@ -450,19 +450,27 @@ def test_orbit_keys_refuse_narrow_slots(factory, m, monkeypatch):
 
 def enumeration_tally(factory, m, monkeypatch):
     """(search points, orbits, wrong-norm orbits, non-primitive orbits,
-    ideals) of enumerate_by_index(m) on a fresh copy of the order."""
+    products formed, products kept, ideals) of enumerate_by_index(m) on a
+    fresh copy of the order."""
     base = factory()
     order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
     order.norm_one_units()
-    tally = dict.fromkeys(("points", "orbits", "wrong", "imprimitive"), 0)
+    tally = dict.fromkeys(("points", "orbits", "wrong", "imprimitive",
+                           "products", "dropped"), 0)
     search = csmod.orders._solve_quadratic
+    split_product = csmod.orders._split_product
     orbit_keys = QuatOrder._orbit_keys
     has_norm, primitive = QuatOrder._has_norm, QuatOrder._is_primitive
+    primitive_product = QuatOrder._is_primitive_product
 
     def counting_search(*args):
         found = search(*args)
         tally["points"] += len(found)
         return found
+
+    def counting_split_product(*args):
+        tally["products"] += 1
+        return split_product(*args)
 
     def counting_orbit_keys(self, v):
         tally["orbits"] += 1
@@ -478,30 +486,43 @@ def enumeration_tally(factory, m, monkeypatch):
         tally["imprimitive"] += not ok
         return ok
 
+    def counting_primitive_product(self, x, den):
+        ok = primitive_product(self, x, den)
+        tally["dropped"] += not ok
+        return ok
+
     monkeypatch.setattr(csmod.orders, "_solve_quadratic", counting_search)
+    monkeypatch.setattr(csmod.orders, "_split_product", counting_split_product)
     monkeypatch.setattr(QuatOrder, "_orbit_keys", counting_orbit_keys)
     monkeypatch.setattr(QuatOrder, "_has_norm", counting_has_norm)
     monkeypatch.setattr(QuatOrder, "_is_primitive", counting_primitive)
+    monkeypatch.setattr(QuatOrder, "_is_primitive_product",
+                        counting_primitive_product)
     reps = order.enumerate_by_index(m)
     monkeypatch.undo()
     assert reps == base.enumerate_by_index(m)
     return (tally["points"], tally["orbits"], tally["wrong"],
-            tally["imprimitive"], len(reps))
+            tally["imprimitive"], tally["products"],
+            tally["products"] - tally["dropped"], len(reps))
 
 
 @pytest.mark.parametrize("factory,m,want", [
     # 624 = 13 orbits * 48 units of trace norm 4: 3 ideals of norm 2+sqrt2
     # and 10 orbits of norm 2-sqrt2 or 2
-    (octahedral, 2, (624, 13, 10, 0, 3)),
-    # the same search: 6 ideals, 6 wrong-norm orbits and the orbit of 2
-    (octahedral, 4, (624, 13, 6, 1, 6)),
-    # 312 = 13 orbits * 24 units: 12 ideals and the orbit of 3
-    (hurwitz, 9, (312, 13, 0, 1, 12)),
-    (icosian, 4, (600, 5, 0, 0, 5)),
+    (octahedral, 2, (624, 13, 10, 0, 0, 0, 3)),
+    # 2 = sqrt2^2 times a unit: the search at the prime of norm 2, then
+    # 3 * 3 products, of which the 3 that go back to 2 are not primitive
+    (octahedral, 4, (624, 13, 10, 0, 9, 6, 6)),
+    # the search at 3 (96 = 4 orbits * 24 units), then 4 * 4 products, of
+    # which the 4 that go back to 3 are not primitive
+    (hurwitz, 9, (96, 4, 0, 0, 16, 12, 12)),
+    (icosian, 4, (600, 5, 0, 0, 0, 0, 5)),
 ])
 def test_enumeration_classifies_each_orbit_once(factory, m, want, monkeypatch):
     # the norm check and the content check run once per orbit, at its
-    # first point in search order; every other point is a key lookup
+    # first point in search order; every other point is a key lookup.  A
+    # composite norm value is not searched: its ideals are products of
+    # those of the prime values, which are searched once each
     assert enumeration_tally(factory, m, monkeypatch) == want
 
 
@@ -541,6 +562,44 @@ def test_enumeration_builds_quaternions_per_ideal(factory, m, monkeypatch):
     assert built == len(reps)
     assert products == 0
     assert reps == base.enumerate_by_index(m)
+
+
+# -- composite norm values: products against the whole-order search --------
+#
+# At a composite norm value enumerate_by_index multiplies generators of
+# prime reduced norm instead of searching.  The search still runs at any
+# value (_ideal_vectors), so it serves as the oracle: the same right ideals,
+# each once.  The cases cover squares and cubes of rational primes, split
+# primes in both orders of their factors (icosian 55, 121), the ramified
+# primes (5 over Z[tau], sqrt2 over Z[sqrt2]) and the inert 2 over Z[tau].
+
+
+def fresh_copy(factory):
+    base = factory()
+    return QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 9), (hurwitz, 15), (hurwitz, 25), (hurwitz, 27),
+    (hurwitz, 45), (hurwitz, 105),
+    (icosian, 16), (icosian, 20), (icosian, 25), (icosian, 55),
+    (icosian, 121),
+    (octahedral, 4), (octahedral, 8), (octahedral, 14), (octahedral, 49),
+])
+def test_products_match_the_whole_order_search(factory, m):
+    order = fresh_copy(factory)
+    assert composite_values(order, m)
+    reps = order.enumerate_by_index(m)
+    ideals = [order.right_ideal(q) for q in reps]
+    assert len(set(ideals)) == len(ideals)
+    for q in reps:
+        assert order.is_reduced(q)
+        assert q.nr().to_ring().norm_abs() == m
+    oracle = fresh_copy(factory)
+    assert set(ideals) == {
+        oracle.right_ideal(oracle._element(v))
+        for value in norm_class_reps(oracle.field_tag, m)
+        for v in oracle._ideal_vectors(value)}
 
 
 # -- the previous enumeration, kept as the reference ----------------------
@@ -691,13 +750,28 @@ def reference_enumerate(order, m):
 REFERENCE_RANGES = [(hurwitz, 15), (icosian, 5), (octahedral, 8)]
 
 
+def composite_values(order, m):
+    """Whether enumerate_by_index(m) forms its ideals as products: the norm
+    values of m are products of two or more primes of the base ring."""
+    return any(sum(k for _, k in factor(value)) > 1
+               for value in norm_class_reps(order.field_tag, m))
+
+
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
 def test_enumerate_matches_reference(factory, top):
+    # the search keeps the first point of each orbit, as the reference
+    # does; a product of prime-norm generators is another generator of
+    # the same ideal, so at a composite value only the ideals must agree
     order = factory()
     for m in range(1, top + 1):
         got = order.enumerate_by_index(m)
         want = reference_enumerate(order, m)
-        assert [str(q) for q in got] == [str(q) for q in want], m
+        if composite_values(order, m):
+            assert len(got) == len(want), m
+            assert ({order.right_ideal(q) for q in got}
+                    == {order.right_ideal(q) for q in want}), m
+        else:
+            assert [str(q) for q in got] == [str(q) for q in want], m
 
 
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
@@ -876,3 +950,30 @@ def test_enumeration_cache_keeps_a_window_of_recent_indices():
     order.enumerate_by_index(201)
     assert recent[0] in order._enum_cache
     assert recent[1] not in order._enum_cache
+
+
+def test_prime_values_are_searched_once_per_window():
+    # the generators of each norm value are kept on the order, so the
+    # composite m of a range search each prime value once; the cache keeps
+    # a window of the most recent values, as the cache of m does
+    order = fresh_copy(hurwitz)
+    order.norm_one_units()
+    targets = []
+    search = csmod.orders._solve_quadratic
+
+    def counting_search(levels, target):
+        targets.append(target)
+        return search(levels, target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csmod.orders, "_solve_quadratic", counting_search)
+        for m in (9, 15, 3, 45, 27, 5, 105):
+            order.enumerate_by_index(m)
+    # the search targets 2*Tr(p) = 2p of the primes 3, 5 and 7 only
+    assert targets == [6, 10, 14]
+    for m in range(1, 201):
+        order.enumerate_by_index(m)
+        assert len(order._value_cache) <= csmod.orders.ENUM_CACHE_WINDOW
+    assert RingElem(Q, 199) in order._value_cache
+    assert len(order._value_cache) == csmod.orders.ENUM_CACHE_WINDOW
+

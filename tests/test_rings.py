@@ -225,6 +225,8 @@ def test_primes_above_norms(tag, p):
     for pi in pis:
         assert pi.divides(RingElem(tag, p))
         assert pi == pi.canonical_associate()
+        # enumeration searches for elements of reduced norm exactly pi
+        assert pi.is_totally_positive()
 
 
 def test_factor_int():
@@ -267,6 +269,7 @@ def test_factor_roundtrip(tag):
             assert e >= 1
             assert pi == pi.canonical_associate()
             assert pi.norm_abs() > 1
+            assert pi.is_totally_positive()
 
 
 def test_norm_class_reps_examples():
