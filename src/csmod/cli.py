@@ -243,10 +243,9 @@ def _count_task(task):
 def cmd_count(cfg: Config, args) -> int:
     order = order_by_key(cfg.order)
     lo, hi = _parse_index_range(args.indices)
-    # the caps are checked before any count is made
+    # the caps, and a non-maximal order, are refused before any count
     order.check_indices(lo, hi, cfg.cap)
-    case = CASE_OF_FIELD[order.field_tag] if order.maximal else None
-    series = phi_coefficients(case, hi) if case else None
+    series = phi_coefficients(CASE_OF_FIELD[order.field_tag], hi)
     tasks = [(order.name, m, cfg.cap) for m in range(lo, hi + 1)]
     if cfg.workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool    # a slow import: only here
@@ -256,7 +255,7 @@ def cmd_count(cfg: Config, args) -> int:
         counted = [_count_task(task) for task in tasks]
     counted.sort()
     table = [{"m": m, "count": count,
-              "matches_series": bool(series and series.at(m) == count)}
+              "matches_series": series.at(m) == count}
              for m, count in counted]
     payload = {
         "command": "count",

@@ -34,7 +34,7 @@ def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
     """
     if q.is_zero():
         raise DomainError("the zero quaternion defines no rotation")
-    return order.reduce_generator(Quat.ratio(q.num, 1))
+    return order.reduce_generator(Quat.ratio(q.tag, q.num, 1))
 
 
 def sigma_index(order: QuatOrder, q: Quat) -> int:
@@ -199,8 +199,7 @@ def rotation_to_quat(mat: Mat3K) -> Quat:
     """Quaternion (up to scale) whose conjugation action is the given
     special orthogonal matrix; rejects anything else."""
     den, m = ring_columns(mat.tag, 3, mat.rows)
-    return quat_of_rotation(mat.tag, [x for row in m for y in row
-                                      for x in (y.a, y.b)], den)
+    return quat_of_rotation(mat.tag, [x for row in m for x in row], den)
 
 
 def quat_of_rotation(tag: FieldTag, m, den: int) -> Quat:
@@ -220,12 +219,11 @@ def quat_of_rotation(tag: FieldTag, m, den: int) -> Quat:
     for x in candidates:
         if not any(x):
             continue
-        rows, (na, nb) = cayley_pairs(list(zip(x[::2], x[1::2])), c, e)
+        rows, (na, nb) = cayley_pairs(x, c, e)
         flat = [y * den for row in rows for y in row]
         if all(pair_mul(m[k], m[k + 1], na, nb, c, e) == (flat[k], flat[k + 1])
                for k in range(0, 18, 2)):
-            return Quat.ratio([RingElem(tag, *x[k:k + 2])
-                               for k in (0, 2, 4, 6)], den)
+            return Quat.ratio(tag, x, den)
     # refused: tell a non-rotation from a rotation without a quaternion
     mat = Mat3K(tag, [[FieldElem.ratio(RingElem(tag, *m[k:k + 2]), den)
                        for k in range(r, r + 6, 2)] for r in (0, 6, 12)])

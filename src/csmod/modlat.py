@@ -16,11 +16,13 @@ All module algebra (echelon forms, kernels, intersections, indices,
 membership and the canonical normalisation) runs on plain integers: a
 column is a flat list [a0, b0, a1, b1, ...], one pair (a, b) per entry
 a + b*omega, and each call reads the omega^2 rule of its field once.
+That is the layout of a quaternion's numerators (quat.Quat.num), so
+products of quaternions enter _canonical as they are; hnf_canonical
+takes field entries and writes them so once, by rings.ring_columns.
 The pivots, the residues above them and the lowest terms are normalised
-by the pair helpers of rings.  An OModule keeps its columns in that flat
-form, converted once when it is made; RingElems and field elements
-appear only in its read-only `cols` and `basis` views, and text is
-printed from the numerators.  Membership is a triangular solve.
+by the pair helpers of rings.  RingElems and field elements appear only
+in an OModule's read-only `cols` and `basis` views, and text is printed
+from the numerators.  Membership is a triangular solve.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -38,6 +40,7 @@ from .rings import (
     FieldElem,
     FieldTag,
     RingElem,
+    _elems,
     _format_pair,
     as_field,
     pair_canonical_associate,
@@ -90,12 +93,13 @@ class OModule:
                      for col in self.cols)
 
     def solve(self, nums, den: int):
-        """Ring coordinates of the vector nums/den, or None if outside."""
-        x = self.solve_pairs(_pairs(nums), den)
+        """Ring coordinates of the vector nums/den, for ring numerators
+        nums as flat integer pairs, or None if outside."""
+        x = self.solve_pairs(nums, den)
         return None if x is None else _elems(self.tag, x)
 
     def solve_pairs(self, nums, den: int):
-        """solve for the flat integer pairs nums, giving flat pairs."""
+        """solve, giving the coordinates as flat pairs."""
         # sum_c x_c * cols[c] must equal nums * self.den / den
         g = gcd(self.den, den)
         up, down = self.den // g, den // g
@@ -155,19 +159,6 @@ def _check_compatible(m1: OModule, m2: OModule) -> None:
         raise DomainError("mixed field tags")
     if m1.ambient is not m2.ambient:
         raise DomainError("ambient spaces differ")
-
-
-def _pairs(entries) -> list[int]:
-    """Ring elements as one flat list of integer pairs."""
-    out = []
-    for y in entries:
-        out += y.a, y.b
-    return out
-
-
-def _elems(tag: FieldTag, flat) -> tuple[RingElem, ...]:
-    """A flat list of integer pairs as ring elements."""
-    return tuple(RingElem(tag, a, b) for a, b in zip(flat[::2], flat[1::2]))
 
 
 def _col_submul(col, qa: int, qb: int, src, c: int, e: int) -> None:
@@ -252,7 +243,7 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
     scale, cols = ring_columns(tag, ambient.dim, generators)
     if not cols:
         raise DomainError("no generators")
-    return _canonical(tag, ambient, [_pairs(col) for col in cols], den * scale)
+    return _canonical(tag, ambient, cols, den * scale)
 
 
 def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:

@@ -29,17 +29,19 @@ exact-norm and primitivity checks run once and all |U| keys are marked;
 every later point of the orbit is one set lookup.  Enumeration builds no
 quaternion for the units and one per ideal, from integer dot products.
 
-The search runs only at a norm value that is prime in the scalar ring (or
-1).  The maximal orders have class number one, so a primitive right
-ideal whose reduced norm is a composite value nu = prod(pi^k), factored
-by rings.factor, is a product of ideals of prime reduced norm, unique
-once the order of the primes is fixed (Conway & Smith, On Quaternions and
-Octonions, ch. 5).  Its generators are formed as products of the
-generators the search finds at each prime pi, kept per value on the
-order: those for pi^k are those for pi^(k-1) times those for pi whose
-product is primitive, and the coprime parts are multiplied in factor
-order.  The products run on integer numerators, and each ideal gets one
-quaternion.
+Every norm value nu takes one path.  The maximal orders have class
+number one, so a primitive right ideal whose reduced norm is
+nu = prod(pi^k), factored by rings.factor, is a product of ideals of
+prime reduced norm, unique once the order of the primes is fixed (Conway
+& Smith, On Quaternions and Octonions, ch. 5).  The search runs only at
+the primes pi (nu = 1 and a prime nu are their own single factor), and
+its generators are kept per value on the order, in one window of recent
+values.  The generators for pi^k are those for pi^(k-1) times those for
+pi whose product is primitive, and the coprime parts are multiplied in
+factor order.  The products run on the ring numerators as flat integer
+pairs, the layout of Quat.num and of module columns (quat.pair_product),
+so a right ideal goes to modlat's canonical form as it is, and each
+ideal gets one quaternion.
 """
 
 from __future__ import annotations
@@ -50,15 +52,15 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DomainError, ResourceCapError
-from .modlat import Ambient, OModule, _pairs, hnf_canonical, im_project
-from .quat import Quat, hamilton_product
+from .modlat import Ambient, OModule, _canonical, hnf_canonical, im_project
+from .quat import Quat, hamilton_product, pair_product
 from .rings import (FieldElem, FieldTag, RingElem, factor, norm_class_reps,
                     pair_canonical_associate, pair_euclid, pair_mul,
-                    pair_norm, ring_columns)
+                    pair_norm)
 from .series import CASE_OF_FIELD, coefficient
 
 DEFAULT_ENUM_CAP = 10_000
-ENUM_CACHE_WINDOW = 32      # an order keeps its last 32 m and norm values
+ENUM_CACHE_WINDOW = 32      # an order keeps its last 32 norm values
 KEY_BITS = 24               # slot width of the packed orbit keys
 
 
@@ -133,7 +135,7 @@ class QuatOrder:
     """A fixed order with its canonical module basis and search data."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_zgen", "_nb", "_search", "_enum_cache", "_value_cache",
+                 "_zgen", "_zcols", "_nb", "_search", "_value_cache",
                  "_units", "_orbits", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
@@ -142,25 +144,28 @@ class QuatOrder:
         self.basis = tuple(basis)
         self.maximal = maximal
         # the Z-basis, the basis followed by omega times the basis, as
-        # rows of ring numerators over one integer den
-        den, rows = ring_columns(field_tag, 4,
-                                 [b.coords() for b in self.basis])
-        self.module = hnf_canonical(field_tag, Ambient.QUAT, rows, den)
+        # rows of ring numerators (flat pairs) over one integer den, and
+        # their integer columns
+        c, e = field_tag._omega_sq
+        den = lcm(*(b.den for b in self.basis))
+        rows = [[x * (den // b.den) for x in b.num] for b in self.basis]
+        self.module = _canonical(field_tag, Ambient.QUAT, rows, den)
         if field_tag.degree == 2:
-            omega = RingElem.omega(field_tag)
-            rows += [[x * omega for x in row] for row in rows]
+            rows += [[y for a, b in zip(row[::2], row[1::2])
+                      for y in (c * b, a + e * b)] for row in rows]
         self._zgen = den, rows
+        self._zcols = list(zip(*rows))
         # 2*nr(q) = A + B*omega is an integral form on the Z-basis; the
         # search runs on its trace, and then B alone fixes nr(q)
-        c, e = field_tag._omega_sq
         rank = len(rows)
         gram = [[0] * rank for _ in range(rank)]
         nb = [[0] * rank for _ in range(rank)]
         for s in range(rank):
             for t in range(s + 1):
                 a = b = 0
-                for x, y in zip(rows[s], rows[t]):
-                    xa, xb = pair_mul(x.a, x.b, y.a, y.b, c, e)
+                x, y = rows[s], rows[t]
+                for k in range(0, 8, 2):
+                    xa, xb = pair_mul(x[k], x[k + 1], y[k], y[k + 1], c, e)
                     a, b = a + xa, b + xb
                 a, ra = divmod(2 * a, den * den)
                 b, rb = divmod(2 * b, den * den)
@@ -170,7 +175,6 @@ class QuatOrder:
                 nb[s][t] = nb[t][s] = b
         self._nb = nb if field_tag.degree == 2 else None
         self._search = _ldl(gram)
-        self._enum_cache = {}
         self._value_cache = {}
         self._units = None
         self._orbits = None
@@ -206,7 +210,7 @@ class QuatOrder:
     def _content_in(self, q: Quat, zero_error: str):
         """The content of q as a pair; DomainError outside O or at zero."""
         self._check_tag(q)
-        coords = self.module.solve_pairs(_pairs(q.num), q.den)
+        coords = self.module.solve_pairs(q.num, q.den)
         if coords is None:
             raise DomainError("element is not in the order")
         if not any(coords):
@@ -254,15 +258,17 @@ class QuatOrder:
             return q    # already reduced, and in lowest terms as any Quat
         c, e = self.field_tag._omega_sq
         # q/g = q*conj(g)/N(g), with N(g) = g^2 over Q
-        nums = [pair_mul(x.a, x.b, ga + e * gb, -gb, c, e) for x in q.num]
+        num = q.num
+        nums = [y for k in range(0, 8, 2)
+                for y in pair_mul(num[k], num[k + 1], ga + e * gb, -gb, c, e)]
         den = q.den * pair_norm(ga, gb, c, e)
         if self._strips_even_norms():
             # times (1-i)/2, which halves nr = sum(a^2)/den^2, an integer
-            a = [x for x, _ in nums]
+            a = nums[::2]
             while sum(x * x for x in a) // den ** 2 % 2 == 0:
                 a, den = hamilton_product(a, (1, -1, 0, 0)), 2 * den
-            nums = [(x, 0) for x in a]
-        return Quat.ratio([RingElem(self.field_tag, *x) for x in nums], den)
+            nums = [y for x in a for y in (x, 0)]
+        return Quat.ratio(self.field_tag, nums, den)
 
     # -- ideals and enumeration ----------------------------------------
 
@@ -272,10 +278,10 @@ class QuatOrder:
         if q.is_zero():
             raise DomainError("zero generates no full-rank ideal")
         den, rows = self._zgen
-        return hnf_canonical(
-            self.field_tag, Ambient.QUAT,
-            [hamilton_product(q.num, row) for row in rows[:4]], q.den * den,
-        )
+        c, e = self.field_tag._omega_sq
+        return _canonical(self.field_tag, Ambient.QUAT,
+                          [pair_product(q.num, row, c, e) for row in rows[:4]],
+                          q.den * den)
 
     def conjugated_order_module(self, q: Quat) -> OModule:
         """Canonical module basis of q * O * q^-1."""
@@ -306,19 +312,14 @@ class QuatOrder:
         return self._content_of(zip(v[:4], v[4:] or (0, 0, 0, 0))) == (1, 0)
 
     def _numerators(self, v):
-        """(A, B): the integer and omega parts of the four ring numerators
-        of the element with Z-coordinates v, over the den of the Z-basis;
-        each is an integer dot product with a column of the Z-basis rows."""
-        cols = list(zip(*self._zgen[1]))
-        return (tuple(sum(x * e.a for x, e in zip(v, col)) for col in cols),
-                tuple(sum(x * e.b for x, e in zip(v, col)) for col in cols))
+        """The ring numerators of the element with Z-coordinates v, as flat
+        pairs over the den of the Z-basis: each integer is a dot product
+        of v with an integer column of the Z-basis rows."""
+        return [sum(map(mul, v, col)) for col in self._zcols]
 
     def _element(self, v) -> Quat:
         """The quaternion with Z-coordinates v."""
-        tag = self.field_tag
-        return Quat.ratio([RingElem(tag, a, b)
-                           for a, b in zip(*self._numerators(v))],
-                          self._zgen[0])
+        return Quat.ratio(self.field_tag, self._numerators(v), self._zgen[0])
 
     def _unit_vectors(self):
         """The Z-coordinates of the norm-one units, in search order."""
@@ -326,7 +327,7 @@ class QuatOrder:
             one = RingElem(self.field_tag, 1)
             self._units = tuple(self._norm_vectors(one))
             # they are one orbit: the ideal O, generated by the first
-            _remember(self._value_cache, one, self._units[:1])
+            self._value_cache[one] = self._units[:1]
         return self._units
 
     def norm_one_units(self):
@@ -353,7 +354,7 @@ class QuatOrder:
 
             def coordinates(nums, d):
                 # ring coordinates of nums/d on the canonical basis, as pairs
-                y = self.module.solve_pairs(_pairs(nums), d)
+                y = self.module.solve_pairs(nums, d)
                 if y is None:
                     raise ArithmeticError("order basis is not closed")
                 return list(zip(y[::2], y[1::2]))
@@ -366,8 +367,9 @@ class QuatOrder:
 
             # zgen_{s+4i}*zgen_{t+4j} = omega^(i+j)*basis[s]*basis[t], as
             # omega is central, so sixteen products of the basis suffice
-            base = [[coordinates(hamilton_product(rows[s], rows[t]), den * den)
-                     for t in range(4)] for s in range(4)]
+            base = [[coordinates(pair_product(rows[s], rows[t], c, e),
+                                 den * den) for t in range(4)]
+                    for s in range(4)]
             prod = [[z_coordinates(base[s % 4][t % 4], s // 4 + t // 4)
                      for t in range(rank)] for s in range(rank)]
             packed = [[sum(map(mul, y, powers)) for y in row]
@@ -428,9 +430,10 @@ class QuatOrder:
         value and whose content is 1.  An order keeps the answers for its
         last ENUM_CACHE_WINDOW values."""
         units = len(self._unit_vectors())     # it keeps the value 1
-        found = _recall(self._value_cache, value)
-        if found is not None:
-            return found
+        cache = self._value_cache
+        if value in cache:
+            cache[value] = cache.pop(value)     # now the most recent
+            return cache[value]
         weights = self._orbit_table()[0]
         # right multiplication by a unit keeps the reduced norm and the
         # content, so each orbit {v*u} of the search is marked and
@@ -452,7 +455,10 @@ class QuatOrder:
                 f"{self.name}, m = {value.norm_abs()}, norm {value}: "
                 f"{len(vectors)} points, {len(marked)} marked, {units} "
                 f"units, {orbits} orbits")
-        return _remember(self._value_cache, value, tuple(found))
+        cache[value] = found = tuple(found)
+        if len(cache) > ENUM_CACHE_WINDOW:
+            del cache[next(iter(cache))]        # the least recently used
+        return found
 
     def _product_generators(self, factors):
         """One reduced generator per right ideal whose reduced norm is
@@ -463,7 +469,8 @@ class QuatOrder:
         for pi^(k-1) times those for pi, where the product stays
         primitive, and the parts are multiplied in factor order.  The
         products run on integer numerators; each generator becomes one
-        Quat at the end."""
+        Quat at the end.  A prime value is its own single factor, with no
+        products: its generators are those of the search."""
         c, e = self.field_tag._omega_sq
         den = self._zgen[0]
         gens = None
@@ -472,43 +479,35 @@ class QuatOrder:
             power, d = primes, den
             for _ in range(k - 1):
                 d *= den
-                power = [x for x in (_split_product(y, p, c, e)
+                power = [x for x in (pair_product(y, p, c, e)
                                      for y in power for p in primes)
                          if self._is_primitive_product(x, d)]
             if gens is None:
                 gens, gens_den = power, d
             else:
-                gens = [_split_product(y, p, c, e) for y in gens for p in power]
+                gens = [pair_product(y, p, c, e) for y in gens for p in power]
                 gens_den *= d
-        tag = self.field_tag
-        return [Quat.ratio([RingElem(tag, a, b) for a, b in zip(*x)], gens_den)
-                for x in gens]
+        return [Quat.ratio(self.field_tag, x, gens_den) for x in gens]
 
     def _is_primitive_product(self, x, den: int) -> bool:
-        """Whether the element with numerator parts x (see _numerators)
+        """Whether the element with ring numerators x (see _numerators)
         over den has unit content."""
-        y = self.module.solve_pairs([n for pair in zip(*x) for n in pair], den)
+        y = self.module.solve_pairs(x, den)
         return self._content_of(zip(y[::2], y[1::2])) == (1, 0)
 
     def enumerate_by_index(self, m: int, cap: int | None = None):
         """One reduced representative per right ideal q*O with
-        norm_abs(nr q) = m, taken per value of norm_class_reps.  At a prime
-        value (or 1) it is the first point of an orbit of the search at
-        that value (see _ideal_vectors); at a composite value, a product
-        of generators of prime reduced norm (see _product_generators),
-        whose reduced norm is the value up to a totally positive unit."""
+        norm_abs(nr q) = m, taken per value of norm_class_reps: the
+        products of generators of prime reduced norm over the value's
+        factors (see _product_generators), whose reduced norm is the value
+        up to a totally positive unit.  At a prime value (or 1) that is
+        the first point of an orbit of the search (see _ideal_vectors)."""
         self.check_indices(m, m, cap)
-        reps = _recall(self._enum_cache, m)
-        if reps is not None:
-            return list(reps)
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
             for value in norm_class_reps(self.field_tag, m):
-                factors = factor(value).primes
-                if sum(k for _, k in factors) > 1:
-                    reps += self._product_generators(factors)
-                else:
-                    reps += map(self._element, self._ideal_vectors(value))
+                reps += self._product_generators(
+                    factor(value).primes or ((value, 1),))
         # the maximal orders of one field are conjugate, and each has as
         # many right ideals of index m as the field's counting series says
         want = coefficient(CASE_OF_FIELD[self.field_tag], m)
@@ -516,35 +515,7 @@ class QuatOrder:
             raise ArithmeticError(
                 f"{self.name}, m = {m}: {len(reps)} ideals, the counting "
                 f"series says {want}")
-        return list(_remember(self._enum_cache, m, tuple(reps)))
-
-
-def _recall(cache: dict, key):
-    """The value cached under key, now the most recently used, or None."""
-    if key in cache:
-        cache[key] = cache.pop(key)
-        return cache[key]
-    return None
-
-
-def _remember(cache: dict, key, value):
-    """Cache value under key, dropping the least recently used key past
-    ENUM_CACHE_WINDOW; returns value."""
-    cache[key] = value
-    if len(cache) > ENUM_CACHE_WINDOW:
-        del cache[next(iter(cache))]
-    return value
-
-
-def _split_product(x, y, c: int, e: int):
-    """The product of quaternions given as the integer and omega parts
-    (A, B) of their numerators, A + B*omega, with omega central and
-    omega^2 = c + e*omega: pair_mul on quaternion coefficients."""
-    (xa, xb), (ya, yb) = x, y
-    aa, bb = hamilton_product(xa, ya), hamilton_product(xb, yb)
-    ab, ba = hamilton_product(xa, yb), hamilton_product(xb, ya)
-    return (tuple(s + c * t for s, t in zip(aa, bb)),
-            tuple(s + t + e * u for s, t, u in zip(ab, ba, bb)))
+        return reps
 
 
 @lru_cache(maxsize=None)

@@ -1,25 +1,29 @@
 """Quaternions with exact field coordinates and the Cayley rotation map.
 
-A quaternion is stored in the basis {1, i, j, k} as four ring
-numerators over one positive integer denominator in lowest terms, as
-FieldElem and OModule columns are, so every derived quantity (reduced
-norm, rotation matrix, cosine of the rotation angle) comes from integer
-ring arithmetic and stays exact; the FieldElem coordinates are read-only
-views.  The Cayley formula is written once, in cayley_pairs, on the
-ring numerators of q as integer pairs: it gives R(q) as a ring matrix
-over one ring element, both as integer pairs, which the module code and
-the matrix match of csm.quat_of_rotation take as they are and
-cayley_matrix divides out.  Nothing here normalizes by content or
-units; that belongs to the order layer.
+A quaternion is stored in the basis {1, i, j, k} as the eight integers
+[a0, b0, ..., a3, b3] of its four ring numerators a_r + b_r*omega, flat
+integer pairs as the columns of a module are, over one positive integer
+denominator in lowest terms.  Every derived quantity (reduced norm,
+rotation matrix, cosine of the rotation angle) comes from integer pair
+arithmetic and stays exact; the FieldElem coordinates are read-only
+views.  Quat.ratio puts numerators over a denominator in lowest terms,
+and rings.ring_columns the field coordinates the constructor takes over
+their common denominator.  The Hamilton product is written once on
+pairs, in pair_product, with omega central, and the Cayley formula once,
+in cayley_pairs: it gives R(q) as a ring matrix over one ring element,
+both as integer pairs, which the module code and the matrix match of
+csm.quat_of_rotation take as they are and cayley_matrix divides out.
+Nothing here normalizes by content or units; that belongs to the order
+layer.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError
-from .rings import (FieldElem, FieldTag, RingElem, _format_pair, _read_terms,
-                    _refuse, _times_conj, as_field, lowest_terms, pair_mul,
+from .rings import (FieldElem, FieldTag, RingElem, _elems, _format_pair,
+                    _read_terms, _refuse, _times_conj, as_field, pair_mul,
                     ring_columns)
 
 
@@ -34,11 +38,32 @@ def hamilton_product(a, b):
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
-class Quat:
-    """Quaternion (num[0] + num[1]*i + num[2]*j + num[3]*k)/den over one
-    of the base fields.
+def pair_product(x, y, c: int, e: int) -> list[int]:
+    """The Hamilton product of two quaternions given as the flat pairs of
+    their ring numerators.  With A and B the integer and omega parts of
+    x, and omega central with omega^2 = c + e*omega, the product is
+    pair_mul on quaternion coefficients: AA' + c*BB' + (AB' + BA' +
+    e*BB')*omega."""
+    xa, xb, ya, yb = x[::2], x[1::2], y[::2], y[1::2]
+    aa, bb = hamilton_product(xa, ya), hamilton_product(xb, yb)
+    ab, ba = hamilton_product(xa, yb), hamilton_product(xb, ya)
+    out = []
+    for s, t, u, v in zip(aa, bb, ab, ba):
+        out += s + c * t, u + v + e * t
+    return out
 
-    num holds four RingElems and den is a positive int, in lowest terms,
+
+def _squares(num, c: int, e: int):
+    """The squares of the four ring numerators num, as pairs."""
+    return [pair_mul(a, b, a, b, c, e) for a, b in zip(num[::2], num[1::2])]
+
+
+class Quat:
+    """Quaternion (x0 + x1*i + x2*j + x3*k)/den over one of the base
+    fields.
+
+    num holds the ring numerators x_r = num[2r] + num[2r+1]*omega as a
+    tuple of eight integers and den is a positive int, in lowest terms,
     so equal quaternions have equal parts.  Instances are treated as
     immutable; arithmetic returns new objects.  The constructor takes
     the four coordinates as field elements, ring elements or rationals.
@@ -60,11 +85,18 @@ class Quat:
         return q
 
     @classmethod
-    def ratio(cls, num, den: int) -> "Quat":
-        """num/den in lowest terms, for four RingElems num of one field
-        and a nonzero int den."""
-        num, den = lowest_terms(num, den)
-        return cls._new(num[0].tag, num, den)
+    def ratio(cls, tag: FieldTag, num, den: int) -> "Quat":
+        """num/den in lowest terms, for the eight integers num of four
+        ring numerators of the field tagged tag, as flat pairs, and a
+        nonzero int den."""
+        if den < 0:
+            num, den = [-x for x in num], -den
+        elif den == 0:
+            raise ZeroDivisionError("quaternion with denominator 0")
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        return cls._new(tag, tuple(num), den)
 
     @classmethod
     def zero(cls, tag: FieldTag) -> "Quat":
@@ -93,7 +125,8 @@ class Quat:
     def coords(self) -> tuple[FieldElem, FieldElem, FieldElem, FieldElem]:
         """The four coordinates as field elements, a read-only view."""
         den = self.den
-        return tuple(FieldElem.ratio(e, den) for e in self.num)
+        return tuple(FieldElem.ratio(x, den)
+                     for x in _elems(self.tag, self.num))
 
     def _coerce(self, other):
         if isinstance(other, Quat):
@@ -111,8 +144,8 @@ class Quat:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Quat.ratio([x * o.den + y * self.den
-                           for x, y in zip(self.num, o.num)],
+        return Quat.ratio(self.tag, [x * o.den + y * self.den
+                                     for x, y in zip(self.num, o.num)],
                           self.den * o.den)
 
     __radd__ = __add__
@@ -127,20 +160,22 @@ class Quat:
         return -self + other
 
     def __neg__(self):
-        return Quat._new(self.tag, tuple(-e for e in self.num), self.den)
+        return Quat._new(self.tag, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, Quat):
+        if isinstance(other, Quat):
+            if other.tag is not self.tag:
+                raise DomainError("mixed field tags")
+            num, den = other.num, other.den
+        else:
             try:
                 s = as_field(self.tag, other)
             except TypeError:
                 return NotImplemented
-            return Quat.ratio([e * s.num for e in self.num],
-                              self.den * s.den)
-        if other.tag is not self.tag:
-            raise DomainError("mixed field tags")
-        return Quat.ratio(hamilton_product(self.num, other.num),
-                          self.den * other.den)
+            num, den = (s.num.a, s.num.b, 0, 0, 0, 0, 0, 0), s.den
+        return Quat.ratio(self.tag, pair_product(self.num, num,
+                                                 *self.tag._omega_sq),
+                          self.den * den)
 
     __rmul__ = __mul__  # only reached for scalars, which commute
 
@@ -152,17 +187,19 @@ class Quat:
         return self * s.inverse()
 
     def conj(self) -> "Quat":
-        a0, a1, a2, a3 = self.num
-        return Quat._new(self.tag, (a0, -a1, -a2, -a3), self.den)
+        a0, b0, *rest = self.num
+        return Quat._new(self.tag, (a0, b0, *(-x for x in rest)), self.den)
 
     def nr(self) -> FieldElem:
         """Reduced norm, the sum of the squared coordinates."""
-        a0, a1, a2, a3 = self.num
-        return FieldElem.ratio(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3,
+        sq = _squares(self.num, *self.tag._omega_sq)
+        return FieldElem.ratio(RingElem(self.tag, sum(a for a, _ in sq),
+                                        sum(b for _, b in sq)),
                                self.den * self.den)
 
     def trace(self) -> FieldElem:
-        return FieldElem.ratio(self.num[0] * 2, self.den)
+        return FieldElem.ratio(RingElem(self.tag, 2 * self.num[0],
+                                        2 * self.num[1]), self.den)
 
     def inverse(self) -> "Quat":
         n = self.nr()
@@ -171,10 +208,10 @@ class Quat:
         return self.conj() / n
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.num)
+        return not any(self.num)
 
     def is_scalar(self) -> bool:
-        return all(e.is_zero() for e in self.num[1:])
+        return not any(self.num[2:])
 
     def __eq__(self, other):
         o = other if isinstance(other, Quat) else self._coerce(other)
@@ -266,17 +303,17 @@ def rotation_numerators(q: Quat):
     q's integer denominator cancels, since R(q) is invariant under
     rescaling q.
     """
-    return cayley_pairs([(y.a, y.b) for y in q.num], *q.tag._omega_sq)
+    return cayley_pairs(q.num, *q.tag._omega_sq)
 
 
 def cayley_pairs(x, c: int, e: int):
-    """rotation_numerators for the four coordinates x of a nonzero
-    quaternion as pairs, omega^2 = c + e*omega.  The Cayley formula is
-    linear in the ten products of the coordinates, so it is applied to
+    """rotation_numerators for the ring numerators x of a nonzero
+    quaternion as flat pairs, omega^2 = c + e*omega.  The Cayley formula
+    is linear in the ten products of the coordinates, so it is applied to
     their a parts and their b parts."""
-    prods = [pair_mul(*x[s], *x[t], c, e) for s, t in (
-        (0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2),
-        (1, 3), (2, 3))]
+    prods = [pair_mul(x[s], x[s + 1], x[t], x[t + 1], c, e) for s, t in (
+        (0, 0), (2, 2), (4, 4), (6, 6), (0, 2), (0, 4), (0, 6), (2, 4),
+        (2, 6), (4, 6))]
     parts = []      # the entries and n, from the a parts, then the b parts
     for kk, ll, mm, vv, kl, km, kv, lm, lv, mv in zip(*prods):
         parts.append((kk + ll - mm - vv, 2 * (lm - kv), 2 * (km + lv),
@@ -309,11 +346,11 @@ def axis_angle(q: Quat) -> tuple[tuple[FieldElem, FieldElem, FieldElem], FieldEl
     if q.is_scalar():
         raise DomainError("a scalar quaternion has no rotation axis")
     # cos = (k^2 - l^2 - m^2 - v^2)/nr on the ring numerators of q
-    kk, ll, mm, vv = (x * x for x in q.num)
-    top, n = kk - ll - mm - vv, kk + ll + mm + vv
-    ca, cb, d = _times_conj(top.a, top.b, n.a, n.b, *q.tag._omega_sq)
-    return (tuple(FieldElem.ratio(x, q.den) for x in q.num[1:]),
-            FieldElem.ratio(RingElem(q.tag, ca, cb), d))
+    c, e = q.tag._omega_sq
+    (ka, kb), *rest = _squares(q.num, c, e)
+    la, lb = sum(a for a, _ in rest), sum(b for _, b in rest)
+    ca, cb, d = _times_conj(ka - la, kb - lb, ka + la, kb + lb, c, e)
+    return (q.coords()[1:], FieldElem.ratio(RingElem(q.tag, ca, cb), d))
 
 
 def parse_quat(text: str, tag: FieldTag) -> Quat:
@@ -331,19 +368,18 @@ def parse_quat(text: str, tag: FieldTag) -> Quat:
     for c, a, b, d in terms:
         nums[2 * c] += a * (den // d)
         nums[2 * c + 1] += b * (den // d)
-    return Quat.ratio([RingElem(tag, *nums[i:i + 2]) for i in (0, 2, 4, 6)],
-                      den)
+    return Quat.ratio(tag, nums, den)
 
 
 def format_quat(q: Quat) -> str:
     parts = []
-    x0, x1, x2, x3 = q.num
-    if x0.a or x0.b:
-        parts.append(_format_pair(x0.a, x0.b, q.den))
-    for x, sym in ((x1, "i"), (x2, "j"), (x3, "k")):
-        if not (x.a or x.b):
+    num = q.num
+    if num[0] or num[1]:
+        parts.append(_format_pair(num[0], num[1], q.den))
+    for k, sym in ((2, "i"), (4, "j"), (6, "k")):
+        if not (num[k] or num[k + 1]):
             continue
-        s = _format_pair(x.a, x.b, q.den)
+        s = _format_pair(num[k], num[k + 1], q.den)
         if s == "1":
             parts.append(sym)
         elif s == "-1":

@@ -401,33 +401,25 @@ def as_field(tag: FieldTag, value) -> FieldElem:
 
 def ring_columns(tag: FieldTag, n: int, vectors):
     """(den, columns): vectors of length n with entries of the field
-    tagged tag (see as_field), written as tuples of ring numerators over
-    their least common denominator.  That is in lowest terms, as each
-    entry is: a prime power in den is the full power in the denominator
-    of some entry, whose scaled numerator is then prime to it."""
+    tagged tag (see as_field), written as the ring numerators over their
+    least common denominator, each column a flat tuple of integer pairs
+    (a0, b0, a1, b1, ...), one pair per entry a + b*omega.  That is in
+    lowest terms, as each entry is: a prime power in den is the full
+    power in the denominator of some entry, whose scaled numerator is
+    then prime to it."""
     cols = []
     for vec in vectors:
         if len(vec) != n:
             raise DomainError(f"expected vectors of length {n}")
         cols.append([as_field(tag, e) for e in vec])
     den = lcm(*(f.den for col in cols for f in col))
-    return den, [tuple(f.num if f.den == den else f.num * (den // f.den)
-                       for f in col) for col in cols]
+    return den, [tuple(x * (den // f.den) for f in col
+                       for x in (f.num.a, f.num.b)) for col in cols]
 
 
-def lowest_terms(nums, den: int):
-    """(nums, den) for the vector nums/den of ring numerators over a
-    nonzero int den, divided through so that den > 0 and den has no
-    common factor with all the integer coefficients of nums."""
-    if den < 0:
-        nums, den = [-e for e in nums], -den
-    elif den == 0:
-        raise ZeroDivisionError("vector with denominator 0")
-    g = gcd(den, *(x for e in nums for x in (e.a, e.b)))
-    if g != 1:
-        nums = [RingElem(e.tag, e.a // g, e.b // g) for e in nums]
-        den //= g
-    return tuple(nums), den
+def _elems(tag: FieldTag, flat) -> tuple[RingElem, ...]:
+    """A flat list of integer pairs as ring elements."""
+    return tuple(RingElem(tag, a, b) for a, b in zip(flat[::2], flat[1::2]))
 
 
 def pair_norm(a: int, b: int, c: int, e: int) -> int:

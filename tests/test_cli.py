@@ -792,8 +792,7 @@ def loop_parse_quat(text, tag):
         nums[2 * idx] += sign * a * den
         nums[2 * idx + 1] += sign * b * den
         den *= d
-    return Quat.ratio([RingElem(tag, *nums[i:i + 2]) for i in (0, 2, 4, 6)],
-                      den)
+    return Quat.ratio(tag, nums, den)
 
 
 def loop_parse_rotation(text, tag):

@@ -451,14 +451,15 @@ def test_orbit_keys_refuse_narrow_slots(factory, m, monkeypatch):
 def enumeration_tally(factory, m, monkeypatch):
     """(search points, orbits, wrong-norm orbits, non-primitive orbits,
     products formed, products kept, ideals) of enumerate_by_index(m) on a
-    fresh copy of the order."""
+    fresh copy of the order.  The orbit table is built first: its
+    structure constants are products too."""
     base = factory()
     order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
-    order.norm_one_units()
+    order._orbit_table()
     tally = dict.fromkeys(("points", "orbits", "wrong", "imprimitive",
                            "products", "dropped"), 0)
     search = csmod.orders._solve_quadratic
-    split_product = csmod.orders._split_product
+    pair_product = csmod.orders.pair_product
     orbit_keys = QuatOrder._orbit_keys
     has_norm, primitive = QuatOrder._has_norm, QuatOrder._is_primitive
     primitive_product = QuatOrder._is_primitive_product
@@ -468,9 +469,9 @@ def enumeration_tally(factory, m, monkeypatch):
         tally["points"] += len(found)
         return found
 
-    def counting_split_product(*args):
+    def counting_pair_product(*args):
         tally["products"] += 1
-        return split_product(*args)
+        return pair_product(*args)
 
     def counting_orbit_keys(self, v):
         tally["orbits"] += 1
@@ -492,7 +493,7 @@ def enumeration_tally(factory, m, monkeypatch):
         return ok
 
     monkeypatch.setattr(csmod.orders, "_solve_quadratic", counting_search)
-    monkeypatch.setattr(csmod.orders, "_split_product", counting_split_product)
+    monkeypatch.setattr(csmod.orders, "pair_product", counting_pair_product)
     monkeypatch.setattr(QuatOrder, "_orbit_keys", counting_orbit_keys)
     monkeypatch.setattr(QuatOrder, "_has_norm", counting_has_norm)
     monkeypatch.setattr(QuatOrder, "_is_primitive", counting_primitive)
@@ -933,29 +934,10 @@ def test_order_by_key():
         order_by_key("nope")
 
 
-def test_enumeration_cache_keeps_a_window_of_recent_indices():
-    # a count over a range must not grow the cache without limit; the
-    # cache is per order and keeps the most recently used values of m
-    base = hurwitz()
-    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
-    first = order.enumerate_by_index(15)
-    for m in range(1, 201):
-        order.enumerate_by_index(m)
-        assert len(order._enum_cache) <= csmod.orders.ENUM_CACHE_WINDOW
-    assert 15 not in order._enum_cache and 200 in order._enum_cache
-    assert order.enumerate_by_index(15) == first
-    # a hit makes m the most recent, so it outlives older entries
-    recent = list(order._enum_cache)
-    order.enumerate_by_index(recent[0])
-    order.enumerate_by_index(201)
-    assert recent[0] in order._enum_cache
-    assert recent[1] not in order._enum_cache
-
-
 def test_prime_values_are_searched_once_per_window():
     # the generators of each norm value are kept on the order, so the
     # composite m of a range search each prime value once; the cache keeps
-    # a window of the most recent values, as the cache of m does
+    # a window of the most recent values
     order = fresh_copy(hurwitz)
     order.norm_one_units()
     targets = []

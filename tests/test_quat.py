@@ -330,21 +330,29 @@ def test_numerator_quaternions_match_field_coordinates(case):
     assert (p - q).coords() == tuple(x - y for x, y in zip(a, b))
     assert p.nr() == sum((x * x for x in a), FieldElem(tag, 0))
     for r in (p, p * q, p + q, p - q):
-        assert r.den >= 1
-        assert math.gcd(r.den, *(x for e in r.num for x in (e.a, e.b))) == 1
+        # the numerators are flat integer pairs, in lowest terms over den
+        assert r.den >= 1 and len(r.num) == 8
+        assert all(isinstance(x, int) for x in r.num)
+        assert math.gcd(r.den, *r.num) == 1
+        assert r.coords() == tuple(
+            FieldElem.ratio(RingElem(tag, *r.num[i:i + 2]), r.den)
+            for i in (0, 2, 4, 6))
     # equal quaternions built by different routes have equal parts
     den = k * math.lcm(*(x.den for x in a))
-    nums = [x.num * (den // x.den) for x in a]
+    elems = [x.num * (den // x.den) for x in a]
+    nums = [n for e in elems for n in (e.a, e.b)]
     routes = [
-        Quat.ratio(nums, den),
-        Quat.ratio([-e for e in nums], -den),
-        Quat(tag, *nums) * Quat(tag, Fraction(1, den)),
-        Quat(tag, *nums) / den,
+        Quat.ratio(tag, nums, den),
+        Quat.ratio(tag, [-n for n in nums], -den),
+        Quat(tag, *elems) * Quat(tag, Fraction(1, den)),
+        Quat(tag, *elems) / den,
         (p * Quat.scalar(tag, den)) * Quat.one(tag) / den,
     ]
     if all(x.num.b == 0 for x in a):
         routes.append(Quat(tag, *(x.a for x in a)))             # Fractions
-        routes.append(Quat(tag, *(e.a for e in nums)) / den)    # ints
+        routes.append(Quat(tag, *(e.a for e in elems)) / den)   # ints
     for r in routes:
         assert (r.tag, r.num, r.den) == (p.tag, p.num, p.den)
         assert r == p and hash(r) == hash(p)
+    with pytest.raises(ZeroDivisionError):
+        Quat.ratio(tag, nums, 0)
