@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError, ResourceCapError
-from .modlat import (Ambient, OModule, hnf_canonical, identity_module,
+from .modlat import (Ambient, OModule, _canonical, identity_module,
                      im_project, index_K, index_pair, intersect,
                      intersect_image, pure_part, scale_module,
                      scalar_intersect)
@@ -165,18 +165,14 @@ def verify_ideal_correspondence(order: QuatOrder, q: Quat) -> CorrespondenceRepo
     """
     if not order.is_reduced(q):
         raise DomainError("generator is not reduced in the order")
-    tag = order.field_tag
     right = order.right_ideal(q)
-    left = hnf_canonical(
-        tag, Ambient.QUAT,
-        [(b * q.conj()).coords() for b in order.basis],
-    )
+    left = order.left_ideal(q.conj())
     common = intersect(order.module, order.conjugated_order_module(q))
     # scalars + M, with 1 written over the denominator of M
-    sum_right = hnf_canonical(tag, Ambient.QUAT,
-                              [(right.den, 0, 0, 0), *right.cols], right.den)
-    sum_left = hnf_canonical(tag, Ambient.QUAT,
-                             [(left.den, 0, 0, 0), *left.cols], left.den)
+    sum_right, sum_left = (
+        _canonical(order.field_tag, Ambient.QUAT,
+                   [(m.den, 0, 0, 0, 0, 0, 0, 0), *m.pairs], m.den)
+        for m in (right, left))
     nrq = q.nr().to_ring()
     value = nrq.norm_abs()
     return CorrespondenceReport(

@@ -1,67 +1,43 @@
-"""The concrete quaternion orders and exhaustive norm-class enumeration.
+"""The concrete quaternion orders and enumeration of right ideals by norm.
 
 Four orders are provided: the half-integer order over the rationals,
 the golden-ratio order over Q(sqrt 5), the root-two order over
 Q(sqrt 2) (these three are maximal), and the plain integer-coordinate
 order available over every base field as a reference.
 
-Enumeration of elements by reduced norm embeds an order into Euclidean
-space through the totally positive form q |-> Tr(2*nr(q)), integral of
-rank 4 (degree-1 field) or 8 (degree-2 fields) on a Z-basis, whose Gram
-matrix is summed from integer pair products.  For a target norm value, a
-Fincke-Pohst search in integers against an LDL decomposition, made once
-per order by fraction-free (Bareiss) elimination, is provably exhaustive.
-Two elements of the same exact norm value generate the same right ideal
-q*O iff they differ by a unit of reduced norm one on the right; these
-units form a finite group (24, 120 or 48 elements), so ideals are told
-apart by their unit orbits {q*u}, and the infinite unit group is never
-walked.
-
-Orbits are classified in integers, once each.  The search returns a
-lattice point as its integer Z-coordinates v; its key packs its
-coordinates on the Z-basis of the order's canonical module into one
-integer with fixed-width slots, a dot product of v with fixed weights.
-The structure constants of the order, read off by triangular solves in
-the canonical module, give each unit u a table whose dot product with v
-is the key of v*u.  Right multiplication by a unit keeps the reduced
-norm and the content, so at the first unmarked point of an orbit the
-exact-norm and primitivity checks run once and all |U| keys are marked;
-every later point of the orbit is one set lookup.  Enumeration builds no
-quaternion for the units and one per ideal, from integer dot products.
-
-Every norm value nu takes one path.  The maximal orders have class
-number one, so a primitive right ideal whose reduced norm is
-nu = prod(pi^k), factored by rings.factor, is a product of ideals of
-prime reduced norm, unique once the order of the primes is fixed (Conway
-& Smith, On Quaternions and Octonions, ch. 5).  The search runs only at
-the primes pi (nu = 1 and a prime nu are their own single factor), and
-its generators are kept per value on the order, in one window of recent
-values.  The generators for pi^k are those for pi^(k-1) times those for
-pi whose product is primitive, and the coprime parts are multiplied in
-factor order.  The products run on the ring numerators as flat integer
-pairs, the layout of Quat.num and of module columns (quat.pair_product),
-so a right ideal goes to modlat's canonical form as it is, and each
-ideal gets one quaternion.
+The maximal orders have class number one, so every primitive right
+ideal is principal, and one of reduced norm prod(pi^k), factored by
+rings.factor, is a product of ideals of prime reduced norm, unique once
+the order of the primes is fixed (Conway & Smith, On Quaternions and
+Octonions, ch. 5).  At a prime pi of the scalar ring O_K, O/pi*O is the
+matrix ring M_2(F), F = O_K/pi (but for 2 over Q, where no reduced
+generator has even norm), so the ideals of norm pi are the N(pi) + 1
+lines L of P^1(F): I_L = {y : y mod pi has image in L} (Pizer, J.
+Algebra 64 (1980); Kirschmer & Voight, SIAM J. Comput. 39 (2010)).  Each
+gets a Z-basis from the echelon form of its condition over F and one
+generator, a point of least value of the form Tr(conj(pi)*2*nr) (all of
+norm pi) by a Fincke-Pohst search in integers.  The generators are kept
+per prime, in one window of recent values, and multiplied on flat pairs
+of ring numerators (quat.pair_product): each ideal gets one quaternion.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DomainError, ResourceCapError
-from .modlat import Ambient, OModule, _canonical, hnf_canonical, im_project
-from .quat import Quat, hamilton_product, pair_product
+from .modlat import Ambient, OModule, _canonical, im_project
+from .quat import Quat, _squares, hamilton_product, pair_product
 from .rings import (FieldElem, FieldTag, RingElem, factor, norm_class_reps,
                     pair_canonical_associate, pair_euclid, pair_mul,
-                    pair_norm)
+                    pair_norm, pair_round_quotient)
 from .series import CASE_OF_FIELD, coefficient
 
 DEFAULT_ENUM_CAP = 10_000
-ENUM_CACHE_WINDOW = 32      # an order keeps its last 32 norm values
-KEY_BITS = 24               # slot width of the packed orbit keys
+ENUM_CACHE_WINDOW = 32      # an order keeps the ideals of its last 32 primes
 
 
 def _ldl(gram):
@@ -95,10 +71,11 @@ def _ldl(gram):
                  for (w, d), (den, coeffs) in zip(weights, levels)), scale
 
 
-def _solve_quadratic(search, target: int):
+def _solve_quadratic(search, target: int, first: bool = False):
     """All integer vectors x with x^t G x == target, in integers (Fincke-
-    Pohst).  Each level scans all of the interval its remaining budget
-    allows, from the floor of the center downward and then upward."""
+    Pohst), or only the first one found.  Each level scans all of the
+    interval its remaining budget allows, from the floor of the center
+    downward and then upward."""
     levels, scale = search
     n = len(levels)
     x = [0] * n
@@ -117,6 +94,8 @@ def _solve_quadratic(search, target: int):
                 if (y - c) % den == 0:
                     x[0] = (y - c) // den
                     out.append(tuple(x))
+                    if first:
+                        return True
             return
         s = isqrt(rem // weight)                # |den*x_j + c| <= s
         base = -c // den
@@ -125,40 +104,106 @@ def _solve_quadratic(search, target: int):
         for xj in chain(range(base, lo - 1, -1), range(base + 1, hi + 1)):
             x[j] = xj
             y = den * xj + c
-            rec(j - 1, rem - weight * y * y)
+            if rec(j - 1, rem - weight * y * y):
+                return True
 
     rec(n - 1, scale * target)
     return out
 
 
+class _ResidueField:
+    """F = O_K/pi for a prime pi of the scalar ring, its elements (the
+    residues) the ints 0, 1, ..., N(pi) - 1: a + b*omega is (a + w*b) mod
+    p when F = F_p, omega = w in F, and (a mod p) + (b mod p)*p when pi =
+    p is inert and F = F_p^2."""
+
+    def __init__(self, pi: RingElem):
+        self.pi, self.omega_sq, self.size = pi, pi.tag._omega_sq, pi.norm_abs()
+        p = isqrt(self.size)
+        self.inert = p * p == self.size
+        self.p = p if self.inert else self.size
+        # omega = -a/b mod pi = a + b*omega; b = 0 if pi is inert or in Z
+        self.w = pi.b and -pi.a * pow(pi.b, -1, self.p)
+        self.residues = range(self.size)
+
+    def red(self, a: int, b: int) -> int:
+        p = self.p
+        return a % p + b % p * p if self.inert else (a + self.w * b) % p
+
+    def pair(self, x: int):     # a representative (a, b) of x
+        return divmod(x, self.p)[::-1] if self.inert else (x, 0)
+
+    def mul(self, x: int, y: int) -> int:
+        return self.red(*pair_mul(*self.pair(x), *self.pair(y),
+                                  *self.omega_sq))
+
+    def lin(self, x: int, f: int, y: int) -> int:
+        """x - f*y."""
+        if not self.inert:
+            return (x - f * y) % self.p
+        (a, b), (u, v) = self.pair(x), self.pair(self.mul(f, y))
+        return self.red(a - u, b - v)
+
+    def inv(self, x: int) -> int:
+        (a, b), (c, e) = self.pair(x), self.omega_sq
+        k = pow(pair_norm(a, b, c, e), -1, self.p)
+        return self.red((a + e * b) * k, -b * k)
+
+    def lift(self, x: int):
+        """The representative x - q*pi of x, as a pair, for q = x/pi
+        rounded: its norm is at most N(pi)/2 in absolute value."""
+        (a, b), (pa, pb) = self.pair(x), (self.pi.a, self.pi.b)
+        qa, qb = pair_round_quotient(a, b, pa, pb, *self.omega_sq)
+        ya, yb = pair_mul(qa, qb, pa, pb, *self.omega_sq)
+        return a - ya, b - yb
+
+    def echelon(self, rows):
+        """(pivots, rows) of the reduced row echelon form of a matrix over
+        F, a canonical form of its row space."""
+        rows = [list(row) for row in rows]
+        pivots, done = [], []
+        for j in range(len(rows[0])):
+            row = next((r for r in rows if r[j]), None)
+            if row is None:
+                continue
+            rows.remove(row)
+            inv = self.inv(row[j])
+            row = [self.mul(inv, x) for x in row]
+            for r in chain(rows, done):
+                if r[j]:
+                    r[:] = [self.lin(x, r[j], y) for x, y in zip(r, row)]
+            pivots.append(j)
+            done.append(row)
+        return tuple(pivots), tuple(map(tuple, done))
+
+
 class QuatOrder:
-    """A fixed order with its canonical module basis and search data."""
+    """A fixed order with its canonical module basis and norm forms."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_zgen", "_zcols", "_nb", "_search", "_value_cache",
-                 "_units", "_orbits", "_im_module")
+                 "_zgen", "_zcols", "_forms", "_value_cache", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
         self.field_tag = field_tag
         self.basis = tuple(basis)
         self.maximal = maximal
-        # the Z-basis, the basis followed by omega times the basis, as
-        # rows of ring numerators (flat pairs) over one integer den, and
-        # their integer columns
         c, e = field_tag._omega_sq
         den = lcm(*(b.den for b in self.basis))
         rows = [[x * (den // b.den) for x in b.num] for b in self.basis]
         self.module = _canonical(field_tag, Ambient.QUAT, rows, den)
+        # the Z-basis, the canonical columns and then omega times them, as
+        # rows of ring numerators over the module's den; so an element's
+        # ring coordinates are its Z-coordinates v as pairs (v[k], v[k+4])
+        den, rows = self.module.den, [list(col) for col in self.module.pairs]
         if field_tag.degree == 2:
             rows += [[y for a, b in zip(row[::2], row[1::2])
                       for y in (c * b, a + e * b)] for row in rows]
         self._zgen = den, rows
         self._zcols = list(zip(*rows))
-        # 2*nr(q) = A + B*omega is an integral form on the Z-basis; the
-        # search runs on its trace, and then B alone fixes nr(q)
+        # 2*nr(q) = A + B*omega, two integral forms on the Z-basis
         rank = len(rows)
-        gram = [[0] * rank for _ in range(rank)]
+        na = [[0] * rank for _ in range(rank)]
         nb = [[0] * rank for _ in range(rank)]
         for s in range(rank):
             for t in range(s + 1):
@@ -171,13 +216,10 @@ class QuatOrder:
                 b, rb = divmod(2 * b, den * den)
                 if ra or rb:
                     raise ArithmeticError("order basis is not integral")
-                gram[s][t] = gram[t][s] = RingElem(field_tag, a, b).trace()
+                na[s][t] = na[t][s] = a
                 nb[s][t] = nb[t][s] = b
-        self._nb = nb if field_tag.degree == 2 else None
-        self._search = _ldl(gram)
+        self._forms = na, nb
         self._value_cache = {}
-        self._units = None
-        self._orbits = None
         self._im_module = None
 
     def __repr__(self):
@@ -274,137 +316,148 @@ class QuatOrder:
 
     def right_ideal(self, q: Quat) -> OModule:
         """Canonical module basis of q * O."""
-        self._check_tag(q)
-        if q.is_zero():
-            raise DomainError("zero generates no full-rank ideal")
-        den, rows = self._zgen
-        c, e = self.field_tag._omega_sq
-        return _canonical(self.field_tag, Ambient.QUAT,
-                          [pair_product(q.num, row, c, e) for row in rows[:4]],
-                          q.den * den)
+        return self._products(q, None)
+
+    def left_ideal(self, q: Quat) -> OModule:
+        """Canonical module basis of O * q."""
+        return self._products(None, q)
 
     def conjugated_order_module(self, q: Quat) -> OModule:
         """Canonical module basis of q * O * q^-1."""
         self._check_tag(q)
-        inv = q.inverse()
-        return hnf_canonical(
-            self.field_tag, Ambient.QUAT,
-            [(q * b * inv).coords() for b in self.basis],
-        )
+        return self._products(q, q.inverse())
 
-    def _norm_vectors(self, value: RingElem):
-        """Z-coordinates of every order element with reduced norm exactly
-        the given value, in search order."""
-        return [v for v in _solve_quadratic(self._search, 2 * value.trace())
-                if self._has_norm(v, value)]
-
-    def _has_norm(self, v, value: RingElem) -> bool:
-        """Whether a point v of the search for value has reduced norm
-        exactly value: the search fixes the trace, then B alone decides."""
-        nb = self._nb
-        return nb is None or 2 * value.b == sum(
-            vs * sum(map(mul, row, v)) for vs, row in zip(v, nb))
-
-    def _is_primitive(self, v) -> bool:
-        """Whether the element with Z-coordinates v has unit content; its
-        ring coordinates on the basis pair the first four entries of v,
-        the integer parts, with the rest, the omega parts."""
-        return self._content_of(zip(v[:4], v[4:] or (0, 0, 0, 0))) == (1, 0)
+    def _products(self, left, right) -> OModule:
+        """The canonical module spanned by left * b * right over a basis b
+        of O (None for 1), formed on flat numerator pairs."""
+        den, gens = self._zgen[0], self._zgen[1][:4]
+        c, e = self.field_tag._omega_sq
+        for q, on_left in ((left, True), (right, False)):
+            if q is not None:
+                self._check_tag(q)
+                if q.is_zero():
+                    raise DomainError("zero generates no full-rank ideal")
+                gens = [pair_product(q.num, g, c, e) if on_left else
+                        pair_product(g, q.num, c, e) for g in gens]
+                den *= q.den
+        return _canonical(self.field_tag, Ambient.QUAT, gens, den)
 
     def _numerators(self, v):
-        """The ring numerators of the element with Z-coordinates v, as flat
-        pairs over the den of the Z-basis: each integer is a dot product
-        of v with an integer column of the Z-basis rows."""
+        """The ring numerators, over the Z-basis den, of Z-coordinates v."""
         return [sum(map(mul, v, col)) for col in self._zcols]
 
-    def _element(self, v) -> Quat:
-        """The quaternion with Z-coordinates v."""
-        return Quat.ratio(self.field_tag, self._numerators(v), self._zgen[0])
+    def _lines(self, field):
+        """The echelon forms over F of the conditions of the N(pi) + 1
+        ideals I_L, one per line L of P^1(F).  The first x = t + y, y =
+        basis[1] + s*basis[2], s = 0, 1, ..., t a residue, with pi | nr(x)
+        has rank one mod pi (its basis[1] coordinate is 1), and so has x' =
+        x*b for the first b of the basis with another kernel; x - t*x' and
+        x' then have every kernel L once, and I_L = {y : z*y in pi*O} for z
+        of kernel L.  The forms must be distinct and have rank 2."""
+        (c, e), (zden, rows) = self.field_tag._omega_sq, self._zgen
 
-    def _unit_vectors(self):
-        """The Z-coordinates of the norm-one units, in search order."""
-        if self._units is None:
-            one = RingElem(self.field_tag, 1)
-            self._units = tuple(self._norm_vectors(one))
-            # they are one orbit: the ideal O, generated by the first
-            self._value_cache[one] = self._units[:1]
-        return self._units
+        def annihilator(z, den):
+            # the matrix over F of y -> z*y mod pi on ring coordinates, for
+            # the element with ring numerators z over den
+            cols = [self.module.solve_pairs(pair_product(z, row, c, e),
+                                            den * zden) for row in rows[:4]]
+            return [[field.red(*y[k:k + 2]) for y in cols]
+                    for k in range(0, 8, 2)]
 
-    def norm_one_units(self):
-        """Every element of reduced norm one (a finite group)."""
-        return list(map(self._element, self._unit_vectors()))
+        b1, b2 = self.basis[1:3]
+        d = b1.den * b2.den
+        for s in range(field.p):
+            x = [u * b2.den + s * w * b1.den for u, w in zip(b1.num, b2.num)]
+            ta, tb = 2 * x[0] // d, 2 * x[1] // d
+            na, nb = (sum(z) // (d * d) for z in zip(*_squares(x, c, e)))
+            # the first residue t with pi | t^2 + t*Tr(x) + nr(x)
+            t = next((t for t in map(field.pair, range(field.size))
+                      if not field.red(*map(sum, zip(pair_mul(
+                          *t, t[0] + ta, t[1] + tb, c, e), (na, nb))))),
+                     None)
+            if t:
+                break
+        else:
+            raise ArithmeticError(f"{self.name}: no zero divisor {field.pi}")
+        x[:2] = x[0] + t[0] * d, x[1] + t[1] * d
+        kernel = annihilator(x, d)
+        for b in self.basis[1:]:
+            other = annihilator(pair_product(x, b.num, c, e), d * b.den)
+            last = field.echelon(other)
+            if len(last[0]) == 2 and last != field.echelon(kernel):
+                break
+        lines = [field.echelon([[field.lin(u, t, w) for u, w in zip(r, s)]
+                                for r, s in zip(kernel, other)])
+                 for t in field.residues] + [last]
+        ideals = {line for line in lines if len(line[0]) == 2}
+        if len(ideals) != field.size + 1:
+            raise ArithmeticError(
+                f"{self.name}, pi = {field.pi}: {len(ideals)} distinct right "
+                f"ideals of reduced norm pi, want N(pi) + 1 = "
+                f"{field.size + 1}")
+        return lines
 
-    def _orbit_table(self):
-        """(weights, table, reach) of the packed orbit keys, made on first
-        use.  A point is keyed by its coordinates y on the Z-basis of the
-        canonical module (its triangular columns, then omega times them,
-        so a triangular solve finds them), packed into KEY_BITS-bit slots
-        as sum_r y_r * 2^(KEY_BITS*r).  The key is Z-linear: for the
-        search's Z-basis zgen, weights[s] = key(zgen_s) and table[u][s] =
-        key(zgen_s*u), from the structure constants key(zgen_s*zgen_t), so
-        the keys of v and of v*u are dot products of v.  Keys are distinct
-        while every |y_r| < 2^(KEY_BITS-1); on the orbit of v that holds
-        while |v|_1 <= reach, as the y_r of v*u are at most |v|_1 * |u|_1
-        times the largest structure constant."""
-        if self._orbits is None:
-            c, e = self.field_tag._omega_sq
-            den, rows = self._zgen
-            rank = len(rows)
-            powers = [1 << KEY_BITS * r for r in range(rank)]
+    def _ideal_vectors(self, pi: RingElem):
+        """The Z-coordinates of one generator per right ideal of reduced
+        norm pi, a prime of the scalar ring, in the order of _lines: the
+        first point of the search for Tr(conj(pi)*2*nr(y)) = 2*N(pi)*Tr(1)
+        on the ideal's Z-basis.  There nr(y) = pi*alpha, alpha totally
+        positive, and the trace is that small only at alpha = 1 (AM-GM).
+        An order keeps the answers for its last ENUM_CACHE_WINDOW values."""
+        cache = self._value_cache
+        if pi in cache:
+            cache[pi] = cache.pop(pi)       # now the most recent
+            return cache[pi]
+        field = _ResidueField(pi)
+        conj = pi.conj()
+        alpha = conj.trace()
+        beta = (conj * RingElem.omega(self.field_tag)).trace()
+        form = [[alpha * x + beta * y for x, y in zip(ra, rb)]
+                for ra, rb in zip(*self._forms)]
+        target = 2 * (pi * conj).trace()
+        (c, e), dd = self.field_tag._omega_sq, self._zgen[0] ** 2
+        found = []
+        for pivots, rows in self._lines(field):
+            basis = self._ideal_basis(pivots, rows, field)
+            images = [[sum(map(mul, row, u)) for row in form] for u in basis]
+            # the search is shortest with the shortest vectors innermost
+            basis, images = zip(*sorted(zip(basis, images),
+                                        key=lambda ui: sum(map(mul, *ui))))
+            gram = [[sum(map(mul, w, u)) for u in basis] for w in images]
+            point = _solve_quadratic(_ldl(gram), target, first=True)
+            x = point[0] if point else [0] * len(basis)
+            v = [sum(map(mul, x, col)) for col in zip(*basis)]
+            ring = [field.red(a, b) for a, b in zip(v[:4], v[4:] or [0] * 4)]
+            norm = [sum(z) for z in zip(*_squares(self._numerators(v), c, e))]
+            if norm != [pi.a * dd, pi.b * dd] or any(
+                    reduce(lambda z, fy: field.lin(z, *fy), zip(r, ring), 0)
+                    for r in rows):
+                raise ArithmeticError(
+                    f"{self.name}, pi = {pi}: the generator {v} of the "
+                    f"ideal {pivots, rows} is not in it or has nr != pi")
+            found.append(v)
+        cache[pi] = found = tuple(found)
+        if len(cache) > ENUM_CACHE_WINDOW:
+            del cache[next(iter(cache))]        # the least recently used
+        return found
 
-            def coordinates(nums, d):
-                # ring coordinates of nums/d on the canonical basis, as pairs
-                y = self.module.solve_pairs(nums, d)
-                if y is None:
-                    raise ArithmeticError("order basis is not closed")
-                return list(zip(y[::2], y[1::2]))
-
-            def z_coordinates(y, k):
-                # canonical Z-coordinates of omega^k times ring coordinates y
-                for _ in range(k):
-                    y = [(c * b, a + e * b) for a, b in y]
-                return ([a for a, _ in y] + [b for _, b in y])[:rank]
-
-            # zgen_{s+4i}*zgen_{t+4j} = omega^(i+j)*basis[s]*basis[t], as
-            # omega is central, so sixteen products of the basis suffice
-            base = [[coordinates(pair_product(rows[s], rows[t], c, e),
-                                 den * den) for t in range(4)]
-                    for s in range(4)]
-            prod = [[z_coordinates(base[s % 4][t % 4], s // 4 + t // 4)
-                     for t in range(rank)] for s in range(rank)]
-            packed = [[sum(map(mul, y, powers)) for y in row]
-                      for row in prod[:4]]
-            units = self._unit_vectors()
-            size = (max(abs(x) for row in prod for y in row for x in y)
-                    * max(sum(map(abs, u)) for u in units))
-            # the key of zgen_s*u is k = A + B*2^half, A and B its packed
-            # integer and omega coordinates, and zgen_{s+4}*u = omega*zgen_s*u
-            # has key c*B + (A + e*B)*2^half.  A slot is at most size, so A
-            # is the signed residue of k mod 2^half while reach >= 1
-            half = 4 * KEY_BITS
-            low, mask = 1 << half - 1, (1 << half) - 1
-            table = []
-            for u in units:
-                row = [sum(map(mul, u, r)) for r in packed]
-                for k in row[:rank - 4]:
-                    a = ((k + low) & mask) - low
-                    b = (k - a) >> half
-                    row.append(c * b + (a + e * b << half))
-                table.append(row)
-            self._orbits = (
-                [sum(map(mul, z_coordinates(coordinates(row, den), 0), powers))
-                 for row in rows],
-                table, ((1 << KEY_BITS - 1) - 1) // size)
-        return self._orbits
-
-    def _orbit_keys(self, v):
-        """The keys of v*u for each unit u of norm_one_units(), in that
-        order; see _orbit_table.  Refused when v is too long for them."""
-        _, table, reach = self._orbit_table()
-        if sum(map(abs, v)) > reach:
-            raise ArithmeticError(f"{self.name}: the orbit of {v} overflows "
-                                  f"{KEY_BITS}-bit key slots")
-        return [sum(map(mul, v, w)) for w in table]
+    def _ideal_basis(self, pivots, rows, field):
+        """A Z-basis of {y in O : the rows (echelon, over F) kill y mod pi}:
+        on ring coordinates, e_m minus the lifts of the column m on the
+        pivots for each free m, pi*e_j for each pivot j, omega times each."""
+        (c, e), pi = self.field_tag._omega_sq, field.pi
+        rank = len(self._zgen[1])
+        basis = []
+        for m in range(4):
+            u = [(0, 0)] * 4
+            u[m] = (pi.a, pi.b) if m in pivots else (1, 0)
+            for j, r in zip(pivots, rows):
+                if m not in pivots:
+                    u[j] = tuple(-x for x in field.lift(r[m]))
+            for _ in range(rank // 4):
+                basis.append(([a for a, _ in u] + [b for _, b in u])[:rank])
+                u = [(c * b, a + e * b) for a, b in u]
+        return basis
 
     def check_indices(self, lo: int, hi: int, cap: int | None = None):
         """Raise what enumerate_by_index raises at the first m in lo..hi
@@ -423,54 +476,13 @@ class QuatOrder:
                 raise DomainError(
                     "enumeration by reduced norm needs a maximal order")
 
-    def _ideal_vectors(self, value: RingElem):
-        """The Z-coordinates of one reduced generator per right ideal q*O
-        with nr(q) exactly value, by the whole-order search: the first
-        point of each unit orbit, in search order, whose norm is exactly
-        value and whose content is 1.  An order keeps the answers for its
-        last ENUM_CACHE_WINDOW values."""
-        units = len(self._unit_vectors())     # it keeps the value 1
-        cache = self._value_cache
-        if value in cache:
-            cache[value] = cache.pop(value)     # now the most recent
-            return cache[value]
-        weights = self._orbit_table()[0]
-        # right multiplication by a unit keeps the reduced norm and the
-        # content, so each orbit {v*u} of the search is marked and
-        # classified once, at its first point
-        vectors = _solve_quadratic(self._search, 2 * value.trace())
-        marked = set()
-        found = []
-        orbits = 0
-        for v in vectors:
-            if sum(map(mul, v, weights)) in marked:
-                continue
-            marked.update(self._orbit_keys(v))
-            orbits += 1
-            if self._has_norm(v, value) and self._is_primitive(v):
-                # q*O == q'*O with nr(q) == nr(q') iff q' = q*u
-                found.append(v)
-        if not len(vectors) == len(marked) == units * orbits:
-            raise ArithmeticError(
-                f"{self.name}, m = {value.norm_abs()}, norm {value}: "
-                f"{len(vectors)} points, {len(marked)} marked, {units} "
-                f"units, {orbits} orbits")
-        cache[value] = found = tuple(found)
-        if len(cache) > ENUM_CACHE_WINDOW:
-            del cache[next(iter(cache))]        # the least recently used
-        return found
-
     def _product_generators(self, factors):
         """One reduced generator per right ideal whose reduced norm is
-        prod(pi^k) over the factors (pi, k) of a norm value.  With class
-        number one a primitive ideal of norm pi^k is, in one way, one of
-        norm pi^(k-1) times one of norm pi, and an ideal of coprime norms
-        the product of its parts.  So the generators for pi^k are those
-        for pi^(k-1) times those for pi, where the product stays
-        primitive, and the parts are multiplied in factor order.  The
-        products run on integer numerators; each generator becomes one
-        Quat at the end.  A prime value is its own single factor, with no
-        products: its generators are those of the search."""
+        prod(pi^k) over the factors (pi, k) of a norm value: with class
+        number one, those for pi^k are those for pi^(k-1) times those for
+        pi where the product stays primitive, and the coprime parts are
+        multiplied in factor order, on integer numerators, into one Quat
+        each.  A unit value (no factors) has the one ideal O."""
         c, e = self.field_tag._omega_sq
         den = self._zgen[0]
         gens = None
@@ -487,6 +499,8 @@ class QuatOrder:
             else:
                 gens = [pair_product(y, p, c, e) for y in gens for p in power]
                 gens_den *= d
+        if gens is None:
+            return [Quat.one(self.field_tag)]
         return [Quat.ratio(self.field_tag, x, gens_den) for x in gens]
 
     def _is_primitive_product(self, x, den: int) -> bool:
@@ -500,14 +514,12 @@ class QuatOrder:
         norm_abs(nr q) = m, taken per value of norm_class_reps: the
         products of generators of prime reduced norm over the value's
         factors (see _product_generators), whose reduced norm is the value
-        up to a totally positive unit.  At a prime value (or 1) that is
-        the first point of an orbit of the search (see _ideal_vectors)."""
+        up to a totally positive unit."""
         self.check_indices(m, m, cap)
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
             for value in norm_class_reps(self.field_tag, m):
-                reps += self._product_generators(
-                    factor(value).primes or ((value, 1),))
+                reps += self._product_generators(factor(value).primes)
         # the maximal orders of one field are conjugate, and each has as
         # many right ideals of index m as the field's counting series says
         want = coefficient(CASE_OF_FIELD[self.field_tag], m)
@@ -538,16 +550,6 @@ def icosian() -> QuatOrder:
         Quat(tag, 1, 1, 1, 1) / 2,
         Quat(tag, FieldElem(tag, 1, -1), FieldElem.omega(tag), 0, 1) / 2,
     ], maximal=True)
-
-
-@lru_cache(maxsize=None)
-def icosian_conj() -> QuatOrder:
-    base = icosian()
-    basis = [
-        Quat(base.field_tag, *(c.conj() for c in b.coords()))
-        for b in base.basis
-    ]
-    return QuatOrder("icosian-conj", base.field_tag, basis, maximal=True)
 
 
 @lru_cache(maxsize=None)

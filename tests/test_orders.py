@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -12,12 +13,14 @@ from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, scalar_intersect,
                           scale_module)
 import csmod.orders
+import wholeorder
 from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, QuatOrder, _ldl,
-                          _solve_quadratic, hurwitz, icosian, icosian_conj,
-                          lipschitz, octahedral, order_by_key)
+                          _solve_quadratic, hurwitz, icosian, lipschitz,
+                          octahedral, order_by_key)
 from csmod.quat import Quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, factor,
                          norm_class_reps, ring_gcd)
+from wholeorder import WholeOrderSearch
 
 Q = FieldTag.RATIONAL
 R5 = FieldTag.ROOT_FIVE
@@ -32,6 +35,22 @@ def fe(tag, a, b=0):
 
 def maximal_orders():
     return [hurwitz(), icosian(), octahedral()]
+
+
+@lru_cache(maxsize=None)
+def icosian_conj():
+    """The icosian order with every coordinate conjugated: a second maximal
+    order over Q(sqrt 5), which no command uses."""
+    base = icosian()
+    basis = [Quat(base.field_tag, *(c.conj() for c in b.coords()))
+             for b in base.basis]
+    return QuatOrder("icosian-conj", base.field_tag, basis, maximal=True)
+
+
+@lru_cache(maxsize=None)
+def search_of(order):
+    """The whole-order search of an order (tests/wholeorder.py)."""
+    return WholeOrderSearch(order)
 
 
 def all_orders():
@@ -51,8 +70,9 @@ def rnd_element(order, rng, span=3):
 #
 # Independent oracle: close a small seed set under quaternion
 # multiplication.  The closure is the generated subgroup, computed with
-# nothing but Quat arithmetic, so comparing it against norm_one_units
-# checks both the count and the membership of every unit.
+# nothing but Quat arithmetic, so comparing it against the norm-one units
+# of the whole-order search checks both the count and the membership of
+# every unit.
 
 
 def closure_under_mult(seeds, bound=200):
@@ -91,7 +111,7 @@ def test_norm_one_units_match_group_closure(factory, size):
         assert order.contains(g)
         assert g.nr() == FieldElem(order.field_tag, 1)
     assert len(group) == size
-    assert set(order.norm_one_units()) == group
+    assert set(search_of(order).norm_one_units()) == group
 
 
 @pytest.mark.parametrize("tag", [Q, R5, R2])
@@ -101,7 +121,7 @@ def test_lipschitz_norm_one_units(tag):
     for u in (Quat.one(tag), Quat.i(tag), Quat.j(tag), Quat.k(tag)):
         expect.add(u)
         expect.add(-u)
-    assert set(order.norm_one_units()) == expect
+    assert set(search_of(order).norm_one_units()) == expect
 
 
 # -- membership, content, units, reducedness -------------------------
@@ -262,11 +282,12 @@ def test_enumerate_norm_three_partitions_all_elements():
     ideals = {J.right_ideal(q) for q in reps}
     assert len(ideals) == len(reps) == 4
     # 96 = 4 ideals, each hit by generator * unit for the 24 units
-    assert len(brute) == len(reps) * len(J.norm_one_units())
+    units = search_of(J).norm_one_units()
+    assert len(brute) == len(reps) * len(units)
     for x in brute:
         assert J.right_ideal(x) in ideals
     for q in reps:
-        for u in J.norm_one_units():
+        for u in units:
             assert J.right_ideal(q * u) == J.right_ideal(q)
 
 
@@ -301,52 +322,45 @@ def test_enumerate_deterministic():
 ])
 def test_enumerate_detects_a_missed_lattice_point(factory, m, monkeypatch):
     # every element of squarefree norm is primitive, so dropping one
-    # breaks an orbit, and the orbit count must notice
-    base = factory()
-    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
-    order.norm_one_units()
-    value = norm_class_reps(order.field_tag, m)[0]
-    missed = order._norm_vectors(value)[0]
-    search = csmod.orders._solve_quadratic
+    # breaks an orbit, and the orbit count of the whole-order search
+    # must notice
+    search = WholeOrderSearch(factory())
+    search.norm_one_units()
+    value = norm_class_reps(search.field_tag, m)[0]
+    missed = search._norm_vectors(value)[0]
+    solve = csmod.orders._solve_quadratic
     monkeypatch.setattr(csmod.orders, "_solve_quadratic", lambda *args: [
-        v for v in search(*args) if v != missed])
-    with pytest.raises(ArithmeticError, match=f"{base.name}, m = {m}"):
-        order.enumerate_by_index(m)
+        v for v in solve(*args) if v != missed])
+    with pytest.raises(ArithmeticError, match=f"{search.name}, m = {m}"):
+        search._ideal_vectors(value)
 
 
 @pytest.mark.parametrize("factory,m", [
     (hurwitz, 3), (icosian, 5), (octahedral, 2), (icosian_conj, 4),
 ])
 def test_enumerate_detects_a_missed_ideal(factory, m, monkeypatch):
-    # dropping a whole orbit {q*u} keeps |U| points per ideal found, so
-    # only the count against the counting series can notice
-    base = factory()
-    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
-    units = order.norm_one_units()
-    value = norm_class_reps(order.field_tag, m)[0]
-    vectors = order._norm_vectors(value)
-    q = order._element(vectors[0])
-    orbit = {q * u for u in units}
-    dropped = {v for v in vectors if order._element(v) in orbit}
-    assert len(dropped) == len(units)
-    search = csmod.orders._solve_quadratic
-    monkeypatch.setattr(csmod.orders, "_solve_quadratic", lambda *args: [
-        v for v in search(*args) if v not in dropped])
+    # dropping the generator of one ideal of prime norm leaves the others
+    # distinct, so only the count against the counting series can notice
+    order = fresh_copy(factory)
+    ideal_vectors = QuatOrder._ideal_vectors
+    monkeypatch.setattr(QuatOrder, "_ideal_vectors",
+                        lambda self, pi: ideal_vectors(self, pi)[1:])
     with pytest.raises(ArithmeticError,
-                       match=f"{base.name}, m = {m}: .* counting series"):
+                       match=f"{order.name}, m = {m}: .* counting series"):
         order.enumerate_by_index(m)
 
 
-# -- packed orbit keys -----------------------------------------------------
+# -- packed orbit keys of the whole-order search -----------------------------
 #
-# The search returns Z-coordinates v on the order's Z-basis (the basis, then
-# omega times the basis).  Enumeration keys a point by its coordinates on
-# the Z-basis of the canonical module (its columns, then omega times them),
-# packed into one integer with KEY_BITS-bit slots, and marks its orbit
-# {x*u} with one dot product per unit against a table built from the
-# structure constants.  The oracle recovers either kind of Z-coordinates
-# from quaternion coordinates by a rational inverse of that Z-basis,
-# multiplies with Quat.__mul__ and packs by shifts.
+# The whole-order search (tests/wholeorder.py) returns Z-coordinates v on
+# the order's Z-basis (the basis, then omega times the basis).  It keys a
+# point by its coordinates on the Z-basis of the canonical module (its
+# columns, then omega times them), packed into one integer with
+# KEY_BITS-bit slots, and marks its orbit {x*u} with one dot product per
+# unit against a table built from the structure constants.  The oracle
+# here recovers either kind of Z-coordinates from quaternion coordinates
+# by a rational inverse of that Z-basis, multiplies with Quat.__mul__ and
+# packs by shifts.
 
 
 def rational_parts(q):
@@ -393,7 +407,7 @@ def z_key(order, q, canonical=False):
 
 
 def packed_key(order, q):
-    return sum(x << csmod.orders.KEY_BITS * r
+    return sum(x << wholeorder.KEY_BITS * r
                for r, x in enumerate(z_key(order, q, canonical=True)))
 
 
@@ -408,6 +422,7 @@ def test_unit_matrices_match_quaternion_products(factory, data):
     # canonical Z-coordinates of x, and the orbit keys of v are those of
     # x*u for each unit u, in unit order
     order = factory()
+    search = search_of(order)
     rank = 4 * order.field_tag.degree
     v = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rank,
                                  max_size=rank).filter(any)))
@@ -415,11 +430,11 @@ def test_unit_matrices_match_quaternion_products(factory, data):
     for g, c in zip(z_basis(order), v):
         x = x + g * c
     assert z_key(order, x) == v
-    assert order._element(v) == x
-    weights = order._orbit_table()[0]
+    assert search._element(v) == x
+    weights = search._orbit_table()[0]
     assert sum(c * w for c, w in zip(v, weights)) == packed_key(order, x)
-    units = order.norm_one_units()
-    keys = order._orbit_keys(v)
+    units = search.norm_one_units()
+    keys = search._orbit_keys(v)
     assert keys == [packed_key(order, x * u) for u in units]
     assert len(set(keys)) == len(units)
 
@@ -427,12 +442,13 @@ def test_unit_matrices_match_quaternion_products(factory, data):
 @pytest.mark.parametrize("factory", ORBIT_ORDERS)
 def test_unit_vectors_are_the_keys_of_the_units(factory):
     order = factory()
-    units = order.norm_one_units()
-    vectors = order._norm_vectors(RingElem(order.field_tag, 1))
+    search = search_of(order)
+    units = search.norm_one_units()
+    vectors = search._norm_vectors(RingElem(order.field_tag, 1))
     assert [z_key(order, u) for u in units] == vectors
     # the orbit of 1 is the unit group itself
     one = z_key(order, Quat.one(order.field_tag))
-    assert order._orbit_keys(one) == [packed_key(order, u) for u in units]
+    assert search._orbit_keys(one) == [packed_key(order, u) for u in units]
 
 
 @pytest.mark.parametrize("factory,m", [
@@ -441,37 +457,34 @@ def test_unit_vectors_are_the_keys_of_the_units(factory):
 def test_orbit_keys_refuse_narrow_slots(factory, m, monkeypatch):
     # two vectors could share a key once a coordinate reaches half a
     # slot; the guard must raise before any orbit is marked with such keys
-    base = factory()
-    monkeypatch.setattr(csmod.orders, "KEY_BITS", 3)
-    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    monkeypatch.setattr(wholeorder, "KEY_BITS", 3)
+    search = WholeOrderSearch(factory())
     with pytest.raises(ArithmeticError, match="3-bit key slots"):
-        order.enumerate_by_index(m)
+        for value in norm_class_reps(search.field_tag, m):
+            for pi, _ in factor(value):
+                search._ideal_vectors(pi)
 
 
 def enumeration_tally(factory, m, monkeypatch):
-    """(search points, orbits, wrong-norm orbits, non-primitive orbits,
-    products formed, products kept, ideals) of enumerate_by_index(m) on a
-    fresh copy of the order.  The orbit table is built first: its
-    structure constants are products too."""
-    base = factory()
-    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
-    order._orbit_table()
+    """(search points, orbits, wrong-norm orbits, non-primitive orbits) of
+    the whole-order search at the primes of the norm values of m, then
+    (products formed, products kept, ideals) of enumerate_by_index(m) on
+    a fresh copy of the order."""
+    order = fresh_copy(factory)
+    search = WholeOrderSearch(order)
+    search._orbit_table()
     tally = dict.fromkeys(("points", "orbits", "wrong", "imprimitive",
                            "products", "dropped"), 0)
-    search = csmod.orders._solve_quadratic
-    pair_product = csmod.orders.pair_product
-    orbit_keys = QuatOrder._orbit_keys
-    has_norm, primitive = QuatOrder._has_norm, QuatOrder._is_primitive
+    solve = csmod.orders._solve_quadratic
+    orbit_keys = WholeOrderSearch._orbit_keys
+    has_norm = WholeOrderSearch._has_norm
+    primitive = WholeOrderSearch._is_primitive
     primitive_product = QuatOrder._is_primitive_product
 
     def counting_search(*args):
-        found = search(*args)
+        found = solve(*args)
         tally["points"] += len(found)
         return found
-
-    def counting_pair_product(*args):
-        tally["products"] += 1
-        return pair_product(*args)
 
     def counting_orbit_keys(self, v):
         tally["orbits"] += 1
@@ -488,20 +501,24 @@ def enumeration_tally(factory, m, monkeypatch):
         return ok
 
     def counting_primitive_product(self, x, den):
+        tally["products"] += 1
         ok = primitive_product(self, x, den)
         tally["dropped"] += not ok
         return ok
 
-    monkeypatch.setattr(csmod.orders, "_solve_quadratic", counting_search)
-    monkeypatch.setattr(csmod.orders, "pair_product", counting_pair_product)
-    monkeypatch.setattr(QuatOrder, "_orbit_keys", counting_orbit_keys)
-    monkeypatch.setattr(QuatOrder, "_has_norm", counting_has_norm)
-    monkeypatch.setattr(QuatOrder, "_is_primitive", counting_primitive)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csmod.orders, "_solve_quadratic", counting_search)
+        patch.setattr(WholeOrderSearch, "_orbit_keys", counting_orbit_keys)
+        patch.setattr(WholeOrderSearch, "_has_norm", counting_has_norm)
+        patch.setattr(WholeOrderSearch, "_is_primitive", counting_primitive)
+        for pi in {pi for value in norm_class_reps(order.field_tag, m)
+                   for pi, _ in factor(value)}:
+            search._ideal_vectors(pi)
     monkeypatch.setattr(QuatOrder, "_is_primitive_product",
                         counting_primitive_product)
     reps = order.enumerate_by_index(m)
     monkeypatch.undo()
-    assert reps == base.enumerate_by_index(m)
+    assert reps == factory().enumerate_by_index(m)
     return (tally["points"], tally["orbits"], tally["wrong"],
             tally["imprimitive"], tally["products"],
             tally["products"] - tally["dropped"], len(reps))
@@ -520,10 +537,11 @@ def enumeration_tally(factory, m, monkeypatch):
     (icosian, 4, (600, 5, 0, 0, 0, 0, 5)),
 ])
 def test_enumeration_classifies_each_orbit_once(factory, m, want, monkeypatch):
-    # the norm check and the content check run once per orbit, at its
-    # first point in search order; every other point is a key lookup.  A
-    # composite norm value is not searched: its ideals are products of
-    # those of the prime values, which are searched once each
+    # the norm check and the content check of the whole-order search run
+    # once per orbit, at its first point in search order; every other
+    # point is a key lookup.  enumerate_by_index forms the ideals of a
+    # composite norm value as products of those of its primes, and keeps
+    # the primitive products
     assert enumeration_tally(factory, m, monkeypatch) == want
 
 
@@ -565,14 +583,12 @@ def test_enumeration_builds_quaternions_per_ideal(factory, m, monkeypatch):
     assert reps == base.enumerate_by_index(m)
 
 
-# -- composite norm values: products against the whole-order search --------
+# -- against the whole-order search ----------------------------------------
 #
-# At a composite norm value enumerate_by_index multiplies generators of
-# prime reduced norm instead of searching.  The search still runs at any
-# value (_ideal_vectors), so it serves as the oracle: the same right ideals,
-# each once.  The cases cover squares and cubes of rational primes, split
-# primes in both orders of their factors (icosian 55, 121), the ramified
-# primes (5 over Z[tau], sqrt2 over Z[sqrt2]) and the inert 2 over Z[tau].
+# enumerate_by_index builds the ideals of a prime norm value from the lines
+# of P^1(O_K/pi), and multiplies those at a composite value.  The
+# whole-order search (tests/wholeorder.py) runs at any value, so it serves
+# as the oracle: the same right ideals, each once.
 
 
 def fresh_copy(factory):
@@ -580,6 +596,60 @@ def fresh_copy(factory):
     return QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
 
 
+def oracle_ideals(factory, m):
+    search = WholeOrderSearch(fresh_copy(factory))
+    return {ideal for value in norm_class_reps(search.field_tag, m)
+            for ideal in search.right_ideals(value)}
+
+
+def composite_values(order, m):
+    """Whether enumerate_by_index(m) forms its ideals as products: the norm
+    values of m are products of two or more primes of the base ring."""
+    return any(sum(k for _, k in factor(value)) > 1
+               for value in norm_class_reps(order.field_tag, m))
+
+
+def prime_indices(factory, top):
+    """The m <= top whose norm values are all primes of the base ring."""
+    tag = factory().field_tag
+    return [m for m in range(2, top + 1)
+            if not (tag is Q and m % 2 == 0) and norm_class_reps(tag, m)
+            and not composite_values(factory(), m)]
+
+
+# every prime norm value up to a bound: split primes, the ramified 5 over
+# Z[tau] (icosian 5) and sqrt2 over Z[sqrt2] (octahedral 2), and the inert
+# 2, 3 and 7 over Z[tau] (icosian 4, 9, 49) and 3 and 5 over Z[sqrt2]
+# (octahedral 9, 25)
+PRIME_CASES = [(factory, m) for factory, top in (
+    (hurwitz, 61), (icosian, 49), (icosian_conj, 20), (octahedral, 41))
+    for m in prime_indices(factory, top)]
+
+
+@pytest.mark.parametrize("factory,m", PRIME_CASES)
+def test_prime_ideals_match_the_whole_order_search(factory, m):
+    order = fresh_copy(factory)
+    reps = order.enumerate_by_index(m)
+    ideals = [order.right_ideal(q) for q in reps]
+    assert len(set(ideals)) == len(ideals)
+    for q in reps:
+        assert order.is_reduced(q)
+        assert q.nr().to_ring().norm_abs() == m
+    assert set(ideals) == oracle_ideals(factory, m)
+
+
+def test_prime_cases_cover_every_kind_of_prime():
+    cases = {(f.__name__, m) for f, m in PRIME_CASES}
+    assert {("icosian", 5), ("octahedral", 2)} <= cases         # ramified
+    assert {("icosian", 4), ("icosian", 9), ("icosian", 49),
+            ("octahedral", 9), ("octahedral", 25)} <= cases     # inert
+    assert {("hurwitz", 61), ("icosian", 41), ("icosian_conj", 19),
+            ("octahedral", 41)} <= cases                        # split
+
+
+# the composite cases cover squares and cubes of rational primes, split
+# primes in both orders of their factors (icosian 55, 121), the ramified
+# primes (5 over Z[tau], sqrt2 over Z[sqrt2]) and the inert 2 over Z[tau]
 @pytest.mark.parametrize("factory,m", [
     (hurwitz, 9), (hurwitz, 15), (hurwitz, 25), (hurwitz, 27),
     (hurwitz, 45), (hurwitz, 105),
@@ -596,11 +666,84 @@ def test_products_match_the_whole_order_search(factory, m):
     for q in reps:
         assert order.is_reduced(q)
         assert q.nr().to_ring().norm_abs() == m
-    oracle = fresh_copy(factory)
-    assert set(ideals) == {
-        oracle.right_ideal(oracle._element(v))
-        for value in norm_class_reps(oracle.field_tag, m)
-        for v in oracle._ideal_vectors(value)}
+    assert set(ideals) == oracle_ideals(factory, m)
+
+
+# -- the checks of the prime-norm construction ------------------------------
+
+
+def patch_residues(monkeypatch, change):
+    """Make every residue field list change(residues) as its residues."""
+    init = csmod.orders._ResidueField.__init__
+
+    def patched(self, pi):
+        init(self, pi)
+        self.residues = change(self.residues)
+
+    monkeypatch.setattr(csmod.orders._ResidueField, "__init__", patched)
+
+
+# a prime of each kind: rational, split, ramified, inert; N(pi) + 1 lines
+LINE_CASES = [(hurwitz, 7, "7", 7), (icosian, 11, "3+w", 11),
+              (octahedral, 2, "2+w", 2), (octahedral, 25, "5", 25)]
+
+
+@pytest.mark.parametrize("factory,m,pi,size", LINE_CASES)
+def test_prime_ideals_detect_a_dropped_residue(factory, m, pi, size,
+                                               monkeypatch):
+    order = fresh_copy(factory)
+    patch_residues(monkeypatch, lambda residues: residues[1:])
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"{order.name}, pi = {pi}: {size} distinct right ideals of "
+            f"reduced norm pi, want N(pi) + 1 = {size + 1}")):
+        order.enumerate_by_index(m)
+
+
+@pytest.mark.parametrize("factory,m,pi,size", LINE_CASES)
+def test_prime_ideals_detect_a_repeated_line(factory, m, pi, size,
+                                             monkeypatch):
+    order = fresh_copy(factory)
+    patch_residues(monkeypatch,
+                   lambda residues: [*residues[:-1], residues[0]])
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"{order.name}, pi = {pi}: {size} distinct right ideals of "
+            f"reduced norm pi, want N(pi) + 1 = {size + 1}")):
+        order.enumerate_by_index(m)
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 5), (icosian, 9), (octahedral, 2),
+])
+def test_prime_generators_must_lie_in_their_ideal(factory, m, monkeypatch):
+    # searching every line's ideal on the first line's basis finds points
+    # of norm pi, but outside all the other ideals
+    order = fresh_copy(factory)
+    ideal_basis = QuatOrder._ideal_basis
+    first = []
+
+    def first_basis(self, pivots, rows, field):
+        first.append((pivots, rows))
+        return ideal_basis(self, *first[0], field)
+
+    monkeypatch.setattr(QuatOrder, "_ideal_basis", first_basis)
+    with pytest.raises(ArithmeticError,
+                       match=f"{order.name}, pi = .*: the generator"):
+        order.enumerate_by_index(m)
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 5), (icosian, 9), (octahedral, 2),
+])
+def test_prime_generators_must_have_norm_pi(factory, m, monkeypatch):
+    # twice the first vector of each ideal's basis lies in it, with a norm
+    # that is a multiple of 4*pi
+    order = fresh_copy(factory)
+    size = 4 * order.field_tag.degree
+    monkeypatch.setattr(csmod.orders, "_solve_quadratic", lambda *args, **kw:
+                        [tuple(2 * (k == 0) for k in range(size))])
+    with pytest.raises(ArithmeticError,
+                       match=f"{order.name}, pi = .*: the generator"):
+        order.enumerate_by_index(m)
 
 
 # -- the previous enumeration, kept as the reference ----------------------
@@ -751,28 +894,40 @@ def reference_enumerate(order, m):
 REFERENCE_RANGES = [(hurwitz, 15), (icosian, 5), (octahedral, 8)]
 
 
-def composite_values(order, m):
-    """Whether enumerate_by_index(m) forms its ideals as products: the norm
-    values of m are products of two or more primes of the base ring."""
-    return any(sum(k for _, k in factor(value)) > 1
-               for value in norm_class_reps(order.field_tag, m))
+# the representatives at prime values (and 1): the first point of the
+# search on each ideal's Z-basis, in the order of the lines of P^1
+PRIME_REPRESENTATIVES = {
+    (hurwitz, 1): ["1"],
+    (hurwitz, 3): ["1-i-j", "1+i-j", "-1-i-j", "-1+i-j"],
+    (hurwitz, 5): ["2-i", "-2*i-j", "2-j", "-2-j", "2*i-j", "-2-i"],
+    (icosian, 4): ["-1-i", "1/2+1/2*w+(-1+1/2*w)*i-1/2*k",
+                   "-1+1/2*w+(1/2+1/2*w)*i-1/2*j",
+                   "-1/2-1/2*w+(-1+1/2*w)*i-1/2*k",
+                   "-1+1/2*w+(-1/2-1/2*w)*i-1/2*j"],
+    (icosian, 5): ["-w-i", "-1/2+w+(1/2+1/2*w)*i-1/2*w*k",
+                   "1+(1/2+1/2*w)*i-1/2*w*j+1/2*k",
+                   "1/2+1/2*w+(-1/2+w)*i-1/2*w*j", "w-i",
+                   "1+1/2*w+(-1/2+1/2*w)*i-1/2*j"],
+    (octahedral, 2): ["1/2*w+(-1-1/2*w)*i", "1/2*w+(-1-1/2*w)*j",
+                      "1/2+1/2*w+(1/2+1/2*w)*i+1/2*j+1/2*k"],
+}
 
 
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
 def test_enumerate_matches_reference(factory, top):
-    # the search keeps the first point of each orbit, as the reference
-    # does; a product of prime-norm generators is another generator of
-    # the same ideal, so at a composite value only the ideals must agree
+    # the reference keeps the first point of each ideal in its search
+    # order; enumerate_by_index keeps another generator of the same ideal,
+    # so the ideals must agree at every m, and the representatives at a
+    # few prime values are pinned
     order = factory()
     for m in range(1, top + 1):
         got = order.enumerate_by_index(m)
         want = reference_enumerate(order, m)
-        if composite_values(order, m):
-            assert len(got) == len(want), m
-            assert ({order.right_ideal(q) for q in got}
-                    == {order.right_ideal(q) for q in want}), m
-        else:
-            assert [str(q) for q in got] == [str(q) for q in want], m
+        assert len(got) == len(want), m
+        assert ({order.right_ideal(q) for q in got}
+                == {order.right_ideal(q) for q in want}), m
+        if (factory, m) in PRIME_REPRESENTATIVES:
+            assert [str(q) for q in got] == PRIME_REPRESENTATIVES[factory, m]
 
 
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
@@ -790,7 +945,7 @@ def test_integer_search_matches_reference(factory, top):
                          ids=lambda o: o.name)
 def test_integer_ldl_matches_rational_reference(order):
     gram = reference_forms(order)[2]
-    assert _ldl(gram) == reference_search(gram) == order._search
+    assert _ldl(gram) == reference_search(gram) == search_of(order)._search
 
 
 @st.composite
@@ -936,26 +1091,24 @@ def test_order_by_key():
 
 def test_prime_values_are_searched_once_per_window():
     # the generators of each norm value are kept on the order, so the
-    # composite m of a range search each prime value once; the cache keeps
-    # a window of the most recent values
+    # composite m of a range build the ideals of each prime value once;
+    # the cache keeps a window of the most recent values
     order = fresh_copy(hurwitz)
-    order.norm_one_units()
-    targets = []
-    search = csmod.orders._solve_quadratic
+    primes = []
+    lines = QuatOrder._lines
 
-    def counting_search(levels, target):
-        targets.append(target)
-        return search(levels, target)
+    def counting_lines(self, field):
+        primes.append(field.pi)
+        return lines(self, field)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csmod.orders, "_solve_quadratic", counting_search)
+        patch.setattr(QuatOrder, "_lines", counting_lines)
         for m in (9, 15, 3, 45, 27, 5, 105):
             order.enumerate_by_index(m)
-    # the search targets 2*Tr(p) = 2p of the primes 3, 5 and 7 only
-    assert targets == [6, 10, 14]
+    # the lines of P^1 over the primes 3, 5 and 7 only
+    assert primes == [3, 5, 7]
     for m in range(1, 201):
         order.enumerate_by_index(m)
         assert len(order._value_cache) <= csmod.orders.ENUM_CACHE_WINDOW
     assert RingElem(Q, 199) in order._value_cache
     assert len(order._value_cache) == csmod.orders.ENUM_CACHE_WINDOW
-
