@@ -52,8 +52,7 @@ def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:
     Works straight from the module algebra, with no appeal to the
     ideal-theoretic index formula, so it serves as its oracle: R(q) is
     a ring matrix over the ring element nr of q's numerators, and the
-    intersection is one kernel and one canonical form on gamma's ring
-    columns (see modlat.intersect_image).
+    intersection one echelon pass on gamma's columns (intersect_image).
     """
     if gamma.ambient is not Ambient.IM:
         raise DomainError("expected a module in 3-space")

@@ -12,17 +12,16 @@ form commutes with scaling by positive integers, so equal modules get
 identical pairs whatever the denominator of their generators, which
 makes modules directly comparable and hashable.
 
-All module algebra (echelon forms, kernels, intersections, indices,
-membership and the canonical normalisation) runs on plain integers: a
-column is a flat list [a0, b0, a1, b1, ...], one pair (a, b) per entry
-a + b*omega, and each call reads the omega^2 rule of its field once.
-That is the layout of a quaternion's numerators (quat.Quat.num), so
-products of quaternions enter _canonical as they are; hnf_canonical
-takes field entries and writes them so once, by rings.ring_columns.
-The pivots, the residues above them and the lowest terms are normalised
-by the pair helpers of rings.  RingElems and field elements appear only
-in an OModule's read-only `cols` and `basis` views, and text is printed
-from the numerators.  Membership is a triangular solve.
+All module algebra (echelon forms, intersections, indices, membership
+and the canonical normalisation) runs on plain integers: a column is a
+flat list [a0, b0, a1, b1, ...], one pair (a, b) per entry a + b*omega,
+and each call reads the omega^2 rule of its field once.  That is the
+layout of a quaternion's numerators (quat.Quat.num), so products of
+quaternions enter _canonical as they are; hnf_canonical takes field
+entries and writes them so once, by rings.ring_columns.  An intersection
+is one Hermite normal form over the ring (Cohen, GTM 138, 2.4) of columns
+with head rows below (see _canonical).  RingElems and field elements
+appear only in an OModule's read-only `cols` and `basis` views.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -48,7 +47,6 @@ from .rings import (
     pair_exact_div,
     pair_mul,
     pair_norm,
-    pair_round_quotient,
     ring_columns,
 )
 
@@ -185,23 +183,21 @@ def _combination(x, columns, c: int, e: int) -> list[int]:
     return out
 
 
-def _echelon(columns, nrows: int, c: int, e: int):
-    """Eliminate flat columns to triangular form on their first nrows rows
-    by Euclidean operations; any rows below ride along.
+def _echelon(columns, c: int, e: int):
+    """Eliminate flat columns to triangular form by Euclidean operations,
+    from the last row up.  Each step subtracts from a column the pivot
+    column times the rounded quotient of their entries, which leaves that
+    entry below the pivot in absolute norm, so the least norm on the row
+    falls until one nonzero entry is left.  The steps change the columns
+    but not the module they span, so hnf_canonical does not depend on them.
 
-    Each step subtracts from a column the pivot column times the rounded
-    quotient of their entries, which leaves that entry below the pivot in
-    absolute norm, so the least norm on the row falls until one nonzero
-    entry is left.  The steps change the columns but not the module they
-    span, so hnf_canonical does not depend on them.
-
-    Returns (pivots, spare): pivots maps row r to the column whose lowest
-    nonzero entry among the first nrows sits on row r; spare holds the
-    columns eliminated to zero there.
+    Returns pivots, mapping row r to the column whose lowest nonzero entry
+    is on row r.  The rows below r are eliminated first, so the pivots of
+    rows 0..n-1 span the combinations of the columns that vanish below.
     """
     cols = [list(col) for col in columns]
     pivots = {}
-    for i in range(2 * nrows - 2, -1, -2):
+    for i in range(len(cols[0]) - 2, -1, -2):
         while True:
             nz = [col for col in cols if col[i] or col[i + 1]]
             if len(nz) <= 1:
@@ -209,28 +205,23 @@ def _echelon(columns, nrows: int, c: int, e: int):
             nz.sort(key=lambda col: abs(pair_norm(col[i], col[i + 1], c, e)))
             piv = nz[0]
             ya, yb = piv[i], piv[i + 1]
+            # x/y = x*conj(y)/N(y) with each coordinate rounded half up, as
+            # rings.pair_round_quotient; the sign of N(y) goes into conj(y)
+            ca, cb, d = ya + e * yb, -yb, pair_norm(ya, yb, c, e)
+            if d < 0:
+                ca, cb, d = -ca, -cb, -d
             for col in nz[1:]:
-                qa, qb = pair_round_quotient(col[i], col[i + 1], ya, yb, c, e)
+                xa, xb = col[i], col[i + 1]
+                bb = xb * cb
+                qa = (2 * (xa * ca + c * bb) + d) // (2 * d)
+                qb = (2 * (xb * ca + xa * cb + e * bb) + d) // (2 * d)
                 if not (qa or qb):
                     raise ArithmeticError("echelon step failed to reduce")
                 _col_submul(col, qa, qb, piv, c, e)
         if nz:
             pivots[i // 2] = nz[0]
             cols.remove(nz[0])
-    return pivots, cols
-
-
-def _kernel(columns, nrows: int, c: int, e: int, track: int = 0):
-    """sum_k x_k*tail_k for a basis of the ring vectors x with
-    sum_k x_k*head_k = 0, each column split into a head of nrows rows and
-    a tail of the rows below, which the first track columns extend by the
-    unit vectors of length track (so that those tails give x_0..x_track-1):
-    the tails of the columns the echelon eliminates to zero."""
-    _, spare = _echelon([[*col, *(int(k == 2 * j) for k in range(2 * track))]
-                         for j, col in enumerate(columns)], nrows, c, e)
-    if any(any(col[:2 * nrows]) for col in spare):
-        raise ArithmeticError("echelon left a nonzero kernel column")
-    return [col[2 * nrows:] for col in spare]
+    return pivots
 
 
 def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
@@ -247,13 +238,19 @@ def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
 
 
 def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
-    """hnf_canonical for flat pair columns over a positive int den."""
+    """hnf_canonical for flat pair columns over a positive int den.  Rows
+    below the ambient's are a head: the module is then spanned by the
+    combinations of the columns with zero head, which one _echelon pass
+    gives, already triangular, as its pivots on the ambient's rows."""
     n = ambient.dim
     c, e = tag._omega_sq
-    pivots, _ = _echelon(cols, n, c, e)
-    if len(pivots) < n:
+    pivots = _echelon(cols, c, e)
+    if any(r not in pivots for r in range(n)):
         raise DomainError("generators do not span a full-rank module")
     basis = [pivots[r] for r in range(n)]
+    if any(any(col[2 * n:]) for col in basis):
+        raise ArithmeticError("echelon left a nonzero head on a column")
+    basis = [col[:2 * n] for col in basis]
     for j, col in enumerate(basis):
         # a canonical pivot, then entries reduced by the final pivots above
         da, db = col[2 * j], col[2 * j + 1]
@@ -304,14 +301,12 @@ def module_sum(m1: OModule, m2: OModule) -> OModule:
 
 
 def intersect(m1: OModule, m2: OModule) -> OModule:
-    """Intersection, via the kernel of (x, y) |-> B1*x - B2*y over the ring:
-    the columns of B1 carry themselves as tails, those of B2 zero."""
+    """Intersection: the B1*x with B1*x - B2*y = 0 over the ring, which
+    _canonical keeps from the columns B1 over B1 and zero over -B2."""
     den, cols = _common_columns(m1, m2)
-    c, e = m1.tag._omega_sq
-    zero = [0] * len(cols[0])
-    gens = _kernel([col + (col if k < m1.rank else zero)
-                    for k, col in enumerate(cols)], m1.rank, c, e)
-    return _canonical(m1.tag, m1.ambient, gens, den)
+    return _canonical(m1.tag, m1.ambient,
+                      [(col if k < m1.rank else [0] * len(col)) + col
+                       for k, col in enumerate(cols)], den)
 
 
 def intersect_image(module: OModule, rows, scale) -> OModule:
@@ -319,20 +314,19 @@ def intersect_image(module: OModule, rows, scale) -> OModule:
     of a ring matrix N, each a flat list of integer pairs, and a nonzero
     ring scalar s as a pair (a, b).
 
-    With M = C/den, the kernel of [s*C | N*C] pairs each x with a y such
-    that C*x/den = A*(-C*y/den); the vectors C*x/den span the
-    intersection, and the columns of s*C carry those of C as tails.  Only
-    that span is put in canonical form, not A*M.
+    With M = C/den, ring vectors x, y with s*C*x + N*C*y = 0 give
+    C*x/den = A*(-C*y/den), which span the intersection: _canonical takes
+    the columns C over s*C and zero over N*C and keeps the combinations
+    with zero head.  Only that span is put in canonical form, not A*M.
     """
     c, e = module.tag._omega_sq
     cols = module.pairs
     numer_cols = [[x for row in rows for x in row[k:k + 2]]
                   for k in range(0, 2 * module.rank, 2)]
-    kept = [_combination(scale, [col], c, e) + list(col) for col in cols]
-    zero = [0] * len(cols[0])
-    moved = [_combination(col, numer_cols, c, e) + zero for col in cols]
-    gens = _kernel(kept + moved, module.rank, c, e)
-    return _canonical(module.tag, module.ambient, gens, module.den)
+    kept = [list(col) + _combination(scale, [col], c, e) for col in cols]
+    moved = [[0] * len(col) + _combination(col, numer_cols, c, e)
+             for col in cols]
+    return _canonical(module.tag, module.ambient, kept + moved, module.den)
 
 
 class KIndex:
@@ -392,12 +386,12 @@ def im_project(module: OModule) -> OModule:
 
 def pure_part(module: OModule) -> OModule:
     """Elements of a rank-4 module whose scalar coordinate vanishes,
-    collected as a rank-3 module in the im ambient."""
+    collected as a rank-3 module in the im ambient: the scalar row moves
+    below the imaginary ones as the head of _canonical."""
     if module.ambient is not Ambient.QUAT:
         raise DomainError("pure_part expects a rank-4 module")
-    c, e = module.tag._omega_sq
-    gens = _kernel(module.pairs, 1, c, e)   # the scalar row is the head
-    return _canonical(module.tag, Ambient.IM, gens, module.den)
+    return _canonical(module.tag, Ambient.IM,
+                      [col[2:] + col[:2] for col in module.pairs], module.den)
 
 
 def scalar_intersect(module: OModule) -> RingElem:

@@ -115,7 +115,7 @@ class _ResidueField:
     """F = O_K/pi for a prime pi of the scalar ring, its elements (the
     residues) the ints 0, 1, ..., N(pi) - 1: a + b*omega is (a + w*b) mod
     p when F = F_p, omega = w in F, and (a mod p) + (b mod p)*p when pi =
-    p is inert and F = F_p^2."""
+    p is inert and F = F_p^2, whose products alone run on pairs."""
 
     def __init__(self, pi: RingElem):
         self.pi, self.omega_sq, self.size = pi, pi.tag._omega_sq, pi.norm_abs()
@@ -134,6 +134,8 @@ class _ResidueField:
         return divmod(x, self.p)[::-1] if self.inert else (x, 0)
 
     def mul(self, x: int, y: int) -> int:
+        if not self.inert:
+            return x * y % self.p
         return self.red(*pair_mul(*self.pair(x), *self.pair(y),
                                   *self.omega_sq))
 
@@ -145,13 +147,18 @@ class _ResidueField:
         return self.red(a - u, b - v)
 
     def inv(self, x: int) -> int:
+        if not self.inert:
+            return pow(x, -1, self.p)
         (a, b), (c, e) = self.pair(x), self.omega_sq
         k = pow(pair_norm(a, b, c, e), -1, self.p)
         return self.red((a + e * b) * k, -b * k)
 
     def lift(self, x: int):
         """The representative x - q*pi of x, as a pair, for q = x/pi
-        rounded: its norm is at most N(pi)/2 in absolute value."""
+        rounded half up (over Z the balanced residue, -1 for 1 mod 2): its
+        norm is at most N(pi)/2 in absolute value."""
+        if self.pi.tag.degree == 1:
+            return x - self.p if 2 * x >= self.p else x, 0
         (a, b), (pa, pb) = self.pair(x), (self.pi.a, self.pi.b)
         qa, qb = pair_round_quotient(a, b, pa, pb, *self.omega_sq)
         ya, yb = pair_mul(qa, qb, pa, pb, *self.omega_sq)
@@ -170,8 +177,8 @@ class _ResidueField:
             inv = self.inv(row[j])
             row = [self.mul(inv, x) for x in row]
             for r in chain(rows, done):
-                if r[j]:
-                    r[:] = [self.lin(x, r[j], y) for x, y in zip(r, row)]
+                if f := r[j]:
+                    r[:] = [self.lin(x, f, y) for x, y in zip(r, row)]
             pivots.append(j)
             done.append(row)
         return tuple(pivots), tuple(map(tuple, done))

@@ -495,17 +495,17 @@ def pair_euclid_divmod(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):
     # remainder by -da*y - db*omega*y (db = 0 over Q)
     wa, wb = c * yb, ya + e * yb
     best = None
-    for da in (0, -1, 1):
-        for db in (0, -1, 1)[:2 * tag.degree - 1]:
-            ra = xa - pa - da * ya - db * wa
-            rb = xb - pb - da * yb - db * wb
-            key = (abs(pair_norm(ra, rb, c, e)), ra, rb)
-            if best is None or key < best[0]:
-                best = (key, da, db)
-    (size, ra, rb), da, db = best
+    for db in (0, -1, 1)[:2 * tag.degree - 1]:
+        sa, sb = xa - pa - db * wa, xb - pb - db * wb
+        for da in (0, -1, 1):
+            ra, rb = sa - da * ya, sb - da * yb
+            key = (abs(ra * (ra + e * rb) - c * rb * rb), ra, rb)
+            if best is None or key < best:
+                best, q = key, (qa + da, qb + db)
+    size, ra, rb = best
     if size >= abs(pair_norm(ya, yb, c, e)):
         raise ArithmeticError("euclidean division failed to reduce the norm")
-    return qa + da, qb + db, ra, rb
+    return (*q, ra, rb)
 
 
 def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
@@ -521,11 +521,11 @@ def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
     best = None
     for t in (0, -1, 1):
         ra, rb = r0a - t * ya, r0b - t * yb
-        key = (abs(pair_norm(ra, rb, c, e)), abs(ra), abs(rb), ra < 0, rb < 0)
-        if best is None or key < best[0]:
-            best = (key, t, ra, rb)
-    _, t, ra, rb = best
-    return qa + t, qb, ra, rb
+        key = (abs(ra * (ra + e * rb) - c * rb * rb), abs(ra), abs(rb),
+               ra < 0, rb < 0)
+        if best is None or key < best:
+            best, q = key, t
+    return qa + q, qb, r0a - q * ya, r0b - q * yb
 
 
 def pair_gcd(xa: int, xb: int, ya: int, yb: int, tag: FieldTag):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csmod.modlat
 from csmod.errors import DomainError
 from csmod.modlat import (
     Ambient,
     KIndex,
     OModule,
-    _kernel,
+    _canonical,
     hnf_canonical,
     identity_module,
     im_project,
@@ -19,6 +20,7 @@ from csmod.modlat import (
     intersect,
     intersect_image,
     module_sum,
+    pure_part,
     scalar_intersect,
     scale_module,
 )
@@ -635,26 +637,71 @@ def q_rank(vectors):
     return rank
 
 
+def flat_pairs(vector):
+    return [x for y in vector for x in (y.a, y.b)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(TAGS), st.integers(1, 4), st.integers(1, 6),
-       st.integers(0, 2**32))
-def test_kernel_vectors_annihilate_and_count(tag, nrows, ncols, seed):
+@given(st.sampled_from(TAGS), st.sampled_from([Ambient.IM, Ambient.QUAT]),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**32))
+def test_one_pass_keeps_the_combinations_with_zero_head(tag, ambient, extra1,
+                                                        extra2, seed):
+    # columns (v; v) for v in B1 and (0; w) for w in B2, the head below:
+    # the combinations with zero head carry the meet of the two spans,
+    # which must be full rank exactly when both spans are
     rng = random.Random(seed)
-    columns = [[rnd_ring(rng, tag, 4) for _ in range(nrows)]
-               for _ in range(ncols)]
-    if rng.random() < 0.3 and ncols > 1:    # force a dependence
+    n = ambient.dim
+    first, second = ([[rnd_ring(rng, tag, 3) for _ in range(n)]
+                      for _ in range(n + extra)] for extra in (extra1, extra2))
+    if rng.random() < 0.25:     # force a rank-deficient first span
         lam = rnd_ring(rng, tag, 2)
-        columns[-1] = [a + lam * b
-                       for a, b in zip(columns[0], columns[1 % ncols])]
-    flat = [[v for x in col for v in (x.a, x.b)] for col in columns]
-    c, e = OMEGA_SQ.get(tag, (1, 0))
-    kernel = _kernel(flat, nrows, c, e, ncols)
-    for x in kernel:
-        coeffs = [RingElem(tag, x[2 * k], x[2 * k + 1]) for k in range(ncols)]
-        assert any(not a.is_zero() for a in coeffs)
-        for r in range(nrows):
-            assert sum((a * col[r] for a, col in zip(coeffs, columns)),
-                       RingElem(tag, 0)) == 0
-    rank = q_rank(z_gens(tag, [[x.to_field() for x in col]
-                               for col in columns], 1)) // tag.degree
-    assert len(kernel) == ncols - rank
+        combo = [a + lam * b for a, b in zip(first[0], first[1])]
+        first = first[:n - 1] + [combo] * (len(first) - n + 1)
+    cols = [flat_pairs(v) * 2 for v in first]
+    cols += [[0] * (2 * n) + flat_pairs(w) for w in second]
+    z_first, z_second = (z_gens(tag, [[x.to_field() for x in v] for v in vs], 1)
+                         for vs in (first, second))
+    size = n * tag.degree
+    den = rng.randint(1, 4)
+    if min(q_rank(z_first), q_rank(z_second)) < size:
+        with pytest.raises(DomainError):
+            _canonical(tag, ambient, cols, den)
+        return
+    got = _canonical(tag, ambient, cols, den)
+    assert (z_canonical(z_gens(tag, got.basis, den), size)
+            == z_canonical(z_intersection(z_first, z_second, size), size))
+
+
+def test_one_pass_refuses_a_nonzero_head(monkeypatch):
+    # the columns read as the intersection must vanish on the head rows
+    tag = FieldTag.ROOT_TWO
+    m1 = rnd_module(random.Random(5), tag, Ambient.IM)
+    m2 = rnd_module(random.Random(6), tag, Ambient.IM)
+    echelon = csmod.modlat._echelon
+
+    def corrupted(columns, c, e):
+        pivots = echelon(columns, c, e)
+        pivots[0][-1] += 1
+        return pivots
+
+    monkeypatch.setattr(csmod.modlat, "_echelon", corrupted)
+    with pytest.raises(ArithmeticError, match="nonzero head"):
+        intersect(m1, m2)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_pure_part_is_the_z_meet_with_the_pure_quaternions(tag):
+    # the scalar coordinate moved last, the Z-HNF columns with pivots on
+    # the first rows span the lattice points with zero scalar coordinate
+    rng = random.Random(229)
+    size = 3 * tag.degree
+    for _ in range(12):
+        mod = rnd_module(rng, tag, Ambient.QUAT)
+        got = pure_part(mod)
+        assert got.ambient is Ambient.IM
+        scale = common_scale(mod.basis, got.basis)
+        moved = [v[tag.degree:] + v[:tag.degree]
+                 for v in z_gens(tag, mod.basis, scale)]
+        want = [col[:size] for col in z_hnf(moved, 4 * tag.degree)[:size]]
+        assert (z_canonical(z_gens(tag, got.basis, scale), size)
+                == z_canonical(want, size))

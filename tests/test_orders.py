@@ -2,7 +2,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import floor, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -681,6 +681,88 @@ def patch_residues(monkeypatch, change):
         self.residues = change(self.residues)
 
     monkeypatch.setattr(csmod.orders._ResidueField, "__init__", patched)
+
+
+# every kind of prime: rational (2 has the rounding tie), split, ramified,
+# and inert over both quadratic rings; F = O_K/pi is F_p but for the last two
+RESIDUE_PRIMES = [RingElem(Q, 7), RingElem(Q, 2), RingElem(R5, 3, 1),
+                  RingElem(R2, 2, 1), RingElem(R2, 5), RingElem(R5, 3)]
+
+
+class PairResidues:
+    """The residue field by its pair formulas: residue x stands for the
+    ring element x when N(pi) is a prime p, and for (x mod p) + (x div
+    p)*omega when N(pi) = p^2; a ring element reduces to the residue it
+    is congruent to mod pi, found by search."""
+
+    def __init__(self, pi):
+        self.pi, size = pi, pi.norm_abs()
+        p = isqrt(size)
+        self.elems = [RingElem(pi.tag, x % p, x // p) if p * p == size
+                      else RingElem(pi.tag, x) for x in range(size)]
+
+    def red(self, z):
+        (x,) = [x for x, r in enumerate(self.elems) if self.pi.divides(z - r)]
+        return x
+
+    def mul(self, x, y):
+        return self.red(self.elems[x] * self.elems[y])
+
+    def lin(self, x, f, y):
+        return self.red(self.elems[x] - self.elems[f] * self.elems[y])
+
+    def inv(self, x):
+        (y,) = [y for y in range(len(self.elems)) if self.mul(x, y) == 1]
+        return y
+
+    def lift(self, x):
+        # x - q*pi, q = x/pi with each coordinate rounded half up
+        ratio = self.elems[x].to_field() / self.pi.to_field()
+        q = RingElem(self.pi.tag, *(floor(v + HALF)
+                                    for v in (ratio.a, ratio.b)))
+        z = self.elems[x] - q * self.pi
+        return z.a, z.b
+
+    def echelon(self, rows):
+        # Gauss-Jordan elimination to the reduced row echelon form
+        rows, pivots, rank = [list(row) for row in rows], [], 0
+        for j in range(len(rows[0])):
+            k = next((k for k in range(rank, len(rows)) if rows[k][j]), None)
+            if k is None:
+                continue
+            rows[rank], rows[k] = rows[k], rows[rank]
+            inv = self.inv(rows[rank][j])
+            rows[rank] = [self.mul(inv, x) for x in rows[rank]]
+            for k, row in enumerate(rows):
+                if k != rank:
+                    rows[k] = [self.lin(x, row[j], y)
+                               for x, y in zip(row, rows[rank])]
+            pivots.append(j)
+            rank += 1
+        return tuple(pivots), tuple(map(tuple, rows[:rank]))
+
+
+@pytest.mark.parametrize("pi", RESIDUE_PRIMES, ids=str)
+def test_residue_field_matches_the_pair_formulas(pi):
+    field, ref = csmod.orders._ResidueField(pi), PairResidues(pi)
+    residues = range(pi.norm_abs())
+    assert list(field.residues) == list(residues)
+    rng = random.Random(str(pi))
+    for x in residues:
+        assert field.lift(x) == ref.lift(x)
+        if x:
+            assert field.inv(x) == ref.inv(x)
+        for y in residues:
+            assert field.mul(x, y) == ref.mul(x, y)
+            f = rng.choice(residues)
+            assert field.lin(x, f, y) == ref.lin(x, f, y)
+    for trial in range(40):
+        rows = [[rng.choice(residues) for _ in range(4)]
+                for _ in range(2 + trial % 2)]
+        if trial % 3 == 0:      # a row dependent on the others
+            f = rng.choice(residues)
+            rows[-1] = [ref.lin(0, f, x) for x in rows[0]]
+        assert field.echelon(rows) == ref.echelon(rows)
 
 
 # a prime of each kind: rational, split, ramified, inert; N(pi) + 1 lines
