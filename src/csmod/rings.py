@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 from math import gcd, isqrt, lcm
-from numbers import Rational
 
 from .errors import DomainError, ParseInputError
 
@@ -359,6 +358,7 @@ class FieldElem:
             return self.den == other.den and self.num == other.num
         if isinstance(other, RingElem):
             return self.den == 1 and self.num == other
+        from numbers import Rational    # kept off the start-up path
         if isinstance(other, Rational):  # int or rational, in lowest terms
             return (self.num.b == 0 and self.num.a == other.numerator
                     and self.den == other.denominator)
@@ -394,6 +394,9 @@ def as_field(tag: FieldTag, value) -> FieldElem:
         if value.tag is not tag:
             raise DomainError("mixed field tags")
         return value.to_field()
+    if value.__class__ is int:
+        return FieldElem(tag, value)
+    from numbers import Rational    # Fraction, bool: off the start-up path
     if isinstance(value, Rational):
         return FieldElem(tag, value)
     raise TypeError(f"cannot interpret {value!r} as a field element")
@@ -566,17 +569,23 @@ def splitting_class(p: int, tag: FieldTag) -> SplittingClass:
     return _class_of_prime(p, tag)
 
 
+# the residue rule: the class of a prime p, listed by p mod the field
+# discriminant (1 over Q), which is the length of the list; the ramified
+# prime is alone in its residue class, and None marks residues that hold
+# no prime.  Over Q every p is split (degenerate: it stays prime, norm p)
+_SPLIT, _INERT, _RAMIFIED = SplittingClass
+_CLASSES_BY_RESIDUE = {
+    _RATIONAL: (_SPLIT,),
+    _ROOT_FIVE: (_RAMIFIED, _SPLIT, _INERT, _INERT, _SPLIT),
+    FieldTag.ROOT_TWO: (None, _SPLIT, _RAMIFIED, _INERT, None, _INERT,
+                        None, _SPLIT),
+}
+
+
 def _class_of_prime(p: int, tag: FieldTag) -> SplittingClass:
-    # the residue rule; p must already be known to be prime
-    if tag is _RATIONAL:
-        return SplittingClass.SPLIT  # degenerate: p stays prime and has norm p
-    if tag is _ROOT_FIVE:
-        if p == 5:
-            return SplittingClass.RAMIFIED
-        return SplittingClass.SPLIT if p % 5 in (1, 4) else SplittingClass.INERT
-    if p == 2:
-        return SplittingClass.RAMIFIED
-    return SplittingClass.SPLIT if p % 8 in (1, 7) else SplittingClass.INERT
+    # p must already be known to be prime
+    classes = _CLASSES_BY_RESIDUE[tag]
+    return classes[p % len(classes)]
 
 
 def _is_prime(n: int) -> bool:

@@ -13,33 +13,32 @@ is the grid the counting functions live on.  Fields are named by the
 FieldTag values: rational, root5, root2.
 
 Every series here is multiplicative, so a table f(1..M) is filled by
-prime strides, starting from all ones: one bytearray sieve lists the
-primes up to M, and each prime p multiplies the stride of its multiples
-j = p*i by f(p^k), k the exponent of p in j.  The primes are streamed
-from the sieve and split at sqrt(M).  A prime p <= sqrt(M) expands its
-local factor up to the top power p^k <= M and applies the whole p-part
-in one product pass: a multiplier list for the stride holds f(p) and is
-overwritten with f(p^k) at the multiples of p^(k-1).  When f(p) = 0 the
-stride is zeroed instead, and only the multiples of p^2 get a product
-pass, with the multiplier list of their own stride; they get none when
-every f(p^k) is 0.  A prime above sqrt(M) divides each j <= M at most
-once, so only f(p) is computed, from the first terms of the local
-factor, and the stride is skipped when f(p) = 1 and zeroed when
-f(p) = 0; a prime above M/2 is its own only multiple and gets one
-write.  No list of primes or of local factors is kept, and the table is
-the tuple of the zero-based list values[j - 1] = f(j).  The sieve is the
-primality proof, so a table's local factors take their splitting class
-from the residue rule alone, without trial division per prime.
+prime strides over one bytearray sieve of the primes up to M, from all
+ones in the zero-based list values[j - 1] = f(j).  Each j <= M has at
+most one prime factor above sqrt(M), and that only once, so those
+primes go first, one residue class mod the field discriminant (1, 5 or
+8) at a time, whose first prime gives the splitting class of all (the
+ramified 2 over Z[sqrt2] and 5 over Z[tau] are alone in theirs); each
+writes f(p), from the first terms of its local factor, over the ones of
+its stride, once for p > M/2.  Then each p <= sqrt(M) expands its local
+factor to the top power p^k <= M and multiplies in its p-part in one
+pass over its stride, with multipliers f(p), overwritten with f(p^k) at
+the multiples of p^(k-1); when f(p) = 0 the stride is zeroed and only
+the multiples of p^2 get a pass, none if every f(p^k) is 0.  The sieve
+is the primality proof, so the local factors take their splitting class
+from the residue rule alone, without trial division, and it is freed
+before the list becomes the table's tuple, where the memory peaks.
 """
 
 import math
 from functools import partial
-from itertools import compress
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul
 
 from .errors import DomainError, ResourceCapError
-from .rings import (_RATIONAL, FieldTag, SplittingClass, _class_of_prime,
-                    factor_int, splitting_class)
+from .rings import (_CLASSES_BY_RESIDUE, _RAMIFIED, _RATIONAL, _SPLIT,
+                    FieldTag, SplittingClass, _class_of_prime, factor_int,
+                    splitting_class)
 
 DEFAULT_SERIES_CAP = 1_000_000
 
@@ -54,10 +53,6 @@ PHI_CASES = tuple(_PHI_TAG)
 CASE_OF_FIELD = {tag: case for case, tag in _PHI_TAG.items()}
 
 _TAG_BY_VALUE = {tag.value: tag for tag in FieldTag}
-
-# the local factors test these per prime: module constants, not lookups
-_SPLIT = SplittingClass.SPLIT
-_RAMIFIED = SplittingClass.RAMIFIED
 
 _ZETA_KINDS = ("zetaK", "zetaO", "zetaOO", "zetaO-half", "zetaOO-half")
 
@@ -251,11 +246,16 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
     tag, polys = _parse_case(case)
     values = [1] * M    # values[j - 1] = f(j)
     root, half = math.isqrt(M), M // 2
-    for p in compress(range(M + 1), _prime_sieve(M)):
-        num, den = polys(p, _class_of_prime(p, tag))
-        if p > root:
-            # p^2 > M: every multiple j <= M of p has exactly one factor p,
-            # so only f(p) is needed, checked as in EulerFactor.expansion
+    sieve = _prime_sieve(M)
+    # p > sqrt(M) by residue class, each p with f(p) alone, checked as in
+    # EulerFactor.expansion, written over the ones of its stride
+    mod = len(_CLASSES_BY_RESIDUE[tag])
+    for start in range(root + 1, min(root + mod, M) + 1):
+        cls = None
+        for p in compress(range(start, M + 1, mod), sieve[start::mod]):
+            if cls is None:
+                cls = _class_of_prime(p, tag)
+            num, den = polys(p, cls)
             if not (num and den and num[0] == 1 and den[0] == 1):
                 _check_constant_terms(num, den)
             c = ((num[1] if len(num) > 1 else 0)
@@ -264,11 +264,10 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
                 _nonnegative(p, c, 1)
             if p > half:
                 values[p - 1] = c    # p is its only multiple up to M
-            elif c == 0:
-                values[p - 1::p] = [0] * (M // p)
             elif c != 1:
-                values[p - 1::p] = list(map(c.__mul__, values[p - 1::p]))
-            continue
+                values[p - 1::p] = [c] * (M // p)
+    for p in compress(range(root + 1), sieve):
+        num, den = polys(p, _class_of_prime(p, tag))
         top, q = 1, p * p
         while q <= M:
             top, q = top + 1, q * p
@@ -287,6 +286,7 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
                 mul, kept, _stride_multipliers(exp, p, 2, M)))
         else:
             values[p - 1::p] = [0] * (M // p)
+    del sieve    # before the tuple, where a table's memory peaks
     return CoeffSeries(label=case, values=tuple(values))
 
 
@@ -301,14 +301,12 @@ def dirichlet_convolve(a, b) -> tuple:
     """(a * b)(n) = sum over d | n of a(d) b(n/d), up to a common M."""
     if len(a) != len(b):
         raise DomainError("convolution needs equal-length tables")
-    n = len(a)
-    out = [0] * n
-    for d in range(1, n + 1):
-        ad = a[d - 1]
-        if not ad:
-            continue
-        for q in range(1, n // d + 1):
-            out[d * q - 1] += ad * b[q - 1]
+    if a.count(0) < b.count(0):
+        a, b = b, a    # the sums commute: loop over the sparser operand
+    out = [0] * len(a)
+    for d, ad in enumerate(a, 1):
+        if ad:
+            out[d - 1::d] = map(add, out[d - 1::d], map(mul, b, repeat(ad)))
     return tuple(out)
 
 

@@ -994,7 +994,8 @@ def test_start_up_imports_no_dataclasses_inspect_or_multiprocessing():
 
 
 # json loads only where JSON is written: not at start-up, and not for the
-# orders or a text count
+# orders or a text count; numbers only where a field element meets a
+# rational that is not an int
 JSON_PROBE = """
 import sys
 import csmod.cli
@@ -1002,7 +1003,7 @@ from csmod.orders import hurwitz, icosian, octahedral
 hurwitz(); icosian(); octahedral()
 loaded = "json" in sys.modules
 code = csmod.cli.main(["count", "--order", "hurwitz", "3"])
-print(code, loaded, "json" in sys.modules)
+print(code, loaded, "json" in sys.modules, "numbers" in sys.modules)
 """
 
 
@@ -1011,7 +1012,7 @@ def test_start_up_leaves_json_unloaded():
                           capture_output=True, text=True, timeout=120,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False False"
+    assert proc.stdout.splitlines()[-1] == "0 False False False"
 
 
 def test_module_entry_point_error_code():

@@ -229,7 +229,10 @@ def reference_table(case, M):
     return tuple(values[1:])
 
 
-REFERENCE_SIZES = (1, 2, 3, 4, 8, 9, 25, 27, 32, 121, 1000, 4096, 5000)
+# every M up to 64 moves sqrt(M) past the first primes of each residue
+# class mod the discriminant, and past the ramified 2 (over Z[sqrt2]) and
+# 5 (over Z[tau])
+REFERENCE_SIZES = tuple(range(1, 65)) + (121, 1000, 4096, 5000)
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -255,6 +258,7 @@ def test_single_coefficient_rejects_bad_input():
     (3, (1, 0, -1), 2),     # below sqrt(M): negative at p^2
     (47, (1, -1), 1),       # above sqrt(M): negative at p
     (53, (1, -1), 1),       # above M/2: negative at p
+    (11, (1, -1), 1),       # first of its class mod 8 above sqrt(M)
 ])
 def test_table_rejects_negative_local_coefficient(p, numerator, power,
                                                   monkeypatch):
@@ -288,6 +292,30 @@ def test_table_needs_no_trial_division(monkeypatch):
         euler_factor("cub", 4)
 
 
+# the primes above sqrt(10^4) = 100 take the class of the first prime of
+# their residue class mod the discriminant, 5 over Z[tau] and 8 over
+# Z[sqrt2]; each prime up to 100 gets its own
+@pytest.mark.parametrize("case,firsts", [
+    ("ico", {101, 107, 103, 109}),    # residues 1, 2, 3, 4 mod 5
+    ("oct", {113, 107, 101, 103}),    # residues 1, 3, 5, 7 mod 8
+])
+def test_table_classes_large_primes_once_per_residue(case, firsts,
+                                                     monkeypatch):
+    want = reference_table(case, 10**4)
+    class_of_prime = csmod.series._class_of_prime
+    calls = []
+
+    def counted(p, tag):
+        calls.append(p)
+        return class_of_prime(p, tag)
+
+    monkeypatch.setattr(csmod.series, "_class_of_prime", counted)
+    assert coefficient_table(case, 10**4).values == want
+    small = {p for p in range(2, 101) if all(p % d for d in range(2, p))}
+    assert len(calls) == len(small) + 4 == 29
+    assert set(calls) == small | firsts
+
+
 # 3721 = 61^2: the sizes sit at prime squares and on both sides of the
 # split between fully expanded small primes and first-order large ones
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -310,10 +338,11 @@ def test_table_matches_reference_at_fill_boundaries(case):
         assert coefficient_table(case, M).values == reference_table(case, M), M
 
 
-@pytest.mark.parametrize("p", (47, 53))
+@pytest.mark.parametrize("p", (47, 53, 11))
 def test_table_rejects_bad_constant_term_above_root(p, monkeypatch):
     # p = 47 > sqrt(100) takes the first-order path, which checks the
-    # constant terms as EulerFactor does; p = 53 > 100/2 takes its one write
+    # constant terms as EulerFactor does; p = 53 > 100/2 takes its one
+    # write; p = 11 is the first prime of its class mod 8 above sqrt(100)
     phi_polys = csmod.series._phi_polys
 
     def broken(tag, q, cls):
@@ -324,6 +353,18 @@ def test_table_rejects_bad_constant_term_above_root(p, monkeypatch):
         coefficient_table("oct", 100)
 
 
+def table_peak(case, M):
+    coefficient_table(case, 100)
+    tracemalloc.start()
+    try:
+        table = coefficient_table(case, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == M
+    return peak
+
+
 def test_table_peak_memory():
     # CPython 3.11 tracemalloc peaks for cub at M = 2*10^5: 8.0 MB for
     # the stride fill with a values[1:] copy, 6.4 MB for this fill (zero
@@ -331,16 +372,17 @@ def test_table_peak_memory():
     # tuple directly), 6.6 MB for the same fill reading the tuple through
     # islice(values, 1, None) and for the fill before it, 7.3 MB with a
     # list of the primes kept, 8.2 MB with one M-sized scratch list and
-    # 10.9 MB with a list of the local factors
-    coefficient_table("cub", 100)
-    tracemalloc.start()
-    try:
-        table = coefficient_table("cub", 2 * 10**5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table) == 2 * 10**5
+    # 10.9 MB with a list of the local factors; the peak is the tuple
+    peak = table_peak("cub", 2 * 10**5)
     assert peak < 7.0e6, peak
+
+
+def test_table_peak_memory_oct():
+    # CPython 3.11: 5.4 MB at M = 2*10^5, in the product pass of p = 2,
+    # whose products with the f(p) written by the large primes are new
+    # integers
+    peak = table_peak("oct", 2 * 10**5)
+    assert peak < 6.0e6, peak
 
 
 # SHA-256 of repr(values) of the 10^6 tables, recorded from a fill that
@@ -437,6 +479,30 @@ def test_dirichlet_convolve_basics():
     assert dirichlet_convolve(unit, ones) == ones
     with pytest.raises(DomainError):
         dirichlet_convolve((1, 0), (1, 0, 0))
+
+
+def convolve_reference(a, b):
+    out = [0] * len(a)
+    for d in range(1, len(a) + 1):
+        for q in range(1, len(a) // d + 1):
+            out[d * q - 1] += a[d - 1] * b[q - 1]
+    return tuple(out)
+
+
+def test_dirichlet_convolve_matches_double_loop():
+    dense = tuple((-1) ** n * (n % 7 + 1) for n in range(60))
+    sparse = tuple(n if n % 9 == 0 else 0 for n in range(1, 61))
+    zeros = (0,) * 60
+    for a, b in ((dense, sparse), (sparse, dense), (dense, dense),
+                 (zeros, dense), (sparse, zeros), (zeros, zeros)):
+        want = convolve_reference(a, b)
+        assert dirichlet_convolve(a, b) == want
+        assert dirichlet_convolve(b, a) == want
+    assert dirichlet_convolve(zeros, dense) == zeros
+    with pytest.raises(DomainError):
+        dirichlet_convolve(sparse, dense[:59])
+    with pytest.raises(DomainError):
+        dirichlet_convolve(dense[:59], sparse)
 
 
 # -- summatory function and densities -------------------------------------
