@@ -249,7 +249,7 @@ def cmd_count(cfg: Config, args) -> int:
     tasks = [(order.name, m, cfg.cap) for m in range(lo, hi + 1)]
     if cfg.workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool    # a slow import: only here
-        with Pool(min(cfg.workers, len(tasks))) as pool:
+        with Pool(min(cfg.workers, len(tasks), os.cpu_count() or 1)) as pool:
             counted = pool.map(_count_task, tasks)
     else:
         counted = [_count_task(task) for task in tasks]

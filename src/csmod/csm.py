@@ -19,10 +19,9 @@ from .modlat import (Ambient, OModule, _canonical, identity_module,
                      intersect_image, pure_part, scale_module,
                      scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
-from .quat import Mat3K, Quat, cayley_pairs, format_quat, rotation_numerators
-from .rings import (FieldElem, FieldTag, RingElem, SplittingClass,
-                    factor_int, norm_class_reps, pair_mul, ring_columns,
-                    splitting_class)
+from .quat import Quat, cayley_pairs, format_quat, rotation_numerators
+from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
+                    norm_class_reps, pair_mul, splitting_class)
 
 
 def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
@@ -190,16 +189,11 @@ def verify_ideal_correspondence(order: QuatOrder, q: Quat) -> CorrespondenceRepo
     )
 
 
-def rotation_to_quat(mat: Mat3K) -> Quat:
-    """Quaternion (up to scale) whose conjugation action is the given
-    special orthogonal matrix; rejects anything else."""
-    den, m = ring_columns(mat.tag, 3, mat.rows)
-    return quat_of_rotation(mat.tag, [x for row in m for x in row], den)
-
-
 def quat_of_rotation(tag: FieldTag, m, den: int) -> Quat:
-    """rotation_to_quat for the matrix m/den, m its nine entries in rows
-    as one flat list of integer pairs and den a positive int."""
+    """Quaternion (up to scale) whose conjugation action is the matrix
+    m/den, m its nine entries in rows as one flat list of integer pairs
+    and den a positive int; refuses a matrix that is not special
+    orthogonal."""
     c, e = tag._omega_sq
     d = [x + den if k in (0, 8, 16) else x for k, x in enumerate(m)]
     # d = m + den*I.  Half-turns have trace -1 and a symmetric matrix; each
@@ -219,47 +213,39 @@ def quat_of_rotation(tag: FieldTag, m, den: int) -> Quat:
         if all(pair_mul(m[k], m[k + 1], na, nb, c, e) == (flat[k], flat[k + 1])
                for k in range(0, 18, 2)):
             return Quat.ratio(tag, x, den)
-    # refused: tell a non-rotation from a rotation without a quaternion
-    mat = Mat3K(tag, [[FieldElem.ratio(RingElem(tag, *m[k:k + 2]), den)
-                       for k in range(r, r + 6, 2)] for r in (0, 6, 12)])
-    ident = Mat3K.identity(tag)
-    if mat.transpose() * mat != ident or mat.det() != ident[0, 0]:
-        raise DomainError("matrix is not special orthogonal over the field")
-    raise DomainError("matrix is not a rotation arising over this field")
+    # K is real, so a special orthogonal R is R(q) for a real unit
+    # q = (w, x, y, z).  The first candidate is then 4w*q, and for w = 0
+    # R + I = 2*u*u^T, each nonzero column proportional to u = (x, y, z):
+    # some candidate matches exactly when R is special orthogonal
+    raise DomainError("matrix is not special orthogonal over the field")
 
 
 # -- the standard modules in 3-space ----------------------------------
 
 
+_MODULES = {
+    "cubic": lambda: identity_module(FieldTag.RATIONAL, Ambient.IM),
+    "bcc": lambda: im_project(hurwitz().module),
+    "fcc": lambda: pure_part(
+        hurwitz().right_ideal(Quat(FieldTag.RATIONAL, 1, 1))),
+    "mb": lambda: scale_module(im_project(icosian().module),
+                               RingElem(FieldTag.ROOT_FIVE, 2)),
+    "mf": lambda: scale_module(pure_part(icosian().module),
+                               RingElem(FieldTag.ROOT_FIVE, 2)),
+    "im-icosian": lambda: im_project(icosian().module),
+    "im-octahedral": lambda: im_project(octahedral().module),
+    "cubic-root5": lambda: identity_module(FieldTag.ROOT_FIVE, Ambient.IM),
+    "cubic-root2": lambda: identity_module(FieldTag.ROOT_TWO, Ambient.IM),
+}
+MODULE_KEYS = tuple(_MODULES)
+
+
 @lru_cache(maxsize=None)
 def standard_module(key: str) -> OModule:
-    if key == "cubic":
-        return identity_module(FieldTag.RATIONAL, Ambient.IM)
-    if key == "bcc":
-        return im_project(hurwitz().module)
-    if key == "fcc":
-        one_plus_i = Quat(FieldTag.RATIONAL, 1, 1)
-        return pure_part(hurwitz().right_ideal(one_plus_i))
-    if key == "mb":
-        return scale_module(im_project(icosian().module),
-                            RingElem(FieldTag.ROOT_FIVE, 2))
-    if key == "mf":
-        return scale_module(pure_part(icosian().module),
-                            RingElem(FieldTag.ROOT_FIVE, 2))
-    if key == "im-icosian":
-        return im_project(icosian().module)
-    if key == "im-octahedral":
-        return im_project(octahedral().module)
-    if key.startswith("cubic-"):
-        for tag in FieldTag:
-            if key == f"cubic-{tag.value}":
-                return identity_module(tag, Ambient.IM)
-    raise DomainError(f"unknown module {key!r}; pick one of {MODULE_KEYS}")
-
-
-MODULE_KEYS = ("cubic", "bcc", "fcc", "mb", "mf",
-               "im-icosian", "im-octahedral",
-               "cubic-root5", "cubic-root2")
+    build = _MODULES.get(key)
+    if build is None:
+        raise DomainError(f"unknown module {key!r}; pick one of {MODULE_KEYS}")
+    return build()
 
 
 def gamma_of(order: QuatOrder) -> OModule:

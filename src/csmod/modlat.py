@@ -3,14 +3,15 @@
 Finitely generated full-rank modules over one of the (Euclidean, hence
 PID) base rings are held as ring columns over one positive integer
 denominator: a module is C/den, where C is an upper-triangular matrix
-of RingElem entries in canonical form.  Column j of C has its lowest
-nonzero entry (the pivot) on row j, pivots are canonical associates,
-and every entry above a pivot is the canonical residue modulo that
-pivot.  The pair (C, den) is then normalised so that den and the
-integer coefficients of all entries of C have gcd 1.  The triangular
-form commutes with scaling by positive integers, so equal modules get
-identical pairs whatever the denominator of their generators, which
-makes modules directly comparable and hashable.
+of ring entries in canonical form, each column a flat list of integer
+pairs (below).  Column j of C has its lowest nonzero entry (the pivot)
+on row j, pivots are canonical associates, and every entry above a
+pivot is the canonical residue modulo that pivot.  The pair (C, den)
+is then normalised so that den and the integer coefficients of all
+entries of C have gcd 1.  The triangular form commutes with scaling by
+positive integers, so equal modules get identical pairs whatever the
+denominator of their generators, which makes modules directly
+comparable and hashable.
 
 All module algebra (echelon forms, intersections, indices, membership
 and the canonical normalisation) runs on plain integers: a column is a

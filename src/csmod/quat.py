@@ -11,10 +11,11 @@ and rings.ring_columns the field coordinates the constructor takes over
 their common denominator.  The Hamilton product is written once on
 pairs, in pair_product, with omega central, and the Cayley formula once,
 in cayley_pairs: it gives R(q) as a ring matrix over one ring element,
-both as integer pairs, which the module code and the matrix match of
-csm.quat_of_rotation take as they are and cayley_matrix divides out.
-Nothing here normalizes by content or units; that belongs to the order
-layer.
+both as integer pairs.  That is the one form of a rotation matrix: the
+module code and the matrix match of csm.quat_of_rotation take it as it
+is, and only cayley_matrix, which no command calls, divides it out into
+rows of field elements.  Nothing here normalizes by content or units;
+that belongs to the order layer.
 """
 
 from __future__ import annotations
@@ -229,72 +230,6 @@ class Quat:
         return f"Quat[{self.tag.value}]({format_quat(self)})"
 
 
-class Mat3K:
-    """3x3 matrix with exact field entries, treated as immutable."""
-
-    __slots__ = ("tag", "rows")
-
-    def __init__(self, tag: FieldTag, rows):
-        self.tag = tag
-        self.rows = tuple(tuple(as_field(tag, e) for e in row) for row in rows)
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise DomainError("Mat3K needs exactly 3x3 entries")
-
-    @classmethod
-    def identity(cls, tag: FieldTag) -> "Mat3K":
-        return cls(tag, [[int(r == c) for c in range(3)] for r in range(3)])
-
-    def __getitem__(self, idx):
-        r, c = idx
-        return self.rows[r][c]
-
-    def __mul__(self, other):
-        if not isinstance(other, Mat3K):
-            return NotImplemented
-        if other.tag is not self.tag:
-            raise DomainError("mixed field tags")
-        return Mat3K(self.tag, [
-            [
-                sum((self.rows[r][t] * other.rows[t][c] for t in range(3)),
-                    FieldElem(self.tag, 0))
-                for c in range(3)
-            ]
-            for r in range(3)
-        ])
-
-    def transpose(self) -> "Mat3K":
-        return Mat3K(self.tag, [
-            [self.rows[c][r] for c in range(3)] for r in range(3)
-        ])
-
-    def det(self) -> FieldElem:
-        m = self.rows
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    def trace(self) -> FieldElem:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat3K):
-            return NotImplemented
-        return self.tag is other.tag and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.tag, self.rows))
-
-    def __str__(self):
-        body = "; ".join(
-            ", ".join(str(e) for e in row) for row in self.rows
-        )
-        return f"[{body}]"
-
-    __repr__ = __str__
-
-
 def rotation_numerators(q: Quat):
     """(rows, n): a 3x3 ring matrix N, its rows as flat lists of integer
     pairs [a0, b0, a1, b1, a2, b2], and n = nr of q's ring numerators as
@@ -324,8 +259,9 @@ def cayley_pairs(x, c: int, e: int):
     return (flat[0:6], flat[6:12], flat[12:18]), (flat[18], flat[19])
 
 
-def cayley_matrix(q: Quat) -> Mat3K:
-    """Rotation matrix of conjugation by q, acting on pure quaternions.
+def cayley_matrix(q: Quat) -> tuple[tuple[FieldElem, ...], ...]:
+    """Rotation matrix of conjugation by q, acting on pure quaternions,
+    as three rows of three field elements.
 
     Satisfies Im(q*a*q^-1) = R*Im(a) for every quaternion a, and is
     invariant under rescaling q by a nonzero field scalar.
@@ -337,8 +273,8 @@ def cayley_matrix(q: Quat) -> Mat3K:
     # x/n = x*conj(n) / N(n), an integer denominator (n^2 over Q)
     quots = [_times_conj(xa, xb, na, nb, c, e)
              for row in rows for xa, xb in zip(row[::2], row[1::2])]
-    return Mat3K(q.tag, [[FieldElem.ratio(RingElem(q.tag, a, b), d)
-                          for a, b, d in quots[r:r + 3]] for r in (0, 3, 6)])
+    return tuple(tuple(FieldElem.ratio(RingElem(q.tag, a, b), d)
+                       for a, b, d in quots[r:r + 3]) for r in (0, 3, 6))
 
 
 def axis_angle(q: Quat) -> tuple[tuple[FieldElem, FieldElem, FieldElem], FieldElem]:

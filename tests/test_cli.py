@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 import csmod
 from csmod.cli import (_CONFIG_KEYS, _build_parser, _json_text, _load_config,
                        _parse_rotation, main)
-from csmod.csm import SPECTRUM_CAP, rotation_to_quat
+from csmod.csm import SPECTRUM_CAP
 from csmod.errors import DomainError, ParseInputError
-from csmod.quat import Mat3K, Quat, parse_quat
+from csmod.quat import Quat, parse_quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, _parse_numerators,
                          _ratio_text, parse_field_elem)
 from csmod.series import PHI_CASES, phi_coefficients, residue_rho
+from fieldmatrix import Mat3K, rotation_to_quat
 
 
 def run(capsys, *argv):
@@ -242,6 +243,43 @@ def test_count_deterministic_across_workers(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+class _SerialPool:
+    """A stand-in for multiprocessing.Pool that records the size asked
+    for and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks):
+        return [func(task) for task in tasks]
+
+
+@pytest.mark.parametrize("workers, indices, cpus, size", [
+    ("5000", "1..5", 2, 2),        # the CPUs bound the pool
+    ("5000", "1..5", None, 1),     # one worker when the count is unknown
+    ("5000", "1..3", 8, 3),        # no more workers than indices
+    ("2", "1..5", 8, 2),           # nor more than asked for
+])
+def test_count_workers_pool_is_capped(capsys, monkeypatch, workers, indices,
+                                      cpus, size):
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    argv = ("count", "--order", "hurwitz", indices, "--format", "csv")
+    code, out = run(capsys, *argv, "--workers", workers)
+    assert (code, _SerialPool.sizes) == (0, [size])
+    assert out == run(capsys, *argv)[1]
 
 
 def test_count_error_codes(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -10,16 +11,16 @@ from hypothesis import strategies as st
 from csmod import csm
 from csmod.csm import (MODULE_KEYS, CorrespondenceReport, count_csms,
                        csm_bruteforce, gamma_of, reduced_representative,
-                       rotation_to_quat, sigma_index, spectrum_member,
-                       spectrum_witness, standard_module,
-                       verify_ideal_correspondence)
+                       sigma_index, spectrum_member, spectrum_witness,
+                       standard_module, verify_ideal_correspondence)
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, module_sum, pure_part)
 from csmod.orders import (hurwitz, icosian, lipschitz, octahedral,
                            order_by_key)
-from csmod.quat import Mat3K, Quat, cayley_matrix, format_quat
+from csmod.quat import Quat, format_quat
 from csmod.rings import FieldElem, FieldTag, parse_field_elem
+from fieldmatrix import Mat3K, rotation_matrix, rotation_to_quat
 from wholeorder import WholeOrderSearch
 
 Q = FieldTag.RATIONAL
@@ -420,9 +421,9 @@ def test_rotation_roundtrip_generic_and_halfturn():
         Quat(R2, fe(R2, 0, 1), 1, 1, 0),
     ]
     for q in samples:
-        mat = cayley_matrix(q)
+        mat = rotation_matrix(q)
         back = rotation_to_quat(mat)
-        assert cayley_matrix(back) == mat
+        assert rotation_matrix(back) == mat
 
 
 def test_rotation_roundtrip_random():
@@ -430,8 +431,8 @@ def test_rotation_roundtrip_random():
     for order in maximal_orders():
         for _ in range(6):
             q = rnd_element(order, rng, span=2)
-            mat = cayley_matrix(q)
-            assert cayley_matrix(rotation_to_quat(mat)) == mat
+            mat = rotation_matrix(q)
+            assert rotation_matrix(rotation_to_quat(mat)) == mat
 
 
 def test_rotation_rejects_non_rotations():
@@ -444,7 +445,7 @@ def test_rotation_rejects_non_rotations():
 
 
 def test_rotation_feeds_sigma():
-    mat = cayley_matrix(Quat(Q, 2, 1, 0, 0))
+    mat = rotation_matrix(Quat(Q, 2, 1, 0, 0))
     assert sigma_index(hurwitz(), rotation_to_quat(mat)) == 5
 
 
@@ -457,6 +458,9 @@ def test_standard_module_keys_and_errors():
         assert module.ambient is Ambient.IM
     with pytest.raises(DomainError):
         standard_module("hexagonal")
+    # a second name for "cubic" that MODULE_KEYS does not list
+    with pytest.raises(DomainError, match="unknown module 'cubic-rational'"):
+        standard_module("cubic-rational")
 
 
 def test_cubic_family_displays():
@@ -569,8 +573,8 @@ def test_bruteforce_agrees_with_formula_and_lies_in_both_modules(key,
 
 
 def test_rotation_rejection_messages():
-    # the special orthogonal check runs only after no candidate matched,
-    # and still tells a non-rotation from a rotation without a quaternion
+    # every rotation over a real field is R(q) for a quaternion q over it,
+    # so a refused matrix is one that is not special orthogonal
     shear = Mat3K(Q, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(DomainError, match="not special orthogonal"):
         rotation_to_quat(shear)
@@ -595,7 +599,7 @@ def old_rotation_to_quat(mat: Mat3K) -> Quat:
                                 for r in range(3))))
     for cand in candidates:
         q = Quat(tag, *cand)
-        if not q.is_zero() and cayley_matrix(q) == mat:
+        if not q.is_zero() and rotation_matrix(q) == mat:
             return q
     if mat.transpose() * mat != ident or mat.det() != one:
         raise DomainError("matrix is not special orthogonal over the field")
@@ -628,7 +632,7 @@ def _half_turns(tag):
 
 
 def _conjugated(mat, unit):
-    u = cayley_matrix(unit)
+    u = rotation_matrix(unit)
     return u * mat * u.transpose()
 
 
@@ -651,8 +655,8 @@ def test_rotation_to_quat_matches_the_field_element_reference():
     for order in maximal_orders():
         q = rnd_element(order, rng)
         for s in scalars[order.field_tag]:
-            mat = cayley_matrix(q * s)
-            assert mat == cayley_matrix(q)
+            mat = rotation_matrix(q * s)
+            assert mat == rotation_matrix(q)
             mats.append(mat)
             back = rotation_to_quat(mat)
             assert (back * q.conj()).is_scalar()
@@ -669,5 +673,33 @@ def test_rotation_to_quat_matches_the_field_element_reference():
         if isinstance(new, str):
             refused += 1
         else:
-            assert cayley_matrix(new) == mat
+            assert rotation_matrix(new) == mat
     assert refused >= 12
+
+
+def _signed_permutations(tag):
+    """The 48 signed permutation matrices over the field tagged tag."""
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            yield Mat3K(tag, [[signs[r] if c == perm[r] else 0
+                               for c in range(3)] for r in range(3)])
+
+
+def test_signed_permutations_are_refused_exactly_when_det_is_minus_one():
+    # a special orthogonal matrix always has a quaternion, so the second
+    # message of the reference, "not a rotation arising over this
+    # field", is never given
+    for tag in FieldTag:
+        mats = list(_signed_permutations(tag))
+        assert len(set(mats)) == 48
+        accepted = 0
+        for mat in mats:
+            new = _rotation_outcome(rotation_to_quat, mat)
+            assert new == _rotation_outcome(old_rotation_to_quat, mat), mat
+            if mat.det() == FieldElem(tag, 1):
+                assert rotation_matrix(new) == mat
+                accepted += 1
+            else:
+                assert new == ("DomainError: matrix is not special "
+                               "orthogonal over the field"), mat
+        assert accepted == 24

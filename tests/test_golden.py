@@ -63,7 +63,7 @@ def _sigma_rotations(order, rng):
             continue
         if len(texts) % 4 == 3:
             texts.append("; ".join(",".join(str(e) for e in row)
-                                   for row in cayley_matrix(q).rows))
+                                   for row in cayley_matrix(q)))
         else:
             texts.append(format_quat(q))
     return texts + list(SIGMA_EXTRA)

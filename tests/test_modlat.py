@@ -320,7 +320,7 @@ def test_intersect_with_rotated_cube_lattice():
     tag = FieldTag.RATIONAL
     cube = identity_module(tag, Ambient.IM)
     rot = cayley_matrix(Quat(tag, 2, 1, 0, 0))
-    cols = [[rot.rows[r][c] for r in range(3)] for c in range(3)]
+    cols = [[rot[r][c] for r in range(3)] for c in range(3)]
     rotated = hnf_canonical(tag, Ambient.IM, cols)
     both = intersect(cube, rotated)
     assert cube.contains_module(both)
