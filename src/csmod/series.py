@@ -12,33 +12,44 @@ and "zetaOO-<field>", indexed by the module index of an ideal; the
 is the grid the counting functions live on.  Fields are named by the
 FieldTag values: rational, root5, root2.
 
+Every local factor comes from one table of per-prime-ideal factors: a
+prime ideal of norm p^f contributes a factor in x^f, the residue degrees
+f follow the splitting class (with a row of its own for 2 over Q, where
+the quaternion algebra ramifies), and a module-index kind is its "-half"
+kind with x -> x^2.  Composed once per kind, field and class, and cached
+on first use, a local factor is a pair of polynomials in x whose
+coefficients are integer polynomials in p.
+
 Every series here is multiplicative, so a table f(1..M) is filled by
 prime strides over one bytearray sieve of the primes up to M, from all
 ones in the zero-based list values[j - 1] = f(j).  Each j <= M has at
 most one prime factor above sqrt(M), and that only once, so those
 primes go first, one residue class mod the field discriminant (1, 5 or
-8) at a time, whose first prime gives the splitting class of all (the
-ramified 2 over Z[sqrt2] and 5 over Z[tau] are alone in theirs); each
-writes f(p), from the first terms of its local factor, over the ones of
-its stride, once for p > M/2.  Then each p <= sqrt(M) expands its local
-factor to the top power p^k <= M and multiplies in its p-part in one
-pass over its stride, with multipliers f(p), overwritten with f(p^k) at
-the multiples of p^(k-1); when f(p) = 0 the stride is zeroed and only
-the multiples of p^2 get a pass, none if every f(p^k) is 0.  The sieve
-is the primality proof, so the local factors take their splitting class
-from the residue rule alone, without trial division, and it is freed
-before the list becomes the table's tuple, where the memory peaks.
+8) at a time: its first prime gives the class factor, whose constant
+terms are checked once as polynomials, and f(p) = t(p) with t = num_1 -
+den_1, its first x-coefficients; each p checks its own f(p) >= 0 and
+writes it over the ones of its stride, once for p > M/2.  Then each
+p <= sqrt(M) (and 2, whose factor over Q is not its class's) evaluates
+its local factor, expands it to the top power p^k <= M and multiplies
+in its p-part in one pass over its stride, with multipliers f(p),
+overwritten with f(p^k) at the multiples of p^(k-1); when f(p) = 0 the
+stride is zeroed and only the multiples of p^2 get a pass, none if
+every f(p^k) is 0.  The sieve is the primality proof, so the local
+factors take their splitting class from the residue rule alone, without
+trial division, and it is freed before the list becomes the table's
+tuple, where the memory peaks.
 """
 
 import math
-from functools import partial
-from itertools import compress, repeat
+import re
+from functools import cache, partial
+from itertools import compress, repeat, zip_longest
 from operator import add, mul
 
 from .errors import DomainError, ResourceCapError
-from .rings import (_CLASSES_BY_RESIDUE, _RAMIFIED, _RATIONAL, _SPLIT,
-                    FieldTag, SplittingClass, _class_of_prime, factor_int,
-                    splitting_class)
+from .rings import (_CLASSES_BY_RESIDUE, _INERT, _RAMIFIED, _RATIONAL,
+                    _SPLIT, FieldTag, SplittingClass, _class_of_prime,
+                    factor_int, splitting_class)
 
 DEFAULT_SERIES_CAP = 1_000_000
 
@@ -81,10 +92,11 @@ class EulerFactor:
         return tuple(out)
 
 
-def _check_constant_terms(num, den) -> None:
-    if not num or num[0] != 1:
+def _check_constant_terms(num, den, one=1) -> None:
+    # one is 1, or (1,) for the coefficients of a class factor in p
+    if not num or num[0] != one:
         raise DomainError("numerator must have constant term 1")
-    if not den or den[0] != 1:
+    if not den or den[0] != one:
         raise DomainError("denominator must have constant term 1")
 
 
@@ -96,72 +108,69 @@ def _nonnegative(p: int, c: int, n: int) -> int:
     return c
 
 
+# the local factor of one prime ideal of norm N = p^f, in y = x^f, as
+# (numerator, denominator), each a product of binomials 1 - s N^k y
+# listed as (s, k); at 2 over Q, where the quaternion algebra ramifies,
+# the factors of _TWO_OVER_Q stand in for them
+_IDEAL_FACTORS = {
+    "phi": (((-1, 0),), ((1, 1),)),          # (1 + y) / (1 - N y)
+    "zetaK": ((), ((1, 0),)),                 # 1 / (1 - y)
+    "zetaO-half": ((), ((1, 0), (1, 1))),     # 1 / ((1 - y)(1 - N y))
+    "zetaOO-half": ((), ((1, 0), (-1, 0))),   # 1 / (1 - y^2)
+}
+_TWO_OVER_Q = {"phi": ((), ()), "zetaK": ((), ((1, 0),)),    # 1, 1/(1 - x)
+               "zetaO-half": ((), ((1, 0),)), "zetaOO-half": ((), ((1, 0),))}
+# the residue degrees f of the prime ideals above p, by splitting class;
+# over Q there is one, of degree 1
+_DEGREES = {_SPLIT: (1, 1), _RAMIFIED: (1,), _INERT: (2,)}
+
+
+@cache
+def _class_factor(kind: str, tag: FieldTag, cls: SplittingClass,
+                  two_over_q: bool = False) -> tuple:
+    """(numerator, denominator) of the local factor of a kind ("phi" or a
+    zeta kind) at every prime of splitting class cls: x-coefficients that
+    are integer polynomials in p, each as its p-coefficients without
+    trailing zeros.  A module-index kind is its "-half" kind with x -> x^2."""
+    half = kind if kind in _IDEAL_FACTORS else kind + "-half"
+    stretch = 1 if half == kind else 2
+    degrees = (1,) if tag is _RATIONAL else _DEGREES[cls]
+    out = []
+    for binomials in (_TWO_OVER_Q if two_over_q else _IDEAL_FACTORS)[half]:
+        terms = {(0, 0): 1}    # terms[i, j] = c for the term c x^i p^j
+        for f in degrees:
+            for s, k in binomials:
+                product = dict(terms)
+                for (i, j), c in terms.items():
+                    key = (i + stretch * f, j + k * f)
+                    product[key] = product.get(key, 0) - s * c
+                terms = {key: c for key, c in product.items() if c}
+        poly = []
+        for (i, j), c in sorted(terms.items()):
+            poly += [[] for _ in range(i + 1 - len(poly))]
+            poly[i] += [0] * (j - len(poly[i])) + [c]
+        out.append(tuple(map(tuple, poly)))
+    return tuple(out)
+
+
+def _local_polys(kind: str, tag: FieldTag, p: int, cls: SplittingClass):
+    """(numerator, denominator) of the local factor at the prime p."""
+    factor = _class_factor(kind, tag, cls, tag is _RATIONAL and p == 2)
+    return tuple(tuple(sum(c * p ** j for j, c in enumerate(coeff))
+                       for coeff in poly) for poly in factor)
+
+
 def _phi_polys(tag: FieldTag, p: int, cls: SplittingClass):
-    if tag is _RATIONAL:
-        if p == 2:
-            return (1,), (1,)
-        return (1, 1), (1, -p)
-    if cls is _RAMIFIED:
-        return (1, 1), (1, -p)
-    if cls is _SPLIT:
-        return (1, 2, 1), (1, -2 * p, p * p)
-    return (1, 0, 1), (1, 0, -p * p)
-
-
-def _zeta_polys(kind: str, tag: FieldTag, p: int, cls: SplittingClass):
-    # written out: each prime of the field of norm p^f gives the zetaO-half
-    # denominator (1 - x^f)(1 - p^f x^f) and the zetaOO-half one
-    # (1 - x^(2f)), save (1 - x) for both at 2 over Q; a module-index
-    # denominator is its "-half" one with x -> x^2
-    if kind == "zetaK":
-        if tag is _RATIONAL or cls is _RAMIFIED:
-            return (1,), (1, -1)
-        if cls is _SPLIT:
-            return (1,), (1, -2, 1)
-        return (1,), (1, 0, -1)
-    if kind == "zetaO-half":
-        if tag is _RATIONAL and p == 2:
-            return (1,), (1, -1)
-        if tag is _RATIONAL or cls is _RAMIFIED:
-            return (1,), (1, -1 - p, p)
-        if cls is _SPLIT:
-            q = p * p
-            return (1,), (1, -2 - 2 * p, 1 + 4 * p + q, -2 * p - 2 * q, q)
-        return (1,), (1, 0, -1 - p * p, 0, p * p)
-    if kind == "zetaO":
-        if tag is _RATIONAL and p == 2:
-            return (1,), (1, 0, -1)
-        if tag is _RATIONAL or cls is _RAMIFIED:
-            return (1,), (1, 0, -1 - p, 0, p)
-        if cls is _SPLIT:
-            q = p * p
-            return (1,), (1, 0, -2 - 2 * p, 0, 1 + 4 * p + q, 0,
-                          -2 * p - 2 * q, 0, q)
-        return (1,), (1, 0, 0, 0, -1 - p * p, 0, 0, 0, p * p)
-    if kind == "zetaOO-half":
-        if tag is _RATIONAL and p == 2:
-            return (1,), (1, -1)
-        if tag is _RATIONAL or cls is _RAMIFIED:
-            return (1,), (1, 0, -1)
-        if cls is _SPLIT:
-            return (1,), (1, 0, -2, 0, 1)
-        return (1,), (1, 0, 0, 0, -1)
-    # zetaOO
-    if tag is _RATIONAL and p == 2:
-        return (1,), (1, 0, -1)
-    if tag is _RATIONAL or cls is _RAMIFIED:
-        return (1,), (1, 0, 0, 0, -1)
-    if cls is _SPLIT:
-        return (1,), (1, 0, 0, 0, -2, 0, 0, 0, 1)
-    return (1,), (1, 0, 0, 0, 0, 0, 0, 0, -1)
+    return _local_polys("phi", tag, p, cls)
 
 
 def _parse_case(case: str):
-    """(tag, polys) of a case name, with polys(p, cls) the numerator and
-    denominator of the local factor at a prime p of splitting class cls."""
+    """(kind, tag, polys) of a case name, with kind "phi" for the module
+    families and polys(p, cls) the numerator and denominator of the local
+    factor at a prime p of splitting class cls."""
     tag = _PHI_TAG.get(case)
     if tag is not None:
-        return tag, partial(_phi_polys, tag)
+        return "phi", tag, partial(_phi_polys, tag)
     # zeta case names look like zetaO-root5 or zetaO-half-root5
     kind, _, field = case.rpartition("-")
     tag = _TAG_BY_VALUE.get(field)
@@ -169,12 +178,12 @@ def _parse_case(case: str):
         known = PHI_CASES + tuple(
             f"{k}-{t}" for k in _ZETA_KINDS for t in _TAG_BY_VALUE)
         raise DomainError(f"unknown series case {case!r}; one of {known}")
-    return tag, partial(_zeta_polys, kind, tag)
+    return kind, tag, partial(_local_polys, kind, tag)
 
 
 def euler_factor(case: str, p: int) -> EulerFactor:
     """Local factor of the named series at the rational prime p."""
-    tag, polys = _parse_case(case)
+    _, tag, polys = _parse_case(case)
     num, den = polys(p, splitting_class(p, tag))
     return EulerFactor(p=p, numerator=num, denominator=den)
 
@@ -238,35 +247,50 @@ def _stride_multipliers(exp: tuple, p: int, s: int, M: int) -> list:
     return part
 
 
-def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
-    """f(1..M) of the named series, assembled prime by prime."""
-    if M < 1:
-        raise DomainError("need at least one coefficient")
-    _check_cap(M, cap)
-    tag, polys = _parse_case(case)
-    values = [1] * M    # values[j - 1] = f(j)
-    root, half = math.isqrt(M), M // 2
-    sieve = _prime_sieve(M)
-    # p > sqrt(M) by residue class, each p with f(p) alone, checked as in
-    # EulerFactor.expansion, written over the ones of its stride
+def _write_large_primes(values: list, sieve: bytearray, kind: str,
+                        tag: FieldTag, first: int) -> None:
+    """Write f(p) = t(p), t = num_1 - den_1 as in EulerFactor.expansion,
+    over the ones of the stride of each prime p >= first > sqrt(M), one
+    residue class at a time; a function of its own, so that its lists
+    are freed before the table's tuple is made."""
+    M = len(values)
+    half = M // 2
     mod = len(_CLASSES_BY_RESIDUE[tag])
-    for start in range(root + 1, min(root + mod, M) + 1):
-        cls = None
-        for p in compress(range(start, M + 1, mod), sieve[start::mod]):
-            if cls is None:
-                cls = _class_of_prime(p, tag)
-            num, den = polys(p, cls)
-            if not (num and den and num[0] == 1 and den[0] == 1):
-                _check_constant_terms(num, den)
-            c = ((num[1] if len(num) > 1 else 0)
-                 - (den[1] if len(den) > 1 else 0))
+    for start in range(first, min(first + mod - 1, M) + 1):
+        # the regex engine finds the class's prime flags; compress over a
+        # range would make an int of every candidate
+        primes = [start + mod * flag.start()
+                  for flag in re.finditer(b"\1", sieve[start::mod])]
+        if not primes:
+            continue
+        num, den = _class_factor(kind, tag, _class_of_prime(primes[0], tag))
+        _check_constant_terms(num, den, (1,))
+        t = [a - b for a, b in zip_longest(
+            num[1] if len(num) > 1 else (), den[1] if len(den) > 1 else (),
+            fillvalue=0)]
+        fp = repeat(0)
+        for a in reversed(t):    # Horner's rule, lazily over all the primes
+            fp = map(add, map(mul, fp, primes), repeat(a))
+        for p, c in zip(primes, fp):
             if c < 0:
                 _nonnegative(p, c, 1)
             if p > half:
                 values[p - 1] = c    # p is its only multiple up to M
             elif c != 1:
                 values[p - 1::p] = [c] * (M // p)
-    for p in compress(range(root + 1), sieve):
+
+
+def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
+    """f(1..M) of the named series, assembled prime by prime."""
+    if M < 1:
+        raise DomainError("need at least one coefficient")
+    _check_cap(M, cap)
+    kind, tag, polys = _parse_case(case)
+    values = [1] * M    # values[j - 1] = f(j)
+    small = max(math.isqrt(M), 2)    # 2 over Q, with its own row, is small
+    sieve = _prime_sieve(M)
+    _write_large_primes(values, sieve, kind, tag, small + 1)
+    for p in compress(range(small + 1), sieve):
         num, den = polys(p, _class_of_prime(p, tag))
         top, q = 1, p * p
         while q <= M:

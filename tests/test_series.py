@@ -137,18 +137,43 @@ def reference_zeta_polys(kind, tag, p, cls):
     return _stretch(num), _stretch(den)
 
 
+def reference_phi_polys(tag, p, cls):
+    # (1 + y)/(1 - N y) for each prime ideal of norm N = p^f, y = x^f,
+    # save the constant 1 at 2 over Q
+    if tag is FieldTag.RATIONAL:
+        if p == 2:
+            return (1,), (1,)
+        return (1, 1), (1, -p)
+    if cls is SplittingClass.RAMIFIED:
+        return (1, 1), (1, -p)
+    if cls is SplittingClass.SPLIT:
+        return _poly_mul((1, 1), (1, 1)), _poly_mul((1, -p), (1, -p))
+    return (1, 0, 1), (1, 0, -p * p)
+
+
+# every field and class, including pairs no prime of the field takes, so
+# that each class factor is pinned at every prime below 500
+PRIMES_BELOW_500 = [p for p in range(2, 500)
+                    if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
 def test_zeta_polys_match_composed_reference():
-    # every kind, field and class, including pairs no prime of the field
-    # takes, so that each written-out branch is pinned
-    primes = [p for p in range(2, 500)
-              if all(p % d for d in range(2, math.isqrt(p) + 1))]
     for kind in csmod.series._ZETA_KINDS:
         for tag in FieldTag:
             for cls in SplittingClass:
-                for p in primes:
+                for p in PRIMES_BELOW_500:
                     want = reference_zeta_polys(kind, tag, p, cls)
-                    got = csmod.series._zeta_polys(kind, tag, p, cls)
+                    got = csmod.series._local_polys(kind, tag, p, cls)
                     assert got == want, (kind, tag, cls, p)
+
+
+def test_phi_polys_match_composed_reference():
+    for tag in FieldTag:
+        for cls in SplittingClass:
+            for p in PRIMES_BELOW_500:
+                want = reference_phi_polys(tag, p, cls)
+                got = csmod.series._phi_polys(tag, p, cls)
+                assert got == want, (tag, cls, p)
 
 
 # -- coefficient tables --------------------------------------------------
@@ -254,20 +279,31 @@ def test_single_coefficient_rejects_bad_input():
         coefficient("hex", 3)
 
 
+# 1 + ((p - q)^2 - 1) x as a class factor's numerator, over the
+# denominator 1: f(p) = (p - q)^2 - 1 is negative at the prime q alone, so
+# the table must check every prime above sqrt(M), not one per class
+def _negative_at(q):
+    return (1,), (q * q - 1, -2 * q, 1)
+
+
 @pytest.mark.parametrize("p,numerator,power", [
-    (3, (1, 0, -1), 2),     # below sqrt(M): negative at p^2
-    (47, (1, -1), 1),       # above sqrt(M): negative at p
-    (53, (1, -1), 1),       # above M/2: negative at p
-    (11, (1, -1), 1),       # first of its class mod 8 above sqrt(M)
+    (3, (1, 0, -1), 2),     # below sqrt(M), through _phi_polys: at p^2
+    (47, _negative_at(47), 1),     # above sqrt(M), through the class factor
+    (53, _negative_at(53), 1),     # above M/2
+    (11, _negative_at(11), 1),     # first of its class mod 8 above sqrt(M)
 ])
 def test_table_rejects_negative_local_coefficient(p, numerator, power,
                                                   monkeypatch):
-    phi_polys = csmod.series._phi_polys
+    if p * p <= 100:
+        phi_polys = csmod.series._phi_polys
 
-    def broken(tag, q, cls):
-        return (numerator, (1,)) if q == p else phi_polys(tag, q, cls)
+        def broken(tag, q, cls):
+            return (numerator, (1,)) if q == p else phi_polys(tag, q, cls)
 
-    monkeypatch.setattr(csmod.series, "_phi_polys", broken)
+        monkeypatch.setattr(csmod.series, "_phi_polys", broken)
+    else:
+        monkeypatch.setattr(csmod.series, "_class_factor",
+                            lambda *key: (numerator, ((1,),)))
     with pytest.raises(DomainError, match=f"at {p} gives .* at p\\^{power}"):
         coefficient_table("oct", 100)
 
@@ -340,16 +376,25 @@ def test_table_matches_reference_at_fill_boundaries(case):
 
 @pytest.mark.parametrize("p", (47, 53, 11))
 def test_table_rejects_bad_constant_term_above_root(p, monkeypatch):
-    # p = 47 > sqrt(100) takes the first-order path, which checks the
-    # constant terms as EulerFactor does; p = 53 > 100/2 takes its one
-    # write; p = 11 is the first prime of its class mod 8 above sqrt(100)
-    phi_polys = csmod.series._phi_polys
+    # the class factor of p > sqrt(100) gets the constant term
+    # 1 + (p - 2)(p - 3)(p - 5)(p - 7), a polynomial in p that is 1 at every
+    # prime up to sqrt(100), so only the check of the class factor as
+    # polynomials sees it: p = 47 is split, p = 53 (> 100/2) and p = 11
+    # (the first prime of its class mod 8 above sqrt(100)) inert
+    class_factor = csmod.series._class_factor
+    broken_class = splitting_class(p, FieldTag.ROOT_TWO)
+    vanishing = _poly_mul(_poly_mul((-2, 1), (-3, 1)),
+                          _poly_mul((-5, 1), (-7, 1)))
+    constant = (1 + vanishing[0],) + vanishing[1:]
 
-    def broken(tag, q, cls):
-        return ((2, 1), (1,)) if q == p else phi_polys(tag, q, cls)
+    def broken(kind, tag, cls, *two_over_q):
+        num, den = class_factor(kind, tag, cls, *two_over_q)
+        if cls is broken_class:
+            num = (constant,) + num[1:]
+        return num, den
 
-    monkeypatch.setattr(csmod.series, "_phi_polys", broken)
-    with pytest.raises(DomainError, match="constant term 1"):
+    monkeypatch.setattr(csmod.series, "_class_factor", broken)
+    with pytest.raises(DomainError, match="numerator must have constant term 1"):
         coefficient_table("oct", 100)
 
 
