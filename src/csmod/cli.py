@@ -21,8 +21,7 @@ from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
                   quat_of_rotation, reduced_representative, sigma_index,
                   spectrum_member, spectrum_witness, standard_module,
                   verify_ideal_correspondence)
-from .errors import (CsmodError, DomainError, ParseInputError,
-                     ResourceCapError)
+from .errors import CsmodError, ParseInputError, ResourceCapError
 from .modlat import index_K, intersect
 from .orders import ORDER_KEYS, hurwitz, icosian, octahedral, order_by_key
 from .quat import Quat, axis_angle, format_quat, parse_quat
@@ -32,26 +31,20 @@ from .series import (CASE_OF_FIELD, PHI_CASES, phi_coefficients, residue_rho,
 
 _FORMATS = ("text", "json", "csv")
 
-_CONFIG_KEYS = ("order", "case", "max", "cap", "format", "seed", "workers")
+# each setting's default: a command reads a setting from its flag, else
+# from the config file, else from here
+_DEFAULTS = {"order": "hurwitz", "case": "cub", "max": None, "cap": None,
+             "format": "text", "seed": 0, "workers": 1}
+_INTEGER_KEYS = ("max", "cap", "workers", "seed")
 
 
-class Config:
-    """The settings of one command; unset ones read these defaults."""
-    order: str = "hurwitz"
-    case: str = "cub"
-    max: int | None = None
-    cap: int | None = None
-    format: str = "text"
-    seed: int = 0
-    workers: int = 1
-
-
-def _positive_int(text, key):
+def _integer(key, text):
+    """The integer setting key read from text; all but seed at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise ParseInputError(f"{key} needs an integer, got {text!r}")
-    if value < 1:
+    if value < 1 and key != "seed":
         raise ParseInputError(f"{key} must be at least 1")
     return value
 
@@ -69,38 +62,30 @@ def _load_config(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in _CONFIG_KEYS:
+        if not sep or key not in _DEFAULTS:
             raise ParseInputError(
                 f"{path}:{lineno}: expected key=value with key in "
-                f"{_CONFIG_KEYS}")
+                f"{tuple(_DEFAULTS)}")
         out[key] = value
     return out
 
 
-def _build_config(args) -> Config:
-    cfg = Config()
-    fromfile = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_KEYS:
+def _settle(args) -> None:
+    """Set every key of _DEFAULTS on args, the namespace of a command."""
+    fromfile = _load_config(args.config) if args.config else {}
+    for key, default in _DEFAULTS.items():
         value = getattr(args, key, None)
         if value is None:
             value = fromfile.get(key)
         if value is None:
-            continue
-        if key in ("max", "cap", "workers"):
-            value = _positive_int(value, key)
-        elif key == "seed":
-            try:
-                value = int(value)
-            except ValueError:
-                raise ParseInputError(f"seed needs an integer, got {value!r}")
-        setattr(cfg, key, value)
-    if cfg.format not in _FORMATS:
-        raise ParseInputError(f"format must be one of {_FORMATS}")
-    if cfg.order not in ORDER_KEYS:
-        raise ParseInputError(f"order must be one of {ORDER_KEYS}")
-    if cfg.case not in PHI_CASES:
-        raise ParseInputError(f"case must be one of {PHI_CASES}")
-    return cfg
+            value = default
+        elif key in _INTEGER_KEYS:
+            value = _integer(key, value)
+        setattr(args, key, value)
+    for key, allowed in (("format", _FORMATS), ("order", ORDER_KEYS),
+                         ("case", PHI_CASES)):
+        if getattr(args, key) not in allowed:
+            raise ParseInputError(f"{key} must be one of {allowed}")
 
 
 # -- output -------------------------------------------------------------
@@ -137,24 +122,25 @@ def _json_layout(value, indent: str, text) -> str:
             if parts else ends)
 
 
-def _emit(cfg: Config, payload: dict, rows=None, text=None) -> None:
-    if cfg.format == "json":
+def _emit(args, payload: dict, text) -> None:
+    """Write a command's result in args.format: the payload as JSON or
+    CSV, else the lines of text.  CSV writes a payload's rows as a table
+    under their keys, and any other payload as field/value pairs, with
+    bool, list and dict cells as JSON."""
+    if args.format == "json":
         print(_json_text(payload))
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         import csv      # only CSV output needs it
-        import json     # for its list and dict fields
+        import json     # for its bool, list and dict cells
+        rows = payload.get("rows") or [{"field": key, "value": value}
+                                       for key, value in payload.items()
+                                       if key != "command"]
         writer = csv.writer(sys.stdout)
-        if rows is None:
-            writer.writerow(("field", "value"))
-            for key, value in payload.items():
-                if key != "command":
-                    writer.writerow((key, json.dumps(value)
-                                     if isinstance(value, (list, dict))
-                                     else value))
-        else:
-            writer.writerows(rows)
+        writer.writerow(rows[0])
+        writer.writerows([json.dumps(v) if isinstance(v, (bool, list, dict))
+                          else v for v in row.values()] for row in rows)
     else:
-        for line in text or ():
+        for line in text:
             print(line)
 
 
@@ -176,8 +162,8 @@ def _parse_rotation(text: str, tag):
     return parse_quat(text, tag)
 
 
-def cmd_sigma(cfg: Config, args) -> int:
-    order = order_by_key(cfg.order)
+def cmd_sigma(args) -> int:
+    order = order_by_key(args.order)
     q = _parse_rotation(args.rotation, order.field_tag)
     q_star = reduced_representative(order, q)
     generator = format_quat(q_star)
@@ -195,8 +181,10 @@ def cmd_sigma(cfg: Config, args) -> int:
     else:
         axis_vec, cos_elem = axis_angle(q)
         axis, cos = [str(e) for e in axis_vec], str(cos_elem)
-    if cfg.format == "text":
-        _emit(cfg, None, text=[
+    # each form only for its format: str(submodule) alone costs about 3 %
+    # of a JSON sigma
+    if args.format == "text":
+        _emit(args, None, [
             f"order:              {order.name}",
             f"reduced generator:  {generator}",
             f"coincidence index:  {sigma}",
@@ -205,7 +193,7 @@ def cmd_sigma(cfg: Config, args) -> int:
             f"csm basis:          {submodule}",
         ])
         return 0
-    _emit(cfg, {
+    _emit(args, {
         "command": "sigma",
         "order": order.name,
         "rotation": args.rotation,
@@ -214,7 +202,7 @@ def cmd_sigma(cfg: Config, args) -> int:
         "axis": axis,
         "cos_angle": cos,
         "csm_basis": submodule.json_columns(),
-    })
+    }, None)
     return 0
 
 
@@ -240,16 +228,16 @@ def _count_task(task):
     return m, count_csms(order_by_key(key), m, cap)
 
 
-def cmd_count(cfg: Config, args) -> int:
-    order = order_by_key(cfg.order)
+def cmd_count(args) -> int:
+    order = order_by_key(args.order)
     lo, hi = _parse_index_range(args.indices)
     # the caps, and a non-maximal order, are refused before any count
-    order.check_indices(lo, hi, cfg.cap)
+    order.check_indices(lo, hi, args.cap)
     series = phi_coefficients(CASE_OF_FIELD[order.field_tag], hi)
-    tasks = [(order.name, m, cfg.cap) for m in range(lo, hi + 1)]
-    if cfg.workers > 1 and len(tasks) > 1:
+    tasks = [(order.name, m, args.cap) for m in range(lo, hi + 1)]
+    if args.workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool    # a slow import: only here
-        with Pool(min(cfg.workers, len(tasks), os.cpu_count() or 1)) as pool:
+        with Pool(min(args.workers, len(tasks), os.cpu_count() or 1)) as pool:
             counted = pool.map(_count_task, tasks)
     else:
         counted = [_count_task(task) for task in tasks]
@@ -264,13 +252,10 @@ def cmd_count(cfg: Config, args) -> int:
         "rows": table,
         "all_match": all(r["matches_series"] for r in table),
     }
-    rows = [("m", "count", "matches_series")]
-    rows += [(r["m"], r["count"], str(r["matches_series"]).lower())
-             for r in table]
     text = [f"{'m':>6} {'count':>8}  series"]
     text += [f"{r['m']:>6} {r['count']:>8}  "
              f"{'ok' if r['matches_series'] else 'MISMATCH'}" for r in table]
-    _emit(cfg, payload, rows=rows, text=text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -306,18 +291,18 @@ def _series_blocks(values):
         yield zip(ms, fs, totals, ratios)
 
 
-def cmd_series(cfg: Config, args) -> int:
-    if cfg.max is None:
+def cmd_series(args) -> int:
+    if args.max is None:
         raise ParseInputError("series needs --max")
     # the whole table first: cap and domain errors come before any output
-    values = phi_coefficients(cfg.case, cfg.max, cfg.cap).values
-    density = residue_rho(cfg.case)
+    values = phi_coefficients(args.case, args.max, args.cap).values
+    density = residue_rho(args.case)
     blocks = _series_blocks(values)
     # sys.stdout is read at each write: callers may redirect it
-    if cfg.format == "json":
+    if args.format == "json":
         import json     # only JSON output needs it
-        head = json.dumps({"command": "series", "case": cfg.case,
-                           "max": cfg.max, "density": density}, indent=2)
+        head = json.dumps({"command": "series", "case": args.case,
+                           "max": args.max, "density": density}, indent=2)
         sys.stdout.write(head[:-2] + ',\n  "rows": [\n')
         sep = ""
         for block in blocks:
@@ -325,7 +310,7 @@ def cmd_series(cfg: Config, args) -> int:
                                                    block)))
             sep = ",\n"
         sys.stdout.write("\n  ]\n}\n")
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         import csv      # only CSV output needs it
         writer = csv.writer(sys.stdout)
         writer.writerow(("m", "f", "F", "ratio"))
@@ -342,15 +327,15 @@ def cmd_series(cfg: Config, args) -> int:
 # -- spectrum -----------------------------------------------------------
 
 
-def cmd_spectrum(cfg: Config, args) -> int:
+def cmd_spectrum(args) -> int:
     # the first maximal order over the case's field, in key order
     order = next(o for o in map(order_by_key, ORDER_KEYS)
-                 if o.maximal and CASE_OF_FIELD[o.field_tag] == cfg.case)
+                 if o.maximal and CASE_OF_FIELD[o.field_tag] == args.case)
     member = spectrum_member(order, args.index)
     witness = spectrum_witness(order, args.index)
     payload = {
         "command": "spectrum",
-        "case": cfg.case,
+        "case": args.case,
         "m": args.index,
         "member": member,
         "witness": list(witness) if witness else None,
@@ -359,7 +344,7 @@ def cmd_spectrum(cfg: Config, args) -> int:
         text = [f"yes, (k,l) = ({witness[0]}, {witness[1]})"]
     else:
         text = ["no"]
-    _emit(cfg, payload, text=text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -415,7 +400,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: Config, args) -> int:
+def cmd_verify(args) -> int:
     if args.n is not None and args.n < 1:
         raise ParseInputError("--n must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -424,30 +409,27 @@ def cmd_verify(cfg: Config, args) -> int:
             factory().check_indices(1, args.n or 10)
     table = []
     for name in names:
-        checks, failures = _SUITES[name](args.n, cfg.seed)
+        checks, failures = _SUITES[name](args.n, args.seed)
         table.append({"suite": name, "checks": checks,
                       "failures": failures, "pass": failures == 0})
     payload = {
         "command": "verify",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "rows": table,
         "pass": all(r["pass"] for r in table),
     }
-    rows = [("suite", "checks", "failures", "pass")]
-    rows += [(r["suite"], r["checks"], r["failures"],
-              str(r["pass"]).lower()) for r in table]
     text = [f"suite {r['suite']}: "
             f"{'pass' if r['pass'] else 'FAIL'} "
             f"({r['checks']} checks, {r['failures']} failures)"
             for r in table]
-    _emit(cfg, payload, rows=rows, text=text)
+    _emit(args, payload, text)
     return 0 if payload["pass"] else 1
 
 
 # -- intersect ----------------------------------------------------------
 
 
-def cmd_intersect(cfg: Config, args) -> int:
+def cmd_intersect(args) -> int:
     first = standard_module(args.first)
     second = standard_module(args.second)
     common = intersect(first, second)
@@ -470,7 +452,7 @@ def cmd_intersect(cfg: Config, args) -> int:
         f"  index in {args.second}: {in_second} "
         f"(absolute {in_second.absolute})",
     ]
-    _emit(cfg, payload, text=text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -542,6 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error class, and 3 for any other CsmodError
+_EXIT_CODES = {ParseInputError: 2, ResourceCapError: 4}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -549,8 +535,8 @@ def main(argv=None) -> int:
         # argparse has printed its usage error or help; hand back its code
         return exc.code
     try:
-        cfg = _build_config(args)
-        code = args.func(cfg, args)
+        _settle(args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -560,15 +546,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except ParseInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CsmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next((code for cls, code in _EXIT_CODES.items()
+                     if isinstance(exc, cls)), 3)

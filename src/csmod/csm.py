@@ -19,7 +19,7 @@ from .modlat import (Ambient, OModule, _canonical, identity_module,
                      intersect_image, pure_part, scale_module,
                      scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
-from .quat import Quat, cayley_pairs, format_quat, rotation_numerators
+from .quat import Quat, cayley_pairs, format_quat
 from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
                     norm_class_reps, pair_mul, splitting_class)
 
@@ -59,7 +59,7 @@ def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:
         raise DomainError("the zero quaternion defines no rotation")
     if q.tag is not gamma.tag:
         raise DomainError("field tag does not match the module")
-    rows, nr = rotation_numerators(q)
+    rows, nr = cayley_pairs(q.num, *q.tag._omega_sq)
     common = intersect_image(gamma, rows, nr)
     # |N| of any generator of the index ideal: the canonical one differs
     # from it by a unit

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: parse failures exit 2, domain errors
-exit 3, resource-cap refusals exit 4.
+The CLI maps these onto exit codes by one table, cli._EXIT_CODES: parse
+failures exit 2, resource-cap refusals exit 4, and domain errors, as any
+other error of this package, exit 3.
 """
 
 

@@ -273,8 +273,8 @@ def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
     n = ambient.dim
-    return hnf_canonical(tag, ambient,
-                         [[int(r == c) for r in range(n)] for c in range(n)])
+    return _canonical(tag, ambient, [[int(r == 2 * k) for r in range(2 * n)]
+                                     for k in range(n)], 1)
 
 
 def scale_module(module: OModule, alpha) -> OModule:
@@ -282,9 +282,10 @@ def scale_module(module: OModule, alpha) -> OModule:
     a = as_field(module.tag, alpha)
     if a.is_zero():
         raise DomainError("scaling a module by zero")
-    return hnf_canonical(module.tag, module.ambient,
-                         [[e * a.num for e in col] for col in module.cols],
-                         module.den * a.den)
+    scalar, (c, e) = (a.num.a, a.num.b), module.tag._omega_sq
+    return _canonical(module.tag, module.ambient,
+                      [_combination(scalar, [col], c, e)
+                       for col in module.pairs], module.den * a.den)
 
 
 def _common_columns(m1: OModule, m2: OModule):

@@ -388,10 +388,11 @@ class QuatOrder:
             raise ArithmeticError(f"{self.name}: no zero divisor {field.pi}")
         x[:2] = x[0] + t[0] * d, x[1] + t[1] * d
         kernel = annihilator(x, d)
+        first = field.echelon(kernel)
         for b in self.basis[1:]:
             other = annihilator(pair_product(x, b.num, c, e), d * b.den)
             last = field.echelon(other)
-            if len(last[0]) == 2 and last != field.echelon(kernel):
+            if len(last[0]) == 2 and last != first:
                 break
         lines = [field.echelon([[field.lin(u, t, w) for u, w in zip(r, s)]
                                 for r, s in zip(kernel, other)])

@@ -230,22 +230,15 @@ class Quat:
         return f"Quat[{self.tag.value}]({format_quat(self)})"
 
 
-def rotation_numerators(q: Quat):
-    """(rows, n): a 3x3 ring matrix N, its rows as flat lists of integer
-    pairs [a0, b0, a1, b1, a2, b2], and n = nr of q's ring numerators as
+def cayley_pairs(x, c: int, e: int):
+    """(rows, n) for the ring numerators x of a nonzero quaternion q as
+    flat pairs, omega^2 = c + e*omega: a 3x3 ring matrix N, its rows as
+    flat lists of integer pairs [a0, b0, a1, b1, a2, b2], and n = nr(x) as
     a pair (a, b), with R(q) = N/n.
 
     q's integer denominator cancels, since R(q) is invariant under
-    rescaling q.
-    """
-    return cayley_pairs(q.num, *q.tag._omega_sq)
-
-
-def cayley_pairs(x, c: int, e: int):
-    """rotation_numerators for the ring numerators x of a nonzero
-    quaternion as flat pairs, omega^2 = c + e*omega.  The Cayley formula
-    is linear in the ten products of the coordinates, so it is applied to
-    their a parts and their b parts."""
+    rescaling q.  The Cayley formula is linear in the ten products of the
+    coordinates, so it is applied to their a parts and their b parts."""
     prods = [pair_mul(x[s], x[s + 1], x[t], x[t + 1], c, e) for s, t in (
         (0, 0), (2, 2), (4, 4), (6, 6), (0, 2), (0, 4), (0, 6), (2, 4),
         (2, 6), (4, 6))]
@@ -268,8 +261,8 @@ def cayley_matrix(q: Quat) -> tuple[tuple[FieldElem, ...], ...]:
     """
     if q.is_zero():
         raise DomainError("the zero quaternion has no rotation matrix")
-    rows, (na, nb) = rotation_numerators(q)
     c, e = q.tag._omega_sq
+    rows, (na, nb) = cayley_pairs(q.num, c, e)
     # x/n = x*conj(n) / N(n), an integer denominator (n^2 over Q)
     quots = [_times_conj(xa, xb, na, nb, c, e)
              for row in rows for xa, xb in zip(row[::2], row[1::2])]

@@ -91,15 +91,11 @@ class RingElem:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RingElem(self.tag, self.a - o.a, self.b - o.b)
+        return o if o is NotImplemented else self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return o if o is NotImplemented else o + -self
 
     def __neg__(self):
         return RingElem(self.tag, -self.a, -self.b)
@@ -283,19 +279,12 @@ class FieldElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if other.__class__ is FieldElem else self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.den == o.den:
-            return FieldElem.ratio(self.num - o.num, self.den)
-        return FieldElem.ratio(self.num * o.den - o.num * self.den,
-                               self.den * o.den)
+        o = self._coerce(other)
+        return o if o is NotImplemented else self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return o if o is NotImplemented else o + -self
 
     def __neg__(self):
         return FieldElem._new(-self.num, self.den)
@@ -717,26 +706,16 @@ def norm_class_reps(tag: FieldTag, m: int) -> list[RingElem]:
         raise DomainError("norm must be positive")
     if tag is _RATIONAL:
         return [RingElem(tag, m)]
+    # a^2 + e*a*b - c*b^2 = m, omega^2 = c + e*omega, is s^2 = (e^2 +
+    # 4c)*b^2 + 4m with s = 2a + e*b; canonical reps have 0 <= b <
+    # 2*sqrt(m)
+    c, e = tag._omega_sq
     found = set()
-    if tag is _ROOT_FIVE:
-        # a^2 + a*b - b^2 = m; canonical reps satisfy 0 <= b < sqrt(m)
-        for b in range(isqrt(m) + 2):
-            disc = 5 * b * b + 4 * m
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            if (s - b) % 2 == 0:
-                cand = RingElem(tag, (s - b) // 2, b)
-                if cand.norm_signed() == m and cand.is_totally_positive():
-                    found.add(cand.canonical_associate())
-    else:
-        # a^2 - 2*b^2 = m; canonical reps satisfy 0 <= b < 2*sqrt(m)
-        for b in range(2 * isqrt(m) + 3):
-            t = m + 2 * b * b
-            s = isqrt(t)
-            if s * s != t:
-                continue
-            cand = RingElem(tag, s, b)
+    for b in range(2 * isqrt(m) + 3):
+        disc = (e * e + 4 * c) * b * b + 4 * m
+        s = isqrt(disc)
+        if s * s == disc and (s - e * b) % 2 == 0:
+            cand = RingElem(tag, (s - e * b) // 2, b)
             if cand.is_totally_positive():
                 found.add(cand.canonical_associate())
     return sorted(found, key=lambda z: (z.a, z.b))

@@ -1,7 +1,7 @@
 """Rotation matrices with field-element entries, kept as test references.
 
 The package holds a rotation matrix only as integer pairs: the ring
-matrix over one ring element of quat.rotation_numerators, and the flat
+matrix over one ring element of quat.cayley_pairs, and the flat
 numerators over one integer denominator that csm.quat_of_rotation reads.
 Mat3K is the independent field-element form the tests check those
 against: its products, transpose, determinant and trace are plain

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmod
-from csmod.cli import (_CONFIG_KEYS, _build_parser, _json_text, _load_config,
+from csmod.cli import (_DEFAULTS, _build_parser, _json_text, _load_config,
                        _parse_rotation, main)
 from csmod.csm import SPECTRUM_CAP
 from csmod.errors import DomainError, ParseInputError
@@ -471,6 +471,16 @@ def test_spectrum_examples(capsys):
     assert payload["witness"] == [9, 0]
 
 
+@pytest.mark.parametrize("case, m, member", [("ico", "11", "true"),
+                                             ("cub", "4", "false")])
+def test_spectrum_csv_writes_member_as_a_json_literal(capsys, case, m,
+                                                      member):
+    # as count and verify write their bool cells
+    code, out = run(capsys, "spectrum", "--case", case, m, "--format", "csv")
+    assert code == 0
+    assert ["member", member] in list(csv.reader(io.StringIO(out)))
+
+
 def test_spectrum_rejects_zero(capsys):
     assert main(["spectrum", "--case", "cub", "0"]) == 3
     capsys.readouterr()
@@ -664,6 +674,11 @@ def test_config_errors(tmp_path, capsys):
     raw.write_bytes(b"\xff\xfe")
     assert main(["count", "--order", "hurwitz", "1", "--config", str(raw)]) == 2
     assert "cannot read config" in capsys.readouterr().err
+    # series has no --order flag, and still checks the file's order
+    nowhere = tmp_path / "nowhere.conf"
+    nowhere.write_text("order=nowhere\n")
+    assert main(["series", "--max", "10", "--config", str(nowhere)]) == 2
+    assert capsys.readouterr().err.startswith("error: order must be one of")
 
 
 # Parsers are total: any text over this alphabet parses or raises
@@ -709,7 +724,7 @@ def test_parsers_are_total(tmp_path_factory, text, tag, raw):
         loaded = _load_config(str(path))
     except ParseInputError:
         return
-    assert set(loaded) <= set(_CONFIG_KEYS)
+    assert set(loaded) <= set(_DEFAULTS)
 
 
 # The character-loop parser that the term pattern of csmod.rings replaced,

@@ -24,7 +24,7 @@ from csmod.modlat import (
     scalar_intersect,
     scale_module,
 )
-from csmod.quat import Quat, cayley_matrix, rotation_numerators
+from csmod.quat import Quat, cayley_matrix, cayley_pairs
 from csmod.rings import FieldElem, FieldTag, RingElem, parse_field_elem
 
 TAGS = [FieldTag.RATIONAL, FieldTag.ROOT_FIVE, FieldTag.ROOT_TWO]
@@ -595,7 +595,7 @@ def test_intersect_image_is_the_z_intersection(tag, ambient):
             q = Quat(tag, *(rnd_ring(rng, tag, 3) for _ in range(4)))
             if q.is_zero():
                 continue
-            rows, (sa, sb) = rotation_numerators(q)
+            rows, (sa, sb) = cayley_pairs(q.num, *tag._omega_sq)
             numer = [[RingElem(tag, a, b) for a, b in zip(row[::2], row[1::2])]
                      for row in rows]
             scale = RingElem(tag, sa, sb)

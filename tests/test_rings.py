@@ -302,6 +302,40 @@ def test_norm_class_reps_are_canonical_and_complete(tag):
         assert x.canonical_associate() in reps
 
 
+def _two_branch_norm_class_reps(tag, m):
+    """norm_class_reps as it was written per field, one loop over b for
+    Z[tau] and one for Z[sqrt(2)], kept as the reference."""
+    found = set()
+    if tag is FieldTag.ROOT_FIVE:
+        # a^2 + a*b - b^2 = m; canonical reps satisfy 0 <= b < sqrt(m)
+        for b in range(math.isqrt(m) + 2):
+            disc = 5 * b * b + 4 * m
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            if (s - b) % 2 == 0:
+                cand = RingElem(tag, (s - b) // 2, b)
+                if cand.norm_signed() == m and cand.is_totally_positive():
+                    found.add(cand.canonical_associate())
+    else:
+        # a^2 - 2*b^2 = m; canonical reps satisfy 0 <= b < 2*sqrt(m)
+        for b in range(2 * math.isqrt(m) + 3):
+            t = m + 2 * b * b
+            s = math.isqrt(t)
+            if s * s != t:
+                continue
+            cand = RingElem(tag, s, b)
+            if cand.is_totally_positive():
+                found.add(cand.canonical_associate())
+    return sorted(found, key=lambda z: (z.a, z.b))
+
+
+@pytest.mark.parametrize("tag", QUADRATIC_TAGS)
+def test_norm_class_reps_match_the_two_branch_reference(tag):
+    for m in range(1, 5001):
+        assert norm_class_reps(tag, m) == _two_branch_norm_class_reps(tag, m)
+
+
 def test_parse_and_format_roundtrip():
     rng = random.Random(808)
     for tag in ALL_TAGS:
@@ -438,6 +472,17 @@ def test_field_elem_matches_fraction_reference(case):
         assert got.tag is tag
         assert pair_of(got) == want
         assert in_lowest_terms(got)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_subtraction_with_ints_and_other_operands(tag):
+    x, r = FieldElem(tag, Fraction(1, 2)), RingElem(tag, 3)
+    assert (r - 5, 5 - r) == (RingElem(tag, -2), RingElem(tag, 2))
+    assert (x - 1, 1 - x) == (-x, x)
+    for bad in (lambda: x - "a", lambda: "a" - x, lambda: r - "a",
+                lambda: "a" - r):
+        with pytest.raises(TypeError, match="for -:"):
+            bad()
 
 
 @settings(max_examples=300, deadline=None)
