@@ -35,17 +35,18 @@ _FORMATS = ("text", "json", "csv")
 # from the config file, else from here
 _DEFAULTS = {"order": "hurwitz", "case": "cub", "max": None, "cap": None,
              "format": "text", "seed": 0, "workers": 1}
-_INTEGER_KEYS = ("max", "cap", "workers", "seed")
+# the integer settings and their least values (None: no bound)
+_INTEGER_KEYS = {"max": 1, "cap": 1, "workers": 1, "seed": None}
 
 
-def _integer(key, text):
-    """The integer setting key read from text; all but seed at least 1."""
+def _integer(key, text, low):
+    """The integer setting key read from text, at least low unless None."""
     try:
         value = int(text)
     except ValueError:
         raise ParseInputError(f"{key} needs an integer, got {text!r}")
-    if value < 1 and key != "seed":
-        raise ParseInputError(f"{key} must be at least 1")
+    if low is not None and value < low:
+        raise ParseInputError(f"{key} must be at least {low}")
     return value
 
 
@@ -80,7 +81,7 @@ def _settle(args) -> None:
         if value is None:
             value = default
         elif key in _INTEGER_KEYS:
-            value = _integer(key, value)
+            value = _integer(key, value, _INTEGER_KEYS[key])
         setattr(args, key, value)
     for key, allowed in (("format", _FORMATS), ("order", ORDER_KEYS),
                          ("case", PHI_CASES)):

@@ -708,11 +708,12 @@ def norm_class_reps(tag: FieldTag, m: int) -> list[RingElem]:
         return [RingElem(tag, m)]
     # a^2 + e*a*b - c*b^2 = m, omega^2 = c + e*omega, is s^2 = (e^2 +
     # 4c)*b^2 + 4m with s = 2a + e*b; canonical reps have 0 <= b <
-    # 2*sqrt(m)
+    # sqrt(m) over Z[tau] (e = 1) and 0 <= b < 2*sqrt(m) over Z[sqrt2]
     c, e = tag._omega_sq
+    k, m4 = e * e + 4 * c, 4 * m
     found = set()
-    for b in range(2 * isqrt(m) + 3):
-        disc = (e * e + 4 * c) * b * b + 4 * m
+    for b in range(isqrt(m) + 2 if e else 2 * isqrt(m) + 3):
+        disc = k * b * b + m4
         s = isqrt(disc)
         if s * s == disc and (s - e * b) % 2 == 0:
             cand = RingElem(tag, (s - e * b) // 2, b)
