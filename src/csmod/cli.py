@@ -334,6 +334,11 @@ def cmd_spectrum(args) -> int:
                  if o.maximal and CASE_OF_FIELD[o.field_tag] == args.case)
     member = spectrum_member(order, args.index)
     witness = spectrum_witness(order, args.index)
+    if member != (witness is not None):
+        print(f"error: case {args.case}, m = {args.index}: member "
+              f"{member} by the prime criterion but witness {witness} "
+              f"by the norm-form search", file=sys.stderr)
+        return 1
     payload = {
         "command": "spectrum",
         "case": args.case,

@@ -20,8 +20,8 @@ from .modlat import (Ambient, OModule, _canonical, identity_module,
                      scalar_intersect)
 from .orders import QuatOrder, hurwitz, icosian, octahedral
 from .quat import Quat, cayley_pairs, format_quat
-from .rings import (FieldTag, RingElem, SplittingClass, factor_int,
-                    norm_class_reps, pair_mul, splitting_class)
+from .rings import (FieldTag, RingElem, SplittingClass, _class_of_prime,
+                    factor_int, norm_class_reps, pair_mul)
 
 
 def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
@@ -101,8 +101,9 @@ def spectrum_member(order: QuatOrder, m: int) -> bool:
     _check_spectrum_index(tag, m)
     if tag is FieldTag.RATIONAL:
         return m % 2 == 1
+    # factor_int proves its primes prime, so the residue rule classes them
     for p, e in factor_int(m):
-        if splitting_class(p, tag) is SplittingClass.INERT and e % 2:
+        if _class_of_prime(p, tag) is SplittingClass.INERT and e % 2:
             return False
     return True
 

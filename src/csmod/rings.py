@@ -46,7 +46,6 @@ class FieldTag(Enum):
 
 
 _RATIONAL = FieldTag.RATIONAL
-_ROOT_FIVE = FieldTag.ROOT_FIVE
 
 
 class RingElem:
@@ -553,7 +552,7 @@ class SplittingClass(Enum):
 
 def splitting_class(p: int, tag: FieldTag) -> SplittingClass:
     """Behaviour of the rational prime p in the ring of integers."""
-    if p < 2 or not _is_prime(p):
+    if p < 2 or factor_int(p) != [(p, 1)]:
         raise DomainError(f"{p} is not a prime")
     return _class_of_prime(p, tag)
 
@@ -565,7 +564,7 @@ def splitting_class(p: int, tag: FieldTag) -> SplittingClass:
 _SPLIT, _INERT, _RAMIFIED = SplittingClass
 _CLASSES_BY_RESIDUE = {
     _RATIONAL: (_SPLIT,),
-    _ROOT_FIVE: (_RAMIFIED, _SPLIT, _INERT, _INERT, _SPLIT),
+    FieldTag.ROOT_FIVE: (_RAMIFIED, _SPLIT, _INERT, _INERT, _SPLIT),
     FieldTag.ROOT_TWO: (None, _SPLIT, _RAMIFIED, _INERT, None, _INERT,
                         None, _SPLIT),
 }
@@ -577,51 +576,20 @@ def _class_of_prime(p: int, tag: FieldTag) -> SplittingClass:
     return classes[p % len(classes)]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _mod_sqrt_scan(d: int, p: int) -> int:
-    # brute scan; p stays desk-scale small here
-    d %= p
-    for x in range(p):
-        if x * x % p == d:
-            return x
-    raise DomainError(f"{d} is not a square mod {p}")
-
-
 def primes_above(p: int, tag: FieldTag) -> list[RingElem]:
-    """Canonical primes of the ring lying over the rational prime p."""
+    """Canonical primes of the ring lying over the rational prime p: p
+    itself when p is inert, else the elements of norm p (norm_class_reps)."""
     cls = splitting_class(p, tag)
-    if tag is _RATIONAL:
+    if cls is _INERT:
         return [RingElem(tag, p)]
-    if cls is SplittingClass.INERT:
-        return [RingElem(tag, p).canonical_associate()]
-    if cls is SplittingClass.RAMIFIED:
-        pi = RingElem(tag, 0, 1) if tag is FieldTag.ROOT_TWO else RingElem(tag, -1, 2)
-        return [pi.canonical_associate()]
-    # split: gcd(p, omega_hat - omega) with omega_hat a mod-p image of omega
-    if tag is _ROOT_FIVE:
-        x = _mod_sqrt_scan(5, p)
-        omega_hat = (1 + x) * pow(2, -1, p) % p
-    else:
-        omega_hat = _mod_sqrt_scan(2, p)
-    pi = ring_gcd(RingElem(tag, p), RingElem(tag, omega_hat, -1))
-    if pi.norm_abs() != p:
-        raise ArithmeticError(f"failed to split {p}")
-    pair = sorted({pi, pi.conj().canonical_associate()}, key=lambda z: (z.a, z.b))
-    return pair
+    pis = norm_class_reps(tag, p)
+    # the norm search against the residue rule: two primes over a split p
+    # of Z[tau] or Z[sqrt2], one over any other
+    if len(pis) != (2 if cls is _SPLIT and tag.degree == 2 else 1):
+        raise ArithmeticError(
+            f"the norm search found {len(pis)} primes of norm {p} over "
+            f"{tag.value}, where the residue rule makes {p} {cls.value}")
+    return pis
 
 
 class Factorization:

@@ -42,7 +42,7 @@ tuple, where the memory peaks.
 
 import math
 import re
-from functools import cache, partial
+from functools import cache
 from itertools import compress, repeat, zip_longest
 from operator import add, mul
 
@@ -160,17 +160,12 @@ def _local_polys(kind: str, tag: FieldTag, p: int, cls: SplittingClass):
                        for coeff in poly) for poly in factor)
 
 
-def _phi_polys(tag: FieldTag, p: int, cls: SplittingClass):
-    return _local_polys("phi", tag, p, cls)
-
-
 def _parse_case(case: str):
-    """(kind, tag, polys) of a case name, with kind "phi" for the module
-    families and polys(p, cls) the numerator and denominator of the local
-    factor at a prime p of splitting class cls."""
+    """(kind, tag) of a case name, with kind "phi" for the module families
+    and tag the field whose primes the local factors run over."""
     tag = _PHI_TAG.get(case)
     if tag is not None:
-        return "phi", tag, partial(_phi_polys, tag)
+        return "phi", tag
     # zeta case names look like zetaO-root5 or zetaO-half-root5
     kind, _, field = case.rpartition("-")
     tag = _TAG_BY_VALUE.get(field)
@@ -178,13 +173,13 @@ def _parse_case(case: str):
         known = PHI_CASES + tuple(
             f"{k}-{t}" for k in _ZETA_KINDS for t in _TAG_BY_VALUE)
         raise DomainError(f"unknown series case {case!r}; one of {known}")
-    return kind, tag, partial(_local_polys, kind, tag)
+    return kind, tag
 
 
 def euler_factor(case: str, p: int) -> EulerFactor:
     """Local factor of the named series at the rational prime p."""
-    _, tag, polys = _parse_case(case)
-    num, den = polys(p, splitting_class(p, tag))
+    kind, tag = _parse_case(case)
+    num, den = _local_polys(kind, tag, p, splitting_class(p, tag))
     return EulerFactor(p=p, numerator=num, denominator=den)
 
 
@@ -285,13 +280,13 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
     if M < 1:
         raise DomainError("need at least one coefficient")
     _check_cap(M, cap)
-    kind, tag, polys = _parse_case(case)
+    kind, tag = _parse_case(case)
     values = [1] * M    # values[j - 1] = f(j)
     small = max(math.isqrt(M), 2)    # 2 over Q, with its own row, is small
     sieve = _prime_sieve(M)
     _write_large_primes(values, sieve, kind, tag, small + 1)
     for p in compress(range(small + 1), sieve):
-        num, den = polys(p, _class_of_prime(p, tag))
+        num, den = _local_polys(kind, tag, p, _class_of_prime(p, tag))
         top, q = 1, p * p
         while q <= M:
             top, q = top + 1, q * p

@@ -486,6 +486,25 @@ def test_spectrum_rejects_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, answer, m, member, witness", [
+    ("spectrum_member", False, "11", False, (3, 1)),    # a witness, no member
+    ("spectrum_witness", None, "11", True, None),       # a member, no witness
+], ids=["no-member", "no-witness"])
+def test_spectrum_disagreement_exits_1(capsys, monkeypatch, fmt, name,
+                                       answer, m, member, witness):
+    # the prime criterion and the norm-form search are checked against
+    # each other, in every format
+    monkeypatch.setattr(f"csmod.cli.{name}", lambda order, m: answer)
+    code = main(["spectrum", "--case", "ico", m, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: case ico, m = {m}: member {member} by the prime criterion "
+        f"but witness {witness} by the norm-form search\n")
+
+
 @pytest.mark.parametrize("case", ["ico", "oct"])
 def test_spectrum_refuses_an_index_past_its_cap(capsys, case):
     # the scans run to sqrt(m): a 30-digit index is refused before either

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from csmod import csm
+from csmod import csm, rings
 from csmod.csm import (MODULE_KEYS, CorrespondenceReport, count_csms,
                        csm_bruteforce, gamma_of, reduced_representative,
                        sigma_index, spectrum_member, spectrum_witness,
@@ -258,6 +258,24 @@ def test_spectrum_initial_segments():
     assert oct_ == [1, 2, 4, 7, 8, 9, 14, 16, 17, 18, 23, 25]
     cub = [m for m in range(1, 20) if spectrum_member(hurwitz(), m)]
     assert cub == list(range(1, 20, 2))
+
+
+@pytest.mark.parametrize("factory, member", [(icosian, True),
+                                             (octahedral, False)])
+def test_spectrum_member_trial_divides_once(factory, member, monkeypatch):
+    # factor_int proves the primes of m prime; no second proof follows,
+    # under either name a prime test could reach it by
+    factor_int = rings.factor_int
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor_int(n)
+
+    monkeypatch.setattr(csm, "factor_int", counted)
+    monkeypatch.setattr(rings, "factor_int", counted)
+    assert spectrum_member(factory(), 999999999989) is member
+    assert calls == [999999999989]
 
 
 def test_spectrum_witness_examples():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csmod import rings
 from csmod.errors import DomainError, ParseInputError
 from csmod.rings import (
     FieldElem,
@@ -227,6 +228,85 @@ def test_primes_above_norms(tag, p):
         assert pi == pi.canonical_associate()
         # enumeration searches for elements of reduced norm exactly pi
         assert pi.is_totally_positive()
+
+
+def _reference_is_prime(n):
+    """The trial division splitting_class ran before it read factor_int."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _reference_mod_sqrt_scan(d, p):
+    d %= p
+    for x in range(p):
+        if x * x % p == d:
+            return x
+    raise DomainError(f"{d} is not a square mod {p}")
+
+
+def _reference_primes_above(p, tag):
+    """primes_above as it was before it read norm_class_reps: the split
+    primes from a gcd with a square root of the discriminant mod p, the
+    ramified ones written out; kept as the reference."""
+    cls = splitting_class(p, tag)
+    if tag is FieldTag.RATIONAL:
+        return [RingElem(tag, p)]
+    if cls is SplittingClass.INERT:
+        return [RingElem(tag, p).canonical_associate()]
+    if cls is SplittingClass.RAMIFIED:
+        pi = (RingElem(tag, 0, 1) if tag is FieldTag.ROOT_TWO
+              else RingElem(tag, -1, 2))
+        return [pi.canonical_associate()]
+    if tag is FieldTag.ROOT_FIVE:
+        x = _reference_mod_sqrt_scan(5, p)
+        omega_hat = (1 + x) * pow(2, -1, p) % p
+    else:
+        omega_hat = _reference_mod_sqrt_scan(2, p)
+    pi = ring_gcd(RingElem(tag, p), RingElem(tag, omega_hat, -1))
+    assert pi.norm_abs() == p
+    return sorted({pi, pi.conj().canonical_associate()},
+                  key=lambda z: (z.a, z.b))
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_primes_above_match_the_gcd_reference(tag):
+    for p in filter(_reference_is_prime, range(5000)):
+        assert primes_above(p, tag) == _reference_primes_above(p, tag), p
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_splitting_class_refuses_exactly_the_non_primes(tag):
+    for n in range(-2, 10**4):
+        if _reference_is_prime(n):
+            assert splitting_class(n, tag) in SplittingClass
+        else:
+            with pytest.raises(DomainError, match=f"{n} is not a prime"):
+                splitting_class(n, tag)
+
+
+@pytest.mark.parametrize("tag, p, cls", [
+    (FieldTag.ROOT_FIVE, 11, "split"), (FieldTag.ROOT_TWO, 7, "split"),
+    (FieldTag.ROOT_FIVE, 5, "ramified"), (FieldTag.ROOT_TWO, 2, "ramified"),
+    (FieldTag.RATIONAL, 3, "split")])
+def test_primes_above_checks_the_norm_search(tag, p, cls, monkeypatch):
+    # a norm search that loses a prime disagrees with the residue rule
+    reps = rings.norm_class_reps
+    monkeypatch.setattr(rings, "norm_class_reps",
+                        lambda tag, m: reps(tag, m)[1:])
+    with pytest.raises(ArithmeticError,
+                       match=f"norm {p} over {tag.value}, where the residue "
+                             f"rule makes {p} {cls}$"):
+        primes_above(p, tag)
 
 
 def test_factor_int():

@@ -172,7 +172,7 @@ def test_phi_polys_match_composed_reference():
         for cls in SplittingClass:
             for p in PRIMES_BELOW_500:
                 want = reference_phi_polys(tag, p, cls)
-                got = csmod.series._phi_polys(tag, p, cls)
+                got = csmod.series._local_polys("phi", tag, p, cls)
                 assert got == want, (tag, cls, p)
 
 
@@ -287,7 +287,7 @@ def _negative_at(q):
 
 
 @pytest.mark.parametrize("p,numerator,power", [
-    (3, (1, 0, -1), 2),     # below sqrt(M), through _phi_polys: at p^2
+    (3, (1, 0, -1), 2),     # below sqrt(M), through _local_polys: at p^2
     (47, _negative_at(47), 1),     # above sqrt(M), through the class factor
     (53, _negative_at(53), 1),     # above M/2
     (11, _negative_at(11), 1),     # first of its class mod 8 above sqrt(M)
@@ -295,12 +295,13 @@ def _negative_at(q):
 def test_table_rejects_negative_local_coefficient(p, numerator, power,
                                                   monkeypatch):
     if p * p <= 100:
-        phi_polys = csmod.series._phi_polys
+        local_polys = csmod.series._local_polys
 
-        def broken(tag, q, cls):
-            return (numerator, (1,)) if q == p else phi_polys(tag, q, cls)
+        def broken(kind, tag, q, cls):
+            return ((numerator, (1,)) if q == p
+                    else local_polys(kind, tag, q, cls))
 
-        monkeypatch.setattr(csmod.series, "_phi_polys", broken)
+        monkeypatch.setattr(csmod.series, "_local_polys", broken)
     else:
         monkeypatch.setattr(csmod.series, "_class_factor",
                             lambda *key: (numerator, ((1,),)))
@@ -317,7 +318,7 @@ def test_table_needs_no_trial_division(monkeypatch):
         raise ProofCalled(n)
 
     want = reference_table("oct", 10**4)
-    monkeypatch.setattr(csmod.rings, "_is_prime", refuse)
+    monkeypatch.setattr(csmod.rings, "factor_int", refuse)
     assert coefficient_table("oct", 10**4).values == want
     with pytest.raises(ProofCalled):
         euler_factor("oct", 7)
