@@ -93,10 +93,10 @@ def _settle(args) -> None:
 
 
 def _json_text(value) -> str:
-    """json.dumps(value, indent=2) for a str, int, bool or None, or a
-    list or dict (str keys) of them: the same text, laid out here with
-    the C string encoder, where indent= would select json's pure-Python
-    encoder."""
+    """json.dumps(value, indent=2) for a str, int, finite float, bool or
+    None, or a list or dict (str keys) of them: the same text, laid out
+    here with the C string encoder, where indent= would select json's
+    pure-Python encoder."""
     # json loads only where JSON is written
     from json.encoder import encode_basestring_ascii
     return _json_layout(value, "\n", encode_basestring_ascii)
@@ -111,6 +111,8 @@ def _json_layout(value, indent: str, text) -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
         parts, ends = [text(key) + ": " + (text(v) if v.__class__ is str
@@ -267,10 +269,9 @@ def cmd_count(args) -> int:
 # never holds more than one block of rows and their text
 _SERIES_BLOCK = 10_000
 
-# one row as json.dumps(payload, indent=2) lays it out, and as text
+# one row as json.dumps(payload, indent=2) lays it out
 _SERIES_JSON_ROW = ('    {\n      "m": %d,\n      "f": %d,\n      "F": %d,\n'
                     '      "ratio": "%s"\n    }')
-_SERIES_TEXT_ROW = "%6d %8d %10d  %s\n"
 
 
 def _series_blocks(values):
@@ -298,30 +299,26 @@ def cmd_series(args) -> int:
     # the whole table first: cap and domain errors come before any output
     values = phi_coefficients(args.case, args.max, args.cap).values
     density = residue_rho(args.case)
-    blocks = _series_blocks(values)
-    # sys.stdout is read at each write: callers may redirect it
+    # each format's head, row template, separator between rows, and tail
     if args.format == "json":
-        import json     # only JSON output needs it
-        head = json.dumps({"command": "series", "case": args.case,
-                           "max": args.max, "density": density}, indent=2)
-        sys.stdout.write(head[:-2] + ',\n  "rows": [\n')
-        sep = ""
-        for block in blocks:
-            sys.stdout.write(sep + ",\n".join(map(_SERIES_JSON_ROW.__mod__,
-                                                   block)))
-            sep = ",\n"
-        sys.stdout.write("\n  ]\n}\n")
+        head = _json_text({"command": "series", "case": args.case,
+                           "max": args.max, "density": density})[:-2]
+        head += ',\n  "rows": [\n'
+        row, sep, tail = _SERIES_JSON_ROW, ",\n", "\n  ]\n}\n"
     elif args.format == "csv":
-        import csv      # only CSV output needs it
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("m", "f", "F", "ratio"))
-        for block in blocks:
-            writer.writerows(block)
+        # csv.writer's bytes: no cell, an int or an n/d ratio, is quoted
+        head, row, sep, tail = "m,f,F,ratio\r\n", "%d,%d,%d,%s\r\n", "", ""
     else:
-        sys.stdout.write(f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)\n")
-        for block in blocks:
-            sys.stdout.write("".join(map(_SERIES_TEXT_ROW.__mod__, block)))
-        sys.stdout.write(f"asymptotic density: {density:.6f}\n")
+        head = f"{'m':>6} {'f(m)':>8} {'F(m)':>10}  F(m)/(m^2/2)\n"
+        row, sep = "%6d %8d %10d  %s\n", ""
+        tail = f"asymptotic density: {density:.6f}\n"
+    # sys.stdout is read at each write: callers may redirect it
+    sys.stdout.write(head)
+    joint = ""
+    for block in _series_blocks(values):
+        sys.stdout.write(joint + sep.join(map(row.__mod__, block)))
+        joint = sep
+    sys.stdout.write(tail)
     return 0
 
 

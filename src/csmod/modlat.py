@@ -22,7 +22,8 @@ quaternions enter _canonical as they are; hnf_canonical takes field
 entries and writes them so once, by rings.ring_columns.  An intersection
 is one Hermite normal form over the ring (Cohen, GTM 138, 2.4) of columns
 with head rows below (see _canonical).  RingElems and field elements
-appear only in an OModule's read-only `cols` and `basis` views.
+appear only in an OModule's read-only `cols`, `basis` and `coordinates`
+views, and as the inputs of hnf_canonical and scale_module.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -91,14 +92,9 @@ class OModule:
         return tuple(tuple(FieldElem.ratio(e, self.den) for e in col)
                      for col in self.cols)
 
-    def solve(self, nums, den: int):
-        """Ring coordinates of the vector nums/den, for ring numerators
-        nums as flat integer pairs, or None if outside."""
-        x = self.solve_pairs(nums, den)
-        return None if x is None else _elems(self.tag, x)
-
     def solve_pairs(self, nums, den: int):
-        """solve, giving the coordinates as flat pairs."""
+        """Ring coordinates of the vector nums/den, for ring numerators
+        nums as flat integer pairs, as flat pairs; None if outside."""
         # sum_c x_c * cols[c] must equal nums * self.den / den
         g = gcd(self.den, den)
         up, down = self.den // g, den // g
@@ -121,7 +117,8 @@ class OModule:
     def coordinates(self, vector):
         """Ring coordinates of vector in this basis, or None if outside."""
         den, (nums,) = ring_columns(self.tag, self.rank, [vector])
-        return self.solve(nums, den)
+        x = self.solve_pairs(nums, den)
+        return None if x is None else _elems(self.tag, x)
 
     def contains(self, vector) -> bool:
         return self.coordinates(vector) is not None

@@ -244,12 +244,9 @@ class QuatOrder:
         if q.tag is not self.field_tag:
             raise DomainError("field tag does not match the order")
 
-    def coordinates(self, q: Quat):
-        self._check_tag(q)
-        return self.module.solve(q.num, q.den)
-
     def contains(self, q: Quat) -> bool:
-        return self.coordinates(q) is not None
+        self._check_tag(q)
+        return self.module.solve_pairs(q.num, q.den) is not None
 
     def content(self, q: Quat) -> RingElem:
         """Canonical gcd of the coordinates; largest scalar divisor in O."""

@@ -119,10 +119,6 @@ class Quat:
     def k(cls, tag: FieldTag) -> "Quat":
         return cls(tag, 0, 0, 0, 1)
 
-    @classmethod
-    def scalar(cls, tag: FieldTag, value) -> "Quat":
-        return cls(tag, value)
-
     def coords(self) -> tuple[FieldElem, FieldElem, FieldElem, FieldElem]:
         """The four coordinates as field elements, a read-only view."""
         den = self.den

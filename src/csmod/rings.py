@@ -100,8 +100,6 @@ class RingElem:
         return RingElem(self.tag, -self.a, -self.b)
 
     def __mul__(self, other):
-        if other.__class__ is int:
-            return RingElem(self.tag, self.a * other, self.b * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -270,8 +268,6 @@ class FieldElem:
         o = other if other.__class__ is FieldElem else self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.den == o.den:
-            return FieldElem.ratio(self.num + o.num, self.den)
         return FieldElem.ratio(self.num * o.den + o.num * self.den,
                                self.den * o.den)
 

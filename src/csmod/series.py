@@ -187,9 +187,11 @@ def coefficient(case: str, m: int) -> int:
     """f(m) of the named series, from the factorisation of m."""
     if m < 1:
         raise DomainError("coefficients are indexed from 1")
+    kind, tag = _parse_case(case)
     out = 1
-    for p, e in factor_int(m):
-        out *= euler_factor(case, p).expansion(e + 1)[e]
+    for p, e in factor_int(m):    # the trial division proves each p prime
+        num, den = _local_polys(kind, tag, p, _class_of_prime(p, tag))
+        out *= EulerFactor(p, num, den).expansion(e + 1)[e]
     return out
 
 
@@ -329,11 +331,11 @@ def dirichlet_convolve(a, b) -> tuple:
     return tuple(out)
 
 
-def summatory(case: str, x: int, cap=None):
+def summatory(case: str, x: int):
     """(F(x), F(x) / (x^2 / 2)) with F the partial sum of the counting
     coefficients; the ratio tracks the linear average growth."""
     from fractions import Fraction    # only this ratio needs it
-    series = phi_coefficients(case, x, cap)
+    series = phi_coefficients(case, x)
     total = sum(series.values)
     return total, Fraction(2 * total, x * x)
 
@@ -351,16 +353,14 @@ def residue_rho(case: str) -> float:
     raise DomainError(f"case must be one of {PHI_CASES}")
 
 
-def zeta_identity_check(case: str, M: int, cap=None) -> bool:
+def zeta_identity_check(case: str, M: int) -> bool:
     """Confirm, coefficient by coefficient up to M, that the order zeta
     series factors as the reduced series times the two-sided series,
     and for cub that the counting function is their half-grid quotient."""
-    if case not in PHI_CASES:
-        raise DomainError(f"case must be one of {PHI_CASES}")
+    phi = phi_coefficients(case, M).values    # refuses any other case
     field = _PHI_TAG[case].value
-    phi = phi_coefficients(case, M, cap).values
-    z_order = coefficient_table(f"zetaO-{field}", M, cap).values
-    z_two_sided = coefficient_table(f"zetaOO-{field}", M, cap).values
+    z_order = coefficient_table(f"zetaO-{field}", M).values
+    z_two_sided = coefficient_table(f"zetaOO-{field}", M).values
     reduced = [0] * M
     m = 1
     while m * m <= M:
@@ -369,8 +369,8 @@ def zeta_identity_check(case: str, M: int, cap=None) -> bool:
     if dirichlet_convolve(tuple(reduced), z_two_sided) != z_order:
         return False
     if case == "cub":
-        half_order = coefficient_table("zetaO-half-rational", M, cap).values
-        half_two = coefficient_table("zetaOO-half-rational", M, cap).values
+        half_order = coefficient_table("zetaO-half-rational", M).values
+        half_two = coefficient_table("zetaOO-half-rational", M).values
         if dirichlet_convolve(phi, half_two) != half_order:
             return False
     return True

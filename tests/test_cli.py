@@ -594,7 +594,8 @@ def test_json_output_is_json_dumps_with_indent_2(capsys, argv):
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=20)
@@ -1041,9 +1042,9 @@ def test_module_entry_point():
 
 
 # a CLI run must not pay for these: dataclasses pulls in inspect, only
-# count --workers N (N > 1) needs multiprocessing, only CSV output csv,
-# and parsing and printing run on integers, without fractions (which
-# imports decimal)
+# count --workers N (N > 1) needs multiprocessing, csv only the CSV
+# output of the commands other than series, and parsing and printing run
+# on integers, without fractions (which imports decimal)
 START_UP_PROBE = """
 import sys
 import csmod.cli
@@ -1051,7 +1052,9 @@ from csmod.orders import hurwitz, icosian, octahedral
 hurwitz(); icosian(); octahedral()
 codes = [csmod.cli.main(["count", "--order", "hurwitz", "3"]),
          csmod.cli.main(["sigma", "--order", "icosian", "--format", "json",
-                         "--", "1+w*i+j"])]
+                         "--", "1+w*i+j"]),
+         csmod.cli.main(["series", "--case", "oct", "--max", "100",
+                         "--format", "csv"])]
 print(*codes, sorted({"csv", "dataclasses", "decimal", "fractions",
                       "inspect", "multiprocessing"} & set(sys.modules)))
 """
@@ -1062,7 +1065,7 @@ def test_start_up_imports_no_dataclasses_inspect_or_multiprocessing():
                           capture_output=True, text=True, timeout=120,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 0 []"
+    assert proc.stdout.splitlines()[-1] == "0 0 0 []"
 
 
 # json loads only where JSON is written: not at start-up, and not for the

@@ -49,11 +49,11 @@ def test_hamilton_table(tag):
 @pytest.mark.parametrize("tag", TAGS)
 def test_product_examples(tag):
     i = Quat.i(tag)
-    assert (1 + i) * (1 - i) == Quat.scalar(tag, 2)
+    assert (1 + i) * (1 - i) == Quat(tag, 2)
     rng = random.Random(11)
     for _ in range(50):
         q = rnd_quat(rng, tag)
-        assert q * q.conj() == Quat.scalar(tag, q.nr())
+        assert q * q.conj() == Quat(tag, q.nr())
 
 
 def test_multiplication_is_associative_and_conj_reverses():
@@ -72,7 +72,7 @@ def test_trace_and_norm_basics():
         for _ in range(100):
             q = rnd_quat(rng, tag)
             assert q.trace() == 2 * q.coords()[0]
-            assert q + q.conj() == Quat.scalar(tag, q.trace())
+            assert q + q.conj() == Quat(tag, q.trace())
 
 
 def test_mixed_tags_rejected():
@@ -189,7 +189,7 @@ def test_axis_angle_matches_matrix_trace():
 
 def test_axis_angle_scalar_rejected():
     with pytest.raises(DomainError):
-        axis_angle(Quat.scalar(FieldTag.ROOT_FIVE, 3))
+        axis_angle(Quat(FieldTag.ROOT_FIVE, 3))
 
 
 def test_coords_examples():
@@ -224,7 +224,7 @@ def test_parse_quadratic_coefficients():
     tag = FieldTag.ROOT_FIVE
     q = parse_quat("(1+w)*i - k", tag)
     assert q == Quat(tag, 0, FieldElem(tag, 1, 1), 0, -1)
-    assert parse_quat("w", tag) == Quat.scalar(tag, FieldElem(tag, 0, 1))
+    assert parse_quat("w", tag) == Quat(tag, FieldElem(tag, 0, 1))
     assert parse_quat("w*j", tag) == Quat(tag, 0, 0, FieldElem(tag, 0, 1), 0)
 
 
@@ -281,7 +281,7 @@ def quat_and_scalar(draw):
 @given(quat_and_scalar())
 def test_scalar_product_matches_scalar_quaternion(case):
     q, s = case
-    want = q * Quat.scalar(q.tag, s)
+    want = q * Quat(q.tag, s)
     assert q * s == want
     assert s * q == want
     assert (q * s).tag is q.tag
@@ -348,7 +348,7 @@ def test_numerator_quaternions_match_field_coordinates(case):
         Quat.ratio(tag, [-n for n in nums], -den),
         Quat(tag, *elems) * Quat(tag, Fraction(1, den)),
         Quat(tag, *elems) / den,
-        (p * Quat.scalar(tag, den)) * Quat.one(tag) / den,
+        (p * Quat(tag, den)) * Quat.one(tag) / den,
     ]
     if all(x.num.b == 0 for x in a):
         routes.append(Quat(tag, *(x.a for x in a)))             # Fractions

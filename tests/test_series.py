@@ -279,6 +279,29 @@ def test_single_coefficient_rejects_bad_input():
         coefficient("hex", 3)
 
 
+def test_single_coefficient_checks_its_case_at_one():
+    # m = 1 has no prime factor, and the case is still read
+    with pytest.raises(DomainError) as at_six:
+        coefficient("nope", 6)
+    with pytest.raises(DomainError) as at_one:
+        coefficient("nope", 1)
+    assert str(at_one.value) == str(at_six.value)
+
+
+def test_single_coefficient_factors_once(monkeypatch):
+    # factor_int(m) proves each prime of m prime; no second trial division
+    calls, factor_int = [], csmod.rings.factor_int
+
+    def counted(n):
+        calls.append(n)
+        return factor_int(n)
+
+    monkeypatch.setattr(csmod.series, "factor_int", counted)
+    monkeypatch.setattr(csmod.rings, "factor_int", counted)
+    assert coefficient("ico", 999999999989) > 0
+    assert calls == [999999999989]
+
+
 # 1 + ((p - q)^2 - 1) x as a class factor's numerator, over the
 # denominator 1: f(p) = (p - q)^2 - 1 is negative at the prime q alone, so
 # the table must check every prime above sqrt(M), not one per class
