@@ -23,7 +23,8 @@ from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
                   verify_ideal_correspondence)
 from .errors import CsmodError, ParseInputError, ResourceCapError
 from .modlat import index_K, intersect
-from .orders import ORDER_KEYS, hurwitz, icosian, octahedral, order_by_key
+from .orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, hurwitz, icosian,
+                     octahedral, order_by_key)
 from .quat import Quat, axis_angle, format_quat, parse_quat
 from .rings import _parse_numerators
 from .series import (CASE_OF_FIELD, PHI_CASES, phi_coefficients, residue_rho,
@@ -259,6 +260,12 @@ def cmd_count(args) -> int:
     text += [f"{r['m']:>6} {r['count']:>8}  "
              f"{'ok' if r['matches_series'] else 'MISMATCH'}" for r in table]
     _emit(args, payload, text)
+    for r in table:
+        if not r["matches_series"]:
+            print(f"error: {order.name}, m = {r['m']}: {r['count']} distinct "
+                  f"CSMs, the counting series says {series.at(r['m'])}",
+                  file=sys.stderr)
+            return 1
     return 0
 
 
@@ -410,6 +417,9 @@ def cmd_verify(args) -> int:
     if "ideal-correspondence" in names:     # its caps, before any suite
         for factory in (hurwitz, icosian, octahedral):
             factory().check_indices(1, args.n or 10)
+    if "cubic-index" in names and (args.n or 0) > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"suite cubic-index: --n {args.n} exceeds "
+                               f"the cap {DEFAULT_ENUM_CAP}")
     table = []
     for name in names:
         checks, failures = _SUITES[name](args.n, args.seed)

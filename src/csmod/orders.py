@@ -188,7 +188,7 @@ class QuatOrder:
     """A fixed order with its canonical module basis and norm forms."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_zgen", "_zcols", "_forms", "_value_cache", "_im_module")
+                 "_zgen", "_forms", "_value_cache", "_im_module")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -207,7 +207,6 @@ class QuatOrder:
             rows += [[y for a, b in zip(row[::2], row[1::2])
                       for y in (c * b, a + e * b)] for row in rows]
         self._zgen = den, rows
-        self._zcols = list(zip(*rows))
         # 2*nr(q) = A + B*omega, two integral forms on the Z-basis
         rank = len(rows)
         na = [[0] * rank for _ in range(rank)]
@@ -346,10 +345,6 @@ class QuatOrder:
                 den *= q.den
         return _canonical(self.field_tag, Ambient.QUAT, gens, den)
 
-    def _numerators(self, v):
-        """The ring numerators, over the Z-basis den, of Z-coordinates v."""
-        return [sum(map(mul, v, col)) for col in self._zcols]
-
     def _lines(self, field):
         """The echelon forms over F of the conditions of the N(pi) + 1
         ideals I_L, one per line L of P^1(F).  The first x = t + y, y =
@@ -403,12 +398,12 @@ class QuatOrder:
         return lines
 
     def _ideal_vectors(self, pi: RingElem):
-        """The Z-coordinates of one generator per right ideal of reduced
-        norm pi, a prime of the scalar ring, in the order of _lines: the
-        first point of the search for Tr(conj(pi)*2*nr(y)) = 2*N(pi)*Tr(1)
-        on the ideal's Z-basis.  There nr(y) = pi*alpha, alpha totally
-        positive, and the trace is that small only at alpha = 1 (AM-GM).
-        An order keeps the answers for its last ENUM_CACHE_WINDOW values."""
+        """The ring numerators, over the den of _zgen, of one generator per
+        right ideal of reduced norm pi, a prime of the scalar ring, in the
+        order of _lines: the first point of the search for Tr(conj(pi)*2*
+        nr(y)) = 2*N(pi)*Tr(1) on the ideal's Z-basis.  There nr(y) = pi*
+        alpha, alpha totally positive, and the trace is that small only at
+        alpha = 1 (AM-GM).  Kept for the last ENUM_CACHE_WINDOW values."""
         cache = self._value_cache
         if pi in cache:
             cache[pi] = cache.pop(pi)       # now the most recent
@@ -420,7 +415,8 @@ class QuatOrder:
         form = [[alpha * x + beta * y for x, y in zip(ra, rb)]
                 for ra, rb in zip(*self._forms)]
         target = 2 * (pi * conj).trace()
-        (c, e), dd = self.field_tag._omega_sq, self._zgen[0] ** 2
+        (c, e), (zden, zrows) = self.field_tag._omega_sq, self._zgen
+        dd, zcols = zden * zden, list(zip(*zrows))
         found = []
         for pivots, rows in self._lines(field):
             basis = self._ideal_basis(pivots, rows, field)
@@ -433,14 +429,15 @@ class QuatOrder:
             x = point[0] if point else [0] * len(basis)
             v = [sum(map(mul, x, col)) for col in zip(*basis)]
             ring = [field.red(a, b) for a, b in zip(v[:4], v[4:] or [0] * 4)]
-            norm = [sum(z) for z in zip(*_squares(self._numerators(v), c, e))]
+            nums = tuple(sum(map(mul, v, col)) for col in zcols)
+            norm = [sum(z) for z in zip(*_squares(nums, c, e))]
             if norm != [pi.a * dd, pi.b * dd] or any(
                     reduce(lambda z, fy: field.lin(z, *fy), zip(r, ring), 0)
                     for r in rows):
                 raise ArithmeticError(
                     f"{self.name}, pi = {pi}: the generator {v} of the "
                     f"ideal {pivots, rows} is not in it or has nr != pi")
-            found.append(v)
+            found.append(nums)
         cache[pi] = found = tuple(found)
         if len(cache) > ENUM_CACHE_WINDOW:
             del cache[next(iter(cache))]        # the least recently used
@@ -492,7 +489,7 @@ class QuatOrder:
         den = self._zgen[0]
         gens = None
         for pi, k in factors:
-            primes = list(map(self._numerators, self._ideal_vectors(pi)))
+            primes = self._ideal_vectors(pi)
             power, d = primes, den
             for _ in range(k - 1):
                 d *= den
@@ -509,7 +506,7 @@ class QuatOrder:
         return [Quat.ratio(self.field_tag, x, gens_den) for x in gens]
 
     def _is_primitive_product(self, x, den: int) -> bool:
-        """Whether the element with ring numerators x (see _numerators)
+        """Whether the element with ring numerators x (see _ideal_vectors)
         over den has unit content."""
         y = self.module.solve_pairs(x, den)
         return self._content_of(zip(y[::2], y[1::2])) == (1, 0)
@@ -524,7 +521,7 @@ class QuatOrder:
         reps = []
         if not (self._strips_even_norms() and m % 2 == 0):
             for value in norm_class_reps(self.field_tag, m):
-                reps += self._product_generators(factor(value).primes)
+                reps += self._product_generators(factor(value)[1])
         # the maximal orders of one field are conjugate, and each has as
         # many right ideals of index m as the field's counting series says
         want = coefficient(CASE_OF_FIELD[self.field_tag], m)

@@ -160,19 +160,12 @@ class Quat:
         return Quat._new(self.tag, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Quat):
-            if other.tag is not self.tag:
-                raise DomainError("mixed field tags")
-            num, den = other.num, other.den
-        else:
-            try:
-                s = as_field(self.tag, other)
-            except TypeError:
-                return NotImplemented
-            num, den = (s.num.a, s.num.b, 0, 0, 0, 0, 0, 0), s.den
-        return Quat.ratio(self.tag, pair_product(self.num, num,
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return Quat.ratio(self.tag, pair_product(self.num, o.num,
                                                  *self.tag._omega_sq),
-                          self.den * den)
+                          self.den * o.den)
 
     __rmul__ = __mul__  # only reached for scalars, which commute
 

@@ -588,30 +588,9 @@ def primes_above(p: int, tag: FieldTag) -> list[RingElem]:
     return pis
 
 
-class Factorization:
-    """unit * product(prime^exponent) over the ambient ring."""
-
-    __slots__ = ("unit", "primes")
-
-    def __init__(self, unit: RingElem, primes: tuple):
-        self.unit, self.primes = unit, primes
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self):
-        return len(self.primes)
-
-    def value(self) -> RingElem:
-        out = self.unit
-        for pi, e in self.primes:
-            for _ in range(e):
-                out = out * pi
-        return out
-
-
-def factor(alpha: RingElem) -> Factorization:
-    """Factor a nonzero element into canonical primes times a unit."""
+def factor(alpha: RingElem) -> tuple[RingElem, tuple]:
+    """(unit, primes) of a nonzero alpha = unit * prod(pi^k) over the
+    pairs (pi, k) of primes, canonical primes with their exponents."""
     if alpha.is_zero():
         raise DomainError("cannot factor zero")
     rem = alpha
@@ -629,7 +608,7 @@ def factor(alpha: RingElem) -> Factorization:
                 pairs.append((pi, k))
     if not rem.is_unit():
         raise ArithmeticError(f"factorization of {alpha} left non-unit {rem}")
-    return Factorization(rem, tuple(pairs))
+    return rem, tuple(pairs)
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:

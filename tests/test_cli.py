@@ -24,7 +24,8 @@ from csmod.errors import DomainError, ParseInputError
 from csmod.quat import Quat, parse_quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, _parse_numerators,
                          _ratio_text, parse_field_elem)
-from csmod.series import PHI_CASES, phi_coefficients, residue_rho
+from csmod.series import (CASE_OF_FIELD, PHI_CASES, coefficient,
+                          phi_coefficients, residue_rho)
 from fieldmatrix import Mat3K, rotation_to_quat
 
 
@@ -314,10 +315,12 @@ def test_count_error_codes(capsys):
 ])
 def test_count_refuses_its_range_before_counting(capsys, monkeypatch, argv,
                                                  code, err):
-    # the first m the enumeration refuses is named, and nothing is counted
+    # the first m the enumeration refuses is named, and nothing is counted;
+    # a range it takes is counted, here as its counting series says
     calls = []
-    monkeypatch.setattr("csmod.cli.count_csms",
-                        lambda order, m, cap: calls.append(m) or 0)
+    monkeypatch.setattr("csmod.cli.count_csms", lambda order, m, cap:
+                        calls.append(m) or coefficient(
+                            CASE_OF_FIELD[order.field_tag], m))
     assert main(["count", "--order", *argv]) == code
     out, errtext = capsys.readouterr()
     assert errtext == (f"error: {err}\n" if err else "")
@@ -325,6 +328,27 @@ def test_count_refuses_its_range_before_counting(capsys, monkeypatch, argv,
         assert out == "" and calls == []
     else:
         assert calls == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_mismatch_exits_1(capsys, monkeypatch, fmt):
+    # the table keeps its mismatched rows, and stderr names the first one
+    count_csms = csmod.cli.count_csms
+    monkeypatch.setattr("csmod.cli.count_csms", lambda order, m, cap:
+                        count_csms(order, m, cap) + (m in (5, 7)))
+    assert main(["count", "--order", "hurwitz", "1..7", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("error: hurwitz, m = 5: 7 distinct CSMs, the counting "
+                   "series says 6\n")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["rows"][4] == {"m": 5, "count": 7,
+                                      "matches_series": False}
+        assert payload["all_match"] is False
+    else:
+        assert out.splitlines()[5:] == ["     5        7  MISMATCH",
+                                        "     6        0  ok",
+                                        "     7        9  MISMATCH"]
 
 
 # -- series --------------------------------------------------------------
@@ -567,6 +591,25 @@ def test_verify_refuses_n_past_the_cap_before_any_suite(capsys, monkeypatch,
     assert capsys.readouterr() == (
         "", "error: norm 10001 exceeds the enumeration cap 10000\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("n, code", [(10001, 4), (10000, 0)])
+def test_verify_caps_the_cubic_index_suite(capsys, monkeypatch, n, code):
+    # an n past the cap is refused before any check; at the cap the
+    # suite runs, here on stand-ins for its two indices
+    calls = []
+    monkeypatch.setattr("csmod.cli.sigma_index",
+                        lambda order, q: calls.append(q) or 1)
+    monkeypatch.setattr("csmod.cli.csm_bruteforce", lambda g, q: (None, 1))
+    assert main(["verify", "--suite", "cubic-index", "--n", str(n)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", "error: suite cubic-index: --n 10001 "
+                                  "exceeds the cap 10000\n")
+        assert calls == []
+    else:
+        assert out == "suite cubic-index: pass (10000 checks, 0 failures)\n"
+        assert len(calls) == n
 
 
 # -- JSON output -----------------------------------------------------------

@@ -461,7 +461,7 @@ def test_orbit_keys_refuse_narrow_slots(factory, m, monkeypatch):
     search = WholeOrderSearch(factory())
     with pytest.raises(ArithmeticError, match="3-bit key slots"):
         for value in norm_class_reps(search.field_tag, m):
-            for pi, _ in factor(value):
+            for pi, _ in factor(value)[1]:
                 search._ideal_vectors(pi)
 
 
@@ -512,7 +512,7 @@ def enumeration_tally(factory, m, monkeypatch):
         patch.setattr(WholeOrderSearch, "_has_norm", counting_has_norm)
         patch.setattr(WholeOrderSearch, "_is_primitive", counting_primitive)
         for pi in {pi for value in norm_class_reps(order.field_tag, m)
-                   for pi, _ in factor(value)}:
+                   for pi, _ in factor(value)[1]}:
             search._ideal_vectors(pi)
     monkeypatch.setattr(QuatOrder, "_is_primitive_product",
                         counting_primitive_product)
@@ -605,7 +605,7 @@ def oracle_ideals(factory, m):
 def composite_values(order, m):
     """Whether enumerate_by_index(m) forms its ideals as products: the norm
     values of m are products of two or more primes of the base ring."""
-    return any(sum(k for _, k in factor(value)) > 1
+    return any(sum(k for _, k in factor(value)[1]) > 1
                for value in norm_class_reps(order.field_tag, m))
 
 
@@ -995,6 +995,182 @@ PRIME_REPRESENTATIVES = {
 }
 
 
+# the representatives at composite values, whose ideals are products of
+# ideals of prime norm, in the order enumerate_by_index forms them
+COMPOSITE_REPRESENTATIVES = {
+    (hurwitz, 45): [
+        "-4-3*i-4*j-2*k", "-6+2*i+j-2*k", "-4-4*i-3*j+2*k", "4*i+5*j+2*k",
+        "2-2*i+j+6*k", "5*i+4*j-2*k", "2-i-6*j+2*k", "-2-5*j-4*k",
+        "2*i-5*j+4*k", "-4+2*i+3*j-4*k", "-2+4*i+3*j+4*k", "-2-i+2*j-6*k",
+        "5*i-2*j+4*k", "4+4*i-3*j-2*k", "-2+6*i+j+2*k", "2-2*i+j-6*k",
+        "-4+5*j-2*k", "4-3*i-2*j-4*k", "2-i-2*j-6*k", "-2-4*i+3*j-4*k",
+        "-2*i-5*j-4*k", "-4-2*i+3*j+4*k", "-2-5*j+4*k", "-2-i+6*j+2*k",
+        "5*i-4*j-2*k", "2+2*i+j-6*k", "-4+4*i-3*j-2*k", "-4*i+5*j-2*k",
+        "-6-2*i+j+2*k", "4-3*i+4*j-2*k", "-4-3*i+2*j-4*k", "-4+5*j+2*k",
+        "-2-6*i+j-2*k", "2+2*i+j+6*k", "4-4*i-3*j+2*k", "5*i+2*j+4*k",
+        "-4-3*i-2*j+4*k", "-4+4*i-3*j+2*k", "-2-2*i+j+6*k", "2+6*i+j-2*k",
+        "4+5*j+2*k", "5*i-2*j-4*k", "5*i+4*j+2*k", "6+2*i+j+2*k",
+        "4*i+5*j-2*k", "4-4*i-3*j-2*k", "-2-2*i+j-6*k", "4-3*i-4*j+2*k",
+        "2-i+2*j+6*k", "2-5*j+4*k", "4+2*i+3*j+4*k", "2*i-5*j-4*k",
+        "2+4*i+3*j-4*k", "-2-i-6*j-2*k", "5*i+2*j-4*k", "4+5*j-2*k",
+        "-2+2*i+j-6*k", "2-6*i+j+2*k", "-4-4*i-3*j-2*k", "4-3*i+2*j+4*k",
+        "2-i+6*j-2*k", "2-4*i+3*j+4*k", "4-2*i+3*j-4*k", "-2*i-5*j+4*k",
+        "2-5*j-4*k", "-2-i-2*j+6*k", "-4-3*i+4*j+2*k", "-2+2*i+j+6*k",
+        "-4*i+5*j+2*k", "4+4*i-3*j+2*k", "6-2*i+j-2*k", "5*i-4*j+2*k",
+    ],
+    (icosian, 44): [
+        "3/2+1/2*w+(1/2-3/2*w)*i+(1/2-1/2*w)*j+(-1/2+1/2*w)*k",
+        "-1/2+3/2*w+(-3/2-1/2*w)*i+(1/2-1/2*w)*j+(-1/2+1/2*w)*k",
+        "-1/2+w+(1/2-2*w)*i+1/2*j+1/2*k", "-1/2+2*w+(1/2-w)*i+1/2*j+1/2*k",
+        "-3/2+1/2*w+(-1/2-3/2*w)*i+(1/2-1/2*w)*j+(-1/2+1/2*w)*k",
+        "2+1/2*w+(-1+1/2*w)*i+1/2*w*j+1/2*w*k", "-1-w+(1-w)*i-j+k",
+        "1-1/2*w+(-2-1/2*w)*i+1/2*w*j+1/2*w*k", "1-w+(-1-w)*i-j+k",
+        "3/2-1/2*w+(-1/2-3/2*w)*i+(-1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "-3/2-1/2*w+(1/2-3/2*w)*i+(-1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "1/2-3/2*w+(-3/2-1/2*w)*i+(-1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "(2+1/2*w)*i+(1/2-w)*j+(1/2-1/2*w)*k",
+        "1/2+(-1/2+2*w)*i+(1/2-w)*j-1/2*k",
+        "-1+3/2*w+(1/2+w)*i-w*j+(1/2-1/2*w)*k", "-3/2+1/2*w+3/2*w*i-w*j+1/2*k",
+        "3/2*w+(-1/2+w)*i+(1-w)*j+(-1/2-1/2*w)*k",
+        "1-3/2*w+(1+1/2*w)*i+(-1-1/2*w)*j+1/2*w*k",
+        "-1+3/2*w-w*i+(-1/2+1/2*w)*j+(-1/2-w)*k",
+        "2+(1/2+1/2*w)*i+(-1-1/2*w)*j-1/2*k",
+        "1+1/2*w+i+(-3/2+1/2*w)*j+(-1/2-w)*k",
+        "1+1/2*w+2*i+(-1/2-1/2*w)*j-1/2*k", "-1/2+2*w-1/2*w*i+(1/2-1/2*w)*j-k",
+        "2+1/2*w+(1/2-1/2*w)*i-1/2*j-k", "1/2-2*w-1/2*i+1/2*j+(-1/2+w)*k",
+        "-2-1/2*w+(-1/2+1/2*w)*j+(-1/2+w)*k",
+        "-1/2-3/2*w+(3/2-1/2*w)*i+(1/2-1/2*w)*j+(-1/2+1/2*w)*k",
+        "-1-w+(1-3/2*w)*i+1/2*j+(-1/2+1/2*w)*k",
+        "-1-1/2*w+(3/2+1/2*w)*i-1/2*j+(-1+w)*k",
+        "-1/2-w-2*i+1/2*w*j+(1/2-1/2*w)*k",
+        "1+(2+1/2*w)*i+1/2*j+(1/2-1/2*w)*k",
+        "-1-w+(-1+3/2*w)*i-1/2*j+(1/2-1/2*w)*k",
+        "-w+3/2*w*i+1/2*j+(3/2-1/2*w)*k", "1/2-2*w+(-1/2+w)*i-1/2*j+1/2*k",
+        "1/2-1/2*w+(2+1/2*w)*i-j-1/2*k", "-1/2*w+(-1/2+2*w)*i-j+(1/2-1/2*w)*k",
+        "1/2+(1/2-2*w)*i+(1/2-w)*j+1/2*k",
+        "(-2-1/2*w)*i+(1/2-w)*j+(-1/2+1/2*w)*k",
+        "-3/2+1/2*w+(-1/2-3/2*w)*i+(1/2-1/2*w)*j+(1/2-1/2*w)*k",
+        "-1+3/2*w+(-1-w)*i+(1/2-1/2*w)*j+1/2*k",
+        "-3/2-1/2*w+(-1-1/2*w)*i+(1-w)*j-1/2*k",
+        "2+(-1/2-w)*i+(-1/2+1/2*w)*j+1/2*w*k",
+        "-2-1/2*w+i+(-1/2+1/2*w)*j+1/2*k",
+        "1-3/2*w+(-1-w)*i+(-1/2+1/2*w)*j-1/2*k",
+        "-3/2*w-w*i+(-3/2+1/2*w)*j+1/2*k", "1/2-w+(1/2-2*w)*i-1/2*j-1/2*k",
+        "-2-1/2*w+(1/2-1/2*w)*i+1/2*j-k", "1/2-2*w-1/2*w*i+(-1/2+1/2*w)*j-k",
+        "2+1/2*w+(1/2-1/2*w)*j+(-1/2+w)*k", "-1/2+2*w-1/2*i-1/2*j+(-1/2+w)*k",
+        "1/2+w+(1-3/2*w)*i+(1/2-1/2*w)*j+w*k", "3/2*w+(3/2-1/2*w)*i+1/2*j+w*k",
+        "-1/2+w-3/2*w*i+(-1/2-1/2*w)*j+(-1+w)*k",
+        "1+1/2*w+(-1+3/2*w)*i+1/2*w*j+(1+1/2*w)*k",
+        "-w+(1-3/2*w)*i+(-1/2-w)*j+(1/2-1/2*w)*k",
+        "1/2+1/2*w-2*i-1/2*j+(1+1/2*w)*k",
+        "1+(-1-1/2*w)*i+(-1/2-w)*j+(3/2-1/2*w)*k",
+        "2+(-1-1/2*w)*i-1/2*j+(1/2+1/2*w)*k",
+        "-1/2*w+(1/2-2*w)*i-j+(-1/2+1/2*w)*k",
+        "1/2-1/2*w+(-2-1/2*w)*i-j+1/2*k", "-3/2+(3/2+w)*i+1/2*j+1/2*k",
+        "1/2-3/2*w+(1/2+3/2*w)*i+(-1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "-3/2-1/2*w+(3/2+1/2*w)*i+(1/2-1/2*w)*j+(-1/2-1/2*w)*k",
+        "3/2+1/2*w+(-3/2-1/2*w)*i+(1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "-1/2-w+(1/2-2*w)*i+1/2*j+1/2*k", "3/2*w+3/2*w*i+1/2*w*j+(-1+1/2*w)*k",
+        "1/2-2*w+(-1/2-w)*i+1/2*j+1/2*k",
+        "-3/2*w-3/2*w*i+(-1+1/2*w)*j+1/2*w*k",
+        "-1/2+2*w+(-1/2-w)*i-1/2*j+1/2*k", "1/2+w+(1/2-2*w)*i-1/2*j+1/2*k",
+        "-3/2-w+3/2*i+1/2*j+1/2*k",
+        "-1/2-3/2*w+(-1/2+3/2*w)*i+(-1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "-3/2+(-3/2-w)*i+1/2*j+1/2*k", "1/2-w-2*w*i+1/2*w*j+(-1/2+1/2*w)*k",
+        "-1+1/2*w+(-1-w)*i+(3/2+1/2*w)*j+1/2*k",
+        "3/2-1/2*w+(1+w)*i+(-1/2-w)*j+1/2*w*k",
+        "2*w+(1/2-1/2*w)*i-1/2*w*j+(1/2-w)*k",
+        "-1/2-3/2*w+(-1/2+1/2*w)*i+(1/2-1/2*w)*j+(-1/2+3/2*w)*k",
+        "3/2+w+(1/2-w)*i-1/2*j+(1/2-w)*k",
+        "1/2+3/2*w+(1-w)*i-1/2*j+(-1-1/2*w)*k",
+        "-1+1/2*w+2*w*i+(-1/2-1/2*w)*j-1/2*k",
+        "-1+w+(3/2+w)*i+(-1/2-1/2*w)*j-1/2*w*k",
+        "-1+w+(-1-3/2*w)*i+1/2*j+(1/2-1/2*w)*k",
+        "1-1/2*w+(-1-3/2*w)*i+1/2*w*j+(-1+1/2*w)*k",
+        "1/2+3/2*w+(1-w)*i+1/2*j+(-1-1/2*w)*k",
+        "3/2+w+(-1+1/2*w)*i+(-1/2+1/2*w)*j-w*k",
+        "1+3/2*w+(1-1/2*w)*i-1/2*w*j+(-1+1/2*w)*k",
+        "-1-3/2*w+(-3/2+1/2*w)*i-1/2*j", "1/2-w+(3/2+w)*i+(1/2-w)*j-1/2*k",
+        "-1/2+1/2*w+(-1-3/2*w)*i+(-1+w)*j-1/2*k",
+        "1/2-1/2*w+2*w*i+(1/2-w)*j-1/2*w*k",
+        "1-w+(1+3/2*w)*i-1/2*j+(1/2-1/2*w)*k",
+        "-3/2-w+(1-w)*i+1/2*w*j+(1/2+1/2*w)*k",
+        "-2*w+(1-1/2*w)*i+1/2*j+(1/2+1/2*w)*k",
+        "1+w+3/2*i+(1/2-1/2*w)*j+(-1-1/2*w)*k",
+        "1/2+3/2*w+(-1/2+w)*i+(-1+1/2*w)*j-w*k",
+        "-1+w+(1/2+3/2*w)*i+(1+1/2*w)*j+1/2*k",
+        "1-1/2*w+(3/2+w)*i+w*j+(-1/2+1/2*w)*k",
+        "-1+1/2*w+(1+3/2*w)*i+(1-1/2*w)*j-1/2*w*k",
+        "3/2-1/2*w+(-1-3/2*w)*i-1/2*k", "-3/2-w+(1/2-w)*i+1/2*j+(1/2-w)*k",
+        "1+3/2*w+(-1/2+1/2*w)*i+1/2*j+(-1+w)*k",
+        "-2*w+(1/2-1/2*w)*i+1/2*w*j+(1/2-w)*k",
+        "-1-3/2*w+(1-w)*i+(-1/2+1/2*w)*j-1/2*k",
+        "-1+w+(-3/2-w)*i+(-1/2-1/2*w)*j+1/2*w*k",
+        "-1+1/2*w-2*w*i+(-1/2-1/2*w)*j+1/2*k",
+        "-3/2+(1+w)*i+(1+1/2*w)*j+(1/2-1/2*w)*k",
+        "1/2-w+(1/2+3/2*w)*i+w*j+(-1+1/2*w)*k", "-3/2-w+3/2*i+1/2*j-1/2*k",
+        "-2*w+(-1/2+w)*i+(-1/2+1/2*w)*j-1/2*w*k",
+        "-1-w+(1-1/2*w)*i+1/2*j+(-3/2-1/2*w)*k",
+        "1+w+(-3/2+1/2*w)*i+1/2*w*j+(1/2+w)*k",
+        "1/2-1/2*w-2*w*i+(1/2-w)*j+1/2*w*k",
+        "-1/2+1/2*w+(1/2+3/2*w)*i+(-1/2+3/2*w)*j+(-1/2+1/2*w)*k",
+        "1/2-w+(-3/2-w)*i+(1/2-w)*j+1/2*k",
+        "1-w+(-1/2-3/2*w)*i+(-1-1/2*w)*j+1/2*k",
+        "2*w+(1-1/2*w)*i-1/2*j+(1/2+1/2*w)*k",
+        "3/2+w+(1-w)*i-1/2*w*j+(1/2+1/2*w)*k",
+        "-1-3/2*w+(1-w)*i+(1/2-1/2*w)*j-1/2*k",
+        "-1-3/2*w+(-1+1/2*w)*i+(-1+1/2*w)*j-1/2*w*k",
+    ],
+    (octahedral, 14): [
+        "5/2+3/2*w+(3/2+w)*i+(1/2+1/2*w)*j-1/2*k",
+        "-5/2-3/2*w+(3/2+w)*i-1/2*j+(1/2+1/2*w)*k",
+        "-1/2-1/2*w+(3/2+w)*i-1/2*j+(5/2+3/2*w)*k",
+        "1/2+1/2*w+(5/2+2*w)*i-1/2*j+(1/2+1/2*w)*k",
+        "-5/2-2*w+(-1/2-1/2*w)*i+(-1/2-1/2*w)*j+1/2*k",
+        "1+1/2*w+(2+3/2*w)*i+(-2-w)*k",
+        "-5/2-3/2*w+(3/2+w)*i+1/2*j+(-1/2-1/2*w)*k",
+        "-1-w+(-1-w)*i+(-1-1/2*w)*j+(2+3/2*w)*k",
+        "1/2+(1/2+1/2*w)*i+(1/2+1/2*w)*j+(5/2+2*w)*k",
+        "-3/2-w+(-1/2-1/2*w)*i+(3/2+3/2*w)*j+(-3/2-w)*k",
+        "-5/2-2*w+(-1/2-1/2*w)*i+(1/2+1/2*w)*j+1/2*k",
+        "-3/2-w+(1/2+1/2*w)*i+(3/2+3/2*w)*j+(3/2+w)*k",
+        "-1/2-1/2*w+(-1/2-1/2*w)*i+1/2*j+(-5/2-2*w)*k",
+        "1+1/2*w+(1+w)*i+(2+3/2*w)*j+(1+w)*k",
+        "-1/2+(-1/2-1/2*w)*i+(5/2+3/2*w)*j+(-3/2-w)*k",
+        "-3/2-3/2*w+(-1/2-1/2*w)*i+(-3/2-w)*j+(-3/2-w)*k",
+        "-5/2-3/2*w+(3/2+w)*i+(1/2+1/2*w)*j-1/2*k",
+        "-1/2+(-5/2-3/2*w)*i+(-3/2-w)*j+(-1/2-1/2*w)*k",
+        "-1/2-1/2*w-1/2*i+(-5/2-3/2*w)*j+(-3/2-w)*k",
+        "-5/2-3/2*w-1/2*i+(-1/2-1/2*w)*j+(-3/2-w)*k",
+        "2+w+(-2-3/2*w)*i+(-1-1/2*w)*j",
+        "-5/2-3/2*w+(-1/2-1/2*w)*i+(3/2+w)*j-1/2*k",
+        "-1/2-1/2*w+(-5/2-2*w)*i+(-1/2-1/2*w)*j+1/2*k",
+        "2+3/2*w+(-2-w)*j+(-1-1/2*w)*k", "2+w+(-1-1/2*w)*j+1/2*w*k",
+        "1/2+(-3/2-3/2*w)*i+(-1/2-1/2*w)*j+1/2*k", "-1-1/2*w+1/2*w*i+(-2-w)*k",
+        "-3/2-1/2*w+(-3/2-w)*i-1/2*j+(1/2+1/2*w)*k",
+        "-1/2*w+(-1-1/2*w)*i+(-2-w)*k",
+        "3/2+1/2*w+(3/2+w)*i-1/2*j+(1/2+1/2*w)*k",
+        "-1/2+(3/2+3/2*w)*i+(-1/2-1/2*w)*j+1/2*k",
+        "1/2+(3/2+3/2*w)*i+(-1/2-1/2*w)*j-1/2*k",
+        "-1/2*w+(1+w)*i+(-1-1/2*w)*j+(1+w)*k",
+        "1/2+1/2*i+(-3/2-3/2*w)*j+(-1/2-1/2*w)*k",
+        "1+w+1/2*w*i+(1+w)*j+(-1-1/2*w)*k",
+        "-1/2+(-1/2-1/2*w)*i+(-3/2-1/2*w)*j+(-3/2-w)*k",
+        "2+w+1/2*w*i+(-1-1/2*w)*k",
+        "-1/2-w+(1/2+1/2*w)*i+(1/2+1/2*w)*j+(3/2+w)*k",
+        "-3/2-1/2*w+(1/2+1/2*w)*i+(3/2+w)*j+1/2*k",
+        "-1/2-1/2*w+(1/2+w)*i+(3/2+w)*j+(1/2+1/2*w)*k",
+        "-1/2+(3/2+w)*i+(1/2+1/2*w)*j+(-3/2-1/2*w)*k",
+        "2+w+(1+1/2*w)*i+1/2*w*j",
+        "-1/2+(-3/2-w)*i+(3/2+1/2*w)*j+(1/2+1/2*w)*k",
+        "3/2+3/2*w-1/2*i+(-1/2-1/2*w)*j+1/2*k",
+        "1/2+1/2*w+(-1/2-1/2*w)*i+(3/2+w)*j+(1/2+w)*k",
+        "-3/2-w+(1/2+1/2*w)*i-1/2*j+(-3/2-1/2*w)*k",
+        "-1-w+(-1-1/2*w)*i-1/2*w*j+(-1-w)*k",
+        "-3/2-w+(-1/2-1/2*w)*i+1/2*j+(-3/2-1/2*w)*k",
+    ],
+}
+
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
 def test_enumerate_matches_reference(factory, top):
     # the reference keeps the first point of each ideal in its search
@@ -1010,6 +1186,14 @@ def test_enumerate_matches_reference(factory, top):
                 == {order.right_ideal(q) for q in want}), m
         if (factory, m) in PRIME_REPRESENTATIVES:
             assert [str(q) for q in got] == PRIME_REPRESENTATIVES[factory, m]
+
+
+@pytest.mark.parametrize("factory,m", list(COMPOSITE_REPRESENTATIVES))
+def test_enumerate_pins_composite_representatives(factory, m):
+    order = factory()
+    assert composite_values(order, m)
+    assert ([str(q) for q in order.enumerate_by_index(m)]
+            == COMPOSITE_REPRESENTATIVES[factory, m])
 
 
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
