@@ -245,7 +245,6 @@ def cmd_count(args) -> int:
             counted = pool.map(_count_task, tasks)
     else:
         counted = [_count_task(task) for task in tasks]
-    counted.sort()
     table = [{"m": m, "count": count,
               "matches_series": series.at(m) == count}
              for m, count in counted]
@@ -361,46 +360,52 @@ def cmd_spectrum(args) -> int:
 # -- verify -------------------------------------------------------------
 
 
+# A suite yields, per check, None when it holds and else its witness:
+# the text of the error line cmd_verify writes for the suite's first one.
+
+
 def _suite_ideal_correspondence(n, seed):
-    checks = failures = 0
     for factory in (hurwitz, icosian, octahedral):
         order = factory()
         for m in range(1, (n or 10) + 1):
             for q in order.enumerate_by_index(m):
-                checks += 1
-                if not verify_ideal_correspondence(order, q).all_ok:
-                    failures += 1
-    return checks, failures
+                report = verify_ideal_correspondence(order, q).as_dict()
+                yield next((f"{order.name}, m = {m}, generator "
+                            f"{format_quat(q)}: {key} false"
+                            for key, ok in report.items() if ok is False),
+                           None)
 
 
 def _suite_cubic_index(n, seed):
     wanted = n if n is not None else 100
     rng = random.Random(seed)
     order = hurwitz()
-    lattices = [standard_module(k) for k in ("cubic", "fcc", "bcc")]
-    checks = failures = 0
-    while checks < wanted:
-        q = Quat.zero(order.field_tag)
-        for b in order.basis:
-            q = q + b * rng.randint(-4, 4)
-        if q.is_zero():
+    lattices = [(k, standard_module(k)) for k in ("cubic", "fcc", "bcc")]
+    # the basis numerators over their common denominator
+    den = lcm(*(b.den for b in order.basis))
+    rows = [[x * (den // b.den) for x in b.num] for b in order.basis]
+    while wanted:
+        coeffs = [rng.randint(-4, 4) for _ in rows]
+        num = [sum(c * x for c, x in zip(coeffs, col))
+               for col in zip(*rows)]
+        if not any(num):
             continue
+        q = Quat.ratio(order.field_tag, num, den)
         sigma = sigma_index(order, q)
         if sigma > 99:
             continue
-        checks += 1
-        if any(csm_bruteforce(g, q)[1] != sigma for g in lattices):
-            failures += 1
-    return checks, failures
+        wanted -= 1
+        yield next((f"generator {format_quat(q)} on {key}: index {index} "
+                    f"by intersection, {sigma} by the formula"
+                    for key, g in lattices
+                    if (index := csm_bruteforce(g, q)[1]) != sigma), None)
 
 
 def _suite_zeta(n, seed):
-    checks = failures = 0
     for case, default_m in (("cub", 100), ("ico", 50), ("oct", 50)):
-        checks += 1
-        if not zeta_identity_check(case, n if n is not None else default_m):
-            failures += 1
-    return checks, failures
+        top = n if n is not None else default_m
+        yield (None if zeta_identity_check(case, top)
+               else f"case {case}, M = {top}: the zeta identity fails")
 
 
 _SUITES = {
@@ -420,11 +425,14 @@ def cmd_verify(args) -> int:
     if "cubic-index" in names and (args.n or 0) > DEFAULT_ENUM_CAP:
         raise ResourceCapError(f"suite cubic-index: --n {args.n} exceeds "
                                f"the cap {DEFAULT_ENUM_CAP}")
-    table = []
+    table, errors = [], []
     for name in names:
-        checks, failures = _SUITES[name](args.n, args.seed)
-        table.append({"suite": name, "checks": checks,
-                      "failures": failures, "pass": failures == 0})
+        outcomes = list(_SUITES[name](args.n, args.seed))
+        failed = [w for w in outcomes if w is not None]
+        table.append({"suite": name, "checks": len(outcomes),
+                      "failures": len(failed), "pass": not failed})
+        if failed:
+            errors.append(f"error: suite {name}: {failed[0]}")
     payload = {
         "command": "verify",
         "seed": args.seed,
@@ -436,6 +444,8 @@ def cmd_verify(args) -> int:
             f"({r['checks']} checks, {r['failures']} failures)"
             for r in table]
     _emit(args, payload, text)
+    for line in errors:
+        print(line, file=sys.stderr)
     return 0 if payload["pass"] else 1
 
 

@@ -11,6 +11,7 @@ verifier for the module identities the correspondence rests on.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, ResourceCapError
@@ -121,35 +122,20 @@ def spectrum_witness(order: QuatOrder, m: int):
     return (reps[0].a, reps[0].b)
 
 
-class CorrespondenceReport:
+class CorrespondenceReport(namedtuple("CorrespondenceReport", (
+        "norm_value", "im_projections_match", "sum_decompositions_match",
+        "order_index_matches", "ideal_index_matches",
+        "scalar_intersection_matches"))):
     """Outcome of the exact module identities for one reduced generator."""
 
-    __slots__ = ("norm_value", "im_projections_match",
-                 "sum_decompositions_match", "order_index_matches",
-                 "ideal_index_matches", "scalar_intersection_matches")
-
-    def __init__(self, norm_value: int, im_projections_match: bool,
-                 sum_decompositions_match: bool, order_index_matches: bool,
-                 ideal_index_matches: bool, scalar_intersection_matches: bool):
-        self.norm_value = norm_value
-        self.im_projections_match = im_projections_match
-        self.sum_decompositions_match = sum_decompositions_match
-        self.order_index_matches = order_index_matches
-        self.ideal_index_matches = ideal_index_matches
-        self.scalar_intersection_matches = scalar_intersection_matches
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
-        return (self.im_projections_match
-                and self.sum_decompositions_match
-                and self.order_index_matches
-                and self.ideal_index_matches
-                and self.scalar_intersection_matches)
+        return all(self[1:])
 
     def as_dict(self) -> dict:
-        out = {key: getattr(self, key) for key in self.__slots__}
-        out["all_ok"] = self.all_ok
-        return out
+        return {**self._asdict(), "all_ok": self.all_ok}
 
 
 def verify_ideal_correspondence(order: QuatOrder, q: Quat) -> CorrespondenceReport:

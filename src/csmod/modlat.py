@@ -285,27 +285,17 @@ def scale_module(module: OModule, alpha) -> OModule:
                        for col in module.pairs], module.den * a.den)
 
 
-def _common_columns(m1: OModule, m2: OModule):
-    """(den, the flat columns of m1 and then of -m2, all over den)."""
+def intersect(m1: OModule, m2: OModule) -> OModule:
+    """Intersection: the B1*x with B1*x - B2*y = 0 over the ring, which
+    _canonical keeps from the columns B1 over B1 and zero over -B2, all
+    over the common denominator."""
     _check_compatible(m1, m2)
     den = lcm(m1.den, m2.den)
     f1, f2 = den // m1.den, -(den // m2.den)
-    return den, ([[x * f1 for x in col] for col in m1.pairs]
-                 + [[x * f2 for x in col] for col in m2.pairs])
-
-
-def module_sum(m1: OModule, m2: OModule) -> OModule:
-    den, cols = _common_columns(m1, m2)
-    return _canonical(m1.tag, m1.ambient, cols, den)
-
-
-def intersect(m1: OModule, m2: OModule) -> OModule:
-    """Intersection: the B1*x with B1*x - B2*y = 0 over the ring, which
-    _canonical keeps from the columns B1 over B1 and zero over -B2."""
-    den, cols = _common_columns(m1, m2)
     return _canonical(m1.tag, m1.ambient,
-                      [(col if k < m1.rank else [0] * len(col)) + col
-                       for k, col in enumerate(cols)], den)
+                      [[x * f1 for x in col] * 2 for col in m1.pairs]
+                      + [[0] * len(col) + [x * f2 for x in col]
+                         for col in m2.pairs], den)
 
 
 def intersect_image(module: OModule, rows, scale) -> OModule:

@@ -465,18 +465,16 @@ class QuatOrder:
         """Raise what enumerate_by_index raises at the first m in lo..hi
         that it refuses, without enumerating; nothing if it takes all."""
         limit = DEFAULT_ENUM_CAP if cap is None else cap
-        # the first m refused, if any, is lo or the first m above the cap
-        for m in (lo, max(lo, limit + 1)):
-            if m > hi:
-                return
-            if m < 1:
-                raise DomainError("index must be a positive integer")
-            if m > limit:
-                raise ResourceCapError(
-                    f"norm {m} exceeds the enumeration cap {limit}")
-            if not self.maximal:
-                raise DomainError(
-                    "enumeration by reduced norm needs a maximal order")
+        if lo > hi:
+            return
+        if lo < 1:
+            raise DomainError("index must be a positive integer")
+        if not self.maximal and lo <= limit:
+            raise DomainError(
+                "enumeration by reduced norm needs a maximal order")
+        if hi > limit:
+            raise ResourceCapError(f"norm {max(lo, limit + 1)} exceeds the "
+                                   f"enumeration cap {limit}")
 
     def _product_generators(self, factors):
         """One reduced generator per right ideal whose reduced norm is

@@ -7,10 +7,10 @@ elements (RingElem) are integer pairs (a, b) for a + b*omega in the basis
 tag.  A field element (FieldElem) is a RingElem numerator over a positive
 integer denominator in lowest terms, so all field arithmetic, parsing and
 printing is integer arithmetic on the ring formulas; Fraction is imported
-only by the FieldElem.a and .b views, its hash of a rational, its
-constructor given Fractions and series.summatory.  All three rings are
-norm-Euclidean principal ideal domains, which keeps gcds, contents,
-Hermite pivots and prime factorization algorithmic.
+only by the FieldElem.a and .b views, its hash of a rational and
+series.summatory.  All three rings are norm-Euclidean principal ideal
+domains, which keeps gcds, contents, Hermite pivots and prime
+factorization algorithmic.
 
 Associates are normalized deterministically: the canonical associate of a
 nonzero element is totally positive with embedding ratio sigma1/sigma2 in
@@ -59,6 +59,9 @@ class RingElem:
     __slots__ = ("tag", "a", "b")
 
     def __init__(self, tag: FieldTag, a: int, b: int = 0):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise TypeError(f"ring coordinates must be integers, got "
+                            f"{a!r} and {b!r}")
         if b and tag is _RATIONAL:
             raise DomainError("rational integers have no omega part")
         self.tag = tag
@@ -195,24 +198,27 @@ class FieldElem:
     num is a RingElem and den a positive int, always in lowest terms:
     gcd(num.a, num.b, den) == 1, so equal elements have equal parts.
     Instances are treated as immutable; arithmetic returns new objects.
-    The constructor takes the int or Fraction coefficients of a + b*omega.
+    The constructor takes the rational coefficients of a + b*omega: ints,
+    or any numbers.Rational, read through numerator and denominator.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, tag: FieldTag, a, b=0):
+        den = 1
+        if a.__class__ is not int or b.__class__ is not int:
+            from numbers import Rational    # kept off the start-up path
+            for x in (a, b):
+                if not isinstance(x, Rational):
+                    raise TypeError(
+                        f"cannot interpret {x!r} as a field element")
+            den = a.denominator * b.denominator
+            a, b = a.numerator * b.denominator, b.numerator * a.denominator
         if b and tag is _RATIONAL:
             raise DomainError("rational numbers have no omega part")
-        if a.__class__ is int and b.__class__ is int:
-            self.num = RingElem(tag, a, b)
-            self.den = 1
-            return
-        from fractions import Fraction    # only this branch needs it
-        a, b = Fraction(a), Fraction(b)
-        x = FieldElem.ratio(RingElem(tag, a.numerator * b.denominator,
-                                     b.numerator * a.denominator),
-                            a.denominator * b.denominator)
-        self.num, self.den = x.num, x.den
+        g = gcd(a, b, den)
+        self.num = RingElem(tag, a // g, b // g)
+        self.den = den // g
 
     @classmethod
     def _new(cls, num: RingElem, den: int) -> "FieldElem":
@@ -378,12 +384,7 @@ def as_field(tag: FieldTag, value) -> FieldElem:
         if value.tag is not tag:
             raise DomainError("mixed field tags")
         return value.to_field()
-    if value.__class__ is int:
-        return FieldElem(tag, value)
-    from numbers import Rational    # Fraction, bool: off the start-up path
-    if isinstance(value, Rational):
-        return FieldElem(tag, value)
-    raise TypeError(f"cannot interpret {value!r} as a field element")
+    return FieldElem(tag, value)
 
 
 def ring_columns(tag: FieldTag, n: int, vectors):

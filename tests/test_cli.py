@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 import csmod
 from csmod.cli import (_DEFAULTS, _build_parser, _json_text, _load_config,
                        _parse_rotation, main)
-from csmod.csm import SPECTRUM_CAP
+from csmod.csm import (SPECTRUM_CAP, csm_bruteforce, standard_module,
+                       verify_ideal_correspondence)
 from csmod.errors import DomainError, ParseInputError
-from csmod.quat import Quat, parse_quat
+from csmod.orders import icosian
+from csmod.quat import Quat, format_quat, parse_quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, _parse_numerators,
                          _ratio_text, parse_field_elem)
 from csmod.series import (CASE_OF_FIELD, PHI_CASES, coefficient,
@@ -610,6 +612,76 @@ def test_verify_caps_the_cubic_index_suite(capsys, monkeypatch, n, code):
     else:
         assert out == "suite cubic-index: pass (10000 checks, 0 failures)\n"
         assert len(calls) == n
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_names_the_witness_of_a_failing_correspondence(
+        capsys, monkeypatch, fmt):
+    # one identity patched to fail on the icosian generators of norm 4
+    def check(order, q):
+        report = verify_ideal_correspondence(order, q)
+        if order.name == "icosian" and report.norm_value == 4:
+            return report._replace(order_index_matches=False)
+        return report
+    monkeypatch.setattr("csmod.cli.verify_ideal_correspondence", check)
+    code = main(["verify", "--suite", "ideal-correspondence", "--n", "4",
+                 "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 1
+    generators = icosian().enumerate_by_index(4)
+    assert err == (f"error: suite ideal-correspondence: icosian, m = 4, "
+                   f"generator {format_quat(generators[0])}: "
+                   f"order_index_matches false\n")
+    failures = len(generators)
+    if fmt == "json":
+        assert json.loads(out)["rows"][0]["failures"] == failures
+        assert json.loads(out)["pass"] is False
+    else:
+        assert out.endswith(f"FAIL (21 checks, {failures} failures)\n")
+
+
+def test_verify_names_the_witness_of_a_failing_cubic_index(capsys,
+                                                           monkeypatch):
+    # the second fcc intersection is patched to miss the formula by one
+    fcc, seen = standard_module("fcc"), []
+
+    def brute(gamma, q):
+        common, index = csm_bruteforce(gamma, q)
+        if gamma is fcc:
+            seen.append((q, index))
+            if len(seen) == 2:
+                return common, index + 1
+        return common, index
+    monkeypatch.setattr("csmod.cli.csm_bruteforce", brute)
+    code = main(["verify", "--suite", "cubic-index", "--n", "5",
+                 "--seed", "3"])
+    assert code == 1
+    q, index = seen[1]
+    assert capsys.readouterr() == (
+        "suite cubic-index: FAIL (5 checks, 1 failures)\n",
+        f"error: suite cubic-index: generator {format_quat(q)} on fcc: "
+        f"index {index + 1} by intersection, {index} by the formula\n")
+
+
+def test_verify_names_the_witness_of_each_failing_suite(capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr("csmod.cli.zeta_identity_check",
+                        lambda case, m: case == "cub")
+    monkeypatch.setattr("csmod.cli.sigma_index", lambda order, q: 2)
+    monkeypatch.setattr("csmod.cli.csm_bruteforce", lambda g, q: (None, 1))
+    code = main(["verify", "--suite", "all", "--n", "2", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "ideal-correspondence,6,0,true", "cubic-index,2,2,false",
+        "zeta,3,2,false"]
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"error: suite cubic-index: generator \S+ on "
+                        r"cubic: index 1 by intersection, 2 by the formula",
+                        lines[0])
+    assert lines[1] == ("error: suite zeta: case ico, M = 2: the zeta "
+                        "identity fails")
 
 
 # -- JSON output -----------------------------------------------------------

@@ -15,12 +15,13 @@ from csmod.csm import (MODULE_KEYS, CorrespondenceReport, count_csms,
                        standard_module, verify_ideal_correspondence)
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
-                          intersect, module_sum, pure_part)
+                          intersect, pure_part)
 from csmod.orders import (hurwitz, icosian, lipschitz, octahedral,
                            order_by_key)
 from csmod.quat import Quat, format_quat
 from csmod.rings import FieldElem, FieldTag, parse_field_elem
 from fieldmatrix import Mat3K, rotation_matrix, rotation_to_quat
+from modulesum import module_sum
 from wholeorder import WholeOrderSearch
 
 Q = FieldTag.RATIONAL
@@ -358,6 +359,17 @@ def test_correspondence_report_as_dict_order():
         ("scalar_intersection_matches", True), ("all_ok", False)]
     report = verify_ideal_correspondence(hurwitz(), Quat(Q, 2, 1, 0, 0))
     assert list(report.as_dict().values()) == [5] + [True] * 6
+
+
+def test_correspondence_report_is_a_named_tuple():
+    report = verify_ideal_correspondence(hurwitz(), Quat(Q, 2, 1, 0, 0))
+    assert report == (5, True, True, True, True, True)
+    assert tuple(report) == tuple(report.as_dict().values())[:-1]
+    assert report._replace(ideal_index_matches=False) == CorrespondenceReport(
+        5, True, True, True, False, True)
+    assert not report._replace(ideal_index_matches=False).all_ok
+    with pytest.raises(AttributeError):
+        report.norm_value = 6
 
 
 def test_correspondence_degenerate_unit():

@@ -19,13 +19,13 @@ from csmod.modlat import (
     index_K,
     intersect,
     intersect_image,
-    module_sum,
     pure_part,
     scalar_intersect,
     scale_module,
 )
 from csmod.quat import Quat, cayley_matrix, cayley_pairs
 from csmod.rings import FieldElem, FieldTag, RingElem, parse_field_elem
+from modulesum import module_sum
 
 TAGS = [FieldTag.RATIONAL, FieldTag.ROOT_FIVE, FieldTag.ROOT_TWO]
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
-                          intersect, module_sum, scalar_intersect,
-                          scale_module)
+                          intersect, scalar_intersect, scale_module)
 import csmod.orders
 import wholeorder
 from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, QuatOrder, _ldl,
@@ -20,6 +19,7 @@ from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, QuatOrder, _ldl,
 from csmod.quat import Quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, factor,
                          norm_class_reps, ring_gcd)
+from modulesum import module_sum
 from wholeorder import WholeOrderSearch
 
 Q = FieldTag.RATIONAL
@@ -310,6 +310,42 @@ def test_enumerate_caps_and_errors():
         J.enumerate_by_index(7, cap=5)
     with pytest.raises(DomainError):
         lipschitz(Q).enumerate_by_index(3)
+
+
+@pytest.mark.parametrize("key,lo,hi,cap,error", [
+    ("hurwitz", 5, 4, None, None),              # an empty range passes
+    ("hurwitz", -2, -5, None, None),
+    ("hurwitz", 1, DEFAULT_ENUM_CAP, None, None),
+    ("hurwitz", 5, 5, 5, None),
+    ("hurwitz", 0, 3, None, (DomainError, "index must be a positive integer")),
+    ("hurwitz", -2, -2, 5, (DomainError, "index must be a positive integer")),
+    ("hurwitz", 1, DEFAULT_ENUM_CAP + 1, None,
+     (ResourceCapError, "norm 10001 exceeds the enumeration cap 10000")),
+    # a range past the cap names its first m past the cap, or lo
+    ("hurwitz", 3, 7, 5,
+     (ResourceCapError, "norm 6 exceeds the enumeration cap 5")),
+    ("icosian", 7, 9, 5,
+     (ResourceCapError, "norm 7 exceeds the enumeration cap 5")),
+    ("octahedral", 1, 1, 0,
+     (ResourceCapError, "norm 1 exceeds the enumeration cap 0")),
+    ("lipschitz-q", 4, 3, None, None),
+    ("lipschitz-q", 1, 3, None,
+     (DomainError, "enumeration by reduced norm needs a maximal order")),
+    ("lipschitz-q", 3, 9, 5,
+     (DomainError, "enumeration by reduced norm needs a maximal order")),
+    ("lipschitz-q", 0, 3, None,
+     (DomainError, "index must be a positive integer")),
+    ("lipschitz-q", 6, 9, 5,
+     (ResourceCapError, "norm 6 exceeds the enumeration cap 5")),
+])
+def test_check_indices_refuses_in_order(key, lo, hi, cap, error):
+    order = order_by_key(key)
+    if error is None:
+        assert order.check_indices(lo, hi, cap) is None
+        return
+    with pytest.raises(error[0]) as info:
+        order.check_indices(lo, hi, cap)
+    assert info.type is error[0] and str(info.value) == error[1]
 
 
 def test_enumerate_deterministic():

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -571,6 +572,44 @@ def test_subtraction_with_ints_and_other_operands(tag):
                 lambda: "a" - r):
         with pytest.raises(TypeError, match="for -:"):
             bad()
+
+
+# values that are not exact rationals: a float would be read as its
+# binary fraction, and a string as Fraction's own parser reads it
+INEXACT = [0.1, 1.5, "1e999999", "2", Decimal(1), None]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_field_elements_take_only_exact_rationals(tag, bad):
+    for make in (lambda: FieldElem(tag, bad), lambda: rings.as_field(tag, bad),
+                 lambda: FieldElem(tag, 1, bad)):
+        with pytest.raises(TypeError, match="as a field element"):
+            make()
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+@pytest.mark.parametrize("bad", INEXACT + [Fraction(3)], ids=repr)
+def test_ring_elements_take_only_integers(tag, bad):
+    for make in (lambda: RingElem(tag, bad), lambda: RingElem(tag, 1, bad)):
+        with pytest.raises(TypeError, match="must be integers"):
+            make()
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_ints_bools_and_fractions_give_the_same_field_elements(tag):
+    b = 1 if tag.degree == 2 else 0
+    for make in (lambda a: FieldElem(tag, a),
+                 lambda a: rings.as_field(tag, a)):
+        assert make(3) == make(Fraction(6, 2)) == RingElem(tag, 3)
+        assert make(True) == make(Fraction(1)) == make(1)
+        assert make(False).is_zero()
+        assert make(Fraction(-4, 6)) == FieldElem(tag, -2) / 3
+        assert str(make(Fraction(-4, 6))) == "-2/3"
+    half = FieldElem(tag, Fraction(1, 2), Fraction(-b, 4))
+    assert half == FieldElem(tag, 2, -b) / 4
+    assert half.den == (4 if b else 2)
+    assert FieldElem(tag, True, b) == FieldElem(tag, 1, Fraction(b))
 
 
 @settings(max_examples=300, deadline=None)
