@@ -192,14 +192,31 @@ def _echelon(columns, c: int, e: int):
     Returns pivots, mapping row r to the column whose lowest nonzero entry
     is on row r.  The rows below r are eliminated first, so the pivots of
     rows 0..n-1 span the combinations of the columns that vanish below.
+
+    Over Z (the omega^2 rule c, e = 1, 0) every omega part is 0, and the
+    same steps are taken on the integer parts alone: the stable sort by
+    norm y^2 puts first the first column of least |y|, which min finds
+    (nz keeps the columns' order, and only its columns change, so the
+    next pass filters nz); the general quotient (2*x*y + y^2) // (2*y^2)
+    is floor(x/y + 1/2), computed as (2*x + y) // (2*y), and is nonzero
+    as |x| >= |y|; and the rows below row i are 0 in every column left,
+    so a step changes only the rows at or above it.
     """
     cols = [list(col) for col in columns]
-    pivots = {}
+    pivots, over_z = {}, c == 1 and not e
     for i in range(len(cols[0]) - 2, -1, -2):
-        while True:
-            nz = [col for col in cols if col[i] or col[i + 1]]
-            if len(nz) <= 1:
-                break
+        nz = [col for col in cols if col[i] or col[i + 1]]
+        while len(nz) > 1:
+            if over_z:
+                piv = min(nz, key=lambda col: abs(col[i]))
+                y = piv[i]
+                for col in nz:
+                    if col is not piv:
+                        q = (2 * col[i] + y) // (2 * y)
+                        for k in range(0, i + 1, 2):
+                            col[k] -= q * piv[k]
+                nz = [col for col in nz if col[i]]
+                continue
             nz.sort(key=lambda col: abs(pair_norm(col[i], col[i + 1], c, e)))
             piv = nz[0]
             ya, yb = piv[i], piv[i + 1]
@@ -216,6 +233,7 @@ def _echelon(columns, c: int, e: int):
                 if not (qa or qb):
                     raise ArithmeticError("echelon step failed to reduce")
                 _col_submul(col, qa, qb, piv, c, e)
+            nz = [col for col in cols if col[i] or col[i + 1]]
         if nz:
             pivots[i // 2] = nz[0]
             cols.remove(nz[0])

@@ -160,12 +160,20 @@ class Quat:
         return Quat._new(self.tag, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Quat.ratio(self.tag, pair_product(self.num, o.num,
-                                                 *self.tag._omega_sq),
-                          self.den * o.den)
+        c, e = self.tag._omega_sq
+        if isinstance(other, Quat):
+            o = self._coerce(other)     # refuses another field's quaternion
+            return Quat.ratio(self.tag, pair_product(self.num, o.num, c, e),
+                              self.den * o.den)
+        try:
+            s = as_field(self.tag, other)
+        except TypeError:
+            return NotImplemented
+        # a field scalar: each ring numerator times the scalar's numerator
+        x, sa, sb = self.num, s.num.a, s.num.b
+        return Quat.ratio(self.tag, [y for k in range(0, 8, 2) for y in
+                                     pair_mul(x[k], x[k + 1], sa, sb, c, e)],
+                          self.den * s.den)
 
     __rmul__ = __mul__  # only reached for scalars, which commute
 

@@ -503,7 +503,16 @@ def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
     x + y*O, which makes it usable for canonical matrix normal forms.
     Among the small remainders reachable from the Euclidean one it
     minimizes absolute norm, then absolute coefficients, preferring
-    nonnegative ones (so 1 mod 2 reduces to 1, not -1)."""
+    nonnegative ones (so 1 mod 2 reduces to 1, not -1).
+
+    Over Z that is the balanced residue in (-|y|/2, |y|/2], which is
+    computed directly: the norm r^2 orders remainders by |r|, and the tie
+    at |y|/2 goes to the nonnegative one."""
+    if tag is _RATIONAL:
+        r = xa % abs(ya)
+        if 2 * r > abs(ya):
+            r -= abs(ya)
+        return (xa - r) // ya, 0, r, 0
     qa, qb, r0a, r0b = pair_euclid_divmod(xa, xb, ya, yb, tag)
     c, e = tag._omega_sq
     best = None
@@ -576,7 +585,11 @@ def _class_of_prime(p: int, tag: FieldTag) -> SplittingClass:
 def primes_above(p: int, tag: FieldTag) -> list[RingElem]:
     """Canonical primes of the ring lying over the rational prime p: p
     itself when p is inert, else the elements of norm p (norm_class_reps)."""
-    cls = splitting_class(p, tag)
+    return _primes_over(p, tag, splitting_class(p, tag))
+
+
+def _primes_over(p: int, tag: FieldTag, cls: SplittingClass):
+    # primes_above for a p already proven prime, of splitting class cls
     if cls is _INERT:
         return [RingElem(tag, p)]
     pis = norm_class_reps(tag, p)
@@ -596,8 +609,8 @@ def factor(alpha: RingElem) -> tuple[RingElem, tuple]:
         raise DomainError("cannot factor zero")
     rem = alpha
     pairs = []
-    for p, _ in factor_int(alpha.norm_abs()):
-        for pi in primes_above(p, alpha.tag):
+    for p, _ in factor_int(alpha.norm_abs()):   # proves each p prime
+        for pi in _primes_over(p, alpha.tag, _class_of_prime(p, alpha.tag)):
             k = 0
             while True:
                 q = rem.exact_div(pi)

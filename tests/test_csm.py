@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pathlib
@@ -210,6 +211,31 @@ def test_count_names_a_wrong_bruteforce_index(factory, m, monkeypatch):
         count_csms(factory(), m)
     assert str(err.value) == (f"{factory().name}, m = {m}: the intersection "
                               f"for {first} has index {m + 1}, not {m}")
+
+
+# SHA-256 of the sorted str() of every csm_bruteforce module along the
+# count path (one per generator enumerate_by_index yields, m = 1..top),
+# joined by newlines; recorded before the kernel's integer branches over Z
+CSM_SHA256 = {
+    "hurwitz": (60, 1093, "b2254a1e89cbfa084c3cf4c5dd5fea40"
+                          "1b4f805ec06f27ffe3b70312489b6cdb"),
+    "icosian": (30, 226, "b3e867932e99606a837fefe076111f01"
+                         "597952499935a2861a3f81ea4d1e7683"),
+    "octahedral": (40, 636, "cf194405c506c95b4612d99ac4fbef22"
+                            "3f5a5e12059a38bd76fccdff8a3a9549"),
+}
+
+
+@pytest.mark.parametrize("key", CSM_SHA256)
+def test_count_path_modules_hash(key):
+    top, size, digest = CSM_SHA256[key]
+    order = order_by_key(key)
+    gamma = gamma_of(order)
+    mods = sorted(str(csm_bruteforce(gamma, q)[0])
+                  for m in range(1, top + 1)
+                  for q in order.enumerate_by_index(m))
+    assert len(mods) == size
+    assert hashlib.sha256("\n".join(mods).encode()).hexdigest() == digest
 
 
 def test_count_multiplicative_on_coprime_indices():

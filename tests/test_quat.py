@@ -15,7 +15,7 @@ from csmod.quat import (
     hamilton_product,
     parse_quat,
 )
-from csmod.rings import FieldElem, FieldTag, RingElem
+from csmod.rings import FieldElem, FieldTag, RingElem, as_field
 from fieldmatrix import Mat3K, rotation_matrix
 
 TAGS = [FieldTag.RATIONAL, FieldTag.ROOT_FIVE, FieldTag.ROOT_TWO]
@@ -285,6 +285,9 @@ def test_scalar_product_matches_scalar_quaternion(case):
     assert q * s == want
     assert s * q == want
     assert (q * s).tag is q.tag
+    # division scales by the inverse, on the same path
+    if s != 0:
+        assert q / s == q * Quat(q.tag, as_field(q.tag, s).inverse())
 
 
 @pytest.mark.parametrize("tag", TAGS)

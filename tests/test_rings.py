@@ -304,10 +304,12 @@ def test_primes_above_checks_the_norm_search(tag, p, cls, monkeypatch):
     reps = rings.norm_class_reps
     monkeypatch.setattr(rings, "norm_class_reps",
                         lambda tag, m: reps(tag, m)[1:])
-    with pytest.raises(ArithmeticError,
-                       match=f"norm {p} over {tag.value}, where the residue "
-                             f"rule makes {p} {cls}$"):
-        primes_above(p, tag)
+    for call in (lambda: primes_above(p, tag),
+                 lambda: factor(RingElem(tag, p))):
+        with pytest.raises(ArithmeticError,
+                           match=f"norm {p} over {tag.value}, where the "
+                                 f"residue rule makes {p} {cls}$"):
+            call()
 
 
 def test_factor_int():
@@ -341,6 +343,24 @@ def test_factor_examples():
     unit, primes = factor(RingElem(FieldTag.RATIONAL, -12))
     assert [(p.a, k) for p, k in primes] == [(2, 2), (3, 1)]
     assert unit == RingElem(FieldTag.RATIONAL, -1)
+
+
+@pytest.mark.parametrize("tag, alpha", [
+    (FieldTag.RATIONAL, (-2 * 3 * 5 * 7 * 11, 0)),
+    (FieldTag.ROOT_FIVE, (-66, 132)), (FieldTag.ROOT_TWO, (0, 105))])
+def test_factor_proves_each_prime_once(tag, alpha, monkeypatch):
+    # factor_int(N(alpha)) proves the primes of the norm, here ramified,
+    # inert and split ones (66*sqrt5 and 105*sqrt2); classing them must
+    # not prove each one again
+    calls = []
+    real = rings.factor_int
+    monkeypatch.setattr(rings, "factor_int",
+                        lambda n: calls.append(n) or real(n))
+    x = RingElem(tag, *alpha)
+    unit, primes = factor(x)
+    assert calls == [x.norm_abs()]
+    assert len(real(x.norm_abs())) >= 3
+    assert factor_value(unit, primes) == x
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
