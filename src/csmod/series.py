@@ -21,23 +21,28 @@ on first use, a local factor is a pair of polynomials in x whose
 coefficients are integer polynomials in p.
 
 Every series here is multiplicative, so a table f(1..M) is filled by
-prime strides over one bytearray sieve of the primes up to M, from all
-ones in the zero-based list values[j - 1] = f(j).  Each j <= M has at
-most one prime factor above sqrt(M), and that only once, so those
-primes go first, one residue class mod the field discriminant (1, 5 or
-8) at a time: its first prime gives the class factor, whose constant
-terms are checked once as polynomials, and f(p) = t(p) with t = num_1 -
-den_1, its first x-coefficients; each p checks its own f(p) >= 0 and
-writes it over the ones of its stride, once for p > M/2.  Then each
-p <= sqrt(M) (and 2, whose factor over Q is not its class's) evaluates
-its local factor, expands it to the top power p^k <= M and multiplies
-in its p-part in one pass over its stride, with multipliers f(p),
-overwritten with f(p^k) at the multiples of p^(k-1); when f(p) = 0 the
-stride is zeroed and only the multiples of p^2 get a pass, none if
-every f(p^k) is 0.  The sieve is the primality proof, so the local
-factors take their splitting class from the residue rule alone, without
-trial division, and it is freed before the list becomes the table's
-tuple, where the memory peaks.
+prime strides over one bytearray sieve of the primes up to M.  The odd
+part comes first, from all ones in the half-length list odd[i] =
+f(2i + 1): an odd j sits at j // 2, and the odd multiples of an odd
+prime p form the stride odd[p // 2::p].  Each j <= M has at most one
+prime factor above sqrt(M), and that only once, so those primes go
+first, one residue class mod the field discriminant (1, 5 or 8) at a
+time: its first prime gives the class factor, whose constant terms are
+checked once as polynomials, and f(p) = t(p) with t = num_1 - den_1,
+its first x-coefficients; each p checks its own f(p) >= 0 and writes it
+over the ones of its odd stride, one write for p > M/3.  Then each odd
+p <= sqrt(M) evaluates its local factor, expands it to the top power
+p^k <= M and multiplies in its p-part in one pass over its odd stride,
+with multipliers f(p), overwritten with f(p^k) at the odd multiples of
+p^(k-1); when f(p) = 0 the stride is zeroed and only the odd multiples
+of p^2 get a pass, none if every f(p^k) is 0.  The sieve is the
+primality proof, so the local factors take their splitting class from
+the residue rule alone, without trial division.  The prime 2, whose
+factor over Q is not its class's, comes last: the zero-based list
+values[j - 1] = f(j) takes the odd part at its even positions and, for
+every k with f(2^k) != 0, f(2^k) times its first entries at the stride
+of the j with 2^k || j.  The sieve and the odd list are freed before
+the list becomes the table's tuple, where the memory peaks.
 """
 
 import math
@@ -232,26 +237,28 @@ def _check_cap(value: int, cap) -> None:
 
 
 def _stride_multipliers(exp: tuple, p: int, s: int, M: int) -> list:
-    """Multipliers of the stride j = p^s * i <= M, i >= 1, from the
-    expansion exp of the local factor at p up to the top power p^k <= M:
-    the entry of i is exp[k] for p^k || j, that is for p^(k-s) || i."""
+    """Multipliers of the odd stride j = p^s * i <= M, i odd, from the
+    expansion exp of the local factor at the odd prime p up to the top
+    power p^k <= M: the entry of i is exp[k] for p^k || j, that is for
+    p^(k-s) || i, and the odd multiples of q = p^(k-s) sit at offset
+    q // 2 of the stride, with step q."""
     step = p ** s
-    part = [exp[s]] * (M // step)
+    part = [exp[s]] * ((M // step + 1) // 2)
     q = p
     for k in range(s + 1, len(exp)):
-        part[q - 1::q] = [exp[k]] * (M // (q * step))
+        part[q // 2::q] = [exp[k]] * ((M // (q * step) + 1) // 2)
         q *= p
     return part
 
 
-def _write_large_primes(values: list, sieve: bytearray, kind: str,
+def _write_large_primes(odd: list, sieve: bytearray, kind: str,
                         tag: FieldTag, first: int) -> None:
     """Write f(p) = t(p), t = num_1 - den_1 as in EulerFactor.expansion,
-    over the ones of the stride of each prime p >= first > sqrt(M), one
-    residue class at a time; a function of its own, so that its lists
+    over the ones of the odd stride of each prime p >= first > sqrt(M),
+    one residue class at a time; a function of its own, so that its lists
     are freed before the table's tuple is made."""
-    M = len(values)
-    half = M // 2
+    M = len(sieve) - 1
+    third = M // 3
     mod = len(_CLASSES_BY_RESIDUE[tag])
     for start in range(first, min(first + mod - 1, M) + 1):
         # the regex engine finds the class's prime flags; compress over a
@@ -271,10 +278,19 @@ def _write_large_primes(values: list, sieve: bytearray, kind: str,
         for p, c in zip(primes, fp):
             if c < 0:
                 _nonnegative(p, c, 1)
-            if p > half:
-                values[p - 1] = c    # p is its only multiple up to M
+            if p > third:
+                odd[p // 2] = c    # p is its only odd multiple up to M
             elif c != 1:
-                values[p - 1::p] = [c] * (M // p)
+                odd[p // 2::p] = [c] * ((M // p + 1) // 2)
+
+
+def _expansion(kind: str, tag: FieldTag, p: int, M: int) -> tuple:
+    """f(1), f(p), ..., f(p^k) for the top power p^k <= M (k >= 1)."""
+    num, den = _local_polys(kind, tag, p, _class_of_prime(p, tag))
+    top, q = 1, p * p
+    while q <= M:
+        top, q = top + 1, q * p
+    return EulerFactor(p, num, den).expansion(top + 1)
 
 
 def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
@@ -283,31 +299,40 @@ def coefficient_table(case: str, M: int, cap=None) -> CoeffSeries:
         raise DomainError("need at least one coefficient")
     _check_cap(M, cap)
     kind, tag = _parse_case(case)
-    values = [1] * M    # values[j - 1] = f(j)
-    small = max(math.isqrt(M), 2)    # 2 over Q, with its own row, is small
+    odd = [1] * ((M + 1) // 2)    # odd[j // 2] = f(j), j odd
+    small = math.isqrt(M)
     sieve = _prime_sieve(M)
-    _write_large_primes(values, sieve, kind, tag, small + 1)
-    for p in compress(range(small + 1), sieve):
-        num, den = _local_polys(kind, tag, p, _class_of_prime(p, tag))
-        top, q = 1, p * p
-        while q <= M:
-            top, q = top + 1, q * p
-        exp = EulerFactor(p, num, den).expansion(top + 1)
+    _write_large_primes(odd, sieve, kind, tag, max(small + 1, 3))
+    for p in compress(range(3, small + 1, 2), sieve[3::2]):
+        exp = _expansion(kind, tag, p, M)
         if exp[1]:
-            values[p - 1::p] = list(map(
-                mul, values[p - 1::p], _stride_multipliers(exp, p, 1, M)))
+            odd[p // 2::p] = list(map(
+                mul, odd[p // 2::p], _stride_multipliers(exp, p, 1, M)))
             continue
         # f(p) = 0, so f(j) = 0 wherever p || j: zero the p-stride, then
         # give the multiples of p^2 their p-part unless every f(p^k) is 0
         sq = p * p
         if any(exp[2:]):
-            kept = values[sq - 1::sq]
-            values[p - 1::p] = [0] * (M // p)
-            values[sq - 1::sq] = list(map(
+            kept = odd[sq // 2::sq]
+            odd[p // 2::p] = [0] * ((M // p + 1) // 2)
+            odd[sq // 2::sq] = list(map(
                 mul, kept, _stride_multipliers(exp, p, 2, M)))
         else:
-            values[p - 1::p] = [0] * (M // p)
+            odd[p // 2::p] = [0] * ((M // p + 1) // 2)
     del sieve    # before the tuple, where a table's memory peaks
+    # the 2-part last: f(2^k o) = f(2^k) f(o) for o = 2i + 1 odd, at
+    # j - 1 = 2^k - 1 + 2^(k+1) i
+    exp = _expansion(kind, tag, 2, M)
+    values = [0] * M    # values[j - 1] = f(j)
+    values[::2] = odd
+    q = 2
+    for c in exp[1:]:
+        if c:    # f(2^k), at the first (M/2^k + 1)/2 odd o
+            count = (M // q + 1) // 2
+            values[q - 1::2 * q] = (odd[:count] if c == 1 else
+                                    list(map(mul, odd[:count], repeat(c))))
+        q *= 2
+    del odd
     return CoeffSeries(label=case, values=tuple(values))
 
 

@@ -311,7 +311,7 @@ def _negative_at(q):
 
 @pytest.mark.parametrize("p,numerator,power", [
     (3, (1, 0, -1), 2),     # below sqrt(M), through _local_polys: at p^2
-    (47, _negative_at(47), 1),     # above sqrt(M), through the class factor
+    (47, _negative_at(47), 1),     # above M/3, through the class factor
     (53, _negative_at(53), 1),     # above M/2
     (11, _negative_at(11), 1),     # first of its class mod 8 above sqrt(M)
 ])
@@ -384,11 +384,14 @@ def test_table_matches_reference_around_prime_squares(case, M):
     assert coefficient_table(case, M).values == reference_table(case, M)
 
 
-# M = 2p - 1, 2p, 2p + 1 put p on both sides of the single write above
-# M/2; around the squares and at the cubes of the primes with f(p) = 0 in
-# some case, the zeroed p-stride meets the product pass on the p^2 stride
+# M = 3p - 1, 3p, 3p + 1 put p on both sides of the single write above
+# M/3, where p is its only odd multiple (2p - 1, 2p, 2p + 1 on both sides
+# of M/2); at 2^k - 1, 2^k and 2^k + 1 the last stride of the 2-part ends;
+# around the squares and at the cubes of the primes with f(p) = 0 in some
+# case, the zeroed p-stride meets the product pass on the p^2 stride
 FILL_BOUNDARY_SIZES = sorted(
-    {2 * p + d for p in (47, 53) for d in (-1, 0, 1)}
+    {m * p + d for m in (2, 3) for p in (47, 53) for d in (-1, 0, 1)}
+    | {2 ** k + d for k in (6, 7, 10) for d in (-1, 0, 1)}
     | {n for p in (2, 3, 5, 7) for n in (p * p - 1, p * p, p * p + 1, p ** 3)})
 
 
@@ -447,11 +450,11 @@ def test_table_peak_memory():
 
 
 def test_table_peak_memory_oct():
-    # CPython 3.11: 5.4 MB at M = 2*10^5, in the product pass of p = 2,
-    # whose products with the f(p) written by the large primes are new
-    # integers
+    # CPython 3.11: 4.55 MB at M = 2*10^5, at the tuple; 5.44 MB when
+    # p = 2 had a product pass over the whole list, with three
+    # stride-sized lists at once
     peak = table_peak("oct", 2 * 10**5)
-    assert peak < 6.0e6, peak
+    assert peak < 5.0e6, peak
 
 
 # SHA-256 of repr(values) of the 10^6 tables, recorded from a fill that
@@ -469,6 +472,35 @@ def test_million_table_hash(case):
     values = phi_coefficients(case, 10**6).values
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     assert digest == MILLION_TABLE_SHA256[case]
+
+
+# SHA-256 of repr(values) of the zeta tables at M = 2*10^5, recorded from
+# the fill that multiplied every prime's p-part into the whole list
+ZETA_TABLE_SHA256 = {
+    "zetaK-rational": "af7293330dc3c1cfc30893dcfe83a67fbf43e74fe3b7a77d0d1624507363ef5c",
+    "zetaK-root5": "678877bce95603469551cfaad48c045282285b1dd4850eeae884f2a92137e947",
+    "zetaK-root2": "1e987c13a8761dc18ff650356a7e74563606618a1ad3ee853e5c61240007efc5",
+    "zetaO-rational": "8d6455256505ddbb54aa3d82f9a0c7316240af0d14464c0ad742b6a940b67157",
+    "zetaO-root5": "731f12477f19575231016ef3db938bbeab0e508184af8e61d0754736db0693d6",
+    "zetaO-root2": "f34856bf52353c6de8d067263d9e9cd8b728d1114660dffa225da678cf8ef715",
+    "zetaOO-rational": "27f4744e7bb8afe6b4e15a43f5f51d1f48a6cc61176b43b15069b9e9c7433552",
+    "zetaOO-root5": "0a4b509d39d86827139f70c0ac89275846571b9bae6751b69b247030b68a9f9d",
+    "zetaOO-root2": "fb273f8f32d9ed3c70ea331e57032fb80bbca85c7724109a888280e79978316d",
+    "zetaO-half-rational": "5af2267a02699a4d2ec975eee50dacb328be1ce49fa40988571bce1fce654eb6",
+    "zetaO-half-root5": "b849d9e28a9d96398c82b19013ad9b9c6b9f5616c82454c2c88d32fdf1313991",
+    "zetaO-half-root2": "b0accc03402bbd85ade61270e8fdf7c41da7fe862d1a15258ec3158e9ca21a58",
+    "zetaOO-half-rational": "73121f927a24635bcf00492e1cb02cc991559c232f5db5a50f6080ad9eebd1b9",
+    "zetaOO-half-root5": "9ed7fe1f3322ad3eeaca0192b2e5dcc35b871eaed00545e2bf8708054d1e0518",
+    "zetaOO-half-root2": "dcd0a7401220cf5e395c7ab680088dd29920ce36073a67110362cec9c0ebf9ab",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ALL_CASES[len(PHI_CASES):])
+def test_zeta_table_hash(case):
+    values = coefficient_table(case, 2 * 10**5).values
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == ZETA_TABLE_SHA256[case]
 
 
 def test_phi_rejects_bad_case_and_size():
