@@ -18,8 +18,8 @@ from itertools import accumulate, islice
 from math import gcd, lcm
 
 from .csm import (MODULE_KEYS, count_csms, csm_bruteforce, gamma_of,
-                  quat_of_rotation, reduced_representative, sigma_index,
-                  spectrum_member, spectrum_witness, standard_module,
+                  quat_of_rotation, sigma_index, spectrum_member,
+                  spectrum_witness, standard_module,
                   verify_ideal_correspondence)
 from .errors import CsmodError, ParseInputError, ResourceCapError
 from .modlat import index_K, intersect
@@ -169,7 +169,7 @@ def _parse_rotation(text: str, tag):
 def cmd_sigma(args) -> int:
     order = order_by_key(args.order)
     q = _parse_rotation(args.rotation, order.field_tag)
-    q_star = reduced_representative(order, q)
+    q_star = order.reduce_generator(q)
     generator = format_quat(q_star)
     submodule, sigma = csm_bruteforce(gamma_of(order), q)
     if order.maximal:
@@ -381,9 +381,7 @@ def _suite_cubic_index(n, seed):
     rng = random.Random(seed)
     order = hurwitz()
     lattices = [(k, standard_module(k)) for k in ("cubic", "fcc", "bcc")]
-    # the basis numerators over their common denominator
-    den = lcm(*(b.den for b in order.basis))
-    rows = [[x * (den // b.den) for x in b.num] for b in order.basis]
+    den, rows = order.module.den, order.module.pairs
     while wanted:
         coeffs = [rng.randint(-4, 4) for _ in rows]
         num = [sum(c * x for c, x in zip(coeffs, col))

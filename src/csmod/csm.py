@@ -25,25 +25,13 @@ from .rings import (FieldTag, RingElem, SplittingClass, _class_of_prime,
                     factor_int, norm_class_reps, pair_mul)
 
 
-def reduced_representative(order: QuatOrder, q: Quat) -> Quat:
-    """Rescale q into the order and strip content and two-sided factors.
-
-    Every order here contains 1, i, j and k, so q's numerators over 1
-    lie in it; when q does too, the content strips the positive integer
-    between them again.  One coordinate solve, and R(q) is unchanged.
-    """
-    if q.is_zero():
-        raise DomainError("the zero quaternion defines no rotation")
-    return order.reduce_generator(Quat.ratio(q.tag, q.num, 1))
-
-
 def sigma_index(order: QuatOrder, q: Quat) -> int:
     """Coincidence index of the rotation R(q) on Im(order), by formula."""
     if not order.maximal:
         raise DomainError(
             "the index formula needs a maximal order; intersect directly"
         )
-    return reduced_representative(order, q).nr().to_ring().norm_abs()
+    return order.reduce_generator(q).nr().to_ring().norm_abs()
 
 
 def csm_bruteforce(gamma: OModule, q: Quat) -> tuple[OModule, int]:

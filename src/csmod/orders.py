@@ -271,8 +271,6 @@ class QuatOrder:
             ga, gb = pair_euclid(ga, gb, a, b, tag)
             if abs(pair_norm(ga, gb, *tag._omega_sq)) == 1:     # a unit
                 return 1, 0
-        if not (ga or gb):
-            raise DomainError("content of zero is undefined")
         return pair_canonical_associate(ga, gb, tag)
 
     def is_unit(self, q: Quat) -> bool:
@@ -296,9 +294,13 @@ class QuatOrder:
         return self.maximal and self.field_tag is FieldTag.RATIONAL
 
     def reduce_generator(self, q: Quat) -> Quat:
-        """Divide out the content (and any two-sided even-norm factor),
-        keeping the conjugated order q O q^-1 unchanged."""
-        ga, gb = self._content_in(q, "cannot reduce zero")
+        """The reduced generator for any nonzero q of the order's field:
+        q's numerators over 1, which lie in O as 1, i, j and k do, less
+        their content (and any two-sided even-norm factor).  R(q) and the
+        conjugated order q O q^-1 are unchanged; for q in O the result is
+        too, as the content of den*q is den times that of q."""
+        q = Quat._new(q.tag, q.num, 1)
+        ga, gb = self._content_in(q, "the zero quaternion defines no rotation")
         if (ga, gb) == (1, 0) and not self._strips_even_norms():
             return q    # already reduced, and in lowest terms as any Quat
         c, e = self.field_tag._omega_sq

@@ -20,11 +20,11 @@ that belongs to the order layer.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError
 from .rings import (FieldElem, FieldTag, RingElem, _elems, _format_pair,
-                    _read_terms, _refuse, _times_conj, as_field, pair_mul,
+                    _parse_numerators, _times_conj, as_field, pair_mul,
                     ring_columns)
 
 
@@ -126,14 +126,18 @@ class Quat:
                      for x in _elems(self.tag, self.num))
 
     def _coerce(self, other):
+        """other as a Quat of this field: a Quat of it, or a scalar read
+        once through as_field; NotImplemented for anything else."""
         if isinstance(other, Quat):
             if other.tag is not self.tag:
                 raise DomainError("mixed field tags")
             return other
         try:
-            return Quat(self.tag, other)
+            s = as_field(self.tag, other)
         except TypeError:
             return NotImplemented
+        return Quat._new(self.tag, (s.num.a, s.num.b, 0, 0, 0, 0, 0, 0),
+                         s.den)
 
     # The operators work on the numerators and reduce the result once.
 
@@ -160,20 +164,17 @@ class Quat:
         return Quat._new(self.tag, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         c, e = self.tag._omega_sq
-        if isinstance(other, Quat):
-            o = self._coerce(other)     # refuses another field's quaternion
-            return Quat.ratio(self.tag, pair_product(self.num, o.num, c, e),
-                              self.den * o.den)
-        try:
-            s = as_field(self.tag, other)
-        except TypeError:
-            return NotImplemented
-        # a field scalar: each ring numerator times the scalar's numerator
-        x, sa, sb = self.num, s.num.a, s.num.b
-        return Quat.ratio(self.tag, [y for k in range(0, 8, 2) for y in
-                                     pair_mul(x[k], x[k + 1], sa, sb, c, e)],
-                          self.den * s.den)
+        x, y = self.num, o.num
+        if o.is_scalar():   # each ring numerator times the scalar's
+            num = [z for k in range(0, 8, 2)
+                   for z in pair_mul(x[k], x[k + 1], y[0], y[1], c, e)]
+        else:
+            num = pair_product(x, y, c, e)
+        return Quat.ratio(self.tag, num, self.den * o.den)
 
     __rmul__ = __mul__  # only reached for scalars, which commute
 
@@ -212,12 +213,15 @@ class Quat:
         return not any(self.num[2:])
 
     def __eq__(self, other):
-        o = other if isinstance(other, Quat) else self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.tag is o.tag and self.den == o.den and self.num == o.num
+        if isinstance(other, Quat):
+            return (self.tag is other.tag and self.den == other.den
+                    and self.num == other.num)
+        # a scalar is its field element, which another field's never equals
+        return self.is_scalar() and self.coords()[0] == other
 
     def __hash__(self):
+        if self.is_scalar():    # as the field element it equals
+            return hash(self.coords()[0])
         return hash((self.tag, self.num, self.den))
 
     def __str__(self):
@@ -285,16 +289,8 @@ def parse_quat(text: str, tag: FieldTag) -> Quat:
     Composite coefficients of i, j, k must be parenthesized, e.g.
     '(1+w)*i - 2*j'.
     """
-    stripped = text.replace(" ", "")
-    terms, stop = _read_terms(stripped, tag, 0, len(stripped), True)
-    if stop < len(stripped) or not stripped:
-        _refuse(text, tag, stop, True)
-    den = lcm(*(d for *_, d in terms))
-    nums = [0] * 8      # the coordinates' pairs (a, b) over den
-    for c, a, b, d in terms:
-        nums[2 * c] += a * (den // d)
-        nums[2 * c + 1] += b * (den // d)
-    return Quat.ratio(tag, nums, den)
+    *num, den = _parse_numerators(text, tag, True)
+    return Quat.ratio(tag, num, den)
 
 
 def format_quat(q: Quat) -> str:

@@ -352,7 +352,7 @@ class FieldElem:
         if isinstance(other, Rational):  # int or rational, in lowest terms
             return (self.num.b == 0 and self.num.a == other.numerator
                     and self.den == other.denominator)
-        return False
+        return NotImplemented   # a scalar Quat answers for itself
 
     def __hash__(self):
         # equal values hash alike across rationals, RingElem and FieldElem
@@ -809,17 +809,23 @@ def _refuse(text: str, tag: FieldTag, pos: int, units: bool):
     raise ParseInputError(f"bad rational literal {numeric[0]!r}")
 
 
-def _parse_numerators(text: str, tag: FieldTag):
-    """(a, b, den) with den > 0 and (a + b*w)/den the value of the text of
-    a field element (see parse_field_elem), not in lowest terms."""
+def _parse_numerators(text: str, tag: FieldTag, units: bool = False):
+    """The text of a quaternion (see csmod.quat), or of a field element
+    (see parse_field_elem) unless units, as its ring numerators, flat
+    pairs a0, b0, ..., then den > 0: (a, b, den) for a field element, each
+    coordinate (a_r + b_r*w)/den, not in lowest terms."""
     stripped = text.replace(" ", "")
-    terms, stop = _read_terms(stripped, tag, 0, len(stripped), False)
+    terms, stop = _read_terms(stripped, tag, 0, len(stripped), units)
     if stop < len(stripped) or not stripped:
-        _refuse(text, tag, stop, False)
-    a, b, den = 0, 0, 1
-    for _, x, y, d in terms:
-        a, b, den = a * d + x * den, b * d + y * den, den * d
-    return a, b, den
+        _refuse(text, tag, stop, units)
+    nums, den = [0] * (8 if units else 2), 1
+    for c, x, y, d in terms:
+        if d != 1:
+            nums = [v * d for v in nums]
+        nums[2 * c] += x * den
+        nums[2 * c + 1] += y * den
+        den *= d
+    return (*nums, den)
 
 
 def parse_field_elem(text: str, tag: FieldTag) -> FieldElem:

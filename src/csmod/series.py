@@ -195,8 +195,7 @@ def coefficient(case: str, m: int) -> int:
     kind, tag = _parse_case(case)
     out = 1
     for p, e in factor_int(m):    # the trial division proves each p prime
-        num, den = _local_polys(kind, tag, p, _class_of_prime(p, tag))
-        out *= EulerFactor(p, num, den).expansion(e + 1)[e]
+        out *= _expansion(kind, tag, p, p ** e)[e]
     return out
 
 

@@ -4,8 +4,8 @@ The package holds a rotation matrix only as integer pairs: the ring
 matrix over one ring element of quat.cayley_pairs, and the flat
 numerators over one integer denominator that csm.quat_of_rotation reads.
 Mat3K is the independent field-element form the tests check those
-against: its products, transpose, determinant and trace are plain
-FieldElem arithmetic.  rotation_matrix wraps the rows of
+against: its products, transpose, determinant, inverse and trace are
+plain FieldElem arithmetic.  rotation_matrix wraps the rows of
 quat.cayley_matrix in it, and rotation_to_quat feeds a Mat3K to
 csm.quat_of_rotation.
 """
@@ -61,6 +61,20 @@ class Mat3K:
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
+
+    def inverse(self) -> "Mat3K":
+        """The adjugate over the determinant: entry (r, c) is the
+        cofactor of (c, r) over det."""
+        d = self.det()
+        if d.is_zero():
+            raise ZeroDivisionError("singular matrix")
+        m = self.rows
+        return Mat3K(self.tag, [
+            [(m[(c + 1) % 3][(r + 1) % 3] * m[(c + 2) % 3][(r + 2) % 3]
+              - m[(c + 1) % 3][(r + 2) % 3] * m[(c + 2) % 3][(r + 1) % 3])
+             / d for c in range(3)]
+            for r in range(3)
+        ])
 
     def trace(self) -> FieldElem:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]

@@ -139,6 +139,71 @@ def test_sigma_reduces_the_generator_once(capsys, monkeypatch, order,
     assert len(calls) == 1
 
 
+ICO_MATRIX = ("5/11-4/11*w,-2/11+6/11*w,-2/11+6/11*w; -2/11+6/11*w,"
+              "3/11+2/11*w,-8/11+2/11*w; 2/11-6/11*w,8/11-2/11*w,"
+              "-3/11-2/11*w")
+OCT_MATRIX = "1/2,1/2*w,1/2; 1/2*w,0,-1/2*w; -1/2,1/2*w,-1/2"
+
+
+# every branch of the reduction, on every order family: unit content,
+# content > 1, den > 1 inside and outside the order, scalars, the even
+# norm that only the Hurwitz order strips, and matrices; the generators
+# and indices as the CLI printed them before the reduction became one
+# order method
+@pytest.mark.parametrize("order, rotation, generator, sigma", [
+    ("hurwitz", "2+i", "2+i", 5),
+    ("hurwitz", "3+i+k", "3+i+k", 11),
+    ("hurwitz", "2+2*i", "1", 1),
+    ("hurwitz", "2/3+1/3*i", "2+i", 5),
+    ("hurwitz", "1/2+1/2*i+1/2*j+1/2*k", "1/2+1/2*i+1/2*j+1/2*k", 1),
+    ("hurwitz", "2", "1", 1),
+    ("hurwitz", "1+i", "1", 1),
+    ("hurwitz", "1,0,0; 0,3/5,-4/5; 0,4/5,3/5", "2+i", 5),
+    ("lipschitz-q", "2+2*i", "1+i", 1),
+    ("lipschitz-q", "2/3+1/3*i", "2+i", 5),
+    ("lipschitz-q", "1/2+1/2*i+1/2*j+1/2*k", "1+i+j+k", 1),
+    ("lipschitz-q", "2", "1", 1),
+    ("lipschitz-q", "1+i", "1+i", 1),
+    ("lipschitz-q", "1,0,0; 0,3/5,-4/5; 0,4/5,3/5", "2+i", 5),
+    ("icosian", "1+w*i+j", "1+w*i+j", 11),
+    ("icosian", "2+2*w*i", "1+w*i", 5),
+    ("icosian", "1/3+1/3*w*i", "1+w*i", 5),
+    ("icosian", "1/2+1/2*i+1/2*j+1/2*k", "1/2+1/2*i+1/2*j+1/2*k", 1),
+    ("icosian", "2", "1", 1),
+    ("icosian", "w", "w", 1),
+    ("icosian", ICO_MATRIX, "2-w+(2-w)*i+(-1+w)*j", 11),
+    ("lipschitz-r5", "2+2*w*i", "1+w*i", 5),
+    ("lipschitz-r5", "1/2+1/2*i+1/2*j+1/2*k", "1+i+j+k", 1),
+    ("lipschitz-r5", "w", "w", 1),
+    ("lipschitz-r5", ICO_MATRIX, "2-w+(2-w)*i+(-1+w)*j", 11),
+    ("octahedral", "1+w*i", "1+w*i", 9),
+    ("octahedral", "w+w*i", "1/2*w+1/2*w*i", 1),
+    ("octahedral", "1/3*w+2/3*i", "-1+w+(2-w)*i", 9),
+    ("octahedral", "1/2+1/2*i+1/2*j+1/2*k", "1/2+1/2*i+1/2*j+1/2*k", 1),
+    ("octahedral", "2", "1", 1),
+    ("octahedral", "w", "-1+w", 1),
+    ("octahedral", OCT_MATRIX, "1-1/2*w+(-1+w)*i+(1-1/2*w)*j", 4),
+    ("lipschitz-r2", "w+w*i", "-1+w+(-1+w)*i", 1),
+    ("lipschitz-r2", "1/3*w+2/3*i", "-1+w+(2-w)*i", 9),
+    ("lipschitz-r2", "1/2+1/2*i+1/2*j+1/2*k", "1+i+j+k", 1),
+    ("lipschitz-r2", "w", "-1+w", 1),
+    ("lipschitz-r2", OCT_MATRIX, "1+w*i+j", 4)])
+def test_sigma_pins_the_reduced_generator(capsys, order, rotation, generator,
+                                          sigma):
+    code, out = run(capsys, "sigma", "--order", order, "--format", "json",
+                    "--", rotation)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["reduced_generator"], payload["sigma"]) == (generator,
+                                                                sigma)
+
+
+def test_sigma_of_zero_names_the_rotation(capsys):
+    assert main(["sigma", "--order", "hurwitz", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the zero quaternion defines no rotation\n")
+
+
 # argparse would take a rotation that starts with "-" for an option
 LEADING_MINUS = [("-1/2+(3/2)*i", 5), ("-1,0,0; 0,-1,0; 0,0,1", 1),
                  ("-1,0,0;0,-1,0;0,0,1", 1), ("-i+2*j", 5)]
@@ -1216,15 +1281,15 @@ def test_module_entry_point_error_code():
 
 def test_module_entry_point_closed_pipe_exits_141():
     # the reader takes one line and goes: the next block cannot be written
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "csmod", "series", "--case", "cub", "--max",
-         "300000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=child_env())
-    assert proc.stdout.readline().split() == [b"m", b"f(m)", b"F(m)",
-                                              b"F(m)/(m^2/2)"]
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "csmod", "series", "--case", "cub",
+             "--max", "300000"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=child_env()) as proc:
+        assert proc.stdout.readline().split() == [b"m", b"f(m)", b"F(m)",
+                                                  b"F(m)/(m^2/2)"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
     assert err == b""
 
 

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 
 from csmod import csm, rings
 from csmod.csm import (MODULE_KEYS, CorrespondenceReport, count_csms,
-                       csm_bruteforce, gamma_of, reduced_representative,
-                       sigma_index, spectrum_member, spectrum_witness,
-                       standard_module, verify_ideal_correspondence)
+                       csm_bruteforce, gamma_of, sigma_index, spectrum_member,
+                       spectrum_witness, standard_module,
+                       verify_ideal_correspondence)
 from csmod.errors import DomainError, ResourceCapError
 from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, pure_part)
 from csmod.orders import (hurwitz, icosian, lipschitz, octahedral,
                            order_by_key)
 from csmod.quat import Quat, format_quat
-from csmod.rings import FieldElem, FieldTag, parse_field_elem
+from csmod.rings import (FieldElem, FieldTag, RingElem, parse_field_elem,
+                         ring_gcd)
 from fieldmatrix import Mat3K, rotation_matrix, rotation_to_quat
 from modulesum import module_sum
 from wholeorder import WholeOrderSearch
@@ -115,9 +116,88 @@ def test_reduced_representative_keeps_csm():
         gamma = gamma_of(order)
         for _ in range(6):
             q = rnd_element(order, rng, span=2) * rng.choice([1, 1, 2, 3])
-            r = reduced_representative(order, q)
+            r = order.reduce_generator(q)
             assert order.is_reduced(r)
             assert csm_bruteforce(gamma, q) == csm_bruteforce(gamma, r)
+
+
+# -- a third index oracle, from the rotation matrix alone --------------
+#
+# In a basis B of a module, R acts as B^-1 R B, and the index of the
+# coincidence module is |N(d)| for the ideal denominator d of that matrix:
+# the least d with d*B^-1 R B integral.  It reads no quaternion, ideal or
+# intersection.
+
+MODULES_OF_FIELD = {Q: ("cubic", "fcc", "bcc"),
+                    R5: ("im-icosian", "mb", "mf", "cubic-root5"),
+                    R2: ("im-octahedral", "cubic-root2")}
+
+
+def denominator_norm(mat):
+    """|N(d)| for d the lcm of the ideal denominators den/gcd(num, den)
+    of the entries num/den of mat."""
+    d = RingElem(mat.tag, 1)
+    for row in mat.rows:
+        for x in row:
+            den = RingElem(mat.tag, x.den)
+            e = den.exact_div(ring_gcd(x.num, den))
+            d = (d * e).exact_div(ring_gcd(d, e))
+    return d.norm_abs()
+
+
+def test_mat3k_inverse():
+    rng = random.Random(3)
+    for tag in (Q, R5, R2):
+        for key in MODULES_OF_FIELD[tag]:
+            b = Mat3K(tag, standard_module(key).basis).transpose()
+            assert b * b.inverse() == Mat3K.identity(tag)
+            assert b.inverse() * b == Mat3K.identity(tag)
+        m = Mat3K(tag, [[fe(tag, rng.randint(-4, 4), rng.randint(-2, 2)
+                            if tag is not Q else 0) for _ in range(3)]
+                        for _ in range(3)])
+        if not m.det().is_zero():
+            assert m * m.inverse() == Mat3K.identity(tag)
+    with pytest.raises(ZeroDivisionError):
+        Mat3K(Q, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]).inverse()
+
+
+def test_matrix_denominator_is_the_bruteforce_index():
+    checks, above_one = 0, 0
+    for order in maximal_orders():
+        tag = order.field_tag
+        frames = []
+        for key in MODULES_OF_FIELD[tag]:
+            gamma = standard_module(key)
+            b = Mat3K(tag, gamma.basis).transpose()
+            frames.append((gamma, b.inverse(), b))
+        for m in range(1, 21):
+            for q in order.enumerate_by_index(m):
+                r = rotation_matrix(q)
+                for gamma, b_inv, b in frames:
+                    index = csm_bruteforce(gamma, q)[1]
+                    assert denominator_norm(b_inv * r * b) == index, (
+                        order.name, m, format_quat(q), gamma)
+                    checks += 1
+                    above_one += index > 1
+    assert checks == 1273 and above_one > checks // 2
+
+
+def test_matrix_denominator_sees_one_divided_entry():
+    # not vacuous: one entry over a further prime changes the value
+    for order, q in ((hurwitz(), Quat(Q, 2, 1)),
+                     (icosian(), Quat(R5, 1, 1, fe(R5, 0, 1))),
+                     (octahedral(), Quat(R2, 1, fe(R2, 0, 1)))):
+        tag = order.field_tag
+        b = Mat3K(tag, standard_module(MODULES_OF_FIELD[tag][0]).basis
+                  ).transpose()
+        mat = b.inverse() * rotation_matrix(q) * b
+        value = denominator_norm(mat)
+        assert value == sigma_index(order, q) > 1
+        r, c = next((r, c) for r in range(3) for c in range(3)
+                    if not mat[r, c].is_zero())
+        rows = [list(row) for row in mat.rows]
+        rows[r][c] = rows[r][c] / 10007
+        assert denominator_norm(Mat3K(tag, rows)) != value
 
 
 def test_bruteforce_rejects_bad_input():

@@ -309,6 +309,37 @@ def test_scalar_product_rejects_other_operands(tag):
                 s * q
 
 
+def test_scalar_quaternion_is_its_field_element():
+    Q, R5 = FieldTag.RATIONAL, FieldTag.ROOT_FIVE
+    # another field's element is unequal, as between field elements
+    assert (Quat(R5, 1) == RingElem(Q, 1)) is False
+    assert (Quat(R5, 1) == FieldElem(Q, 1)) is False
+    assert (RingElem(Q, 1) == Quat(R5, 1)) is False
+    assert Quat(R5, 1) != Quat(Q, 1)
+    # one value, however written, compared from either side
+    ones = [Quat(Q, 1), 1, RingElem(Q, 1), FieldElem(Q, 1), Fraction(1)]
+    assert len(set(ones)) == 1
+    assert len({*ones[1:], ones[0]}) == 1
+    assert all(ones[0] == x and x == ones[0] for x in ones)
+    assert hash(Quat(Q, Fraction(1, 2))) == hash(Fraction(1, 2))
+    w = FieldElem(R5, 0, 1)
+    assert Quat(R5, w) == w and w == Quat(R5, w)
+    assert hash(Quat(R5, w)) == hash(w)
+    assert Quat(R5, 1) != "1" and Quat(R5, 1) != None  # noqa: E711
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_non_scalar_quaternion_never_equals_a_scalar(tag):
+    rng = random.Random(17)
+    for _ in range(40):
+        q = rnd_quat(rng, tag)
+        if q.is_scalar():
+            continue
+        x0 = q.coords()[0]
+        for s in (x0, x0.num, 0, 1, Fraction(1, 2), Quat(tag, x0)):
+            assert q != s and s != q
+
+
 @st.composite
 def field_quads(draw):
     """A tag, two coordinate 4-tuples of FieldElems (sometimes with every
