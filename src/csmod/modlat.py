@@ -102,12 +102,18 @@ class OModule:
             return None
         rest = [x * up // down for x in nums]
         c, e = self.tag._omega_sq
+        over_z = c == 1 and not e   # every omega part is 0: divide in Z
         coeffs = [0] * len(rest)
         for i in range(len(rest) - 2, -1, -2):
             if not (rest[i] or rest[i + 1]):
                 continue    # its coefficient is 0
             col = self.pairs[i // 2]
-            q = pair_exact_div(rest[i], rest[i + 1], col[i], col[i + 1], c, e)
+            if over_z:
+                qa, r = divmod(rest[i], col[i])
+                q = None if r else (qa, 0)
+            else:
+                q = pair_exact_div(rest[i], rest[i + 1], col[i], col[i + 1],
+                                   c, e)
             if q is None:
                 return None
             coeffs[i], coeffs[i + 1] = q

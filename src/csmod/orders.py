@@ -13,18 +13,21 @@ Octonions, ch. 5).  At a prime pi of the scalar ring O_K, O/pi*O is the
 matrix ring M_2(F), F = O_K/pi (but for 2 over Q, where no reduced
 generator has even norm), so the ideals of norm pi are the N(pi) + 1
 lines L of P^1(F): I_L = {y : y mod pi has image in L} (Pizer, J.
-Algebra 64 (1980); Kirschmer & Voight, SIAM J. Comput. 39 (2010)).  Each
-gets a Z-basis from the echelon form of its condition over F and one
-generator, a point of least value of the form Tr(conj(pi)*2*nr) (all of
-norm pi) by a Fincke-Pohst search in integers.  The generators are kept
-per prime, in one window of recent values, and multiplied on flat pairs
-of ring numerators (quat.pair_product): each ideal gets one quaternion.
+Algebra 64 (1980); Kirschmer & Voight, SIAM J. Comput. 39 (2010)).  The
+conditions of the lines form one pencil K - t*O of 4x4 matrices of rank
+2 over F with one column space, so the same two rows span the rows of
+each, and each line's echelon form comes from the 2x2 minors of those
+two rows.  Each ideal gets a Z-basis from that form and one generator,
+a point of least value of the form Tr(conj(pi)*2*nr) (all of norm pi)
+by a Fincke-Pohst search in integers.  The generators are kept per
+prime, in one window of recent values, and multiplied on flat pairs of
+ring numerators (quat.pair_product): each ideal gets one quaternion.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -164,24 +167,34 @@ class _ResidueField:
         ya, yb = pair_mul(qa, qb, pa, pb, *self.omega_sq)
         return a - ya, b - yb
 
-    def echelon(self, rows):
-        """(pivots, rows) of the reduced row echelon form of a matrix over
-        F, a canonical form of its row space."""
-        rows = [list(row) for row in rows]
-        pivots, done = [], []
-        for j in range(len(rows[0])):
-            row = next((r for r in rows if r[j]), None)
-            if row is None:
-                continue
-            rows.remove(row)
-            inv = self.inv(row[j])
-            row = [self.mul(inv, x) for x in row]
-            for r in chain(rows, done):
-                if f := r[j]:
-                    r[:] = [self.lin(x, f, y) for x, y in zip(r, row)]
-            pivots.append(j)
-            done.append(row)
-        return tuple(pivots), tuple(map(tuple, done))
+    def dot(self, row, vec) -> int:
+        """sum(row[k] * vec[k]), reduced once."""
+        if not self.inert:
+            return sum(map(mul, row, vec)) % self.p
+        c, e = self.omega_sq
+        return self.red(*map(sum, zip(*(
+            pair_mul(*self.pair(x), *self.pair(y), c, e)
+            for x, y in zip(row, vec)))))
+
+    def two_row_echelon(self, r, s):
+        """(pivots, rows) of the reduced row echelon form of the rows r and
+        s over F, a canonical form of their span, from the minors m(a, b) =
+        r[a]*s[b] - r[b]*s[a]: at rank 2, with pivots p < q, its rows are
+        m(k, q)/m(p, q) and m(p, k)/m(p, q) (Cramer's rule)."""
+        mul, lin = self.mul, self.lin
+        p = next((k for k, x in enumerate(r) if x or s[k]), None)
+        if p is None:
+            return (), ()
+        head = [lin(mul(r[p], y), x, s[p]) for x, y in zip(r, s)]  # m(p, k)
+        q = next((k for k, m in enumerate(head) if m), None)
+        if q is None:       # rank one: the row nonzero at p, scaled
+            row = r if r[p] else s
+            inv = self.inv(row[p])
+            return (p,), (tuple(mul(inv, x) for x in row),)
+        inv, rq, sq = self.inv(head[q]), r[q], s[q]
+        return (p, q), (tuple(mul(inv, lin(mul(x, sq), rq, y))
+                              for x, y in zip(r, s)),
+                        tuple(mul(inv, m) for m in head))
 
 
 class QuatOrder:
@@ -347,19 +360,16 @@ class QuatOrder:
                 den *= q.den
         return _canonical(self.field_tag, Ambient.QUAT, gens, den)
 
-    def _lines(self, field):
-        """The echelon forms over F of the conditions of the N(pi) + 1
-        ideals I_L, one per line L of P^1(F).  The first x = t + y, y =
-        basis[1] + s*basis[2], s = 0, 1, ..., t a residue, with pi | nr(x)
-        has rank one mod pi (its basis[1] coordinate is 1), and so has x' =
-        x*b for the first b of the basis with another kernel; x - t*x' and
-        x' then have every kernel L once, and I_L = {y : z*y in pi*O} for z
-        of kernel L.  The forms must be distinct and have rank 2."""
+    def _pencil(self, field):
+        """The matrices over F of y -> x*y and of y -> x*b*y mod pi on ring
+        coordinates, the second lazily for each b of basis[1:] in turn: x
+        is the first t + y, y = basis[1] + s*basis[2], s = 0, 1, ..., t a
+        residue, with pi | nr(x), so x has rank one mod pi (its basis[1]
+        coordinate is 1)."""
         (c, e), (zden, rows) = self.field_tag._omega_sq, self._zgen
 
         def annihilator(z, den):
-            # the matrix over F of y -> z*y mod pi on ring coordinates, for
-            # the element with ring numerators z over den
+            # for the element with ring numerators z over den
             cols = [self.module.solve_pairs(pair_product(z, row, c, e),
                                             den * zden) for row in rows[:4]]
             return [[field.red(*y[k:k + 2]) for y in cols]
@@ -381,15 +391,33 @@ class QuatOrder:
         else:
             raise ArithmeticError(f"{self.name}: no zero divisor {field.pi}")
         x[:2] = x[0] + t[0] * d, x[1] + t[1] * d
-        kernel = annihilator(x, d)
-        first = field.echelon(kernel)
-        for b in self.basis[1:]:
-            other = annihilator(pair_product(x, b.num, c, e), d * b.den)
-            last = field.echelon(other)
+        return annihilator(x, d), (
+            annihilator(pair_product(x, b.num, c, e), d * b.den)
+            for b in self.basis[1:])
+
+    def _lines(self, field):
+        """The echelon forms over F of the conditions of the N(pi) + 1
+        ideals I_L, one per line L of P^1(F).  With K, O the matrices of
+        _pencil for x and x' = x*b, b the first with another kernel than
+        x, x - t*x' and x' have every kernel L once, and I_L = {y : z*y in
+        pi*O} for z of kernel L.  K and O both have the column space x*O
+        mod pi, of dimension 2, so K - t*O = G*(B0 - t*B1) with G of rank
+        2: the first two rows i < j independent in K span the rows of
+        every K - t*O and of O, and each form is the two-row echelon of
+        those rows.  The forms must be distinct and have rank 2."""
+        kernel, others = self._pencil(field)
+        for i, j in combinations(range(4), 2):
+            first = field.two_row_echelon(kernel[i], kernel[j])
+            if len(first[0]) == 2:
+                break
+        for other in others:
+            last = field.two_row_echelon(other[i], other[j])
             if len(last[0]) == 2 and last != first:
                 break
-        lines = [field.echelon([[field.lin(u, t, w) for u, w in zip(r, s)]
-                                for r, s in zip(kernel, other)])
+        lin = field.lin
+        ki, kj, oi, oj = kernel[i], kernel[j], other[i], other[j]
+        lines = [field.two_row_echelon([lin(u, t, w) for u, w in zip(ki, oi)],
+                                       [lin(u, t, w) for u, w in zip(kj, oj)])
                  for t in field.residues] + [last]
         ideals = {line for line in lines if len(line[0]) == 2}
         if len(ideals) != field.size + 1:
@@ -419,23 +447,25 @@ class QuatOrder:
         target = 2 * (pi * conj).trace()
         (c, e), (zden, zrows) = self.field_tag._omega_sq, self._zgen
         dd, zcols = zden * zden, list(zip(*zrows))
-        found = []
+        found, n = [], len(zrows)
         for pivots, rows in self._lines(field):
             basis = self._ideal_basis(pivots, rows, field)
             images = [[sum(map(mul, row, u)) for row in form] for u in basis]
             # the search is shortest with the shortest vectors innermost
             basis, images = zip(*sorted(zip(basis, images),
                                         key=lambda ui: sum(map(mul, *ui))))
-            gram = [[sum(map(mul, w, u)) for u in basis] for w in images]
+            gram = [[0] * n for _ in range(n)]
+            for s, w in enumerate(images):
+                for t in range(s + 1):
+                    gram[s][t] = gram[t][s] = sum(map(mul, w, basis[t]))
             point = _solve_quadratic(_ldl(gram), target, first=True)
-            x = point[0] if point else [0] * len(basis)
+            x = point[0] if point else [0] * n
             v = [sum(map(mul, x, col)) for col in zip(*basis)]
             ring = [field.red(a, b) for a, b in zip(v[:4], v[4:] or [0] * 4)]
             nums = tuple(sum(map(mul, v, col)) for col in zcols)
             norm = [sum(z) for z in zip(*_squares(nums, c, e))]
-            if norm != [pi.a * dd, pi.b * dd] or any(
-                    reduce(lambda z, fy: field.lin(z, *fy), zip(r, ring), 0)
-                    for r in rows):
+            if norm != [pi.a * dd, pi.b * dd] or any(field.dot(r, ring)
+                                                      for r in rows):
                 raise ArithmeticError(
                     f"{self.name}, pi = {pi}: the generator {v} of the "
                     f"ideal {pivots, rows} is not in it or has nr != pi")

@@ -171,6 +171,10 @@ class RingElem:
                     and self.b == other.b)
         if isinstance(other, int):
             return self.a == other and self.b == 0
+        from numbers import Rational    # kept off the start-up path
+        if isinstance(other, Rational):  # equal only to a rational integer
+            return (self.b == 0 and other.denominator == 1
+                    and self.a == other.numerator)
         return NotImplemented
 
     def __hash__(self):

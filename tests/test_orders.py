@@ -759,6 +759,11 @@ class PairResidues:
         z = self.elems[x] - q * self.pi
         return z.a, z.b
 
+    def dot(self, row, vec):
+        zero = RingElem(self.pi.tag, 0)
+        return self.red(sum((self.elems[x] * self.elems[y]
+                             for x, y in zip(row, vec)), zero))
+
     def echelon(self, rows):
         # Gauss-Jordan elimination to the reduced row echelon form
         rows, pivots, rank = [list(row) for row in rows], [], 0
@@ -792,13 +797,23 @@ def test_residue_field_matches_the_pair_formulas(pi):
             assert field.mul(x, y) == ref.mul(x, y)
             f = rng.choice(residues)
             assert field.lin(x, f, y) == ref.lin(x, f, y)
-    for trial in range(40):
-        rows = [[rng.choice(residues) for _ in range(4)]
-                for _ in range(2 + trial % 2)]
-        if trial % 3 == 0:      # a row dependent on the others
+    ranks = set()
+    for trial in range(60):
+        # rows with a zero in about two of every five places
+        r, s = ([rng.choice(residues) if rng.random() < 0.6 else 0
+                 for _ in range(4)] for _ in range(2))
+        if trial % 4 == 1:      # dependent rows: s a multiple of r
             f = rng.choice(residues)
-            rows[-1] = [ref.lin(0, f, x) for x in rows[0]]
-        assert field.echelon(rows) == ref.echelon(rows)
+            s = [ref.lin(0, f, x) for x in r]
+        elif trial % 4 == 2:    # a zero row
+            r = [0] * 4
+        elif trial % 8 == 3:    # both zero
+            r = s = [0] * 4
+        form = field.two_row_echelon(r, s)
+        assert form == ref.echelon([r, s])
+        ranks.add(len(form[0]))
+        assert field.dot(r, s) == ref.dot(r, s)
+    assert ranks == {0, 1, 2}
 
 
 # a prime of each kind: rational, split, ramified, inert; N(pi) + 1 lines
@@ -827,6 +842,40 @@ def test_prime_ideals_detect_a_repeated_line(factory, m, pi, size,
             f"{order.name}, pi = {pi}: {size} distinct right ideals of "
             f"reduced norm pi, want N(pi) + 1 = {size + 1}")):
         order.enumerate_by_index(m)
+
+
+def reference_lines(order, field):
+    """_lines by Gauss-Jordan elimination of the whole 4x4 matrices K - t*O
+    and O of _pencil, on the package's field arithmetic (checked against
+    the pair formulas above, which search every residue per operation)."""
+    def echelon(rows):
+        return PairResidues.echelon(field, rows)
+
+    kernel, others = order._pencil(field)
+    first = echelon(kernel)
+    for other in others:
+        last = echelon(other)
+        if len(last[0]) == 2 and last != first:
+            break
+    return [echelon([[field.lin(u, t, w) for u, w in zip(r, s)]
+                     for r, s in zip(kernel, other)])
+            for t in field.residues] + [last]
+
+
+@pytest.mark.parametrize("factory,m", [
+    (factory, m) for factory, m, _, _ in LINE_CASES] + [
+    (hurwitz, 101), (icosian, 1009), (icosian, 289), (octahedral, 169),
+])
+def test_lines_match_the_whole_matrix_echelons(factory, m):
+    order = fresh_copy(factory)
+    primes = {pi for value in norm_class_reps(order.field_tag, m)
+              for pi, _ in factor(value)[1]}
+    assert primes and all(pi.norm_abs() == m for pi in primes)
+    for pi in primes:
+        field = csmod.orders._ResidueField(pi)
+        lines = order._lines(field)
+        assert len(set(lines)) == len(lines) == m + 1
+        assert lines == reference_lines(order, field)
 
 
 @pytest.mark.parametrize("factory,m", [

@@ -650,8 +650,6 @@ def test_eq_and_hash_agree_across_representations(case, k, l):
         values.append(RingElem(tag, a.numerator, b.numerator))
     for u in values:
         for v in values:
-            if {type(u), type(v)} == {Fraction, RingElem}:
-                continue  # ring elements compare with ints only
             assert u == v and v == u
             assert hash(u) == hash(v)
     # different values compare unequal both ways
@@ -659,6 +657,22 @@ def test_eq_and_hash_agree_across_representations(case, k, l):
     for u in values:
         assert u != z and z != u
         assert u != z.num and z.num != u
+
+
+@pytest.mark.parametrize("tag", list(FieldTag), ids=lambda t: t.value)
+def test_ring_elements_equal_the_rationals_of_their_value(tag):
+    one = RingElem(tag, 1)
+    assert one == Fraction(1) and Fraction(1) == one
+    assert RingElem(tag, -6) == Fraction(-12, 2) == RingElem(tag, -6)
+    assert len({one, Fraction(1)}) == 1
+    assert len({one, Fraction(1), FieldElem(tag, 1), 1}) == 1
+    # a rational that is not an integer, or another integer, is unequal
+    for other in (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(0)):
+        assert one != other and other != one
+    if tag.degree == 2:
+        w = RingElem(tag, 0, 1)
+        assert w != Fraction(0) and Fraction(0) != w
+        assert RingElem(tag, 1, 1) != Fraction(1) != RingElem(tag, 1, 1)
 
 
 def old_round_half_up(x):
