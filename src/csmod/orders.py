@@ -17,11 +17,15 @@ Algebra 64 (1980); Kirschmer & Voight, SIAM J. Comput. 39 (2010)).  The
 conditions of the lines form one pencil K - t*O of 4x4 matrices of rank
 2 over F with one column space, so the same two rows span the rows of
 each, and each line's echelon form comes from the 2x2 minors of those
-two rows.  Each ideal gets a Z-basis from that form and one generator,
-a point of least value of the form Tr(conj(pi)*2*nr) (all of norm pi)
-by a Fincke-Pohst search in integers.  The generators are kept per
-prime, in one window of recent values, and multiplied on flat pairs of
-ring numerators (quat.pair_product): each ideal gets one quaternion.
+two rows.  The units of reduced norm 1 act on these ideals, u*(g*O) =
+(u*g)*O, through a group of order 12, 60 or 24.  The first ideal of
+each orbit gets a Z-basis from its form and one generator g, a point of
+least value of the form Tr(conj(pi)*2*nr) (all of norm pi) by a
+Fincke-Pohst search in integers; a breadth-first walk with the basis
+units s gives s*g to the other ideals of the orbit, each line read off
+the pencil.  The generators are kept per prime, in one window of recent
+values, and multiplied on flat pairs of ring numerators
+(quat.pair_product): each ideal gets one quaternion.
 """
 
 from __future__ import annotations
@@ -128,6 +132,12 @@ class _ResidueField:
         # omega = -a/b mod pi = a + b*omega; b = 0 if pi is inert or in Z
         self.w = pi.b and -pi.a * pow(pi.b, -1, self.p)
         self.residues = range(self.size)
+        self.pencil = None      # rows i, j of K and of O, set by _lines
+
+    def matrix(self, cols):
+        """The 4x4 matrix over F with the columns cols, each the ring
+        coordinates of an element as flat pairs."""
+        return [[self.red(*y[k:k + 2]) for y in cols] for k in range(0, 8, 2)]
 
     def red(self, a: int, b: int) -> int:
         p = self.p
@@ -201,7 +211,7 @@ class QuatOrder:
     """A fixed order with its canonical module basis and norm forms."""
 
     __slots__ = ("name", "field_tag", "basis", "maximal", "module",
-                 "_zgen", "_forms", "_value_cache", "_im_module")
+                 "_zgen", "_forms", "_value_cache", "_im_module", "_units")
 
     def __init__(self, name: str, field_tag: FieldTag, basis, maximal: bool):
         self.name = name
@@ -239,7 +249,7 @@ class QuatOrder:
                 nb[s][t] = nb[t][s] = b
         self._forms = na, nb
         self._value_cache = {}
-        self._im_module = None
+        self._im_module = self._units = None
 
     def __repr__(self):
         return f"QuatOrder({self.name})"
@@ -360,21 +370,29 @@ class QuatOrder:
                 den *= q.den
         return _canonical(self.field_tag, Ambient.QUAT, gens, den)
 
+    def _left_columns(self, z, den):
+        """The columns of y -> z*y on ring coordinates, for the element with
+        ring numerators z over den: the ring coordinates, as flat pairs, of
+        z*b for each b of the O_K-basis (the first four rows of _zgen)."""
+        (c, e), (zden, rows) = self.field_tag._omega_sq, self._zgen
+        return [self.module.solve_pairs(pair_product(z, row, c, e), den * zden)
+                for row in rows[:4]]
+
+    def _unit_columns(self):
+        """(s, _left_columns of s) for each s of basis[1:], all units of
+        reduced norm 1; made on first use, not with the order."""
+        if self._units is None:
+            self._units = tuple((s, self._left_columns(s.num, s.den))
+                                for s in self.basis[1:])
+        return self._units
+
     def _pencil(self, field):
         """The matrices over F of y -> x*y and of y -> x*b*y mod pi on ring
         coordinates, the second lazily for each b of basis[1:] in turn: x
         is the first t + y, y = basis[1] + s*basis[2], s = 0, 1, ..., t a
         residue, with pi | nr(x), so x has rank one mod pi (its basis[1]
         coordinate is 1)."""
-        (c, e), (zden, rows) = self.field_tag._omega_sq, self._zgen
-
-        def annihilator(z, den):
-            # for the element with ring numerators z over den
-            cols = [self.module.solve_pairs(pair_product(z, row, c, e),
-                                            den * zden) for row in rows[:4]]
-            return [[field.red(*y[k:k + 2]) for y in cols]
-                    for k in range(0, 8, 2)]
-
+        c, e = self.field_tag._omega_sq
         b1, b2 = self.basis[1:3]
         d = b1.den * b2.den
         for s in range(field.p):
@@ -391,8 +409,9 @@ class QuatOrder:
         else:
             raise ArithmeticError(f"{self.name}: no zero divisor {field.pi}")
         x[:2] = x[0] + t[0] * d, x[1] + t[1] * d
-        return annihilator(x, d), (
-            annihilator(pair_product(x, b.num, c, e), d * b.den)
+        return field.matrix(self._left_columns(x, d)), (
+            field.matrix(self._left_columns(pair_product(x, b.num, c, e),
+                                            d * b.den))
             for b in self.basis[1:])
 
     def _lines(self, field):
@@ -404,7 +423,8 @@ class QuatOrder:
         mod pi, of dimension 2, so K - t*O = G*(B0 - t*B1) with G of rank
         2: the first two rows i < j independent in K span the rows of
         every K - t*O and of O, and each form is the two-row echelon of
-        those rows.  The forms must be distinct and have rank 2."""
+        those rows.  The forms must be distinct and have rank 2.  The rows
+        i, j of K and O are left on the field as field.pencil."""
         kernel, others = self._pencil(field)
         for i, j in combinations(range(4), 2):
             first = field.two_row_echelon(kernel[i], kernel[j])
@@ -416,6 +436,7 @@ class QuatOrder:
                 break
         lin = field.lin
         ki, kj, oi, oj = kernel[i], kernel[j], other[i], other[j]
+        field.pencil = ki, kj, oi, oj
         lines = [field.two_row_echelon([lin(u, t, w) for u, w in zip(ki, oi)],
                                        [lin(u, t, w) for u, w in zip(kj, oj)])
                  for t in field.residues] + [last]
@@ -430,10 +451,17 @@ class QuatOrder:
     def _ideal_vectors(self, pi: RingElem):
         """The ring numerators, over the den of _zgen, of one generator per
         right ideal of reduced norm pi, a prime of the scalar ring, in the
-        order of _lines: the first point of the search for Tr(conj(pi)*2*
-        nr(y)) = 2*N(pi)*Tr(1) on the ideal's Z-basis.  There nr(y) = pi*
-        alpha, alpha totally positive, and the trace is that small only at
-        alpha = 1 (AM-GM).  Kept for the last ENUM_CACHE_WINDOW values."""
+        order of _lines.  The units s of basis[1:] act on those ideals, as
+        s*(g*O) = (s*g)*O, through the unit group modulo +-1 (of order 12,
+        60 or 24), so one search per orbit gives g, the first point of
+        Tr(conj(pi)*2*nr(y)) = 2*N(pi)*Tr(1) on its ideal's Z-basis (there
+        nr(y) = pi*alpha, alpha totally positive, and the trace is that
+        small only at alpha = 1, AM-GM), and a breadth-first walk gives s*g
+        to each line of its orbit.  The line of s*g is read off the pencil:
+        with r' = M_s*r, r the ring coordinates of g mod pi, it is the t
+        with (K_i - t*O_i)*r' = 0 (row j if O_i*r' = 0), or the last line
+        if O*r' = 0.  Every generator must have norm pi and lie in the
+        ideal of its line.  Kept for the last ENUM_CACHE_WINDOW values."""
         cache = self._value_cache
         if pi in cache:
             cache[pi] = cache.pop(pi)       # now the most recent
@@ -446,9 +474,15 @@ class QuatOrder:
                 for ra, rb in zip(*self._forms)]
         target = 2 * (pi * conj).trace()
         (c, e), (zden, zrows) = self.field_tag._omega_sq, self._zgen
-        dd, zcols = zden * zden, list(zip(*zrows))
-        found, n = [], len(zrows)
-        for pivots, rows in self._lines(field):
+        dd, zcols, n = zden * zden, list(zip(*zrows)), len(zrows)
+        lines = self._lines(field)
+        ki, kj, oi, oj = field.pencil
+        dot, size = field.dot, field.size
+        units = [(s.num, s.den, field.matrix(cols))
+                 for s, cols in self._unit_columns()]
+        found = [None] * len(lines)
+
+        def search(pivots, rows):
             basis = self._ideal_basis(pivots, rows, field)
             images = [[sum(map(mul, row, u)) for row in form] for u in basis]
             # the search is shortest with the shortest vectors innermost
@@ -461,15 +495,45 @@ class QuatOrder:
             point = _solve_quadratic(_ldl(gram), target, first=True)
             x = point[0] if point else [0] * n
             v = [sum(map(mul, x, col)) for col in zip(*basis)]
-            ring = [field.red(a, b) for a, b in zip(v[:4], v[4:] or [0] * 4)]
-            nums = tuple(sum(map(mul, v, col)) for col in zcols)
+            return tuple(sum(map(mul, v, col)) for col in zcols)
+
+        def place(k, nums):
+            # found[k] = nums, an element of norm pi in the ideal of line k;
+            # its ring coordinates mod pi
+            y = self.module.solve_pairs(nums, zden)
+            ring = y and [field.red(*y[i:i + 2]) for i in range(0, 8, 2)]
             norm = [sum(z) for z in zip(*_squares(nums, c, e))]
-            if norm != [pi.a * dd, pi.b * dd] or any(field.dot(r, ring)
-                                                      for r in rows):
+            if (y is None or norm != [pi.a * dd, pi.b * dd]
+                    or any(dot(r, ring) for r in lines[k][1])):
                 raise ArithmeticError(
-                    f"{self.name}, pi = {pi}: the generator {v} of the "
-                    f"ideal {pivots, rows} is not in it or has nr != pi")
-            found.append(nums)
+                    f"{self.name}, pi = {pi}: the generator {nums} of the "
+                    f"ideal {lines[k]} is not in it or has nr != pi")
+            found[k] = nums
+            return ring
+
+        def line_of(r):
+            for o, k in ((oi, ki), (oj, kj)):
+                d = dot(o, r)
+                if d:
+                    return field.mul(dot(k, r), field.inv(d))
+            return size
+
+        filled = 0
+        for start, line in enumerate(lines):
+            if found[start] is not None:
+                continue
+            g = search(*line)
+            orbit = [(place(start, g), g)]
+            for ring, g in orbit:
+                if filled + len(orbit) == len(lines):
+                    break
+                for snum, sden, matrix in units:
+                    k = line_of([dot(row, ring) for row in matrix])
+                    if found[k] is None:
+                        y = tuple(x // sden for x in pair_product(snum, g,
+                                                                  c, e))
+                        orbit.append((place(k, y), y))
+            filled += len(orbit)
         cache[pi] = found = tuple(found)
         if len(cache) > ENUM_CACHE_WINDOW:
             del cache[next(iter(cache))]        # the least recently used

@@ -1,16 +1,19 @@
-"""Acceptance gate: the twelve headline checks, one test (and one
-pass/fail line) each, with explicit runtime budgets."""
+"""Acceptance gate: the twelve headline checks and a large-prime tier, one
+test (and one pass/fail line) each, with explicit runtime budgets."""
 
 import math
 import random
 import time
 from functools import reduce
 
+import pytest
+
 from csmod.csm import (count_csms, csm_bruteforce, gamma_of, sigma_index,
                        spectrum_member, spectrum_witness, standard_module,
                        verify_ideal_correspondence)
 from csmod.modlat import index_K
-from csmod.orders import hurwitz, icosian, lipschitz, octahedral
+from csmod.orders import (QuatOrder, hurwitz, icosian, lipschitz,
+                          octahedral)
 from csmod.quat import Quat
 from csmod.rings import FieldElem, FieldTag, RingElem, ring_gcd
 from csmod.series import (coefficient, euler_factor, phi_coefficients,
@@ -227,3 +230,24 @@ def test_criterion_12_composite_indices():
             distinct.add(common)
         assert len(distinct) == want == coefficient(case, m)
         _budget(f"criterion 12 composite index {order.name} {m}", 2, started)
+
+
+@pytest.mark.parametrize("factory,case,m,budget", [
+    (hurwitz, "cub", 9973, 4), (icosian, "ico", 9001, 6),
+    (octahedral, "oct", 9967, 8),
+])
+def test_large_prime_enumeration(factory, case, m, budget):
+    # a prime near the enumeration cap, on a fresh order, so nothing is
+    # cached: N(pi) + 1 ideals per prime above m, one search per unit orbit
+    # of the lines of P^1(O_K/pi).  Measured in a fresh process (CPython
+    # 3.11.7, 2 cores): hurwitz 0.75-0.79 s, icosian 1.18-1.52 s and
+    # octahedral 1.73-1.87 s; the budgets are 4, 6 and 8 s
+    base = factory()
+    started = time.perf_counter()
+    order = QuatOrder(base.name, base.field_tag, base.basis, maximal=True)
+    reps = order.enumerate_by_index(m)
+    assert len(reps) == coefficient(case, m)
+    _budget(f"large prime {order.name} {m}", budget, started)
+    for q in reps[::997]:
+        assert order.is_reduced(q)
+        assert sigma_index(order, q) == m

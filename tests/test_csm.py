@@ -19,7 +19,7 @@ from csmod.modlat import (Ambient, hnf_canonical, im_project, index_K,
                           intersect, pure_part)
 from csmod.orders import (hurwitz, icosian, lipschitz, octahedral,
                            order_by_key)
-from csmod.quat import Quat, format_quat
+from csmod.quat import Quat, cayley_matrix, format_quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, parse_field_elem,
                          ring_gcd)
 from fieldmatrix import Mat3K, rotation_matrix, rotation_to_quat
@@ -839,3 +839,33 @@ def test_signed_permutations_are_refused_exactly_when_det_is_minus_one():
                 assert new == ("DomainError: matrix is not special "
                                "orthogonal over the field"), mat
         assert accepted == 24
+
+
+def _rotated(module, unit):
+    """R(unit)*module in canonical form, on field elements: cayley_matrix
+    applied to each basis column, then hnf_canonical."""
+    rot = cayley_matrix(unit)
+    return hnf_canonical(module.tag, module.ambient, [
+        [sum((x * y for x, y in zip(row, col)), FieldElem(module.tag, 0))
+         for row in rot] for col in module.basis])
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 1001), (icosian, 209), (octahedral, 161),
+])
+def test_unit_multiples_have_the_rotated_csm(factory, m):
+    # R(s) maps gamma = Im(O) onto itself for a unit s of O, so the CSM of
+    # s*q is gamma meet R(s)R(q)gamma = R(s)*CSM(q): the brute force and
+    # the uniqueness of the canonical form must agree on that
+    order = factory()
+    gamma = gamma_of(order)
+    units = order.basis[1:]
+    for s in units:
+        assert _rotated(gamma, s) == gamma
+    reps = order.enumerate_by_index(m)
+    for q in random.Random(m).sample(reps, 200):
+        common = csm_bruteforce(gamma, q)[0]
+        for s in units:
+            assert csm_bruteforce(gamma, s * q)[0] == _rotated(common, s), (
+                format_quat(q), format_quat(s))
+

@@ -16,7 +16,7 @@ import wholeorder
 from csmod.orders import (DEFAULT_ENUM_CAP, ORDER_KEYS, QuatOrder, _ldl,
                           _solve_quadratic, hurwitz, icosian, lipschitz,
                           octahedral, order_by_key)
-from csmod.quat import Quat
+from csmod.quat import Quat, parse_quat
 from csmod.rings import (FieldElem, FieldTag, RingElem, factor,
                          norm_class_reps, ring_gcd)
 from modulesum import module_sum
@@ -878,12 +878,15 @@ def test_lines_match_the_whole_matrix_echelons(factory, m):
         assert lines == reference_lines(order, field)
 
 
+# primes with two or more unit orbits of lines, so two or more searches:
+# with one orbit (hurwitz 5, icosian 9, octahedral 2) only the first line
+# is searched, and the orbit walk reaches every other line
 @pytest.mark.parametrize("factory,m", [
-    (hurwitz, 5), (icosian, 9), (octahedral, 2),
+    (hurwitz, 7), (icosian, 49), (octahedral, 9),
 ])
 def test_prime_generators_must_lie_in_their_ideal(factory, m, monkeypatch):
-    # searching every line's ideal on the first line's basis finds points
-    # of norm pi, but outside all the other ideals
+    # searching every orbit's first line on the first line's basis finds
+    # points of norm pi, but outside all the other ideals
     order = fresh_copy(factory)
     ideal_basis = QuatOrder._ideal_basis
     first = []
@@ -895,6 +898,29 @@ def test_prime_generators_must_lie_in_their_ideal(factory, m, monkeypatch):
     monkeypatch.setattr(QuatOrder, "_ideal_basis", first_basis)
     with pytest.raises(ArithmeticError,
                        match=f"{order.name}, pi = .*: the generator"):
+        order.enumerate_by_index(m)
+
+
+@pytest.mark.parametrize("factory,m", [
+    (hurwitz, 5), (icosian, 9), (octahedral, 9),
+])
+def test_orbit_walk_must_reach_the_ideal_of_its_generator(factory, m,
+                                                         monkeypatch):
+    # the transposed matrix of y -> s*y sends the walk to lines that do
+    # not hold s*g (but at octahedral 2, whose 3 lines the walk fills from
+    # one search, each s*g it forms still lands on its own line)
+    order = fresh_copy(factory)
+    unit_columns = QuatOrder._unit_columns
+
+    def transposed(self):
+        return tuple((s, [[x for col in cols for x in col[k:k + 2]]
+                          for k in range(0, 8, 2)])
+                     for s, cols in unit_columns(self))
+
+    monkeypatch.setattr(QuatOrder, "_unit_columns", transposed)
+    with pytest.raises(ArithmeticError,
+                       match=f"{order.name}, pi = .*: the generator .* is "
+                             f"not in it"):
         order.enumerate_by_index(m)
 
 
@@ -911,6 +937,60 @@ def test_prime_generators_must_have_norm_pi(factory, m, monkeypatch):
     with pytest.raises(ArithmeticError,
                        match=f"{order.name}, pi = .*: the generator"):
         order.enumerate_by_index(m)
+
+
+def units_modulo_sign(order):
+    """The norm-one units of a maximal order, one of each pair +-u, as the
+    closure of basis[1:] (all of reduced norm 1) under products."""
+    kept = set()
+    for u in closure_under_mult(order.basis[1:]):
+        if -u not in kept:
+            kept.add(u)
+    return kept
+
+
+@pytest.mark.parametrize("factory,m,size", [
+    (hurwitz, 101, 12), (hurwitz, 1009, 12), (icosian, 1009, 60),
+    (octahedral, 1009, 24),
+])
+def test_searches_count_the_unit_orbits_of_the_lines(factory, m, size,
+                                                     monkeypatch):
+    # Burnside: the search runs once per orbit of the units modulo +-1 on
+    # the N(pi) + 1 lines, and the number of orbits is the mean number of
+    # lines a unit fixes.  Away from the primes above 2 and 3 (and 5 on
+    # the icosian order) a unit u != +-1, t = Tr(u) mod pi, fixes 2 lines
+    # if t^2 - 4 is a nonzero square of F = O_K/pi, 1 if it is zero and
+    # none otherwise; 1 fixes them all
+    order = fresh_copy(factory)
+    units = units_modulo_sign(order)
+    assert len(units) == size
+    searches = 0
+    solve = csmod.orders._solve_quadratic
+
+    def counting_solve(*args, **kw):
+        nonlocal searches
+        searches += 1
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(csmod.orders, "_solve_quadratic", counting_solve)
+    primes = {pi for value in norm_class_reps(order.field_tag, m)
+              for pi, _ in factor(value)[1]}
+    assert len(primes) == (1 if factory is hurwitz else 2)
+    for pi in primes:
+        field = csmod.orders._ResidueField(pi)
+        squares = {field.mul(x, x) for x in field.residues}
+        fixed = 0
+        for u in units:
+            if u.is_scalar():       # +-1
+                fixed += field.size + 1
+                continue
+            trace = (2 * u.coords()[0]).to_ring()
+            t = field.red(trace.a, trace.b)
+            d = field.lin(field.mul(t, t), 1, field.red(4, 0))
+            fixed += 1 if d == 0 else 2 if d in squares else 0
+        searches = 0
+        assert len(order._ideal_vectors(pi)) == field.size + 1
+        assert searches * size == fixed, pi
 
 
 # -- the previous enumeration, kept as the reference ----------------------
@@ -1061,9 +1141,41 @@ def reference_enumerate(order, m):
 REFERENCE_RANGES = [(hurwitz, 15), (icosian, 5), (octahedral, 8)]
 
 
-# the representatives at prime values (and 1): the first point of the
-# search on each ideal's Z-basis, in the order of the lines of P^1
+# the representatives at prime values (and 1), in the order of the lines
+# of P^1: the first point of the search on the ideal's Z-basis at the
+# first line of each unit orbit, and s*g along the orbit walk
 PRIME_REPRESENTATIVES = {
+    (hurwitz, 1): ["1"],
+    (hurwitz, 3): [
+        "1-i-j", "1+j+k", "3/2+1/2*i-1/2*j+1/2*k", "1+i-k",
+    ],
+    (hurwitz, 5): [
+        "2-i", "-3/2-1/2*i-3/2*j+1/2*k", "3/2+1/2*i+1/2*j+3/2*k",
+        "-3/2-1/2*i+1/2*j+3/2*k", "-1/2+3/2*i+1/2*j+3/2*k", "2*j+k",
+    ],
+    (icosian, 4): [
+        "-1-i", "-1/2+1/2*w+(1/2+1/2*w)*i+(-1/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "-1/2+w-1/2*i-1/2*j-1/2*k", "1/2+(-1/2+w)*i+1/2*j-1/2*k",
+        "1/2-1/2*w+(-1/2+1/2*w)*i+(1/2+1/2*w)*j+(1/2-1/2*w)*k",
+    ],
+    (icosian, 5): [
+        "-w-i", "1/2-1/2*w+(-1/2-1/2*w)*i+(-1/2-1/2*w)*j+(1/2-1/2*w)*k",
+        "1/2+1/2*w-i-1/2*j-1/2*w*k",
+        "1/2+1/2*w+(1/2-1/2*w)*i+(-1/2+1/2*w)*j+(-1/2-1/2*w)*k",
+        "1+1/2*w+(-1/2+1/2*w)*j+1/2*k",
+        "1/2+1/2*w+(1/2-1/2*w)*i+(-1/2-1/2*w)*j+(1/2-1/2*w)*k",
+    ],
+    (octahedral, 2): [
+        "1/2*w+(-1-1/2*w)*i", "1/2+1/2*w-1/2*i-1/2*j+(1/2+1/2*w)*k",
+        "1/2+(-1/2-1/2*w)*i+1/2*j+(1/2+1/2*w)*k",
+    ],
+}
+
+
+# the representatives when every line had its own search (the first point
+# of the search on each ideal's Z-basis): other generators of the same
+# ideals, in the same order
+SEARCHED_PRIME_REPRESENTATIVES = {
     (hurwitz, 1): ["1"],
     (hurwitz, 3): ["1-i-j", "1+i-j", "-1-i-j", "-1+i-j"],
     (hurwitz, 5): ["2-i", "-2*i-j", "2-j", "-2-j", "2*i-j", "-2-i"],
@@ -1083,6 +1195,192 @@ PRIME_REPRESENTATIVES = {
 # the representatives at composite values, whose ideals are products of
 # ideals of prime norm, in the order enumerate_by_index forms them
 COMPOSITE_REPRESENTATIVES = {
+    (hurwitz, 45): [
+        "-4-3*i-4*j-2*k", "-5/2+5/2*i+11/2*j+3/2*k", "1/2-13/2*i-1/2*j-3/2*k",
+        "3/2+1/2*i+11/2*j-7/2*k", "9/2-7/2*i+7/2*j+1/2*k", "4-2*i-5*k",
+        "2-6*i+2*j+k", "-5/2+5/2*i-7/2*j+9/2*k", "7/2-1/2*i+11/2*j+3/2*k",
+        "-9/2+7/2*i+5/2*j+5/2*k", "3/2+11/2*i+7/2*j+1/2*k", "-2+i+6*j-2*k",
+        "5-4*j-2*k", "-11/2-7/2*i-1/2*j-3/2*k", "7/2-1/2*i-7/2*j+9/2*k",
+        "-3/2-11/2*i+5/2*j+5/2*k", "-3/2-1/2*i+1/2*j+13/2*k", "4-2*i+3*j+4*k",
+        "4-2*i-4*j+3*k", "-11/2+3/2*i-5/2*j-5/2*k", "1/2-3/2*i+1/2*j+13/2*k",
+        "-11/2-7/2*i+3/2*j-1/2*k", "-7/2+1/2*i+9/2*j+7/2*k", "-5*i+4*j+2*k",
+        "-2+i+2*j+6*k", "7/2+9/2*i-5/2*j-5/2*k", "-11/2+3/2*i+7/2*j+1/2*k",
+        "-5/2+5/2*i-9/2*j-7/2*k", "-7/2+1/2*i+3/2*j-11/2*k", "-6-2*i-2*j-k",
+        "4-2*i+5*j", "1/2-3/2*i-11/2*j+7/2*k", "7/2+9/2*i+7/2*j+1/2*k",
+        "-5/2+5/2*i-3/2*j+11/2*k", "-1/2+13/2*i-3/2*j+1/2*k", "-3+4*i+4*j+2*k",
+        "5/2-5/2*i-9/2*j-7/2*k", "-6-2*i+2*j+k", "9/2-7/2*i-5/2*j+5/2*k",
+        "-1/2-7/2*i+11/2*j+3/2*k", "2-i+2*j+6*k", "11/2-3/2*i+7/2*j+1/2*k",
+        "5/2-5/2*i-3/2*j+11/2*k", "-3+4*i-4*j-2*k", "-3/2-1/2*i+7/2*j+11/2*k",
+        "-13/2-1/2*i-1/2*j-3/2*k", "-4+2*i+5*j", "-7/2-9/2*i+7/2*j+1/2*k",
+        "11/2+7/2*i+3/2*j-1/2*k", "-5*i-4*j-2*k", "3/2+11/2*i-5/2*j+5/2*k",
+        "-1/2-7/2*i-7/2*j+9/2*k", "-4+2*i-4*j+3*k", "-1/2+3/2*i+1/2*j+13/2*k",
+        "3-4*i+2*j-4*k", "-5/2-5/2*i-3/2*j+11/2*k", "13/2+1/2*i+3/2*j-1/2*k",
+        "-1/2+3/2*i+7/2*j+11/2*k", "7/2+9/2*i-1/2*j+7/2*k", "2+4*i+5*j",
+        "6+2*i-j+2*k", "-5/2-5/2*i-9/2*j-7/2*k", "1/2+7/2*i-3/2*j+11/2*k",
+        "-7/2-9/2*i-5/2*j+5/2*k", "-11/2+3/2*i-1/2*j+7/2*k", "-1-2*i+2*j+6*k",
+        "5*i+2*j-4*k", "7/2-11/2*i+3/2*j-1/2*k", "1/2+7/2*i-9/2*j-7/2*k",
+        "11/2-3/2*i-5/2*j+5/2*k", "1/2-3/2*i-13/2*j+1/2*k", "2+4*i-4*j+3*k",
+    ],
+    (icosian, 44): [
+        "3/2+1/2*w+(1/2-3/2*w)*i+(1/2-1/2*w)*j+(-1/2+1/2*w)*k",
+        "-1/2*w+1/2*w*i+3/2*w*j+(1-3/2*w)*k",
+        "-1/2+(1/2+w)*i+(-1/2-w)*j+(3/2-w)*k",
+        "-1/2-w+(-3/2+w)*i+1/2*j+(1/2+w)*k",
+        "-3/2*w+(-1+1/2*w)*i+(-1-1/2*w)*j+(1-1/2*w)*k",
+        "1/2-3/2*w+(1/2+1/2*w)*i+(1/2-1/2*w)*j+(1/2-3/2*w)*k",
+        "-1+1/2*w+(1+1/2*w)*i+(-1+1/2*w)*j-3/2*w*k",
+        "-3/2+w+(1/2+w)*i+(1/2+w)*j-1/2*k",
+        "-1+1/2*w+3/2*w*i+(1-1/2*w)*j+(1+1/2*w)*k",
+        "1+1/2*w+(1-1/2*w)*i-3/2*w*j+(1-1/2*w)*k",
+        "-1-1/2*w+(-1-1/2*w)*i+(1-3/2*w)*j+1/2*w*k",
+        "-1/2+3/2*w+(3/2+1/2*w)*i+(1/2-1/2*w)*j+(1/2-1/2*w)*k",
+        "1/2-2*w+(-1/2+1/2*w)*i+j-1/2*w*k",
+        "-1+w+1/2*i+(-1/2-3/2*w)*j+(1-1/2*w)*k",
+        "-1+3/2*w+(-1/2-w)*i+j+(1/2+1/2*w)*k",
+        "3/2*w+(-1/2+w)*i+(-1+w)*j+(-1/2-1/2*w)*k",
+        "-1/2+3/2*w+1/2*w*i+w*j+3/2*k",
+        "w+(-1+1/2*w)*i+(1/2-w)*j+(3/2+1/2*w)*k",
+        "-1/2+1/2*w+(1-3/2*w)*i-w*j+(1/2+w)*k",
+        "1/2*w+(1/2-w)*i+(-1-w)*j+(-3/2+1/2*w)*k",
+        "-1/2+3/2*w+(-1-1/2*w)*i-3/2*k", "-1/2-1/2*w+(-1-1/2*w)*i+2*j+1/2*k",
+        "1/2*w+(-1/2+3/2*w)*i+(1/2+w)*j+(-1+w)*k",
+        "-1/2+(-1/2-3/2*w)*i+(1-w)*j+(-1+1/2*w)*k",
+        "3/2-1/2*w+(1+w)*i+(1/2-w)*j+1/2*w*k",
+        "-1/2+1/2*w+(-1/2-w)*i+1/2*w*j+2*k", "-3/2+(1+1/2*w)*j+(1/2-3/2*w)*k",
+        "-1/2-2*i+(-1-1/2*w)*j+(-1/2-1/2*w)*k",
+        "1/2*w-i+(-1/2+1/2*w)*j+(1/2-2*w)*k",
+        "1/2+(-1-1/2*w)*i+(3/2+1/2*w)*j+(1-w)*k",
+        "-1+1/2*w+(1-w)*i+(1/2+3/2*w)*j+1/2*k",
+        "-3/2-w*i+1/2*w*j+(-1/2+3/2*w)*k", "-2-1/2*w-i+(1/2-1/2*w)*j-1/2*k",
+        "-1/2*w+(1+w)*i+(3/2-1/2*w)*j+(1/2-w)*k",
+        "w+(-1+1/2*w)*i+(1/2-w)*j+(-3/2-1/2*w)*k",
+        "-3/2-1/2*w+i+3/2*j+1/2*w*k", "-1-w+(3/2-1/2*w)*i-1/2*w*j+(1/2-w)*k",
+        "1/2+w+(-1/2+1/2*w)*i-2*j+1/2*w*k",
+        "-3/2*i+(-1/2+3/2*w)*j+(1+1/2*w)*k",
+        "2-1/2*i+(1/2+1/2*w)*j+(-1-1/2*w)*k",
+        "1+1/2*w*i+(-1/2+2*w)*j+(-1/2+1/2*w)*k",
+        "1+1/2*w+1/2*i+(-1+w)*j+(3/2+1/2*w)*k",
+        "-1+w+(-1+1/2*w)*i-1/2*j+(1/2+3/2*w)*k",
+        "w-3/2*i+(1/2-3/2*w)*j+1/2*w*k", "1+(-2-1/2*w)*i+1/2*j+(1/2-1/2*w)*k",
+        "-1-w-1/2*w*i+(-1/2+w)*j+(3/2-1/2*w)*k",
+        "1-1/2*w+w*i+(3/2+1/2*w)*j+(1/2-w)*k",
+        "-1+(-3/2-1/2*w)*i-1/2*w*j+3/2*k",
+        "-3/2+1/2*w+(1/2-w)*i-1/2*w*j+(-1-w)*k",
+        "3/2+(1+w)*i+(-1+1/2*w)*j+(-1/2+1/2*w)*k",
+        "1/2-w-1/2*w*i+(-3/2+1/2*w)*j+(1+w)*k", "3/2-1/2*w*i+(3/2+1/2*w)*j+k",
+        "1-3/2*w+(1/2-1/2*w)*i+(1/2+w)*j+w*k",
+        "-1/2*w+2*i+(-1/2+1/2*w)*j+(1/2+w)*k",
+        "-1/2*w+(-1/2+3/2*w)*i-3/2*j+w*k",
+        "1/2+w+(-1+3/2*w)*i+(-1/2-1/2*w)*j+k",
+        "1+1/2*w+(-1/2-1/2*w)*i-1/2*j+2*k", "-1-1/2*w+(1/2-3/2*w)*i-3/2*j",
+        "-1/2-1/2*w-1/2*w*i+(1+w)*j+(3/2-w)*k",
+        "-1/2+1/2*w-1/2*i+(-2-1/2*w)*j+k", "-3/2+(3/2+w)*i+1/2*j+1/2*k",
+        "1/2+1/2*w+(1/2+1/2*w)*i+(1/2-3/2*w)*j+(-3/2-1/2*w)*k",
+        "-1-1/2*w-3/2*w*i+(1-1/2*w)*j+(1+1/2*w)*k",
+        "1+1/2*w-1/2*w*i+1/2*w*j+(-2-1/2*w)*k",
+        "3/2+1/2*w+(-1/2-1/2*w)*i+(3/2+1/2*w)*j+(-1/2+1/2*w)*k",
+        "3/2*w+(-1-1/2*w)*i+(-1-1/2*w)*j+(1-1/2*w)*k",
+        "1/2-1/2*w+(-3/2-1/2*w)*i+(-1/2-1/2*w)*j+(3/2+1/2*w)*k",
+        "w+(-1-w)*i+(1-w)*j+w*k",
+        "-1/2-1/2*w+(-3/2-1/2*w)*i+(-1/2+1/2*w)*j+(-3/2-1/2*w)*k",
+        "-3/2-1/2*w+(-1/2+1/2*w)*i+(3/2+1/2*w)*j+(1/2+1/2*w)*k", "1-i-2*w*j",
+        "-3/2-w-3/2*i-1/2*j+1/2*k", "1/2+3/2*w-w*i+(1/2-w)*j+(-1+1/2*w)*k",
+        "1/2-w+(-3/2-1/2*w)*i+3/2*w*k", "1/2*w+(1/2+3/2*w)*i+3/2*j-k",
+        "1/2-2*w+(-1-1/2*w)*j+(1/2+1/2*w)*k",
+        "-3/2*w+(-1+w)*i+(-1/2-1/2*w)*j+(-1/2-w)*k",
+        "-2-1/2*w+(1/2-1/2*w)*i+(1/2+w)*j",
+        "-1+1/2*w+w*i+(1/2+3/2*w)*j+(1/2-w)*k",
+        "-1/2-w+(-1/2+w)*i+(1/2+w)*j-3/2*k",
+        "-1/2*w+(1+w)*i+(-3/2+1/2*w)*j+(1/2+w)*k",
+        "3/2*w+w*i+(-1/2-1/2*w)*j-3/2*k",
+        "-1/2-1/2*w+(-3/2+1/2*w)*i+(1/2+3/2*w)*j+(1/2+1/2*w)*k",
+        "-1/2+3/2*w+(1+w)*i+(-1/2+w)*j+1/2*w*k", "-3/2-1/2*w-3/2*w*i+j-1/2*k",
+        "1/2-1/2*w+w*i+(3/2+w)*j+(-1+1/2*w)*k",
+        "w-1/2*w*i+(1/2-2*w)*j+(-1/2-1/2*w)*k",
+        "3/2+(1/2+1/2*w)*i+w*j+3/2*w*k",
+        "1-1/2*w+(-1/2+w)*i-w*j+(1/2+3/2*w)*k",
+        "-1+w+(1+3/2*w)*i-1/2*j+(1/2-1/2*w)*k",
+        "1/2*w+(-1/2+w)*i+(-1-w)*j+(1/2-3/2*w)*k",
+        "1/2*w+3/2*w*i-3/2*w*j+(-1+1/2*w)*k",
+        "1+3/2*w-1/2*i+(-1+w)*j+(-1/2+1/2*w)*k",
+        "-1+1/2*w+(-3/2-w)*i-w*j+(-1/2+1/2*w)*k",
+        "1/2+(-1/2+2*w)*i+1/2*j+(-1/2-w)*k",
+        "-1/2+3/2*w+(-1-1/2*w)*i-j+(-1/2-w)*k", "3/2*w+(-3/2-1/2*w)*i+1/2*j+k",
+        "-w+(1/2-1/2*w)*i+(1-1/2*w)*j+(3/2+w)*k",
+        "1/2*w+w*i+(1/2+1/2*w)*j+(1/2-2*w)*k", "-1/2-1/2*w+3/2*i-3/2*w*j+w*k",
+        "1/2-w+(1-1/2*w)*i+(-1/2-3/2*w)*j-w*k",
+        "-1-3/2*w+(-1+w)*i+(-1/2+1/2*w)*j-1/2*k",
+        "1/2-w+1/2*w*i+(-1/2+3/2*w)*j+(-1-w)*k",
+        "-3/2*w+1/2*w*i+(1-1/2*w)*j-3/2*w*k",
+        "1/2+(1+3/2*w)*i+(1/2-1/2*w)*j+(-1+w)*k",
+        "3/2+w+(-1+1/2*w)*i+(1/2-1/2*w)*j-w*k",
+        "1/2-2*w+1/2*i+(1/2+w)*j+1/2*k", "1+1/2*w+(-1/2+3/2*w)*i+(1/2+w)*j-k",
+        "w+(-1/2+1/2*w)*i+(-1+1/2*w)*j+(3/2+w)*k",
+        "-3/2-1/2*w+1/2*i-3/2*w*j+k", "-1/2+1/2*w-1/2*w*i+2*w*j+(1/2-w)*k",
+        "-1+(1/2+w)*i+(1/2-3/2*w)*j+(-1-1/2*w)*k",
+        "w+(1-1/2*w)*i+(1/2-w)*j+(-1/2-3/2*w)*k",
+        "1/2-3/2*w+(-1-1/2*w)*i-j+(-1/2-w)*k",
+        "1-w-3/2*w*i+(1/2+w)*j+(-1/2-1/2*w)*k",
+        "-1/2+(-1/2-w)*i+1/2*j+(1/2-2*w)*k", "-w+3/2*w*i+3/2*j+(-1/2-1/2*w)*k",
+        "1+w+1/2*w*i+(1/2+w)*j+(3/2-1/2*w)*k",
+        "-1/2-3/2*w+(1/2-3/2*w)*i+(1/2-1/2*w)*j+(1/2-1/2*w)*k",
+        "1-w+(-1/2+1/2*w)*i+(1+3/2*w)*j+1/2*k",
+    ],
+    (octahedral, 14): [
+        "5/2+3/2*w+(3/2+w)*i+(1/2+1/2*w)*j-1/2*k",
+        "-2-3/2*w+(1+1/2*w)*i+(-1-w)*j+(-1-w)*k",
+        "-1-1/2*w+(2+3/2*w)*i+(-2-w)*j",
+        "1/2+(5/2+3/2*w)*i+(-1/2-1/2*w)*j+(-3/2-w)*k",
+        "1/2+1/2*w+1/2*i+(-5/2-3/2*w)*j+(3/2+w)*k",
+        "1/2+1/2*w+(5/2+2*w)*i+(1/2+1/2*w)*j+1/2*k",
+        "1+1/2*w+(2+3/2*w)*i+(-1-w)*j+(1+w)*k",
+        "-3/2-w+(3/2+3/2*w)*i+(1/2+1/2*w)*j+(-3/2-w)*k",
+        "1/2+(3/2+w)*i+(5/2+3/2*w)*j+(1/2+1/2*w)*k",
+        "-1/2+(-1/2-1/2*w)*i+(-1/2-1/2*w)*j+(-5/2-2*w)*k",
+        "-1/2-1/2*w+(3/2+w)*i-1/2*j+(-5/2-3/2*w)*k",
+        "(1+1/2*w)*i+(2+w)*j+(-2-3/2*w)*k",
+        "1/2+1/2*w+(5/2+3/2*w)*i+(-3/2-w)*j-1/2*k",
+        "-3/2-w+(3/2+w)*i+(3/2+3/2*w)*j+(-1/2-1/2*w)*k",
+        "-1/2-1/2*w+(5/2+2*w)*i+1/2*j+(-1/2-1/2*w)*k",
+        "-1-w+(-1-1/2*w)*i+(1+w)*j+(-2-3/2*w)*k",
+        "1+w+(1+1/2*w)*i+(2+3/2*w)*j+(-1-w)*k",
+        "-1/2-1/2*w-1/2*i+(-5/2-3/2*w)*j+(-3/2-w)*k",
+        "1/2+1/2*w+(3/2+w)*i+(-3/2-3/2*w)*j+(-3/2-w)*k",
+        "1/2+1/2*w+(1/2+1/2*w)*i-1/2*j+(-5/2-2*w)*k",
+        "2+3/2*w+(1+w)*i+(-1-w)*j+(1+1/2*w)*k",
+        "(2+3/2*w)*i+(1+1/2*w)*j+(-2-w)*k",
+        "3/2+w+(5/2+3/2*w)*i-1/2*j+(-1/2-1/2*w)*k",
+        "-3/2-w+1/2*i+(-1/2-1/2*w)*j+(-5/2-3/2*w)*k",
+        "2+w+(-1-1/2*w)*j+1/2*w*k", "1/2+(1/2+1/2*w)*i+(-3/2-3/2*w)*j-1/2*k",
+        "1+w+(1+w)*i+(-1-1/2*w)*j-1/2*w*k", "-1-1/2*w-1/2*w*i+(-2-w)*j",
+        "3/2+1/2*w+1/2*i+(-1/2-1/2*w)*j+(-3/2-w)*k",
+        "-1/2+(1/2+1/2*w)*i+(-3/2-1/2*w)*j+(-3/2-w)*k",
+        "-1/2-1/2*w+1/2*i+1/2*j+(-3/2-3/2*w)*k",
+        "1/2+1/2*w+(1/2+w)*i+(1/2+1/2*w)*j+(-3/2-w)*k",
+        "3/2+1/2*w+(3/2+w)*i+1/2*j+(1/2+1/2*w)*k",
+        "1+1/2*w+(1+w)*i-1/2*w*j+(-1-w)*k",
+        "1/2+1/2*w+(3/2+w)*i+(1/2+w)*j+(-1/2-1/2*w)*k",
+        "1/2+1/2*w+1/2*i+(-3/2-w)*j+(-3/2-1/2*w)*k",
+        "3/2+w+1/2*i+(3/2+1/2*w)*j+(-1/2-1/2*w)*k", "1+1/2*w+1/2*w*j+(-2-w)*k",
+        "1/2*w+(-1-w)*i+(1+1/2*w)*j+(-1-w)*k",
+        "1/2-1/2*i+(3/2+3/2*w)*j+(-1/2-1/2*w)*k",
+        "3/2+3/2*w+1/2*i+(1/2+1/2*w)*j+1/2*k",
+        "3/2+w+1/2*i+(-3/2-1/2*w)*j+(-1/2-1/2*w)*k",
+        "3/2+w+(1/2+1/2*w)*i+1/2*j+(-3/2-1/2*w)*k",
+        "1/2+1/2*w-1/2*i+(-3/2-3/2*w)*j+1/2*k",
+        "1+w+(-1-1/2*w)*i+1/2*w*j+(-1-w)*k",
+        "1/2+1/2*w+(-1/2-1/2*w)*i+(-1/2-w)*j+(-3/2-w)*k",
+        "-1/2-1/2*w+(-3/2-1/2*w)*i-1/2*j+(-3/2-w)*k",
+        "-1/2*w*i+(1+1/2*w)*j+(-2-w)*k",
+    ],
+}
+
+
+# the representatives at composite values when every line had its own
+# search: the same ideals, but in another order, since the ideal of a
+# product g*h is g*(h*O) and so depends on the generator g kept, not only
+# on its ideal
+SEARCHED_COMPOSITE_REPRESENTATIVES = {
     (hurwitz, 45): [
         "-4-3*i-4*j-2*k", "-6+2*i+j-2*k", "-4-4*i-3*j+2*k", "4*i+5*j+2*k",
         "2-2*i+j+6*k", "5*i+4*j-2*k", "2-i-6*j+2*k", "-2-5*j-4*k",
@@ -1271,14 +1569,25 @@ def test_enumerate_matches_reference(factory, top):
                 == {order.right_ideal(q) for q in want}), m
         if (factory, m) in PRIME_REPRESENTATIVES:
             assert [str(q) for q in got] == PRIME_REPRESENTATIVES[factory, m]
+            # the orbit walk keeps the lines' order: the k-th ideal is the
+            # one the search gave the k-th line
+            searched = [parse_quat(text, order.field_tag)
+                        for text in SEARCHED_PRIME_REPRESENTATIVES[factory, m]]
+            assert ([order.right_ideal(q) for q in got]
+                    == [order.right_ideal(q) for q in searched]), m
 
 
 @pytest.mark.parametrize("factory,m", list(COMPOSITE_REPRESENTATIVES))
 def test_enumerate_pins_composite_representatives(factory, m):
     order = factory()
     assert composite_values(order, m)
-    assert ([str(q) for q in order.enumerate_by_index(m)]
-            == COMPOSITE_REPRESENTATIVES[factory, m])
+    got = order.enumerate_by_index(m)
+    assert [str(q) for q in got] == COMPOSITE_REPRESENTATIVES[factory, m]
+    searched = [parse_quat(text, order.field_tag)
+                for text in SEARCHED_COMPOSITE_REPRESENTATIVES[factory, m]]
+    ideals = [order.right_ideal(q) for q in got]
+    assert len(set(ideals)) == len(ideals)
+    assert set(ideals) == {order.right_ideal(q) for q in searched}
 
 
 @pytest.mark.parametrize("factory,top", REFERENCE_RANGES)
