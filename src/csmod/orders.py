@@ -15,17 +15,18 @@ generator has even norm), so the ideals of norm pi are the N(pi) + 1
 lines L of P^1(F): I_L = {y : y mod pi has image in L} (Pizer, J.
 Algebra 64 (1980); Kirschmer & Voight, SIAM J. Comput. 39 (2010)).  The
 conditions of the lines form one pencil K - t*O of 4x4 matrices of rank
-2 over F with one column space, so the same two rows span the rows of
-each, and each line's echelon form comes from the 2x2 minors of those
-two rows.  The units of reduced norm 1 act on these ideals, u*(g*O) =
-(u*g)*O, through a group of order 12, 60 or 24.  The first ideal of
-each orbit gets a Z-basis from its form and one generator g, a point of
-least value of the form Tr(conj(pi)*2*nr) (all of norm pi) by a
-Fincke-Pohst search in integers; a breadth-first walk with the basis
-units s gives s*g to the other ideals of the orbit, each line read off
-the pencil.  The generators are kept per prime, in one window of recent
-values, and multiplied on flat pairs of ring numerators
-(quat.pair_product): each ideal gets one quaternion.
+2 over F with one column space: line t < N(pi) is the kernel of K - t*O
+and line N(pi) that of O, and two rows i, j of K and O with det[K_i;
+K_j; O_i; O_j] != 0 span them all and certify the N(pi) + 1 lines.  The
+units of reduced norm 1 act on these ideals, u*(g*O) = (u*g)*O, through
+a group of order 12, 60 or 24.  The first ideal of each orbit gets an
+echelon form from the minors of its two rows, a Z-basis from that and
+one generator g, a point of least value of the form Tr(conj(pi)*2*nr)
+(all of norm pi) by a Fincke-Pohst search in integers; a breadth-first
+walk with the basis units s gives s*g to the other ideals of the orbit,
+each line t read off the rows.  The generators are kept per prime, in
+one window of recent values, and multiplied on flat pairs of ring
+numerators (quat.pair_product): each ideal gets one quaternion.
 """
 
 from __future__ import annotations
@@ -131,8 +132,6 @@ class _ResidueField:
         self.p = p if self.inert else self.size
         # omega = -a/b mod pi = a + b*omega; b = 0 if pi is inert or in Z
         self.w = pi.b and -pi.a * pow(pi.b, -1, self.p)
-        self.residues = range(self.size)
-        self.pencil = None      # rows i, j of K and of O, set by _lines
 
     def matrix(self, cols):
         """The 4x4 matrix over F with the columns cols, each the ring
@@ -186,21 +185,26 @@ class _ResidueField:
             pair_mul(*self.pair(x), *self.pair(y), c, e)
             for x, y in zip(row, vec)))))
 
+    def det(self, r, s, u, v):
+        """The determinant of the rows r, s, u, v over F by Laplace
+        expansion in the 2x2 minors m of r, s and n of u, v: the sum of
+        +-m(a, b)*n(c, d), c < d the columns not a < b, - at (0, 2), (1, 3)."""
+        mul, lin = self.mul, self.lin
+        m, n = ([lin(mul(x[a], y[b]), x[b], y[a])
+                 for a, b in combinations(range(4), 2)]
+                for x, y in ((r, s), (u, v)))
+        plus = self.dot([m[0], m[2], m[3], m[5]], [n[5], n[3], n[2], n[0]])
+        return lin(plus, 1, self.dot([m[1], m[4]], [n[4], n[1]]))
+
     def two_row_echelon(self, r, s):
         """(pivots, rows) of the reduced row echelon form of the rows r and
-        s over F, a canonical form of their span, from the minors m(a, b) =
-        r[a]*s[b] - r[b]*s[a]: at rank 2, with pivots p < q, its rows are
-        m(k, q)/m(p, q) and m(p, k)/m(p, q) (Cramer's rule)."""
+        s of rank 2 over F, a canonical form of their span, from the
+        minors m(a, b) = r[a]*s[b] - r[b]*s[a]: with pivots p < q its rows
+        are m(k, q)/m(p, q) and m(p, k)/m(p, q) (Cramer's rule)."""
         mul, lin = self.mul, self.lin
-        p = next((k for k, x in enumerate(r) if x or s[k]), None)
-        if p is None:
-            return (), ()
+        p = next(k for k, x in enumerate(r) if x or s[k])
         head = [lin(mul(r[p], y), x, s[p]) for x, y in zip(r, s)]  # m(p, k)
-        q = next((k for k, m in enumerate(head) if m), None)
-        if q is None:       # rank one: the row nonzero at p, scaled
-            row = r if r[p] else s
-            inv = self.inv(row[p])
-            return (p,), (tuple(mul(inv, x) for x in row),)
+        q = next(k for k, m in enumerate(head) if m)
         inv, rq, sq = self.inv(head[q]), r[q], s[q]
         return (p, q), (tuple(mul(inv, lin(mul(x, sq), rq, y))
                               for x, y in zip(r, s)),
@@ -414,54 +418,42 @@ class QuatOrder:
                                             d * b.den))
             for b in self.basis[1:])
 
-    def _lines(self, field):
-        """The echelon forms over F of the conditions of the N(pi) + 1
-        ideals I_L, one per line L of P^1(F).  With K, O the matrices of
-        _pencil for x and x' = x*b, b the first with another kernel than
-        x, x - t*x' and x' have every kernel L once, and I_L = {y : z*y in
-        pi*O} for z of kernel L.  K and O both have the column space x*O
-        mod pi, of dimension 2, so K - t*O = G*(B0 - t*B1) with G of rank
-        2: the first two rows i < j independent in K span the rows of
-        every K - t*O and of O, and each form is the two-row echelon of
-        those rows.  The forms must be distinct and have rank 2.  The rows
-        i, j of K and O are left on the field as field.pencil."""
+    def _pencil_rows(self, field):
+        """Rows i < j of K and of O, the matrices of _pencil for x and x' =
+        x*b: for the first b of basis[1:], then the first (i, j), with
+        det[K_i; K_j; O_i; O_j] != 0 over F.  K and O both have the column
+        space x*O mod pi, of dimension 2, so K = G*B0 and O = G*B1 with G
+        of rank 2, the rows i, j of K - t*O are G_ij*(B0 - t*B1), and the
+        determinant is det(G_ij)^2 * det[B0; B1].  It is nonzero exactly
+        when K_i, K_j are independent and ker K meets ker O in 0; then K -
+        t*O (line t = 0, 1, ..., N(pi) - 1) and O (line N(pi)) have rank 2,
+        and their N(pi) + 1 kernels, the lines of P^1(F), meet pairwise in
+        0."""
         kernel, others = self._pencil(field)
-        for i, j in combinations(range(4), 2):
-            first = field.two_row_echelon(kernel[i], kernel[j])
-            if len(first[0]) == 2:
-                break
         for other in others:
-            last = field.two_row_echelon(other[i], other[j])
-            if len(last[0]) == 2 and last != first:
-                break
-        lin = field.lin
-        ki, kj, oi, oj = kernel[i], kernel[j], other[i], other[j]
-        field.pencil = ki, kj, oi, oj
-        lines = [field.two_row_echelon([lin(u, t, w) for u, w in zip(ki, oi)],
-                                       [lin(u, t, w) for u, w in zip(kj, oj)])
-                 for t in field.residues] + [last]
-        ideals = {line for line in lines if len(line[0]) == 2}
-        if len(ideals) != field.size + 1:
-            raise ArithmeticError(
-                f"{self.name}, pi = {field.pi}: {len(ideals)} distinct right "
-                f"ideals of reduced norm pi, want N(pi) + 1 = "
-                f"{field.size + 1}")
-        return lines
+            for i, j in combinations(range(4), 2):
+                rows = kernel[i], kernel[j], other[i], other[j]
+                if field.det(*rows):
+                    return rows
+        raise ArithmeticError(
+            f"{self.name}, pi = {field.pi}: no rows i < j of the pencil with "
+            f"det[K_i; K_j; O_i; O_j] != 0")
 
     def _ideal_vectors(self, pi: RingElem):
         """The ring numerators, over the den of _zgen, of one generator per
-        right ideal of reduced norm pi, a prime of the scalar ring, in the
-        order of _lines.  The units s of basis[1:] act on those ideals, as
-        s*(g*O) = (s*g)*O, through the unit group modulo +-1 (of order 12,
-        60 or 24), so one search per orbit gives g, the first point of
-        Tr(conj(pi)*2*nr(y)) = 2*N(pi)*Tr(1) on its ideal's Z-basis (there
-        nr(y) = pi*alpha, alpha totally positive, and the trace is that
-        small only at alpha = 1, AM-GM), and a breadth-first walk gives s*g
-        to each line of its orbit.  The line of s*g is read off the pencil:
-        with r' = M_s*r, r the ring coordinates of g mod pi, it is the t
-        with (K_i - t*O_i)*r' = 0 (row j if O_i*r' = 0), or the last line
-        if O*r' = 0.  Every generator must have norm pi and lie in the
-        ideal of its line.  Kept for the last ENUM_CACHE_WINDOW values."""
+        right ideal of reduced norm pi, a prime of the scalar ring, for the
+        lines t = 0, 1, ..., N(pi) of _pencil_rows.  The units s of
+        basis[1:] act on those ideals, as s*(g*O) = (s*g)*O, through the
+        unit group modulo +-1 (of order 12, 60 or 24), so one search per
+        orbit gives g, the first point of Tr(conj(pi)*2*nr(y)) =
+        2*N(pi)*Tr(1) on its ideal's Z-basis (there nr(y) = pi*alpha, alpha
+        totally positive, and the trace is that small only at alpha = 1,
+        AM-GM), from the two-row echelon of line t's rows, and a
+        breadth-first walk gives s*g to each line of its orbit.  The line
+        of r, ring coordinates mod pi, is the t with (K_i - t*O_i)*r =
+        (K_j - t*O_j)*r = 0, or N(pi) if O*r = 0: for s*g, that of M_s*r, r
+        those of g.  Every generator must have norm pi and lie on its line.
+        Kept for the last ENUM_CACHE_WINDOW values."""
         cache = self._value_cache
         if pi in cache:
             cache[pi] = cache.pop(pi)       # now the most recent
@@ -475,15 +467,17 @@ class QuatOrder:
         target = 2 * (pi * conj).trace()
         (c, e), (zden, zrows) = self.field_tag._omega_sq, self._zgen
         dd, zcols, n = zden * zden, list(zip(*zrows)), len(zrows)
-        lines = self._lines(field)
-        ki, kj, oi, oj = field.pencil
-        dot, size = field.dot, field.size
+        ki, kj, oi, oj = self._pencil_rows(field)
+        dot, lin, size = field.dot, field.lin, field.size
         units = [(s.num, s.den, field.matrix(cols))
                  for s, cols in self._unit_columns()]
-        found = [None] * len(lines)
+        found = [None] * (size + 1)
 
-        def search(pivots, rows):
-            basis = self._ideal_basis(pivots, rows, field)
+        def search(line):
+            rows = (oi, oj) if line == size else (
+                [lin(u, line, w) for u, w in zip(k, o)]
+                for k, o in ((ki, oi), (kj, oj)))
+            basis = self._ideal_basis(*field.two_row_echelon(*rows), field)
             images = [[sum(map(mul, row, u)) for row in form] for u in basis]
             # the search is shortest with the shortest vectors innermost
             basis, images = zip(*sorted(zip(basis, images),
@@ -497,39 +491,40 @@ class QuatOrder:
             v = [sum(map(mul, x, col)) for col in zip(*basis)]
             return tuple(sum(map(mul, v, col)) for col in zcols)
 
+        def line_of(r):
+            a, b, u, w = dot(ki, r), dot(kj, r), dot(oi, r), dot(oj, r)
+            if not (u or w):
+                return size
+            t = field.mul(a, field.inv(u)) if u else field.mul(b, field.inv(w))
+            return None if lin(a, t, u) or lin(b, t, w) else t
+
         def place(k, nums):
-            # found[k] = nums, an element of norm pi in the ideal of line k;
-            # its ring coordinates mod pi
+            # found[k] = nums, an element of norm pi on line k, and its ring
+            # coordinates mod pi; a walk target k = None fails here, as an
+            # element of norm pi lies on a line
             y = self.module.solve_pairs(nums, zden)
             ring = y and [field.red(*y[i:i + 2]) for i in range(0, 8, 2)]
             norm = [sum(z) for z in zip(*_squares(nums, c, e))]
             if (y is None or norm != [pi.a * dd, pi.b * dd]
-                    or any(dot(r, ring) for r in lines[k][1])):
+                    or line_of(ring) != k):
                 raise ArithmeticError(
                     f"{self.name}, pi = {pi}: the generator {nums} of the "
-                    f"ideal {lines[k]} is not in it or has nr != pi")
+                    f"ideal of line {k} is not in it or has nr != pi")
             found[k] = nums
             return ring
 
-        def line_of(r):
-            for o, k in ((oi, ki), (oj, kj)):
-                d = dot(o, r)
-                if d:
-                    return field.mul(dot(k, r), field.inv(d))
-            return size
-
         filled = 0
-        for start, line in enumerate(lines):
+        for start in range(size + 1):
             if found[start] is not None:
                 continue
-            g = search(*line)
+            g = search(start)
             orbit = [(place(start, g), g)]
             for ring, g in orbit:
-                if filled + len(orbit) == len(lines):
+                if filled + len(orbit) == size + 1:
                     break
                 for snum, sden, matrix in units:
                     k = line_of([dot(row, ring) for row in matrix])
-                    if found[k] is None:
+                    if k is None or found[k] is None:
                         y = tuple(x // sden for x in pair_product(snum, g,
                                                                   c, e))
                         orbit.append((place(k, y), y))

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import floor, isqrt, lcm
 
 import pytest
@@ -708,17 +709,6 @@ def test_products_match_the_whole_order_search(factory, m):
 # -- the checks of the prime-norm construction ------------------------------
 
 
-def patch_residues(monkeypatch, change):
-    """Make every residue field list change(residues) as its residues."""
-    init = csmod.orders._ResidueField.__init__
-
-    def patched(self, pi):
-        init(self, pi)
-        self.residues = change(self.residues)
-
-    monkeypatch.setattr(csmod.orders._ResidueField, "__init__", patched)
-
-
 # every kind of prime: rational (2 has the rounding tie), split, ramified,
 # and inert over both quadratic rings; F = O_K/pi is F_p but for the last two
 RESIDUE_PRIMES = [RingElem(Q, 7), RingElem(Q, 2), RingElem(R5, 3, 1),
@@ -782,12 +772,22 @@ class PairResidues:
             rank += 1
         return tuple(pivots), tuple(map(tuple, rows[:rank]))
 
+    def det(self, rows):
+        # Leibniz: the sum over the permutations of the signed products
+        total = RingElem(self.pi.tag, 0)
+        for perm in permutations(range(len(rows))):
+            term = RingElem(self.pi.tag, (-1) ** sum(
+                x > y for x, y in combinations(perm, 2)))
+            for row, k in zip(rows, perm):
+                term = term * self.elems[row[k]]
+            total = total + term
+        return self.red(total)
+
 
 @pytest.mark.parametrize("pi", RESIDUE_PRIMES, ids=str)
 def test_residue_field_matches_the_pair_formulas(pi):
     field, ref = csmod.orders._ResidueField(pi), PairResidues(pi)
     residues = range(pi.norm_abs())
-    assert list(field.residues) == list(residues)
     rng = random.Random(str(pi))
     for x in residues:
         assert field.lift(x) == ref.lift(x)
@@ -797,57 +797,99 @@ def test_residue_field_matches_the_pair_formulas(pi):
             assert field.mul(x, y) == ref.mul(x, y)
             f = rng.choice(residues)
             assert field.lin(x, f, y) == ref.lin(x, f, y)
-    ranks = set()
-    for trial in range(60):
+    echelons = 0
+    for _ in range(60):
         # rows with a zero in about two of every five places
         r, s = ([rng.choice(residues) if rng.random() < 0.6 else 0
                  for _ in range(4)] for _ in range(2))
-        if trial % 4 == 1:      # dependent rows: s a multiple of r
-            f = rng.choice(residues)
-            s = [ref.lin(0, f, x) for x in r]
-        elif trial % 4 == 2:    # a zero row
-            r = [0] * 4
-        elif trial % 8 == 3:    # both zero
-            r = s = [0] * 4
-        form = field.two_row_echelon(r, s)
-        assert form == ref.echelon([r, s])
-        ranks.add(len(form[0]))
         assert field.dot(r, s) == ref.dot(r, s)
-    assert ranks == {0, 1, 2}
+        form = ref.echelon([r, s])
+        if len(form[0]) == 2:       # two_row_echelon takes rank 2 only
+            assert field.two_row_echelon(r, s) == form
+            echelons += 1
+    assert echelons >= 20
+
+
+@pytest.mark.parametrize("pi", RESIDUE_PRIMES, ids=str)
+def test_residue_field_det_matches_the_leibniz_expansion(pi):
+    field, ref = csmod.orders._ResidueField(pi), PairResidues(pi)
+    residues = range(pi.norm_abs())
+    rng = random.Random(f"det {pi}")
+    ranks = set()
+    for trial in range(30):
+        # rank at most 4, 3 or 2: the rows past the first free ones are
+        # combinations of those, and then the rows are shuffled
+        free = 4 - trial % 3
+        rows = [[rng.choice(residues) for _ in range(4)] for _ in range(free)]
+        for _ in range(4 - free):
+            row = [0] * 4
+            for other in rows[:free]:
+                f = rng.choice(residues)
+                row = [ref.lin(x, f, y) for x, y in zip(row, other)]
+            rows.append(row)
+        rng.shuffle(rows)
+        rank = len(ref.echelon(rows)[0])
+        ranks.add(rank)
+        det = field.det(*rows)
+        assert det == ref.det(rows), rows
+        assert (det != 0) == (rank == 4)
+    assert {2, 3, 4} <= ranks
 
 
 # a prime of each kind: rational, split, ramified, inert; N(pi) + 1 lines
-LINE_CASES = [(hurwitz, 7, "7", 7), (icosian, 11, "3+w", 11),
-              (octahedral, 2, "2+w", 2), (octahedral, 25, "5", 25)]
+LINE_CASES = [(hurwitz, 7, "7"), (icosian, 11, "3+w"), (octahedral, 2, "2+w"),
+              (octahedral, 25, "5")]
 
 
-@pytest.mark.parametrize("factory,m,pi,size", LINE_CASES)
-def test_prime_ideals_detect_a_dropped_residue(factory, m, pi, size,
-                                               monkeypatch):
+def same_as_kernel(field, kernel):
+    """O = K: every line of the pencil is ker K."""
+    return kernel
+
+
+def meeting_kernel(field, kernel):
+    """O = K*(1 + e_c*e_m^t), m with e_m outside the rows of K and c != m
+    a nonzero column of K: of rank 2, with a kernel that meets ker K in
+    the one line of ker K with y_m = 0, so [K; O] has rank 3."""
+    def rank(rows):
+        return len(PairResidues.echelon(field, rows)[0])
+
+    m = next(m for m in range(4)
+             if rank([*kernel, [int(k == m) for k in range(4)]]) == 3)
+    c = next(c for c in range(4) if c != m and any(r[c] for r in kernel))
+    minus_one = field.red(-1, 0)
+    other = [[field.lin(x, minus_one, row[c]) if k == m else x
+              for k, x in enumerate(row)] for row in kernel]
+    assert rank(kernel) == rank(other) == 2
+    assert rank([*kernel, *other]) == 3
+    return other
+
+
+@pytest.mark.parametrize("degenerate", [same_as_kernel, meeting_kernel])
+@pytest.mark.parametrize("factory,m,pi", LINE_CASES)
+def test_prime_ideals_detect_a_degenerate_pencil(factory, m, pi, degenerate,
+                                                 monkeypatch):
+    # with the O of every b degenerate, no rows of [K; O] have a nonzero
+    # determinant, and the N(pi) + 1 kernels are not the lines of P^1(F)
     order = fresh_copy(factory)
-    patch_residues(monkeypatch, lambda residues: residues[1:])
-    with pytest.raises(ArithmeticError, match=re.escape(
-            f"{order.name}, pi = {pi}: {size} distinct right ideals of "
-            f"reduced norm pi, want N(pi) + 1 = {size + 1}")):
-        order.enumerate_by_index(m)
+    pencil = QuatOrder._pencil
 
+    def patched(self, field):
+        kernel, others = pencil(self, field)
+        return kernel, (degenerate(field, kernel) for _ in others)
 
-@pytest.mark.parametrize("factory,m,pi,size", LINE_CASES)
-def test_prime_ideals_detect_a_repeated_line(factory, m, pi, size,
-                                             monkeypatch):
-    order = fresh_copy(factory)
-    patch_residues(monkeypatch,
-                   lambda residues: [*residues[:-1], residues[0]])
+    monkeypatch.setattr(QuatOrder, "_pencil", patched)
     with pytest.raises(ArithmeticError, match=re.escape(
-            f"{order.name}, pi = {pi}: {size} distinct right ideals of "
-            f"reduced norm pi, want N(pi) + 1 = {size + 1}")):
+            f"{order.name}, pi = {pi}: no rows i < j of the pencil with "
+            f"det[K_i; K_j; O_i; O_j] != 0")):
         order.enumerate_by_index(m)
 
 
 def reference_lines(order, field):
-    """_lines by Gauss-Jordan elimination of the whole 4x4 matrices K - t*O
-    and O of _pencil, on the package's field arithmetic (checked against
-    the pair formulas above, which search every residue per operation)."""
+    """The echelon forms of the N(pi) + 1 lines by Gauss-Jordan elimination
+    of the whole 4x4 matrices K - t*O and O of _pencil, O the first whose
+    form has rank 2 and differs from K's, on the package's field
+    arithmetic (checked against the pair formulas above, which search
+    every residue per operation)."""
     def echelon(rows):
         return PairResidues.echelon(field, rows)
 
@@ -859,21 +901,27 @@ def reference_lines(order, field):
             break
     return [echelon([[field.lin(u, t, w) for u, w in zip(r, s)]
                      for r, s in zip(kernel, other)])
-            for t in field.residues] + [last]
+            for t in range(field.size)] + [last]
 
 
 @pytest.mark.parametrize("factory,m", [
-    (factory, m) for factory, m, _, _ in LINE_CASES] + [
+    (factory, m) for factory, m, _ in LINE_CASES] + [
     (hurwitz, 101), (icosian, 1009), (icosian, 289), (octahedral, 169),
 ])
 def test_lines_match_the_whole_matrix_echelons(factory, m):
+    # the echelon at t, as a search forms it from the pencil rows: of
+    # (K - t*O)_i and (K - t*O)_j, and of O_i and O_j at t = N(pi)
     order = fresh_copy(factory)
     primes = {pi for value in norm_class_reps(order.field_tag, m)
               for pi, _ in factor(value)[1]}
     assert primes and all(pi.norm_abs() == m for pi in primes)
     for pi in primes:
         field = csmod.orders._ResidueField(pi)
-        lines = order._lines(field)
+        ki, kj, oi, oj = order._pencil_rows(field)
+        lines = [field.two_row_echelon(
+            *([field.lin(u, t, w) for u, w in zip(k, o)]
+              for k, o in ((ki, oi), (kj, oj))))
+            for t in range(m)] + [field.two_row_echelon(oi, oj)]
         assert len(set(lines)) == len(lines) == m + 1
         assert lines == reference_lines(order, field)
 
@@ -964,21 +1012,30 @@ def test_searches_count_the_unit_orbits_of_the_lines(factory, m, size,
     order = fresh_copy(factory)
     units = units_modulo_sign(order)
     assert len(units) == size
-    searches = 0
+    searches = echelons = 0
     solve = csmod.orders._solve_quadratic
+    two_row_echelon = csmod.orders._ResidueField.two_row_echelon
 
     def counting_solve(*args, **kw):
         nonlocal searches
         searches += 1
         return solve(*args, **kw)
 
+    def counting_echelon(*args):
+        nonlocal echelons
+        echelons += 1
+        return two_row_echelon(*args)
+
     monkeypatch.setattr(csmod.orders, "_solve_quadratic", counting_solve)
+    # only a search forms its line's echelon
+    monkeypatch.setattr(csmod.orders._ResidueField, "two_row_echelon",
+                        counting_echelon)
     primes = {pi for value in norm_class_reps(order.field_tag, m)
               for pi, _ in factor(value)[1]}
     assert len(primes) == (1 if factory is hurwitz else 2)
     for pi in primes:
         field = csmod.orders._ResidueField(pi)
-        squares = {field.mul(x, x) for x in field.residues}
+        squares = {field.mul(x, x) for x in range(field.size)}
         fixed = 0
         for u in units:
             if u.is_scalar():       # +-1
@@ -988,9 +1045,10 @@ def test_searches_count_the_unit_orbits_of_the_lines(factory, m, size,
             t = field.red(trace.a, trace.b)
             d = field.lin(field.mul(t, t), 1, field.red(4, 0))
             fixed += 1 if d == 0 else 2 if d in squares else 0
-        searches = 0
+        searches = echelons = 0
         assert len(order._ideal_vectors(pi)) == field.size + 1
         assert searches * size == fixed, pi
+        assert echelons == searches
 
 
 # -- the previous enumeration, kept as the reference ----------------------
@@ -1755,14 +1813,14 @@ def test_prime_values_are_searched_once_per_window():
     # the cache keeps a window of the most recent values
     order = fresh_copy(hurwitz)
     primes = []
-    lines = QuatOrder._lines
+    pencil_rows = QuatOrder._pencil_rows
 
-    def counting_lines(self, field):
+    def counting_pencil_rows(self, field):
         primes.append(field.pi)
-        return lines(self, field)
+        return pencil_rows(self, field)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(QuatOrder, "_lines", counting_lines)
+        patch.setattr(QuatOrder, "_pencil_rows", counting_pencil_rows)
         for m in (9, 15, 3, 45, 27, 5, 105):
             order.enumerate_by_index(m)
     # the lines of P^1 over the primes 3, 5 and 7 only
