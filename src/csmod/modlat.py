@@ -19,11 +19,15 @@ flat list [a0, b0, a1, b1, ...], one pair (a, b) per entry a + b*omega,
 and each call reads the omega^2 rule of its field once.  That is the
 layout of a quaternion's numerators (quat.Quat.num), so products of
 quaternions enter _canonical as they are; hnf_canonical takes field
-entries and writes them so once, by rings.ring_columns.  An intersection
-is one Hermite normal form over the ring (Cohen, GTM 138, 2.4) of columns
-with head rows below (see _canonical).  RingElems and field elements
-appear only in an OModule's read-only `cols`, `basis` and `coordinates`
-views, and as the inputs of hnf_canonical and scale_module.
+entries and writes them so once, by rings.ring_columns.  Over Z (the
+omega^2 rule 1 + 0*omega, see _over_z) every b is 0: there the columns
+drop their b halves on the way in and the algebra runs on plain int
+columns [a0, a1, ...] (the _z_ functions), and only OModule.pairs holds
+pairs.  An intersection is one Hermite normal form over the ring (Cohen,
+GTM 138, 2.4) of columns with head rows below (see _canonical).
+RingElems and field elements appear only in an OModule's read-only
+`cols`, `basis` and `coordinates` views, and as the inputs of
+hnf_canonical and scale_module.
 
 Columns live in one of two ambient spaces: the full quaternion
 coordinate space (basis 1, i, j, k) or its imaginary part (basis
@@ -35,6 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError
 from .rings import (
@@ -95,25 +100,20 @@ class OModule:
     def solve_pairs(self, nums, den: int):
         """Ring coordinates of the vector nums/den, for ring numerators
         nums as flat integer pairs, as flat pairs; None if outside."""
+        if _over_z(self.tag):
+            x = _z_solve(_ints(self.pairs), self.den, nums[::2], den)
+            return None if x is None else _pairs(x)
         # sum_c x_c * cols[c] must equal nums * self.den / den
-        g = gcd(self.den, den)
-        up, down = self.den // g, den // g
-        if down != 1 and any(x * up % down for x in nums):
+        rest = _rescale(nums, den, self.den)
+        if rest is None:
             return None
-        rest = [x * up // down for x in nums]
         c, e = self.tag._omega_sq
-        over_z = c == 1 and not e   # every omega part is 0: divide in Z
         coeffs = [0] * len(rest)
         for i in range(len(rest) - 2, -1, -2):
             if not (rest[i] or rest[i + 1]):
                 continue    # its coefficient is 0
             col = self.pairs[i // 2]
-            if over_z:
-                qa, r = divmod(rest[i], col[i])
-                q = None if r else (qa, 0)
-            else:
-                q = pair_exact_div(rest[i], rest[i + 1], col[i], col[i + 1],
-                                   c, e)
+            q = pair_exact_div(rest[i], rest[i + 1], col[i], col[i + 1], c, e)
             if q is None:
                 return None
             coeffs[i], coeffs[i + 1] = q
@@ -163,6 +163,53 @@ def _check_compatible(m1: OModule, m2: OModule) -> None:
         raise DomainError("ambient spaces differ")
 
 
+def _over_z(tag: FieldTag) -> bool:
+    """Whether the ring is Z, by the omega^2 rule 1 + 0*omega: then every
+    b of a flat pair column is 0, and the _z_ functions take the a's."""
+    return tag._omega_sq == (1, 0)
+
+
+def _ints(cols):
+    """The a's of flat pair columns over Z, whose b's are all 0."""
+    return [col[::2] for col in cols]
+
+
+def _pairs(col) -> list[int]:
+    """An int column over Z as a flat pair column."""
+    out = [0] * (2 * len(col))
+    out[::2] = col
+    return out
+
+
+def _rescale(nums, den: int, to: int):
+    """The numerators of nums/den over the denominator to, or None if
+    they are not integers."""
+    g = gcd(to, den)
+    up, down = to // g, den // g
+    if down != 1 and any(x * up % down for x in nums):
+        return None
+    return [x * up // down for x in nums]
+
+
+def _z_solve(cols, den: int, nums, nden: int):
+    """The int coordinates of the vector nums/nden in the module cols/den
+    over Z, for int columns: solve_pairs without the b's."""
+    rest = _rescale(nums, nden, den)
+    if rest is None:
+        return None
+    coeffs = [0] * len(rest)
+    for i in range(len(rest) - 1, -1, -1):
+        if rest[i]:
+            col = cols[i]
+            q, r = divmod(rest[i], col[i])
+            if r:
+                return None
+            coeffs[i] = q
+            for k in range(i):      # the rows above
+                rest[k] -= q * col[k]
+    return coeffs
+
+
 def _col_submul(col, qa: int, qb: int, src, c: int, e: int) -> None:
     """col -= (qa + qb*omega) * src on flat pairs; omega^2 = c + e*omega."""
     # q*(ya + yb*omega) = (qa*ya + c*qb*yb) + (qb*ya + (qa + e*qb)*yb)*omega
@@ -198,31 +245,13 @@ def _echelon(columns, c: int, e: int):
     Returns pivots, mapping row r to the column whose lowest nonzero entry
     is on row r.  The rows below r are eliminated first, so the pivots of
     rows 0..n-1 span the combinations of the columns that vanish below.
-
-    Over Z (the omega^2 rule c, e = 1, 0) every omega part is 0, and the
-    same steps are taken on the integer parts alone: the stable sort by
-    norm y^2 puts first the first column of least |y|, which min finds
-    (nz keeps the columns' order, and only its columns change, so the
-    next pass filters nz); the general quotient (2*x*y + y^2) // (2*y^2)
-    is floor(x/y + 1/2), computed as (2*x + y) // (2*y), and is nonzero
-    as |x| >= |y|; and the rows below row i are 0 in every column left,
-    so a step changes only the rows at or above it.
+    Over Z, _z_echelon takes the same steps on int columns.
     """
     cols = [list(col) for col in columns]
-    pivots, over_z = {}, c == 1 and not e
+    pivots = {}
     for i in range(len(cols[0]) - 2, -1, -2):
         nz = [col for col in cols if col[i] or col[i + 1]]
         while len(nz) > 1:
-            if over_z:
-                piv = min(nz, key=lambda col: abs(col[i]))
-                y = piv[i]
-                for col in nz:
-                    if col is not piv:
-                        q = (2 * col[i] + y) // (2 * y)
-                        for k in range(0, i + 1, 2):
-                            col[k] -= q * piv[k]
-                nz = [col for col in nz if col[i]]
-                continue
             nz.sort(key=lambda col: abs(pair_norm(col[i], col[i + 1], c, e)))
             piv = nz[0]
             ya, yb = piv[i], piv[i + 1]
@@ -246,6 +275,32 @@ def _echelon(columns, c: int, e: int):
     return pivots
 
 
+def _z_echelon(columns):
+    """_echelon over Z, on int columns: the norm y^2 orders entries by
+    |y|, and the stable sort's first column of least |y| is the one min
+    finds (nz keeps the columns' order, and only its columns change, so
+    the next pass filters nz); the rounded quotient floor(x/y + 1/2) is
+    (2*x + y) // (2*y), nonzero as |x| >= |y|; and the rows below row i
+    are 0 in every column left, so a step changes only rows 0..i."""
+    cols = [list(col) for col in columns]
+    pivots = {}
+    for i in range(len(cols[0]) - 1, -1, -1):
+        nz = [col for col in cols if col[i]]
+        while len(nz) > 1:
+            piv = min(nz, key=lambda col: abs(col[i]))
+            y = piv[i]
+            for col in nz:
+                if col is not piv:
+                    q = (2 * col[i] + y) // (2 * y)
+                    for k in range(i + 1):
+                        col[k] -= q * piv[k]
+            nz = [col for col in nz if col[i]]
+        if nz:
+            pivots[i] = nz[0]
+            cols.remove(nz[0])
+    return pivots
+
+
 def hnf_canonical(tag: FieldTag, ambient: Ambient, generators,
                   den: int = 1) -> OModule:
     """Canonical form of the module spanned by the generators divided by
@@ -264,15 +319,11 @@ def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
     below the ambient's are a head: the module is then spanned by the
     combinations of the columns with zero head, which one _echelon pass
     gives, already triangular, as its pivots on the ambient's rows."""
+    if _over_z(tag):
+        return _z_canonical(tag, ambient, _ints(cols), den)
     n = ambient.dim
     c, e = tag._omega_sq
-    pivots = _echelon(cols, c, e)
-    if any(r not in pivots for r in range(n)):
-        raise DomainError("generators do not span a full-rank module")
-    basis = [pivots[r] for r in range(n)]
-    if any(any(col[2 * n:]) for col in basis):
-        raise ArithmeticError("echelon left a nonzero head on a column")
-    basis = [col[:2 * n] for col in basis]
+    basis = _full_rank(_echelon(cols, c, e), n, 2 * n)
     for j, col in enumerate(basis):
         # a canonical pivot, then entries reduced by the final pivots above
         da, db = col[2 * j], col[2 * j + 1]
@@ -286,10 +337,47 @@ def _canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
                                                   piv[i], piv[i + 1], tag)
             if qa or qb:
                 _col_submul(col, qa, qb, piv, c, e)
-    g = gcd(den, *chain.from_iterable(basis))     # lowest terms
+    return OModule(tag, ambient, *_lowest_terms(basis, den))
+
+
+def _z_canonical(tag: FieldTag, ambient: Ambient, cols, den: int) -> OModule:
+    """_canonical over Z, on int columns: positive pivots, and each entry
+    above a pivot y reduced to its balanced residue in (-y/2, y/2], as
+    rings.pair_canonical_associate and pair_canonical_residue give."""
+    n = ambient.dim
+    basis = _full_rank(_z_echelon(cols), n, n)
+    for j, col in enumerate(basis):
+        if col[j] < 0:
+            col = basis[j] = [-x for x in col]
+        for i in range(j - 1, -1, -1):
+            piv = basis[i]
+            y = piv[i]
+            r = col[i] % y
+            q = (col[i] - r) // y + (2 * r > y)
+            if q:
+                for k in range(i + 1):
+                    col[k] -= q * piv[k]
+    basis, den = _lowest_terms(basis, den)
+    return OModule(tag, ambient, map(_pairs, basis), den)
+
+
+def _full_rank(pivots, n: int, size: int):
+    """The pivot columns of rows 0..n-1 cut to their first size entries,
+    after checking that there are n and that they are 0 on the head."""
+    if any(r not in pivots for r in range(n)):
+        raise DomainError("generators do not span a full-rank module")
+    basis = [pivots[r] for r in range(n)]
+    if any(any(col[size:]) for col in basis):
+        raise ArithmeticError("echelon left a nonzero head on a column")
+    return [col[:size] for col in basis]
+
+
+def _lowest_terms(basis, den: int):
+    """(basis, den) with the gcd of den and the entries cancelled."""
+    g = gcd(den, *chain.from_iterable(basis))
     if g != 1:
         basis, den = [[x // g for x in col] for col in basis], den // g
-    return OModule(tag, ambient, basis, den)
+    return basis, den
 
 
 def identity_module(tag: FieldTag, ambient: Ambient) -> OModule:
@@ -332,6 +420,14 @@ def intersect_image(module: OModule, rows, scale) -> OModule:
     the columns C over s*C and zero over N*C and keeps the combinations
     with zero head.  Only that span is put in canonical form, not A*M.
     """
+    if _over_z(module.tag):
+        s, cols = scale[0], _ints(module.pairs)
+        numer = [row[::2] for row in rows]
+        return _z_canonical(
+            module.tag, module.ambient,
+            [[*col, *[s * x for x in col]] for col in cols]
+            + [[0] * len(col) + [sum(map(mul, row, col)) for row in numer]
+               for col in cols], module.den)
     c, e = module.tag._omega_sq
     cols = module.pairs
     numer_cols = [[x for row in rows for x in row[k:k + 2]]
@@ -377,6 +473,14 @@ def index_pair(msuper: OModule, msub: OModule):
     if not msuper.contains_module(msub):
         raise DomainError("not a submodule")
     n = msuper.rank
+    if _over_z(msuper.tag):
+        num, div = msuper.den ** n, msub.den ** n
+        for r in range(n):
+            num *= msub.pairs[r][2 * r]
+            div *= msuper.pairs[r][2 * r]
+        if num % div:
+            raise DomainError("index is not integral")
+        return num // div, 0
     c, e = msuper.tag._omega_sq
     na, nb, da, db = msuper.den ** n, 0, msub.den ** n, 0
     for r in range(0, 2 * n, 2):

@@ -452,7 +452,8 @@ class QuatOrder:
         breadth-first walk gives s*g to each line of its orbit.  The line
         of r, ring coordinates mod pi, is the t with (K_i - t*O_i)*r =
         (K_j - t*O_j)*r = 0, or N(pi) if O*r = 0: for s*g, that of M_s*r, r
-        those of g.  Every generator must have norm pi and lie on its line.
+        those of g.  Every generator must have norm pi, and its residues
+        must lie on its line, or be M_s*r if the walk reached it.
         Kept for the last ENUM_CACHE_WINDOW values."""
         cache = self._value_cache
         if pi in cache:
@@ -498,15 +499,18 @@ class QuatOrder:
             t = field.mul(a, field.inv(u)) if u else field.mul(b, field.inv(w))
             return None if lin(a, t, u) or lin(b, t, w) else t
 
-        def place(k, nums):
+        def place(k, nums, walked=None):
             # found[k] = nums, an element of norm pi on line k, and its ring
-            # coordinates mod pi; a walk target k = None fails here, as an
+            # coordinates mod pi: on line k for a searched line, and for a
+            # walked one the residues M_s*r that named k (equal vectors lie
+            # on one line); a walk target k = None fails here, as an
             # element of norm pi lies on a line
             y = self.module.solve_pairs(nums, zden)
             ring = y and [field.red(*y[i:i + 2]) for i in range(0, 8, 2)]
             norm = [sum(z) for z in zip(*_squares(nums, c, e))]
             if (y is None or norm != [pi.a * dd, pi.b * dd]
-                    or line_of(ring) != k):
+                    or (line_of(ring) != k if walked is None
+                        else ring != walked)):
                 raise ArithmeticError(
                     f"{self.name}, pi = {pi}: the generator {nums} of the "
                     f"ideal of line {k} is not in it or has nr != pi")
@@ -523,11 +527,12 @@ class QuatOrder:
                 if filled + len(orbit) == size + 1:
                     break
                 for snum, sden, matrix in units:
-                    k = line_of([dot(row, ring) for row in matrix])
+                    walked = [dot(row, ring) for row in matrix]
+                    k = line_of(walked)
                     if k is None or found[k] is None:
                         y = tuple(x // sden for x in pair_product(snum, g,
                                                                   c, e))
-                        orbit.append((place(k, y), y))
+                        orbit.append((place(k, y, walked), y))
             filled += len(orbit)
         cache[pi] = found = tuple(found)
         if len(cache) > ENUM_CACHE_WINDOW:

@@ -240,11 +240,15 @@ def cayley_pairs(x, c: int, e: int):
     q's integer denominator cancels, since R(q) is invariant under
     rescaling q.  The Cayley formula is linear in the ten products of the
     coordinates, so it is applied to their a parts and their b parts."""
-    prods = [pair_mul(x[s], x[s + 1], x[t], x[t + 1], c, e) for s, t in (
-        (0, 0), (2, 2), (4, 4), (6, 6), (0, 2), (0, 4), (0, 6), (2, 4),
-        (2, 6), (4, 6))]
+    st = ((0, 0), (2, 2), (4, 4), (6, 6), (0, 2), (0, 4), (0, 6), (2, 4),
+          (2, 6), (4, 6))
+    if c == 1 and not e:    # over Z every b part is 0: int products
+        prods = [x[s] * x[t] for s, t in st], [0] * 10
+    else:
+        prods = zip(*[pair_mul(x[s], x[s + 1], x[t], x[t + 1], c, e)
+                      for s, t in st])
     parts = []      # the entries and n, from the a parts, then the b parts
-    for kk, ll, mm, vv, kl, km, kv, lm, lv, mv in zip(*prods):
+    for kk, ll, mm, vv, kl, km, kv, lm, lv, mv in prods:
         parts.append((kk + ll - mm - vv, 2 * (lm - kv), 2 * (km + lv),
                       2 * (kv + lm), kk - ll + mm - vv, 2 * (mv - kl),
                       2 * (lv - km), 2 * (kl + mv), kk - ll - mm + vv,

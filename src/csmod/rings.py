@@ -507,16 +507,8 @@ def pair_canonical_residue(xa: int, xb: int, ya: int, yb: int,
     x + y*O, which makes it usable for canonical matrix normal forms.
     Among the small remainders reachable from the Euclidean one it
     minimizes absolute norm, then absolute coefficients, preferring
-    nonnegative ones (so 1 mod 2 reduces to 1, not -1).
-
-    Over Z that is the balanced residue in (-|y|/2, |y|/2], which is
-    computed directly: the norm r^2 orders remainders by |r|, and the tie
-    at |y|/2 goes to the nonnegative one."""
-    if tag is _RATIONAL:
-        r = xa % abs(ya)
-        if 2 * r > abs(ya):
-            r -= abs(ya)
-        return (xa - r) // ya, 0, r, 0
+    nonnegative ones (so 1 mod 2 reduces to 1, not -1).  Over Z that is
+    the balanced residue in (-|y|/2, |y|/2]."""
     qa, qb, r0a, r0b = pair_euclid_divmod(xa, xb, ya, yb, tag)
     c, e = tag._omega_sq
     best = None

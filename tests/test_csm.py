@@ -318,6 +318,17 @@ def test_count_path_modules_hash(key):
     assert hashlib.sha256("\n".join(mods).encode()).hexdigest() == digest
 
 
+def test_hurwitz_1001_modules_hash():
+    # the canonical bytes at larger entries than m <= 60 reaches: all
+    # 1,344 coincidence modules of index 7*11*13
+    gamma = gamma_of(hurwitz())
+    mods = sorted(str(csm_bruteforce(gamma, q)[0])
+                  for q in hurwitz().enumerate_by_index(1001))
+    assert len(mods) == 1344
+    assert (hashlib.sha256("\n".join(mods).encode()).hexdigest()
+            == "d56272b741224bc2986d3e5103eca83d82fd6fd5ad5768f4b81033bcdebe9253")
+
+
 def test_count_multiplicative_on_coprime_indices():
     order = hurwitz()
     assert count_csms(order, 45) == count_csms(order, 9) * count_csms(order, 5)
